@@ -151,13 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="work in the local-multiplicity-one quotient algebra")
     parser.add_argument("--twist-handedness", choices=["standard", "reversed"],
                         default="standard")
-    parser.add_argument("--depth-cap", type=int, default=None,
-                        help="box tensor iteration cap (default 10x generators)")
     parser.add_argument("--output", choices=["text", "json"], default="text")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="accepted for compatibility; assembly runs sequentially")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property tests")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

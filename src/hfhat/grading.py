@@ -9,8 +9,10 @@ of the second chain along the boundary of the first.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
 from .algebra import StrandsGenerator
 
@@ -27,21 +29,22 @@ class GradingElement:
         for a1, a2 in zip(self.alphas, other.alphas):
             twist2 += _m2_boundary(a2, a1)
         alphas = tuple(
-            tuple(x + y for x, y in zip(a1, a2)) for a1, a2 in zip(self.alphas, other.alphas)
+            tuple(map(add, a1, a2)) if any(a2) else a1 for a1, a2 in zip(self.alphas, other.alphas)
         )
         return GradingElement(self.j2 + other.j2 + twist2, alphas)
 
     def inverse(self) -> "GradingElement":
-        neg = tuple(tuple(-x for x in a) for a in self.alphas)
-        twist2 = sum(_m2_boundary(a, a) for a in self.alphas)
-        return GradingElement(-self.j2 + twist2, neg)
+        return self.power(-1)
 
     def power(self, n: int) -> "GradingElement":
-        out = identity_like(self)
-        step = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            out = out * step
-        return out
+        """g^n = (n*j + n(n-1)/2 * m(alpha, d alpha), n*alpha) for every integer n.
+
+        The twist is bilinear, so the k-th factor of the product adds
+        (k-1) times m(alpha, d alpha).  It is also antisymmetric, so that
+        term vanishes and g^n = (n*j, n*alpha).
+        """
+        alphas = tuple(tuple(n * x for x in a) if any(a) else a for a in self.alphas)
+        return GradingElement(n * self.j2, alphas)
 
     @property
     def is_identity(self) -> bool:
@@ -53,23 +56,28 @@ class GradingElement:
 
 def _m2_boundary(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     """Doubled value of m(alpha, d(beta)): the boundary of beta evaluated
-    against the two-sided average multiplicity of alpha."""
-    total = 0
-    n = len(alpha)
-    for p in range(n + 1):
-        d = (beta[p - 1] if p > 0 else 0) - (beta[p] if p < n else 0)
-        if d:
-            avg2 = (alpha[p - 1] if p > 0 else 0) + (alpha[p] if p < n else 0)
-            total += d * avg2
-    return total
+    against the two-sided average multiplicity of alpha.  It equals
+    <w(alpha), beta> (see _twist_weights) and is antisymmetric."""
+    if not any(alpha) or not any(beta):
+        return 0
+    return sum(b0 * a1 - a0 * b1 for a0, a1, b0, b1 in zip(alpha, alpha[1:], beta, beta[1:]))
+
+
+def _twist_weights(flat, sizes) -> list[int]:
+    """w(alpha) with w_i = alpha_{i+1} - alpha_{i-1} inside each block of
+    ``sizes`` (zero past a block's ends), so m2(alpha, d beta) = <w(alpha), beta>."""
+    out = []
+    start = 0
+    for size in sizes:
+        end = start + size
+        for i in range(start, end):
+            out.append((flat[i + 1] if i + 1 < end else 0) - (flat[i - 1] if i > start else 0))
+        start = end
+    return out
 
 
 def identity_element(sizes: tuple[int, ...]) -> GradingElement:
     return GradingElement(0, tuple((0,) * s for s in sizes))
-
-
-def identity_like(g: GradingElement) -> GradingElement:
-    return GradingElement(0, tuple((0,) * len(a) for a in g.alphas))
 
 
 def lambda_power(sizes: tuple[int, ...], n: int = 1) -> GradingElement:
@@ -120,138 +128,108 @@ def gr_coefficient(coef: tuple[StrandsGenerator, ...], sizes: tuple[int, ...]) -
 
 
 # ---------------------------------------------------------------------------
-# Integer lattice reduction for relation subgroups
-
-
-def _row_reduce(rows: list[list[int]]):
-    """Integer row echelon (Hermite-style) with recorded combinations.
-
-    Returns (echelon, combos, pivots) with echelon = combos * rows.
-    """
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    combos = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        # Euclid on the column below r.
-        while True:
-            nz = [i for i in range(r, m) if rows[i][col] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(rows[i][col]))
-            rows[r], rows[piv] = rows[piv], rows[r]
-            combos[r], combos[piv] = combos[piv], combos[r]
-            done = True
-            for i in range(r + 1, m):
-                if rows[i][col]:
-                    q = rows[i][col] // rows[r][col]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    combos[i] = [x - q * y for x, y in zip(combos[i], combos[r])]
-                    if rows[i][col]:
-                        done = False
-            if done:
-                break
-        if r < m and rows[r][col] != 0:
-            pivots.append(col)
-            r += 1
-        if r == m:
-            break
-    return rows, combos, pivots
+# Relation subgroups
 
 
 class RelationLattice:
     """The subgroup generated by a list of grading elements.
 
     Supports orbit membership for the homological part and the achievable
-    set of lambda powers, which is j0 + n*Z for a torsion modulus n coming
-    from kernel combinations and pairwise commutators.
+    set of lambda powers, which is j0 + n*Z for a torsion modulus n.
+
+    Elements are handled flat: a doubled Maslov component and one chain of
+    all blocks end to end.  The twist of a product g*h is
+    m2(beta, d alpha) = <w(beta), alpha> for chains alpha of g and beta of
+    h, with the weights w(beta)_i = beta_{i+1} - beta_{i-1} inside each
+    block.  It is bilinear and antisymmetric, so m2(beta, d beta) = 0 and
+    b^k = (k*j, k*beta): a row operation h -> h * b^k costs one dot
+    product with the weights of b.
+
+    The echelon basis holds subgroup elements, one per pivot column, and is
+    reached by exact group products only, so it generates the same subgroup
+    as the relations.  A relation that reduces to the zero chain is a pure
+    lambda power read from its own j2; together with the commutators of the
+    basis, 2*<w(b), a>, these generate every lambda power in the subgroup,
+    and their gcd is the torsion modulus.  Any two subgroup elements with
+    the same chain differ by such a lambda power, so a degree taken modulo
+    the torsion does not depend on which basis the reduction chose.
     """
 
     def __init__(self, relations: list[GradingElement], sizes: tuple[int, ...]):
-        self.relations = list(relations)
-        self.sizes = sizes
-        rows = [list(r.flat()) for r in self.relations]
-        width = sum(sizes)
-        self._width = width
-        if rows:
-            self._echelon, self._combos, self._pivots = _row_reduce(rows)
-        else:
-            self._echelon, self._combos, self._pivots = [], [], []
-        self.lambda_torsion2 = self._compute_torsion2()
-
-    def _solve(self, target: list[int]):
-        """Coefficients c with sum c_i * relation_i = target on chains."""
-        coeffs = [0] * len(self.relations)
-        residue = list(target)
-        for row_idx, col in enumerate(self._pivots):
-            piv = self._echelon[row_idx][col]
-            if residue[col] % piv != 0:
-                return None
-            q = residue[col] // piv
-            if q:
-                residue = [x - q * y for x, y in zip(residue, self._echelon[row_idx])]
-                coeffs = [c + q * y for c, y in zip(coeffs, self._combos[row_idx])]
-        if any(residue):
-            return None
-        return coeffs
-
-    def _product_j2(self, coeffs: list[int]) -> int:
-        out = identity_element(self.sizes)
-        for c, r in zip(coeffs, self.relations):
-            if c:
-                out = out * r.power(c)
-        return out.j2
-
-    def _compute_torsion2(self) -> int:
+        self.sizes = tuple(sizes)
         tor = 0
-        # Commutators of subgroup elements are central lambda powers whose
-        # exponents come from an antisymmetric pairing, bilinear in the
-        # chain parts; an echelon basis of the chain lattice generates all
-        # of them.  Kernel combinations contribute their own exponents.
-        basis = [row for row in self._echelon if any(row)]
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                tor = gcd(tor, self._pairing2(basis[i], basis[j]))
-        zero_rows = [
-            self._combos[i]
-            for i in range(len(self._echelon))
-            if all(x == 0 for x in self._echelon[i])
-        ]
-        for combo in zero_rows:
-            tor = gcd(tor, self._product_j2(combo))
-        return tor
+        rows = []
+        for r in relations:
+            chain = list(r.flat())
+            if any(chain):
+                rows.append((r.j2, chain))
+            else:
+                tor = gcd(tor, r.j2)
+        # (pivot column, j2, chain, twist weights of the chain)
+        self._basis: list[tuple[int, int, list[int], list[int]]] = []
+        for col in range(sum(self.sizes)):
+            live = [row for row in rows if row[1][col]]
+            if not live:
+                continue
+            rows = [row for row in rows if not row[1][col]]
+            while True:  # Euclid on the column
+                piv = min(live, key=lambda row: abs(row[1][col]))
+                weights = _twist_weights(piv[1], self.sizes)
+                live_next = [piv]
+                for row in live:
+                    if row is piv:
+                        continue
+                    row = _times_power(row, piv, weights, -(row[1][col] // piv[1][col]))
+                    if row[1][col]:
+                        live_next.append(row)
+                    elif any(row[1]):
+                        rows.append(row)
+                    else:
+                        tor = gcd(tor, row[0])
+                live = live_next
+                if len(live) == 1:
+                    break
+            self._basis.append((col, piv[0], piv[1], weights))
+        for i, (_, _, a, _) in enumerate(self._basis):
+            for _, _, _, w in self._basis[i + 1:]:
+                tor = gcd(tor, 2 * _dot(w, a))
+        self.lambda_torsion2 = tor
 
-    def _pairing2(self, flat_a: list[int], flat_b: list[int]) -> int:
-        total = 0
-        offset = 0
-        for size in self.sizes:
-            a = tuple(flat_a[offset:offset + size])
-            b = tuple(flat_b[offset:offset + size])
-            total += _m2_boundary(b, a) - _m2_boundary(a, b)
-            offset += size
-        return total
+    def generators(self) -> list[GradingElement]:
+        """The echelon basis plus one pure lambda power carrying the torsion."""
+        out = []
+        for _, j2, chain, _ in self._basis:
+            alphas = []
+            start = 0
+            for size in self.sizes:
+                alphas.append(tuple(chain[start:start + size]))
+                start += size
+            out.append(GradingElement(j2, tuple(alphas)))
+        if self.lambda_torsion2:
+            out.append(GradingElement(self.lambda_torsion2, identity_element(self.sizes).alphas))
+        return out
+
+    def _reduce(self, g: GradingElement):
+        """j2 of g * h for some subgroup element h cancelling g's chain, or
+        None if g's chain is not in the lattice."""
+        j2, chain = g.j2, list(g.flat())
+        for col, jb, b, w in self._basis:
+            if chain[col]:
+                if chain[col] % b[col]:
+                    return None
+                j2, chain = _times_power((j2, chain), (jb, b), w, -(chain[col] // b[col]))
+        if any(chain):
+            return None
+        return j2
 
     def contains_chain(self, g: GradingElement) -> bool:
-        if not self.relations:
-            return all(x == 0 for x in g.flat())
-        return self._solve(list(g.flat())) is not None
+        return self._reduce(g) is not None
 
     def lambda_degree(self, g: GradingElement):
         """If g = lambda^t * (element of the subgroup), return (t, modulus2);
         the degree is defined mod modulus2 / 2.  None if not in the orbit."""
-        if not self.relations:
-            if any(g.flat()):
-                return None
-            if g.j2 % 2:
-                return None
-            return (g.j2 // 2, 0)
-        coeffs = self._solve(list(g.flat()))
-        if coeffs is None:
-            return None
-        diff2 = g.j2 - self._product_j2(coeffs)
-        if diff2 % 2:
+        diff2 = self._reduce(g)
+        if diff2 is None or diff2 % 2:
             return None
         tor = self.lambda_torsion2
         if tor:
@@ -262,6 +240,16 @@ class RelationLattice:
 
     def is_lambda_free(self) -> bool:
         return self.lambda_torsion2 == 0
+
+
+def _dot(u: list[int], v: list[int]) -> int:
+    return sum(x * y for x, y in zip(u, v) if x and y)
+
+
+def _times_power(h, b, weights_b, k):
+    """h * b^k for flat elements (j2, chain); weights_b are b's twist weights."""
+    (jh, ah), (jb, ab) = h, b
+    return (jh + k * jb + k * _dot(weights_b, ah), [x + k * y for x, y in zip(ah, ab)])
 
 
 class Gradings:
@@ -295,29 +283,22 @@ class Gradings:
     def is_lambda_free(self) -> bool:
         return self._lattice.is_lambda_free()
 
+    def with_reps(self, reps: dict) -> "Gradings":
+        """The same relations and lattice over new representatives."""
+        out = copy(self)
+        out.reps = dict(reps)
+        return out
+
     def compact(self) -> "Gradings":
         """Equivalent grading data with at most basis-many relations.
 
         Long relation lists accumulate along a pipeline; an echelon basis
         of the chain lattice plus one pure lambda power carrying the
-        torsion generates the same sublattice for every query made here.
+        torsion generates the same subgroup, so the lattice is kept.
         """
-        lat = self._lattice
-        new: list[GradingElement] = []
-        for row_idx, row in enumerate(lat._echelon):
-            if not any(row):
-                continue
-            j2 = lat._product_j2(lat._combos[row_idx])
-            alphas = []
-            offset = 0
-            for size in self.sizes:
-                alphas.append(tuple(row[offset:offset + size]))
-                offset += size
-            new.append(GradingElement(j2, tuple(alphas)))
-        if lat.lambda_torsion2:
-            new.append(GradingElement(lat.lambda_torsion2,
-                                      tuple((0,) * s for s in self.sizes)))
-        return Gradings(self.sizes, self.reps, new)
+        out = self.with_reps(self.reps)
+        out.relations = self._lattice.generators()
+        return out
 
     def has_pure_lambda_relation(self) -> bool:
         """Whether some relation is a nonzero power of lambda alone."""
@@ -515,14 +496,15 @@ def propagate_gradings(structure, seeds=None, tree_choice: int = 0):
                         loop = reps[y].inverse() * g * reps[x]
                     if not loop.is_identity:
                         relations.append(loop)
-    return Gradings(sizes, reps, _dedupe(relations))
+    return Gradings(sizes, reps, dedupe_relations(relations))
 
 
 def _coef_key(coef):
     return tuple(g.sort_key() for g in coef)
 
 
-def _dedupe(relations):
+def dedupe_relations(relations):
+    """Distinct non-identity relations, in first-seen order."""
     seen = set()
     out = []
     for r in relations:

@@ -15,6 +15,7 @@ from . import algebra as alg
 from .grading import (
     GradingElement,
     Gradings,
+    dedupe_relations,
     gr_coefficient,
     lambda_power,
     propagate_gradings,
@@ -138,11 +139,8 @@ class TypeDStructure:
             for y, coefs in row.items():
                 out.delta[order[x]][order[y]] = coefs
         if self.gradings is not None:
-            out.gradings = Gradings(
-                self.gradings.sizes,
-                {order[g]: rep for g, rep in self.gradings.reps.items()},
-                self.gradings.relations,
-            )
+            out.gradings = self.gradings.with_reps(
+                {order[g]: rep for g, rep in self.gradings.reps.items()})
         return out
 
     # -- structural equation ----------------------------------------------
@@ -436,7 +434,7 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, spe
         reps[key] = gx.inverse() * ga * gy
     rels = [_place_blocks(transport(r), sizes, m_pos) for r in M.gradings.relations]
     rels += [_place_blocks(r, sizes, n_pos) for r in N.gradings.relations]
-    grad = Gradings(sizes, reps, rels)
+    grad = Gradings(sizes, reps, dedupe_relations(rels))
 
     lam = lambda_power(sizes)
     extra = []
@@ -449,13 +447,11 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, spe
                     g = lam * _place_blocks(
                         gr_coefficient(coef, out.factor_sizes()), sizes, result_pos
                     )
-                h = (g * grad.reps[y]).inverse() * grad.reps[x]
-                if not h.is_identity:
-                    extra.append(h)
-    defects = [h for h in extra
+                extra.append((g * grad.reps[y]).inverse() * grad.reps[x])
+    defects = [h for h in dedupe_relations(extra)
                if grad.lattice.lambda_degree(h) != (0, grad.lattice.lambda_torsion2)]
     if defects:
-        grad = Gradings(sizes, reps, rels + defects)
+        grad = Gradings(sizes, reps, grad.compact().relations + defects)
     out.gradings = grad.compact()
 
 
@@ -554,16 +550,8 @@ def cancel(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
     out.idem = {g: out.idem[g] for g in out.generators}
     out.delta = {g: delta[g] for g in out.generators}
     if out.gradings is not None:
-        out.gradings = Gradings(
-            out.gradings.sizes,
-            {g: out.gradings.reps[g] for g in out.generators},
-            out.gradings.relations,
-        )
+        out.gradings = out.gradings.with_reps({g: out.gradings.reps[g] for g in out.generators})
     return out
-
-
-def reduce_structure(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
-    return cancel(M, order_seed=order_seed)
 
 
 def modules_isomorphic(M: TypeDStructure, N: TypeDStructure) -> bool:
@@ -617,16 +605,3 @@ def homology_rank(C: TypeDStructure) -> int:
     if C.factors:
         raise ValueError("homology is for bare complexes; cancel modules first")
     return len(cancel(C).generators)
-
-
-def sparse_triples(C: TypeDStructure) -> list:
-    """Boundary matrix of an F2 complex as (row, column, 1) triples."""
-    if C.factors:
-        raise ValueError("triplet dumps are for bare complexes")
-    order = {g: i for i, g in enumerate(C.sorted_generators())}
-    out = []
-    for x in C.generators:
-        for y, coefs in C.delta[x].items():
-            if len(coefs) % 2:
-                out.append((order[y], order[x], 1))
-    return sorted(out)

@@ -1,10 +1,13 @@
 import random
 from itertools import product
+from math import gcd
 
 import hfhat.algebra as alg
 from hfhat.grading import (
     GradingElement,
+    Gradings,
     Mod2GradingMap,
+    RelationLattice,
     check_congruence,
     gr_generator,
     identity_element,
@@ -102,6 +105,212 @@ def test_self_pairing_vanishes():
     for g in random_elements(A2, 30, seed=4):
         doubled = GradingElement(0, g.alphas)
         assert (doubled * doubled).j2 == 0
+
+
+def test_power_closed_form_matches_repeated_product():
+    for pmc in (Z2, A2):
+        for g in random_elements(pmc, 20, seed=5):
+            for n in range(-6, 7):
+                step = g if n >= 0 else g.inverse()
+                expected = identity_element((7,))
+                for _ in range(abs(n)):
+                    expected = expected * step
+                assert g.power(n) == expected
+
+
+def test_power_zero_and_lambda_powers():
+    lam = lambda_power((7, 3))
+    for g in random_elements(Z2, 10, seed=6):
+        assert g.power(0).is_identity
+    for a, b in product(range(-4, 5), repeat=2):
+        assert lam.power(a) * lam.power(b) == lam.power(a + b) == lambda_power((7, 3), a + b)
+
+
+# -- relation lattices against the combination-matrix reference --------------
+
+
+def _reference_row_reduce(rows):
+    """Integer row echelon with recorded combinations: echelon = combos * rows."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    combos = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        while True:
+            nz = [i for i in range(r, m) if rows[i][col] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(rows[i][col]))
+            rows[r], rows[piv] = rows[piv], rows[r]
+            combos[r], combos[piv] = combos[piv], combos[r]
+            done = True
+            for i in range(r + 1, m):
+                if rows[i][col]:
+                    q = rows[i][col] // rows[r][col]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    combos[i] = [x - q * y for x, y in zip(combos[i], combos[r])]
+                    if rows[i][col]:
+                        done = False
+            if done:
+                break
+        if r < m and rows[r][col] != 0:
+            pivots.append(col)
+            r += 1
+        if r == m:
+            break
+    return rows, combos, pivots
+
+
+class ReferenceLattice:
+    """The relation subgroup computed through an explicit combination matrix:
+    each query rebuilds the product of relation powers by repeated products."""
+
+    def __init__(self, relations, sizes):
+        self.relations = list(relations)
+        self.sizes = sizes
+        rows = [list(r.flat()) for r in self.relations]
+        self.echelon, self.combos, self.pivots = (
+            _reference_row_reduce(rows) if rows else ([], [], []))
+        tor = 0
+        basis = [row for row in self.echelon if any(row)]
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                tor = gcd(tor, self._pairing2(basis[i], basis[j]))
+        for row, combo in zip(self.echelon, self.combos):
+            if not any(row):
+                tor = gcd(tor, self._product_j2(combo))
+        self.lambda_torsion2 = tor
+
+    def _split(self, flat):
+        out, offset = [], 0
+        for size in self.sizes:
+            out.append(tuple(flat[offset:offset + size]))
+            offset += size
+        return tuple(out)
+
+    def _pairing2(self, flat_a, flat_b):
+        a = GradingElement(0, self._split(flat_a))
+        b = GradingElement(0, self._split(flat_b))
+        return (a * b).j2 - (b * a).j2
+
+    def _product_j2(self, coeffs):
+        out = identity_element(self.sizes)
+        for c, r in zip(coeffs, self.relations):
+            step = r if c >= 0 else r.inverse()
+            for _ in range(abs(c)):
+                out = out * step
+        return out.j2
+
+    def _solve(self, target):
+        coeffs = [0] * len(self.relations)
+        residue = list(target)
+        for row_idx, col in enumerate(self.pivots):
+            piv = self.echelon[row_idx][col]
+            if residue[col] % piv != 0:
+                return None
+            q = residue[col] // piv
+            if q:
+                residue = [x - q * y for x, y in zip(residue, self.echelon[row_idx])]
+                coeffs = [c + q * y for c, y in zip(coeffs, self.combos[row_idx])]
+        return None if any(residue) else coeffs
+
+    def contains_chain(self, g):
+        return self._solve(list(g.flat())) is not None
+
+    def lambda_degree(self, g):
+        coeffs = self._solve(list(g.flat()))
+        if coeffs is None:
+            return None
+        diff2 = g.j2 - self._product_j2(coeffs)
+        if diff2 % 2:
+            return None
+        tor = self.lambda_torsion2
+        if tor:
+            if tor % 2:
+                return None
+            return ((diff2 // 2) % (tor // 2) if tor != 2 else 0, tor)
+        return (diff2 // 2, 0)
+
+
+def _random_stacked(pmcs, rng):
+    """One generator grading per circle, stacked as blocks."""
+    parts = [gr_generator(rng.choice(alg.full_basis(pmc))) for pmc in pmcs]
+    return GradingElement(sum(p.j2 for p in parts), tuple(p.alphas[0] for p in parts))
+
+
+def _random_word(elements, rng, length):
+    out = identity_element(tuple(len(a) for a in elements[0].alphas))
+    for _ in range(length):
+        out = out * rng.choice(elements).power(rng.randint(-2, 2))
+    return out
+
+
+def _random_relations(pmcs, rng):
+    """Relations over few generators, so that many reduce to zero chains,
+    with duplicates, pure lambda powers and commutators mixed in."""
+    sizes = tuple(pmc.n_points - 1 for pmc in pmcs)
+    base = [_random_stacked(pmcs, rng) for _ in range(rng.randint(1, 4))]
+    rels = []
+    for _ in range(rng.randint(1, 9)):
+        roll = rng.random()
+        if roll < 0.55 or not rels:
+            rels.append(_random_word(base, rng, rng.randint(1, 3)))
+        elif roll < 0.7:
+            rels.append(rng.choice(rels))
+        elif roll < 0.85:
+            rels.append(lambda_power(sizes, rng.randint(-3, 3)))
+        else:
+            a, b = rng.choice(base), rng.choice(base)
+            rels.append(a * b * a.inverse() * b.inverse())
+    return sizes, base, rels
+
+
+def _random_queries(sizes, base, rels, pmcs, rng, count=12):
+    shift = GradingElement(1, identity_element(sizes).alphas)
+    for _ in range(count):
+        g = _random_word(rels, rng, rng.randint(0, 3)) * lambda_power(sizes, rng.randint(-5, 5))
+        roll = rng.random()
+        if roll < 0.2:
+            g = g * shift
+        elif roll < 0.4:
+            g = g * _random_stacked(pmcs, rng)
+        elif roll < 0.55:
+            g = g * _random_word(base, rng, 2)
+        yield g
+
+
+CIRCLE_STACKS = [(Z1,), (Z1, Z1), (Z2,), (A2,), (Z2, Z1), (Z1, Z2, Z1)]
+
+
+def test_lattice_matches_combination_reference():
+    rng = random.Random(7)
+    for trial in range(240):
+        pmcs = CIRCLE_STACKS[trial % len(CIRCLE_STACKS)]
+        sizes, base, rels = _random_relations(pmcs, rng)
+        ref = ReferenceLattice(rels, sizes)
+        lat = RelationLattice(rels, sizes)
+        assert lat.lambda_torsion2 == ref.lambda_torsion2
+        assert lat.is_lambda_free() == (ref.lambda_torsion2 == 0)
+        for g in _random_queries(sizes, base, rels, pmcs, rng):
+            assert lat.contains_chain(g) == ref.contains_chain(g)
+            assert lat.lambda_degree(g) == ref.lambda_degree(g)
+
+
+def test_compact_answers_the_same_queries():
+    rng = random.Random(8)
+    for trial in range(120):
+        pmcs = CIRCLE_STACKS[trial % len(CIRCLE_STACKS)]
+        sizes, base, rels = _random_relations(pmcs, rng)
+        ref = ReferenceLattice(rels, sizes)
+        compact = Gradings(sizes, {}, rels).compact()
+        rebuilt = RelationLattice(compact.relations, sizes)
+        assert len(compact.relations) <= sum(sizes) + 1
+        assert rebuilt.lambda_torsion2 == ref.lambda_torsion2
+        for g in _random_queries(sizes, base, rels, pmcs, rng):
+            assert rebuilt.contains_chain(g) == ref.contains_chain(g)
+            assert rebuilt.lambda_degree(g) == ref.lambda_degree(g)
 
 
 # -- the mod-2 action of slide words ----------------------------------------

@@ -199,6 +199,14 @@ def test_relabel_keeps_structure():
     assert flat.arrow_count() == dd.arrow_count()
 
 
+def test_cancel_and_relabel_keep_the_lattice():
+    stage = mor_against_bimodule(arcslide_dd(ArcSlide(Z1, 2, 1)), cfd_zero_framed_handlebody(1),
+                                 seam=0)
+    assert stage.gradings is not None
+    assert cancel(stage).gradings.lattice is stage.gradings.lattice
+    assert stage.relabel().gradings.lattice is stage.gradings.lattice
+
+
 def test_modules_isomorphic_detects_relabelling():
     dd = dd_identity(Z1)
     assert modules_isomorphic(dd, dd.relabel())
