@@ -446,18 +446,16 @@ def xi_word(slides, n_pairs: int | None = None) -> Mod2GradingMap:
 # Propagation of gradings over a differential graph
 
 
-def propagate_gradings(structure, seeds=None, tree_choice: int = 0):
+def propagate_gradings(structure):
     """Assign a coset to each generator by walking the differential graph.
 
     Tree arrows fix gradings exactly by gr(x) = lambda * gr(coef) * gr(y);
-    every non-tree arrow contributes one loop relation.  Disconnected
-    components restart from a seed (identity unless provided).  A nonzero
-    tree_choice permutes the arrow visit order, for tree independence tests.
+    every non-tree arrow contributes one loop relation.  Each connected
+    component starts from the identity at its first generator.
     """
     sizes = structure.factor_sizes()
     reps: dict = {}
-    relations: list[GradingElement] = list(seeds.get("relations", [])) if seeds else []
-    seed_reps = seeds.get("reps", {}) if seeds else {}
+    relations: list[GradingElement] = []
     lam = lambda_power(sizes)
 
     arrows = []
@@ -465,8 +463,6 @@ def propagate_gradings(structure, seeds=None, tree_choice: int = 0):
         for y, coefs in structure.delta.get(x, {}).items():
             for coef in sorted(coefs, key=_coef_key):
                 arrows.append((x, coef, y))
-    if tree_choice:
-        arrows = arrows[tree_choice % max(len(arrows), 1):] + arrows[: tree_choice % max(len(arrows), 1)]
 
     adjacency: dict = {x: [] for x in structure.generators}
     for x, coef, y in arrows:
@@ -476,7 +472,7 @@ def propagate_gradings(structure, seeds=None, tree_choice: int = 0):
     for start in structure.generators:
         if start in reps:
             continue
-        reps[start] = seed_reps.get(start, identity_element(sizes))
+        reps[start] = identity_element(sizes)
         stack = [start]
         while stack:
             x = stack.pop()

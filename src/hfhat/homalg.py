@@ -9,6 +9,7 @@ operate uniformly on this representation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from . import algebra as alg
@@ -131,7 +132,7 @@ class TypeDStructure:
         Deeply nested keys accumulate along a pipeline; flattening them
         keeps hashing and ordering cheap without touching the structure.
         """
-        order = {g: i for i, g in enumerate(sorted(self.generators, key=repr))}
+        order = {g: i for i, g in enumerate(self.sorted_generators())}
         out = TypeDStructure(self.factors, self.name)
         for g in self.generators:
             out.add_generator(order[g], self.idem[g])
@@ -173,8 +174,8 @@ class TypeDStructure:
 
     # -- gradings ----------------------------------------------------------
 
-    def propagate_gradings(self, tree_choice: int = 0) -> Gradings:
-        self.gradings = propagate_gradings(self, tree_choice=tree_choice)
+    def propagate_gradings(self) -> Gradings:
+        self.gradings = propagate_gradings(self)
         return self.gradings
 
     def grading_blocks(self) -> tuple[int, ...]:
@@ -480,9 +481,14 @@ def cancel(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
     """Remove all idempotent-coefficient arrows by zig-zag elimination.
 
     Each step drops a pair of generators joined by an invertible arrow and
-    splices the remaining arrows through its inverse; a Markowitz-style
-    choice keeps fill-in small.  Gradings of surviving generators carry
-    over unchanged.
+    splices the remaining arrows through its inverse.  The pivot is the
+    arrow x -> y of least Markowitz cost (|back(y)| - 1) * (|delta(x)| - 1),
+    which keeps fill-in small; ties go to the least (rank x, rank y), where
+    rank is the position in ``sorted_generators()`` and a nonzero
+    ``order_seed`` rotates it.  A heap holds the candidate arrows; after a
+    splice only arrows at the generators it touched are pushed again, and
+    entries that no longer match the structure are dropped when popped.
+    Gradings of surviving generators carry over unchanged.
     """
     out = M.copy()
     delta = out.delta
@@ -490,33 +496,33 @@ def cancel(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
     for x in out.generators:
         for y in delta[x]:
             back[y].add(x)
-    alive = set(out.generators)
+    order = out.sorted_generators()
+    rank = {g: (i - order_seed) % len(order) for i, g in enumerate(order)}
+    heap: list = []  # (cost, rank x, rank y, x, y); the ranks make entries unique
 
-    def candidates():
-        for x in alive:
-            for y, coefs in delta[x].items():
-                if x == y:
-                    continue
-                for c in coefs:
-                    if coef_is_idempotent(c):
-                        yield x, y, c
-                        break
+    def ident_of(x, y):
+        if x != y:
+            for c in delta[x].get(y, ()):
+                if coef_is_idempotent(c):
+                    return c
+        return None
 
-    while True:
-        best = None
-        best_cost = None
-        pool = sorted(candidates(), key=lambda t: (repr(t[0]), repr(t[1])))
-        if order_seed and pool:
-            pool = pool[order_seed % len(pool):] + pool[: order_seed % len(pool)]
-        for x, y, c in pool:
+    def push(x, y):
+        if ident_of(x, y) is not None:
             cost = (len(back[y]) - 1) * (len(delta[x]) - 1)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = (x, y, c), cost
-            if cost == 0:
-                break
-        if best is None:
-            break
-        x, y, ident = best
+            heapq.heappush(heap, (cost, rank[x], rank[y], x, y))
+
+    for x in out.generators:
+        for y in delta[x]:
+            push(x, y)
+
+    while heap:
+        cost, _, _, x, y = heapq.heappop(heap)
+        if x not in delta or y not in delta:
+            continue
+        ident = ident_of(x, y)
+        if ident is None or cost != (len(back[y]) - 1) * (len(delta[x]) - 1):
+            continue
         inv = _coef_inverse(out.factors, delta[x][y], ident)
         outgoing = [(z, coefs) for z, coefs in delta[x].items() if z not in (x, y)]
         entering = [(w, delta[w][y]) for w in back[y] if w not in (x, y)]
@@ -538,15 +544,23 @@ def cancel(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
                             else:
                                 del delta[w][z]
                                 back[z].discard(w)
+        # only arrows out of these rows or into these columns change cost or appear
+        sources = (back[x] | back[y]) - {x, y}
+        targets = (set(delta[x]) | set(delta[y])) - {x, y}
         for dead in (x, y):
-            alive.discard(dead)
             for z in delta.pop(dead, {}):
                 back[z].discard(dead)
             for w in back.pop(dead, ()):  # arrows into dead
                 if w in delta and dead in delta[w]:
                     del delta[w][dead]
+        for w in sources:
+            for z in delta[w]:
+                push(w, z)
+        for z in targets:
+            for w in back[z]:
+                push(w, z)
 
-    out.generators = [g for g in out.generators if g in alive]
+    out.generators = [g for g in out.generators if g in delta]
     out.idem = {g: out.idem[g] for g in out.generators}
     out.delta = {g: delta[g] for g in out.generators}
     if out.gradings is not None:

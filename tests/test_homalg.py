@@ -6,7 +6,10 @@ from hfhat.algebra import StrandsGenerator, idempotent
 from hfhat.homalg import (
     AlgebraFactor,
     TypeDStructure,
+    _coef_inverse,
     cancel,
+    coef_is_idempotent,
+    coef_multiply,
     homology_rank,
     modules_isomorphic,
     mor_against_bimodule,
@@ -14,7 +17,11 @@ from hfhat.homalg import (
     tensor,
     verify_idempotent_compat,
 )
-from hfhat.manifolds import cfd_zero_framed_handlebody, cfd_zero_framed_handlebody_reversed
+from hfhat.manifolds import (
+    cfd_zero_framed_handlebody,
+    cfd_zero_framed_handlebody_reversed,
+    dehn_twist_expand,
+)
 from hfhat.pmc import split_pmc
 from hfhat.slides import arcslide_dd, dd_identity
 from hfhat.pmc import ArcSlide
@@ -221,3 +228,133 @@ def test_json_dump_of_sparse_complex():
     ]
     text = json.dumps(payload)
     assert json.loads(text) == payload
+
+
+def _pool_scan_cancel(M):
+    """The earlier cancel, kept as an oracle: rescan and sort the pool each step."""
+    out = M.copy()
+    delta = out.delta
+    back = {x: set() for x in out.generators}
+    for x in out.generators:
+        for y in delta[x]:
+            back[y].add(x)
+    alive = set(out.generators)
+
+    def candidates():
+        for x in alive:
+            for y, coefs in delta[x].items():
+                if x == y:
+                    continue
+                for c in coefs:
+                    if coef_is_idempotent(c):
+                        yield x, y, c
+                        break
+
+    while True:
+        best = None
+        best_cost = None
+        for x, y, c in sorted(candidates(), key=lambda t: (repr(t[0]), repr(t[1]))):
+            cost = (len(back[y]) - 1) * (len(delta[x]) - 1)
+            if best_cost is None or cost < best_cost:
+                best, best_cost = (x, y, c), cost
+        if best is None:
+            break
+        x, y, ident = best
+        inv = _coef_inverse(out.factors, delta[x][y], ident)
+        outgoing = [(z, coefs) for z, coefs in delta[x].items() if z not in (x, y)]
+        entering = [(w, delta[w][y]) for w in back[y] if w not in (x, y)]
+        for w, wcoefs in entering:
+            for z, zcoefs in outgoing:
+                for cw in wcoefs:
+                    for ci in inv:
+                        left = coef_multiply(out.factors, cw, ci)
+                        if left is None:
+                            continue
+                        for cz in zcoefs:
+                            p = coef_multiply(out.factors, left, cz)
+                            if p is None:
+                                continue
+                            entry = delta[w].setdefault(z, frozenset()) ^ {p}
+                            if entry:
+                                delta[w][z] = entry
+                                back[z].add(w)
+                            else:
+                                del delta[w][z]
+                                back[z].discard(w)
+        for dead in (x, y):
+            alive.discard(dead)
+            for z in delta.pop(dead, {}):
+                back[z].discard(dead)
+            for w in back.pop(dead, ()):
+                if w in delta and dead in delta[w]:
+                    del delta[w][dead]
+    out.generators = [g for g in out.generators if g in alive]
+    out.delta = {g: delta[g] for g in out.generators}
+    return out
+
+
+def _assert_cancel_matches_pool_scan(M):
+    new, old = cancel(M), _pool_scan_cancel(M)
+    assert new.generators == old.generators
+    assert new.delta == old.delta
+    # the same pivot sequence also leaves every row in the same order
+    assert [list(row) for row in new.delta.values()] == [list(row) for row in old.delta.values()]
+    if M.gradings is not None:
+        assert new.gradings.reps == {g: M.gradings.reps[g] for g in old.generators}
+    for x in new.generators:
+        for coefs in new.delta[x].values():
+            assert not any(coef_is_idempotent(c) for c in coefs)
+    assert new.verify_d_squared()
+    return new
+
+
+def _random_square_zero_complex(rng):
+    """A random bare complex: disjoint arrows and cycles, in a random basis."""
+    n = rng.randint(6, 30)
+    d = [[0] * n for _ in range(n)]
+    free = list(range(n))
+    rng.shuffle(free)
+    for _ in range(rng.randint(1, n // 2)):
+        i, j = free.pop(), free.pop()
+        d[i][j] = 1
+    for _ in range(rng.randint(0, 3 * n)):
+        # conjugate by the involution e_a -> e_a + e_b
+        a, b = rng.sample(range(n), 2)
+        for row in d:
+            row[b] ^= row[a]
+        d[a] = [u ^ v for u, v in zip(d[a], d[b])]
+    C = TypeDStructure(())
+    names = [f"g{i}" for i in range(n)]  # repr order differs from creation order
+    for name in names:
+        C.add_generator(name, ())
+    for i in range(n):
+        for j in range(n):
+            if d[i][j]:
+                C.add_arrow(names[i], names[j], ())
+    return C
+
+
+def test_cancel_matches_pool_scan_on_random_complexes():
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(300):
+        C = _random_square_zero_complex(rng)
+        assert C.verify_d_squared()
+        back = {x: sum(x in C.delta[w] for w in C.generators) for x in C.generators}
+        costs = sorted((back[y] - 1) * (len(C.delta[x]) - 1)
+                       for x in C.generators for y in C.delta[x] if x != y)
+        ties += len(costs) > 2 and costs[0] == costs[2]
+        _assert_cancel_matches_pool_scan(C)
+    assert ties >= 50
+
+
+def test_cancel_matches_pool_scan_on_pipeline_stages():
+    module = cfd_zero_framed_handlebody(1)
+    for s in dehn_twist_expand(Z1, 1, 3) + dehn_twist_expand(Z1, 0, -2):
+        raw = mor_against_bimodule(arcslide_dd(s), module, seam=0).relabel()
+        module = _assert_cancel_matches_pool_scan(raw)
+    _assert_cancel_matches_pool_scan(mor_complex(cfd_zero_framed_handlebody(1), module))
+    raw = mor_against_bimodule(arcslide_dd(ArcSlide(Z2, 2, 1)), cfd_zero_framed_handlebody(2),
+                               seam=0)
+    assert raw.gradings is not None
+    _assert_cancel_matches_pool_scan(raw)
