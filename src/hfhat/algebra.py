@@ -333,10 +333,6 @@ def chordset_element(pmc: PointedMatchedCircle, chords, weight: int | None = Non
     return frozenset(out)
 
 
-def supp(a: StrandsGenerator) -> tuple[int, ...]:
-    return a.supp
-
-
 def opposite_basic(a: StrandsGenerator) -> StrandsGenerator:
     """Transport a generator to the reversed circle; anti-homomorphism."""
     pmc = a.pmc
@@ -345,10 +341,6 @@ def opposite_basic(a: StrandsGenerator) -> StrandsGenerator:
     moving = [(reverse_point(pmc, e), reverse_point(pmc, s)) for s, e in a.moving]
     horizontals = [pair_map[h] for h in a.horizontals]
     return StrandsGenerator(rev, moving, horizontals)
-
-
-def opposite(x: frozenset) -> frozenset:
-    return frozenset(opposite_basic(a) for a in x)
 
 
 def truncate_element(x: frozenset) -> frozenset:

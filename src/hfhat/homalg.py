@@ -21,7 +21,7 @@ from .grading import (
     lambda_power,
     propagate_gradings,
 )
-from .pmc import PointedMatchedCircle
+from .pmc import PointedMatchedCircle, reverse_pmc, reversed_pair_map
 
 
 class StructureError(RuntimeError):
@@ -52,14 +52,15 @@ def coef_multiply(factors, c1, c2):
 
 
 def coef_differential(factors, c):
-    """Leibniz differential of a coefficient tuple, as a set of tuples."""
-    out: set = set()
+    """Leibniz differential of a coefficient tuple, one tuple per term.
+
+    Terms from different factors differ in the factor they change, so
+    none cancel and they come out factor by factor.
+    """
     for i, a in enumerate(c):
         for term in alg.differential_basic(a):
-            if factors[i].truncated and any(m > 1 for m in term.supp):
-                continue
-            out ^= {c[:i] + (term,) + c[i + 1:]}
-    return out
+            if not (factors[i].truncated and any(m > 1 for m in term.supp)):
+                yield c[:i] + (term,) + c[i + 1:]
 
 
 def coef_is_idempotent(c) -> bool:
@@ -101,7 +102,7 @@ class TypeDStructure:
         else:
             del self.delta[src][tgt]
 
-    def idempotent_coef(self, src, tgt):
+    def idempotent_coef(self, src):
         return tuple(
             alg.idempotent(f.pmc, sorted(self.idem[src][i]))
             for i, f in enumerate(self.factors)
@@ -221,18 +222,12 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
             for v in N.generators:
                 gv = N.gradings.reps[v]
                 reps[(u, v)] = GradingElement(gu.j2 + gv.j2, gu.alphas + gv.alphas)
-        rels = [_pad_right(r, N.gradings.sizes) for r in M.gradings.relations]
-        rels += [_pad_left(r, M.gradings.sizes) for r in N.gradings.relations]
+        m_pos = range(len(M.gradings.sizes))
+        n_pos = range(len(m_pos), len(sizes))
+        rels = [_place_blocks(r, sizes, m_pos) for r in M.gradings.relations]
+        rels += [_place_blocks(r, sizes, n_pos) for r in N.gradings.relations]
         out.gradings = Gradings(sizes, reps, rels)
     return out
-
-
-def _pad_right(g: GradingElement, sizes) -> GradingElement:
-    return GradingElement(g.j2, g.alphas + tuple((0,) * s for s in sizes))
-
-
-def _pad_left(g: GradingElement, sizes) -> GradingElement:
-    return GradingElement(g.j2, tuple((0,) * s for s in sizes) + g.alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -267,39 +262,7 @@ def mor_complex(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
     """
     if M.factors != N.factors:
         raise ValueError("morphism complex needs both structures over the same factors")
-    out = TypeDStructure((), name=f"Mor({M.name},{N.name})")
-    factors = M.factors
-    per_pair: dict = {}
-    for x in M.generators:
-        for y in N.generators:
-            choices = [
-                _basics_between(f, M.idem[x][i], N.idem[y][i])
-                for i, f in enumerate(factors)
-            ]
-            per_pair[(x, y)] = _product_tuples(choices)
-            for coef in per_pair[(x, y)]:
-                out.add_generator((x, coef, y), ())
-    for x in M.generators:
-        for y in N.generators:
-            for coef in per_pair[(x, y)]:
-                src = (x, coef, y)
-                for term in coef_differential(factors, coef):
-                    out.add_arrow(src, (x, term, y), ())
-                for y2, coefs in N.delta[y].items():
-                    for e in coefs:
-                        p = coef_multiply(factors, coef, e)
-                        if p is not None:
-                            out.add_arrow(src, (x, p, y2), ())
-                for x0 in M.generators:
-                    for x1, coefs in M.delta[x0].items():
-                        if x1 != x:
-                            continue
-                        for e in coefs:
-                            p = coef_multiply(factors, e, coef)
-                            if p is not None:
-                                out.add_arrow(src, (x0, p, y), ())
-    _mor_gradings(out, M, N, spectator=None)
-    return out
+    return _mor(M, N, None)
 
 
 def mor_against_bimodule(B: TypeDStructure, N: TypeDStructure, seam: int) -> TypeDStructure:
@@ -312,59 +275,67 @@ def mor_against_bimodule(B: TypeDStructure, N: TypeDStructure, seam: int) -> Typ
     the reversed circle, with coefficients carried through the
     orientation-reversing map.
     """
-    from .pmc import reversed_pair_map, reverse_pmc
-
     if len(B.factors) != 2 or len(N.factors) != 1:
         raise ValueError("need a two-factor source and a one-factor target")
     if B.factors[seam] != N.factors[0]:
         raise ValueError("seam factor does not match the target algebra")
-    keep = 1 - seam
-    keep_pmc = B.factors[keep].pmc
-    rpm = reversed_pair_map(keep_pmc)
+    return _mor(B, N, 1 - seam)
+
+
+def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
+    """Mor(M, N) with every factor of M but ``keep`` consumed against N's.
+
+    Generators are (x, coef, y) with one basic element of each consumed
+    factor in coef.  The kept factor of M, if any, survives as a left
+    action over its reversed circle, its coefficients carried through the
+    orientation-reversing map.
+    """
+    kept = [] if keep is None else [keep]
+    consumed = [i for i in range(len(M.factors)) if i != keep]
+    rpms = [reversed_pair_map(M.factors[i].pmc) for i in kept]
     out = TypeDStructure(
-        (AlgebraFactor(reverse_pmc(keep_pmc), B.factors[keep].truncated),),
-        name=f"Mor({B.name},{N.name})",
+        [AlgebraFactor(reverse_pmc(M.factors[i].pmc), M.factors[i].truncated) for i in kept],
+        name=f"Mor({M.name},{N.name})",
     )
-    factor = B.factors[seam]
-
-    def translate(pairs):
-        return frozenset(rpm[p] for p in pairs)
-
     per_pair: dict = {}
-    for b in B.generators:
-        for u in N.generators:
-            per_pair[(b, u)] = _basics_between(factor, B.idem[b][seam], N.idem[u][0])
-            for a in per_pair[(b, u)]:
-                out.add_generator((b, a, u), (translate(B.idem[b][keep]),))
+    for x in M.generators:
+        idem = tuple(frozenset(rpm[p] for p in M.idem[x][i]) for rpm, i in zip(rpms, kept))
+        for y in N.generators:
+            choices = [
+                _basics_between(N.factors[k], M.idem[x][i], N.idem[y][k])
+                for k, i in enumerate(consumed)
+            ]
+            per_pair[(x, y)] = _product_tuples(choices)
+            for coef in per_pair[(x, y)]:
+                out.add_generator((x, coef, y), idem)
 
+    # arrows into each x of M, split once into consumed and (opposite) kept parts
     incoming: dict = {}
-    for b0 in B.generators:
-        for b1, coefs in B.delta[b0].items():
-            incoming.setdefault(b1, []).append((b0, coefs))
+    for x0 in M.generators:
+        for x1, coefs in M.delta[x0].items():
+            incoming.setdefault(x1, []).append((x0, [
+                (tuple(e[i] for i in consumed), tuple(alg.opposite_basic(e[i]) for i in kept))
+                for e in coefs
+            ]))
 
-    for b in B.generators:
-        for u in N.generators:
-            for a in per_pair[(b, u)]:
-                src = (b, a, u)
-                ident = out.idempotent_coef(src, src)
-                for term in alg.differential_basic(a):
-                    if factor.truncated and any(m > 1 for m in term.supp):
-                        continue
-                    out.add_arrow(src, (b, term, u), ident)
-                for u2, coefs in N.delta[u].items():
+    for x in M.generators:
+        for y in N.generators:
+            for coef in per_pair[(x, y)]:
+                src = (x, coef, y)
+                ident = out.idempotent_coef(src)
+                for term in coef_differential(N.factors, coef):
+                    out.add_arrow(src, (x, term, y), ident)
+                for y2, coefs in N.delta[y].items():
                     for e in coefs:
-                        p = alg.multiply_basic(a, e[0])
-                        if p is None or (factor.truncated and any(m > 1 for m in p.supp)):
-                            continue
-                        out.add_arrow(src, (b, p, u2), ident)
-                for b0, coefs in incoming.get(b, []):
-                    for e in coefs:
-                        q = e[seam]
-                        p = alg.multiply_basic(q, a)
-                        if p is None or (factor.truncated and any(m > 1 for m in p.supp)):
-                            continue
-                        out.add_arrow(src, (b0, p, u), (alg.opposite_basic(e[keep]),))
-    _mor_gradings(out, B, N, spectator=keep)
+                        p = coef_multiply(N.factors, coef, e)
+                        if p is not None:
+                            out.add_arrow(src, (x, p, y2), ident)
+                for x0, parts in incoming.get(x, []):
+                    for e, kept_part in parts:
+                        p = coef_multiply(N.factors, e, coef)
+                        if p is not None:
+                            out.add_arrow(src, (x0, p, y), kept_part)
+    _mor_gradings(out, M, N, keep)
     return out
 
 
@@ -385,12 +356,12 @@ def _place_blocks(g: GradingElement, sizes, positions) -> GradingElement:
     return GradingElement(g.j2, tuple(alphas))
 
 
-def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, spectator):
+def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, keep):
     """Gradings of a morphism complex: the coset of gr(x)^-1 gr'(a) gr(y).
 
     The consumed blocks of M are identified with N's live blocks; N's
-    retired blocks ride along.  A surviving factor's block is moved to the
-    front so the result again has its live blocks first.
+    retired blocks ride along.  The kept factor's block, if any, is moved
+    to the front so the result again has its live blocks first.
     """
     if M.gradings is None or N.gradings is None:
         return
@@ -398,39 +369,29 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, spe
     n_sizes = N.gradings.sizes
     if m_sizes != M.factor_sizes() or n_sizes[: len(N.factors)] != N.factor_sizes():
         return  # unsupported stacking layout; leave ungraded
-    n_old = n_sizes[len(N.factors):]
 
-    if spectator is None:
-        # Full consumption: every factor of M pairs with the same factor of N.
-        sizes = m_sizes + n_old
-        m_pos = list(range(len(m_sizes)))
-        n_pos = m_pos + list(range(len(m_sizes), len(sizes)))
-        coef_pos = m_pos
-        transport = lambda g: g
-    else:
-        keep, seam = spectator, 1 - spectator
-        sizes = (m_sizes[keep], m_sizes[seam]) + n_old
-        m_pos = [0, 1] if keep == 0 else [1, 0]
-        n_pos = [1] + list(range(2, len(sizes)))
-        coef_pos = [1]
+    kept = [] if keep is None else [keep]
+    order = kept + [i for i in range(len(m_sizes)) if i != keep]
+    sizes = tuple(m_sizes[i] for i in order) + n_sizes[len(N.factors):]
+    m_pos = [order.index(i) for i in range(len(m_sizes))]
+    coef_pos = list(range(len(kept), len(m_sizes)))
+    n_pos = coef_pos + list(range(len(m_sizes), len(sizes)))
 
-        def transport(g: GradingElement, _k=keep) -> GradingElement:
-            # the surviving action is a right action read over the reversed
-            # circle: its block transports by minus the reversed chain
-            alphas = list(g.alphas)
-            alphas[_k] = tuple(-v for v in reversed(alphas[_k]))
-            return GradingElement(g.j2, tuple(alphas))
+    def transport(g: GradingElement) -> GradingElement:
+        # a kept action is a right action read over the reversed circle:
+        # its block transports by minus the reversed chain
+        alphas = list(g.alphas)
+        for i in kept:
+            alphas[i] = tuple(-v for v in reversed(alphas[i]))
+        return GradingElement(g.j2, tuple(alphas))
 
     reps = {}
     for key in out.generators:
         x, coef, y = key
         gx = _place_blocks(transport(M.gradings.reps[x]), sizes, m_pos)
         gy = _place_blocks(N.gradings.reps[y], sizes, n_pos)
-        coef_tuple = coef if spectator is None else (coef,)
         ga = _place_blocks(
-            gr_coefficient(coef_tuple, tuple(len(a.supp) for a in coef_tuple)),
-            sizes,
-            coef_pos,
+            gr_coefficient(coef, tuple(len(a.supp) for a in coef)), sizes, coef_pos
         )
         reps[key] = gx.inverse() * ga * gy
     rels = [_place_blocks(transport(r), sizes, m_pos) for r in M.gradings.relations]
@@ -439,7 +400,7 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, spe
 
     lam = lambda_power(sizes)
     extra = []
-    result_pos = [0] if spectator is not None else []
+    result_pos = range(len(kept))
     for x in out.generators:
         for y, coefs in out.delta[x].items():
             for coef in coefs:

@@ -41,26 +41,23 @@ from .slides import arcslide_dd, dd_identity, matched_chord_terms
 
 def cfd_zero_framed_handlebody(genus: int, truncated: bool = False) -> TypeDStructure:
     """One generator; one differential loop per handle, along its a-arc."""
-    pmc = split_pmc(genus)
-    out = TypeDStructure((AlgebraFactor(pmc, truncated),), name=f"H0(g={genus})")
-    idem = frozenset(pmc.pair_of(4 * i + 1) for i in range(genus))
-    out.add_generator("x", (idem,))
-    for i in range(genus):
-        s, t = 4 * i + 1, 4 * i + 3
-        horiz = sorted(p for p in idem if p != pmc.pair_of(s))
-        out.add_arrow("x", "x", (StrandsGenerator(pmc, [(s, t)], horiz),))
-    out.propagate_gradings()
-    return out
+    return _handlebody(genus, 1, f"H0(g={genus})", truncated)
 
 
 def cfd_zero_framed_handlebody_reversed(genus: int, truncated: bool = False) -> TypeDStructure:
     """The zero-framed handlebody presented over the reversed circle."""
-    pmc = split_pmc(genus)  # its own reverse, but the b-feet take the arcs
-    out = TypeDStructure((AlgebraFactor(pmc, truncated),), name=f"H0rev(g={genus})")
-    idem = frozenset(pmc.pair_of(4 * i + 2) for i in range(genus))
+    # the split circle is its own reverse, but the b-feet take the arcs
+    return _handlebody(genus, 2, f"H0rev(g={genus})", truncated)
+
+
+def _handlebody(genus: int, foot: int, name: str, truncated: bool) -> TypeDStructure:
+    """Handle i occupies pair(4i + foot) and loops along the chord from it."""
+    pmc = split_pmc(genus)
+    out = TypeDStructure((AlgebraFactor(pmc, truncated),), name=name)
+    idem = frozenset(pmc.pair_of(4 * i + foot) for i in range(genus))
     out.add_generator("x", (idem,))
     for i in range(genus):
-        s, t = 4 * i + 2, 4 * i + 4
+        s, t = 4 * i + foot, 4 * i + foot + 2
         horiz = sorted(p for p in idem if p != pmc.pair_of(s))
         out.add_arrow("x", "x", (StrandsGenerator(pmc, [(s, t)], horiz),))
     out.propagate_gradings()
@@ -168,11 +165,7 @@ def dd_elementary_cobordism(pmc: PointedMatchedCircle, side: str = "right",
 
     def fuse(a: StrandsGenerator, torus_part: StrandsGenerator) -> StrandsGenerator:
         first, second = (a, torus_part) if side == "right" else (torus_part, a)
-        off = pmc.n_points if side == "right" else torus.n_points
-        moving = list(first.moving) + [(s + off, t + off) for s, t in second.moving]
-        horiz = [big.pair_of(first.pmc.pairs[h][0]) for h in first.horizontals]
-        horiz += [big.pair_of(second.pmc.pairs[h][0] + off) for h in second.horizontals]
-        return StrandsGenerator(big, moving, sorted(horiz))
+        return _fuse_pair(big, first, second, shift)
 
     # the torus block carries the reversed-handlebody framing so that the
     # orientation reversal at the next pairing lands on the zero-framed one

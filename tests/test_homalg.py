@@ -3,10 +3,14 @@ import random
 
 import hfhat.algebra as alg
 from hfhat.algebra import StrandsGenerator, idempotent
+from hfhat.grading import Gradings, dedupe_relations, gr_coefficient, lambda_power
 from hfhat.homalg import (
     AlgebraFactor,
     TypeDStructure,
+    _basics_between,
     _coef_inverse,
+    _place_blocks,
+    _product_tuples,
     cancel,
     coef_is_idempotent,
     coef_multiply,
@@ -18,11 +22,13 @@ from hfhat.homalg import (
     verify_idempotent_compat,
 )
 from hfhat.manifolds import (
+    cfd_self_gluing,
     cfd_zero_framed_handlebody,
     cfd_zero_framed_handlebody_reversed,
+    dd_elementary_cobordism,
     dehn_twist_expand,
 )
-from hfhat.pmc import split_pmc
+from hfhat.pmc import reverse_pmc, reversed_pair_map, split_pmc
 from hfhat.slides import arcslide_dd, dd_identity
 from hfhat.pmc import ArcSlide
 
@@ -358,3 +364,224 @@ def test_cancel_matches_pool_scan_on_pipeline_stages():
                                seam=0)
     assert raw.gradings is not None
     _assert_cancel_matches_pool_scan(raw)
+
+
+# The two earlier morphism-complex builders and their grading step, kept as
+# the oracle for the single builder behind mor_complex and mor_against_bimodule.
+
+
+def _old_coef_differential(factors, c):
+    out = set()
+    for i, a in enumerate(c):
+        for term in alg.differential_basic(a):
+            if factors[i].truncated and any(m > 1 for m in term.supp):
+                continue
+            out ^= {c[:i] + (term,) + c[i + 1:]}
+    return out
+
+
+def _old_mor_complex(M, N):
+    out = TypeDStructure((), name=f"Mor({M.name},{N.name})")
+    factors = M.factors
+    per_pair = {}
+    for x in M.generators:
+        for y in N.generators:
+            choices = [
+                _basics_between(f, M.idem[x][i], N.idem[y][i])
+                for i, f in enumerate(factors)
+            ]
+            per_pair[(x, y)] = _product_tuples(choices)
+            for coef in per_pair[(x, y)]:
+                out.add_generator((x, coef, y), ())
+    for x in M.generators:
+        for y in N.generators:
+            for coef in per_pair[(x, y)]:
+                src = (x, coef, y)
+                for term in _old_coef_differential(factors, coef):
+                    out.add_arrow(src, (x, term, y), ())
+                for y2, coefs in N.delta[y].items():
+                    for e in coefs:
+                        p = coef_multiply(factors, coef, e)
+                        if p is not None:
+                            out.add_arrow(src, (x, p, y2), ())
+                for x0 in M.generators:
+                    for x1, coefs in M.delta[x0].items():
+                        if x1 != x:
+                            continue
+                        for e in coefs:
+                            p = coef_multiply(factors, e, coef)
+                            if p is not None:
+                                out.add_arrow(src, (x0, p, y), ())
+    _old_mor_gradings(out, M, N, spectator=None)
+    return out
+
+
+def _old_mor_against_bimodule(B, N, seam):
+    keep = 1 - seam
+    keep_pmc = B.factors[keep].pmc
+    rpm = reversed_pair_map(keep_pmc)
+    out = TypeDStructure(
+        (AlgebraFactor(reverse_pmc(keep_pmc), B.factors[keep].truncated),),
+        name=f"Mor({B.name},{N.name})",
+    )
+    factor = B.factors[seam]
+
+    def translate(pairs):
+        return frozenset(rpm[p] for p in pairs)
+
+    per_pair = {}
+    for b in B.generators:
+        for u in N.generators:
+            per_pair[(b, u)] = _basics_between(factor, B.idem[b][seam], N.idem[u][0])
+            for a in per_pair[(b, u)]:
+                out.add_generator((b, a, u), (translate(B.idem[b][keep]),))
+
+    incoming = {}
+    for b0 in B.generators:
+        for b1, coefs in B.delta[b0].items():
+            incoming.setdefault(b1, []).append((b0, coefs))
+
+    for b in B.generators:
+        for u in N.generators:
+            for a in per_pair[(b, u)]:
+                src = (b, a, u)
+                ident = (idempotent(out.factors[0].pmc, sorted(out.idem[src][0])),)
+                for term in alg.differential_basic(a):
+                    if factor.truncated and any(m > 1 for m in term.supp):
+                        continue
+                    out.add_arrow(src, (b, term, u), ident)
+                for u2, coefs in N.delta[u].items():
+                    for e in coefs:
+                        p = alg.multiply_basic(a, e[0])
+                        if p is None or (factor.truncated and any(m > 1 for m in p.supp)):
+                            continue
+                        out.add_arrow(src, (b, p, u2), ident)
+                for b0, coefs in incoming.get(b, []):
+                    for e in coefs:
+                        p = alg.multiply_basic(e[seam], a)
+                        if p is None or (factor.truncated and any(m > 1 for m in p.supp)):
+                            continue
+                        out.add_arrow(src, (b0, p, u), (alg.opposite_basic(e[keep]),))
+    _old_mor_gradings(out, B, N, spectator=keep)
+    return out
+
+
+def _old_mor_gradings(out, M, N, spectator):
+    if M.gradings is None or N.gradings is None:
+        return
+    m_sizes = M.gradings.sizes
+    n_sizes = N.gradings.sizes
+    if m_sizes != M.factor_sizes() or n_sizes[: len(N.factors)] != N.factor_sizes():
+        return
+    n_old = n_sizes[len(N.factors):]
+    if spectator is None:
+        sizes = m_sizes + n_old
+        m_pos = list(range(len(m_sizes)))
+        n_pos = m_pos + list(range(len(m_sizes), len(sizes)))
+        coef_pos = m_pos
+
+        def transport(g):
+            return g
+    else:
+        keep, seam = spectator, 1 - spectator
+        sizes = (m_sizes[keep], m_sizes[seam]) + n_old
+        m_pos = [0, 1] if keep == 0 else [1, 0]
+        n_pos = [1] + list(range(2, len(sizes)))
+        coef_pos = [1]
+
+        def transport(g):
+            alphas = list(g.alphas)
+            alphas[keep] = tuple(-v for v in reversed(alphas[keep]))
+            return type(g)(g.j2, tuple(alphas))
+
+    reps = {}
+    for key in out.generators:
+        x, coef, y = key
+        gx = _place_blocks(transport(M.gradings.reps[x]), sizes, m_pos)
+        gy = _place_blocks(N.gradings.reps[y], sizes, n_pos)
+        coef_tuple = coef if spectator is None else (coef,)
+        ga = _place_blocks(
+            gr_coefficient(coef_tuple, tuple(len(a.supp) for a in coef_tuple)), sizes, coef_pos)
+        reps[key] = gx.inverse() * ga * gy
+    rels = [_place_blocks(transport(r), sizes, m_pos) for r in M.gradings.relations]
+    rels += [_place_blocks(r, sizes, n_pos) for r in N.gradings.relations]
+    grad = Gradings(sizes, reps, dedupe_relations(rels))
+    lam = lambda_power(sizes)
+    extra = []
+    result_pos = [0] if spectator is not None else []
+    for x in out.generators:
+        for y, coefs in out.delta[x].items():
+            for coef in coefs:
+                g = lam
+                if coef:
+                    g = lam * _place_blocks(
+                        gr_coefficient(coef, out.factor_sizes()), sizes, result_pos)
+                extra.append((g * grad.reps[y]).inverse() * grad.reps[x])
+    defects = [h for h in dedupe_relations(extra)
+               if grad.lattice.lambda_degree(h) != (0, grad.lattice.lambda_torsion2)]
+    if defects:
+        grad = Gradings(sizes, reps, grad.compact().relations + defects)
+    out.gradings = grad.compact()
+
+
+def _assert_same_mor(new, old, wrap, ordered_rows):
+    """Equal complexes once the old keys (x, a, y) are mapped by ``wrap``.
+
+    The old pairing took a coefficient's differential terms in set order,
+    the old slide stage (and the new builder) factor by factor, so only a
+    slide stage's rows are also compared in order.
+    """
+    def key(g):
+        x, a, y = g
+        return (x, wrap(a), y)
+
+    assert new.factors == old.factors
+    assert new.generators == [key(g) for g in old.generators]
+    assert new.idem == {key(g): idem for g, idem in old.idem.items()}
+    old_delta = {key(x): {key(y): coefs for y, coefs in row.items()}
+                 for x, row in old.delta.items()}
+    assert new.delta == old_delta
+    if ordered_rows:
+        assert [list(row) for row in new.delta.values()] == [list(row) for row in old_delta.values()]
+    assert (new.gradings is None) == (old.gradings is None)
+    if new.gradings is not None:
+        assert new.gradings.sizes == old.gradings.sizes
+        assert new.gradings.reps == {key(g): rep for g, rep in old.gradings.reps.items()}
+        assert new.gradings.relations == old.gradings.relations
+        assert new.gradings.lattice.lambda_torsion2 == old.gradings.lattice.lambda_torsion2
+    return new
+
+
+def _check_stage(B, N, seam):
+    new = mor_against_bimodule(B, N, seam=seam)
+    _assert_same_mor(new, _old_mor_against_bimodule(B, N, seam), lambda a: (a,), True)
+    return cancel(new.relabel())
+
+
+def _check_pairing(M, N):
+    return _assert_same_mor(mor_complex(M, N), _old_mor_complex(M, N), lambda a: a, False)
+
+
+def test_mor_builder_matches_the_two_earlier_builders():
+    for truncated in (False, True):
+        def h(genus):
+            return cfd_zero_framed_handlebody(genus, truncated)
+
+        module = h(1)
+        for s in dehn_twist_expand(Z1, 1, 2) + dehn_twist_expand(Z1, 0, -1):
+            module = _check_stage(arcslide_dd(s, truncated), module, 0)
+        _check_pairing(h(1), module)
+        stage = _check_stage(arcslide_dd(ArcSlide(Z2, 2, 1), truncated), h(2), 0)
+        _check_stage(arcslide_dd(ArcSlide(Z2, 3, 4), truncated), stage, 0)
+
+        cob = dd_elementary_cobordism(reverse_pmc(Z1), truncated=truncated)
+        capped = _check_stage(cob, module, 1)
+        _check_pairing(h(2), capped)
+
+        _check_pairing(h(2), h(2))
+        hr = cfd_zero_framed_handlebody_reversed(1, truncated)
+        _check_pairing(dd_identity(Z1, truncated), tensor(h(1), hr))
+
+        left = cancel(cfd_self_gluing(Z1, truncated))
+        glued = _check_stage(arcslide_dd(ArcSlide(Z2, 3, 4), truncated), left, 0)
+        assert _check_pairing(left, glued).gradings is not None
