@@ -10,9 +10,11 @@ two input sequences.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import algebra as alg
 from .algebra import StrandsGenerator
-from .homalg import TypeDStructure
+from .homalg import TypeDStructure, cancel
 from .pmc import PointedMatchedCircle, reverse_pmc
 from .slides import dd_identity
 
@@ -42,6 +44,7 @@ class DualIdentityBimodule:
                  weight: int | None = 0):
         self.pmc = pmc
         self.rev = reverse_pmc(pmc)
+        self.truncated = truncated
         self.ddid = dd_identity(pmc, truncated)
         basis = []
         for g in self.ddid.generators:
@@ -51,14 +54,14 @@ class DualIdentityBimodule:
                     continue
                 if weight is not None and a.weight != -weight:
                     continue
-                if truncated and any(m > 1 for m in a.supp):
+                if not self._kept(a):
                     continue
                 for c in alg.full_basis(pmc):
                     if c.left_pairs != left:
                         continue
                     if weight is not None and c.weight != weight:
                         continue
-                    if truncated and any(m > 1 for m in c.supp):
+                    if not self._kept(c):
                         continue
                     basis.append((g, a, c))
         self.basis = sorted(basis, key=lambda t: (repr(t[0]), t[1].sort_key(), t[2].sort_key()))
@@ -79,7 +82,7 @@ class DualIdentityBimodule:
                     continue
                 for p, q in coefs:
                     pc = alg.multiply_basic(p, c)
-                    if pc is None:
+                    if pc is None or not self._kept(pc):
                         continue
                     for b in alg.full_basis(self.rev):
                         if b.right_pairs != self.ddid.idem[g2][1]:
@@ -87,6 +90,14 @@ class DualIdentityBimodule:
                         if alg.multiply_basic(b, q) == a:
                             out ^= {(g2, b, pc)}
         return frozenset(out)
+
+    def _kept(self, a: StrandsGenerator) -> bool:
+        """Whether a survives truncation: multiplicity at most one.
+
+        Supports add under products, so a factor of a kept element is
+        kept: only products of kept elements need the test.
+        """
+        return not self.truncated or all(m <= 1 for m in a.supp)
 
     def differential(self, elt) -> frozenset:
         return self._differential[elt]
@@ -102,7 +113,7 @@ class DualIdentityBimodule:
         for g, a, c in chain:
             if side == "rho":
                 cs = alg.multiply_basic(c, r)
-                if cs is not None:
+                if cs is not None and self._kept(cs):
                     out ^= {(g, a, cs)}
             elif side == "lambda":
                 for b in alg.full_basis(self.rev):
@@ -112,94 +123,10 @@ class DualIdentityBimodule:
                 raise ValueError(f"unknown side {side!r}")
         return frozenset(out)
 
-    def homology_rank(self) -> int:
-        alive, _, _, _, _ = _retract_data(self)
-        return len(alive)
-
 
 def caa_identity(pmc: PointedMatchedCircle, truncated: bool = False,
                  weight: int | None = 0) -> DualIdentityBimodule:
     return DualIdentityBimodule(pmc, truncated, weight)
-
-
-# ---------------------------------------------------------------------------
-# Strong deformation retract by iterated pair cancellation
-
-
-def _retract_data(module: DualIdentityBimodule):
-    """(surviving basis, f, g, T, reduced differential) over F2.
-
-    f and T are maps into chains of the big module; g maps big-module
-    basis elements to chains of survivors.  Built by cancelling one
-    differential pair at a time, composing the elementary retractions.
-    """
-    basis = list(module.basis)
-    dmat = {b: set(module.differential(b)) for b in basis}
-    f = {b: {b} for b in basis}
-    g = {b: {b} for b in basis}
-    T: dict = {b: set() for b in basis}
-    alive = list(basis)
-
-    def sym(target: dict, key, chain):
-        cur = target.get(key, set())
-        cur ^= chain
-        target[key] = cur
-
-    while True:
-        pair = None
-        for x in alive:
-            for y in sorted(dmat[x], key=repr):
-                pair = (x, y)
-                break
-            if pair:
-                break
-        if pair is None:
-            break
-        x, y = pair
-        dx_rest = set(dmat[x])
-        dx_rest.discard(y)
-        dx_rest.discard(x)
-        # elementary retraction killing the pair (x, y)
-        new_alive = [w for w in alive if w not in (x, y)]
-        new_d = {}
-        for w in new_alive:
-            chain = set(dmat[w])
-            if y in chain:
-                chain ^= dmat[x]
-            chain.discard(x)
-            chain.discard(y)
-            new_d[w] = chain
-        # compose: f' = f o f_e, g' = g_e o g, T' = T + f o t_e o g
-        f_e = {w: {w} ^ ({x} if y in dmat[w] else set()) for w in new_alive}
-        new_f = {}
-        for w in new_alive:
-            chain: set = set()
-            for v in f_e[w]:
-                chain ^= f[v]
-            new_f[w] = chain
-        g_e = {w: {w} for w in new_alive}
-        g_e[x] = set()
-        g_e[y] = set(dx_rest)
-        new_g = {}
-        for b in basis:
-            chain: set = set()
-            for v in g[b]:
-                chain ^= g_e[v]
-            new_g[b] = chain
-        for b in basis:
-            te_gb = set()
-            for v in g[b]:
-                if v == y:
-                    te_gb ^= {x}
-            add: set = set()
-            for v in te_gb:
-                add ^= f[v]
-            T[b] = T[b] ^ add
-        alive = new_alive
-        dmat = new_d
-        f = new_f
-        g = new_g
-    return alive, f, g, T, dmat
 
 
 class MinimalModel:
@@ -212,34 +139,30 @@ class MinimalModel:
 
     def __init__(self, module: DualIdentityBimodule, seed: int = 0):
         self.module = module
-        alive, f, g, T, dred = _retract_data(module)
-        if any(dred[w] for w in alive):
+        bare = TypeDStructure((), name="dual identity")
+        for b in module.basis:
+            bare.add_generator(b, ())
+        for b in module.basis:
+            for b2 in module.differential(b):
+                bare.add_arrow(b, b2, ())
+        retract: dict = {}
+        reduced = cancel(bare, order_seed=seed, retract=retract)
+        if reduced.arrow_count():
             raise RetractError("reduced differential is nonzero")
-        self.generators = list(alive)
-        self._f = f
-        self._g = g
-        self._T = T
+        self.generators = reduced.generators
+        self._f = retract["f"]
+        self._g = retract["g"]
+        self._T = retract["T"]
         self._memo: dict = {}
         self._verify_retract()
 
     def _verify_retract(self) -> None:
-        mod = self.module
+        d = self.module._differential
         for w in self.generators:
-            gf = set()
-            for v in self._f[w]:
-                gf ^= self._g[v]
-            if gf != {w}:
+            if _image(self._g, self._f[w]) != {w}:
                 raise RetractError("g o f is not the identity on the retract")
-        for b in mod.basis:
-            lhs: set = set()
-            for v in self._T[b]:
-                lhs ^= mod.differential(v)
-            for v in mod.differential(b):
-                lhs ^= self._T[v]
-            rhs = {b}
-            for v in self._g[b]:
-                rhs ^= self._f[v]
-            if lhs != rhs:
+        for b in self.module.basis:
+            if _image(d, self._T[b]) ^ _image(self._T, d[b]) != {b} ^ _image(self._f, self._g[b]):
                 raise RetractError("dT + Td != id + fg")
 
     def lambda_idempotent(self, x) -> frozenset:
@@ -250,18 +173,6 @@ class MinimalModel:
         return x[2].right_pairs
 
     # -- lazy operations ----------------------------------------------------
-
-    def _chain_T(self, chain: frozenset) -> frozenset:
-        out: set = set()
-        for v in chain:
-            out ^= self._T[v]
-        return frozenset(out)
-
-    def _chain_g(self, chain: frozenset) -> frozenset:
-        out: set = set()
-        for v in chain:
-            out ^= self._g[v]
-        return frozenset(out)
 
     def op_sequence(self, x, inputs) -> frozenset:
         """One zigzag: f, multiply/T alternately along the inputs, then g.
@@ -277,13 +188,13 @@ class MinimalModel:
         chain = frozenset(self._f[x])
         for i, (side, r) in enumerate(inputs):
             if i:
-                chain = self._chain_T(chain)
+                chain = _image(self._T, chain)
                 if not chain:
                     break
             chain = self.module.act(chain, side, r)
             if not chain:
                 break
-        result = self._chain_g(chain) if chain else frozenset()
+        result = _image(self._g, chain)
         self._memo[key] = result
         return result
 
@@ -307,6 +218,14 @@ class MinimalModel:
         ):
             out ^= self.op_sequence(x, merged)
         return frozenset(out)
+
+
+def _image(table: dict, chain) -> frozenset:
+    """The F2 sum of ``table[v]`` over the elements v of ``chain``."""
+    out: set = set()
+    for v in chain:
+        out ^= table[v]
+    return frozenset(out)
 
 
 def _interleavings(seq1, seq2):
@@ -334,49 +253,10 @@ def box_tensor_minimal(model: MinimalModel, side: str, N: TypeDStructure,
                        depth_cap: int | None = None) -> TypeDStructure:
     """Pair one action of the minimal model against a type D structure.
 
-    The result is an F2 complex on idempotent-matched pairs whose
+    The result is an F2 complex on idempotent-matched pairs (x, u) whose
     differential sums the operations fed by iterated delta coefficients.
-    Evaluation walks delta paths and prunes once the zigzag chain dies.
     """
-    if len(N.factors) != 1:
-        raise ValueError("box tensor needs a one-factor type D structure")
-    cap = depth_cap if depth_cap is not None else 10 * max(len(N.generators), 1)
-    idem_of = model.lambda_idempotent if side == "lambda" else model.rho_idempotent
-    out = TypeDStructure((), name=f"box({side})")
-    pairs = [(x, u) for x in model.generators for u in N.generators
-             if idem_of(x) == N.idem[u][0]]
-    for x, u in pairs:
-        out.add_generator((x, u), ())
-    for x, u in pairs:
-        stack = [(0, u, None)]
-        while stack:
-            depth, w, chain = stack.pop()
-            if depth:
-                result = model._chain_g(chain) if chain else frozenset()
-                for y in result:
-                    if (y, w) in out.idem:
-                        out.add_arrow((x, u), (y, w), ())
-            if depth >= cap:
-                raise BoundednessError("box tensor exceeded its depth cap")
-            for w2, cs in N.delta[w].items():
-                for c in cs:
-                    basic = c[0]
-                    if basic.is_idempotent:
-                        # strict unitality: a unit coefficient only moves the
-                        # module marker, and only before any real input
-                        if chain is None:
-                            kept = model.module.act(frozenset(model._f[x]), side, basic)
-                            for y in model._chain_g(kept):
-                                if (y, w2) in out.idem:
-                                    out.add_arrow((x, u), (y, w2), ())
-                        continue
-                    if chain is None:
-                        nxt = model.module.act(frozenset(model._f[x]), side, basic)
-                    else:
-                        nxt = model.module.act(model._chain_T(chain), side, basic)
-                    if nxt:
-                        stack.append((depth + 1, w2, nxt))
-    return out
+    return _box(model, [(side, N)], f"box({side})", depth_cap)
 
 
 def box_closed_dg(module: DualIdentityBimodule, N_lambda: TypeDStructure,
@@ -419,52 +299,62 @@ def box_closed(model: MinimalModel, N_lambda: TypeDStructure, N_rho: TypeDStruct
                depth_cap: int | None = None) -> TypeDStructure:
     """Close up both actions of the minimal model against two modules.
 
-    The differential on idempotent-matched triples sums bimodule
-    operations over interleaved delta paths from the two sides; each
-    stack entry is one interleaving prefix with its live zigzag chain.
+    The differential on idempotent-matched triples (x, u, v) sums
+    bimodule operations over interleaved delta paths from the two sides.
     """
-    for N in (N_lambda, N_rho):
-        if len(N.factors) != 1:
-            raise ValueError("box tensor needs one-factor type D structures")
-    size = max(len(N_lambda.generators) + len(N_rho.generators), 1)
+    return _box(model, [("lambda", N_lambda), ("rho", N_rho)], "box(closed)", depth_cap)
+
+
+def _box(model: MinimalModel, sides, name: str, depth_cap: int | None) -> TypeDStructure:
+    """Box the minimal model with one one-factor module per (side, N).
+
+    Generators are (x, u, ...) with one generator of each module, its
+    idempotent matched to x's on that side.  Evaluation walks delta paths
+    depth first: each stack entry is one interleaving prefix with its live
+    zigzag chain, pruned once the chain dies.
+    """
+    if any(len(N.factors) != 1 for _, N in sides):
+        raise ValueError("box tensor needs one-factor type D structures")
+    size = max(sum(len(N.generators) for _, N in sides), 1)
     cap = depth_cap if depth_cap is not None else 10 * size
-    out = TypeDStructure((), name="box(closed)")
-    triples = [
-        (x, u, v)
+    idem_of = {"lambda": model.lambda_idempotent, "rho": model.rho_idempotent}
+    out = TypeDStructure((), name=name)
+    keys = [
+        (x,) + us
         for x in model.generators
-        for u in N_lambda.generators
-        if model.lambda_idempotent(x) == N_lambda.idem[u][0]
-        for v in N_rho.generators
-        if model.rho_idempotent(x) == N_rho.idem[v][0]
+        for us in product(*[[u for u in N.generators if idem_of[side](x) == N.idem[u][0]]
+                            for side, N in sides])
     ]
-    for key in triples:
+    for key in keys:
         out.add_generator(key, ())
-    for x, u, v in triples:
-        stack = [(0, u, v, None)]
+
+    def arrows(src, chain, ws):
+        for y in _image(model._g, chain):
+            if (y,) + ws in out.idem:
+                out.add_arrow(src, (y,) + ws, ())
+
+    for key in keys:
+        fx = frozenset(model._f[key[0]])
+        stack = [(0, key[1:], None)]
         while stack:
-            depth, w_l, w_r, chain = stack.pop()
+            depth, ws, chain = stack.pop()
             if depth:
-                for y in model._chain_g(chain):
-                    if (y, w_l, w_r) in out.idem:
-                        out.add_arrow((x, u, v), (y, w_l, w_r), ())
+                arrows(key, chain, ws)
             if depth >= cap:
                 raise BoundednessError("box tensor exceeded its depth cap")
-            moves = [("lambda", w2, c[0], w_r)
-                     for w2, cs in N_lambda.delta[w_l].items() for c in cs]
-            moves += [("rho", w_l, c[0], w2)
-                      for w2, cs in N_rho.delta[w_r].items() for c in cs]
-            for side, nl, basic, nr in moves:
-                if basic.is_idempotent:
-                    if chain is None:
-                        kept = model.module.act(frozenset(model._f[x]), side, basic)
-                        for y in model._chain_g(kept):
-                            if (y, nl, nr) in out.idem:
-                                out.add_arrow((x, u, v), (y, nl, nr), ())
-                    continue
-                if chain is None:
-                    nxt = model.module.act(frozenset(model._f[x]), side, basic)
-                else:
-                    nxt = model.module.act(model._chain_T(chain), side, basic)
-                if nxt:
-                    stack.append((depth + 1, nl, nr, nxt))
+            for i, (side, N) in enumerate(sides):
+                for w2, cs in N.delta[ws[i]].items():
+                    nws = ws[:i] + (w2,) + ws[i + 1:]
+                    for c in cs:
+                        basic = c[0]
+                        if basic.is_idempotent:
+                            # strict unitality: a unit coefficient only moves
+                            # the module marker, and only before any real input
+                            if chain is None:
+                                arrows(key, model.module.act(fx, side, basic), nws)
+                            continue
+                        nxt = model.module.act(
+                            fx if chain is None else _image(model._T, chain), side, basic)
+                        if nxt:
+                            stack.append((depth + 1, nws, nxt))
     return out

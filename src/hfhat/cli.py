@@ -134,7 +134,7 @@ def cmd_aaid(args) -> int:
     payload = {
         "dg_generators": len(module.basis),
         "homology_generators": [repr(g) for g in model.generators],
-        "differential_pairs": sum(len(module.differential(b)) for b in module.basis) // 2,
+        "differential_pairs": (len(module.basis) - len(model.generators)) // 2,
     }
     text = (f"dualized identity bimodule: {len(module.basis)} generators, "
             f"homology rank {len(model.generators)}")

@@ -438,7 +438,7 @@ def _coef_inverse(factors, entry, ident):
     return frozenset(total)
 
 
-def cancel(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
+def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) -> TypeDStructure:
     """Remove all idempotent-coefficient arrows by zig-zag elimination.
 
     Each step drops a pair of generators joined by an invertible arrow and
@@ -450,7 +450,15 @@ def cancel(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
     splice only arrows at the generators it touched are pushed again, and
     entries that no longer match the structure are dropped when popped.
     Gradings of surviving generators carry over unchanged.
+
+    For a bare complex, a ``retract`` dict is filled with the strong
+    deformation retract the pivots compose to: "f" sends each survivor to
+    a chain of M, "g" each generator of M to a chain of survivors, and "T"
+    each generator of M to a chain of M, with g f = 1 and
+    dT + Td = 1 + f g.  Chains are sets of generators.
     """
+    if retract is not None and M.factors:
+        raise ValueError("a retract is recorded only for bare complexes")
     out = M.copy()
     delta = out.delta
     back: dict = {x: set() for x in out.generators}
@@ -477,6 +485,12 @@ def cancel(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
         for y in delta[x]:
             push(x, y)
 
+    if retract is not None:
+        f = {b: {b} for b in out.generators}
+        g = {b: {b} for b in out.generators}
+        g_into = {b: {b} for b in out.generators}  # v -> {b : v in g(b)}
+        T: dict = {b: set() for b in out.generators}
+
     while heap:
         cost, _, _, x, y = heapq.heappop(heap)
         if x not in delta or y not in delta:
@@ -484,6 +498,27 @@ def cancel(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
         ident = ident_of(x, y)
         if ident is None or cost != (len(back[y]) - 1) * (len(delta[x]) - 1):
             continue
+        if retract is not None:
+            # compose with the elementary retract of the pair x -> y: f(w) += f(x)
+            # for each w -> y; where g(b) holds y, T(b) += f(x) and y becomes
+            # dx - x - y; then x leaves every g(b)
+            fx = f.pop(x)
+            f.pop(y)
+            for w in back[y] - {x, y}:
+                f[w] ^= fx
+            rest = set(delta[x]) - {x, y}
+            for b in g_into.pop(y):
+                T[b] ^= fx
+                g[b].discard(y)
+                for v in rest:
+                    if v in g[b]:
+                        g[b].discard(v)
+                        g_into[v].discard(b)
+                    else:
+                        g[b].add(v)
+                        g_into[v].add(b)
+            for b in g_into.pop(x):
+                g[b].discard(x)
         inv = _coef_inverse(out.factors, delta[x][y], ident)
         outgoing = [(z, coefs) for z, coefs in delta[x].items() if z not in (x, y)]
         entering = [(w, delta[w][y]) for w in back[y] if w not in (x, y)]
@@ -526,6 +561,8 @@ def cancel(M: TypeDStructure, order_seed: int = 0) -> TypeDStructure:
     out.delta = {g: delta[g] for g in out.generators}
     if out.gradings is not None:
         out.gradings = out.gradings.with_reps({g: out.gradings.reps[g] for g in out.generators})
+    if retract is not None:
+        retract.update(f=f, g=g, T=T)
     return out
 
 

@@ -85,3 +85,11 @@ def test_aa_id_summary(pmc_file, capsys):
     assert main(["aa-id", pmc_file]) == 0
     out = capsys.readouterr().out
     assert "30 generators" in out and "homology rank 2" in out
+
+
+def test_aa_id_json_counts_cancelled_pairs(pmc_file, capsys):
+    assert main(["--output", "json", "aa-id", pmc_file]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dg_generators"] == 30
+    assert len(payload["homology_generators"]) == 2
+    assert payload["differential_pairs"] == 14

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 import hfhat.algebra as alg
 from hfhat.algebra import StrandsGenerator, idempotent
 from hfhat.grading import Gradings, dedupe_relations, gr_coefficient, lambda_power
@@ -585,3 +587,41 @@ def test_mor_builder_matches_the_two_earlier_builders():
         left = cancel(cfd_self_gluing(Z1, truncated))
         glued = _check_stage(arcslide_dd(ArcSlide(Z2, 3, 4), truncated), left, 0)
         assert _check_pairing(left, glued).gradings is not None
+
+
+def _image(table, chain):
+    out = set()
+    for v in chain:
+        out ^= table[v]
+    return out
+
+
+def test_cancel_records_a_strong_deformation_retract():
+    rng = random.Random(11)
+    for trial in range(200):
+        C = _random_square_zero_complex(rng)
+        seed = trial % 7
+        retract: dict = {}
+        red = cancel(C, order_seed=seed, retract=retract)
+        plain = cancel(C, order_seed=seed)
+        assert red.generators == plain.generators
+        assert red.delta == plain.delta
+        assert [list(row) for row in red.delta.values()] == \
+            [list(row) for row in plain.delta.values()]
+        f, g, T = retract["f"], retract["g"], retract["T"]
+        assert list(f) == red.generators
+        assert set(g) == set(T) == set(C.generators)
+        d = {x: set(C.delta[x]) for x in C.generators}
+        d_red = {x: set(red.delta[x]) for x in red.generators}
+        for w in red.generators:
+            assert _image(g, f[w]) == {w}
+            assert _image(d, f[w]) == _image(f, d_red[w])  # f is a chain map
+        for b in C.generators:
+            assert g[b] <= set(red.generators)
+            assert _image(d_red, g[b]) == _image(g, d[b])  # so is g
+            assert _image(d, T[b]) ^ _image(T, d[b]) == {b} ^ _image(f, g[b])
+
+
+def test_cancel_records_a_retract_only_for_bare_complexes():
+    with pytest.raises(ValueError):
+        cancel(cfd_zero_framed_handlebody(1), retract={})
