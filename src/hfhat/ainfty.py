@@ -15,7 +15,7 @@ from itertools import product
 from . import algebra as alg
 from .algebra import StrandsGenerator
 from .homalg import TypeDStructure, cancel
-from .pmc import PointedMatchedCircle, reverse_pmc
+from .pmc import PointedMatchedCircle
 from .slides import dd_identity
 
 
@@ -43,7 +43,7 @@ class DualIdentityBimodule:
     def __init__(self, pmc: PointedMatchedCircle, truncated: bool = False,
                  weight: int | None = 0):
         self.pmc = pmc
-        self.rev = reverse_pmc(pmc)
+        self.rev = alg.reversal(pmc)[0]
         self.truncated = truncated
         self.ddid = dd_identity(pmc, truncated)
         basis = []
@@ -65,7 +65,6 @@ class DualIdentityBimodule:
                         continue
                     basis.append((g, a, c))
         self.basis = sorted(basis, key=lambda t: (repr(t[0]), t[1].sort_key(), t[2].sort_key()))
-        self.index = {b: i for i, b in enumerate(self.basis)}
         self._differential = {b: self._compute_differential(b) for b in self.basis}
 
     def _compute_differential(self, elt) -> frozenset:
@@ -73,8 +72,8 @@ class DualIdentityBimodule:
         out: set = set()
         for c2 in alg.differential_basic(c):
             out ^= {(g, a, c2)}
-        for b in alg.full_basis(self.rev):
-            if b.right_pairs == a.right_pairs and a in alg.differential_basic(b):
+        for b in alg.basics_between(self.rev, a.left_pairs, a.right_pairs):
+            if a in alg.differential_basic(b):
                 out ^= {(g, b, c)}
         for g2 in self.ddid.generators:
             for g3, coefs in self.ddid.delta[g2].items():
@@ -84,9 +83,7 @@ class DualIdentityBimodule:
                     pc = alg.multiply_basic(p, c)
                     if pc is None or not self._kept(pc):
                         continue
-                    for b in alg.full_basis(self.rev):
-                        if b.right_pairs != self.ddid.idem[g2][1]:
-                            continue
+                    for b in alg.basics_between(self.rev, a.left_pairs, self.ddid.idem[g2][1]):
                         if alg.multiply_basic(b, q) == a:
                             out ^= {(g2, b, pc)}
         return frozenset(out)
@@ -97,7 +94,7 @@ class DualIdentityBimodule:
         Supports add under products, so a factor of a kept element is
         kept: only products of kept elements need the test.
         """
-        return not self.truncated or all(m <= 1 for m in a.supp)
+        return not self.truncated or a.kept
 
     def differential(self, elt) -> frozenset:
         return self._differential[elt]
@@ -116,8 +113,8 @@ class DualIdentityBimodule:
                 if cs is not None and self._kept(cs):
                     out ^= {(g, a, cs)}
             elif side == "lambda":
-                for b in alg.full_basis(self.rev):
-                    if b.left_pairs == r.right_pairs and alg.multiply_basic(r, b) == a:
+                for b in alg.basics_between(self.rev, r.right_pairs, a.right_pairs):
+                    if alg.multiply_basic(r, b) == a:
                         out ^= {(g, b, c)}
             else:
                 raise ValueError(f"unknown side {side!r}")

@@ -13,24 +13,71 @@ from itertools import combinations
 from .pmc import Chord, PointedMatchedCircle, reverse_pmc, reverse_point, reversed_pair_map
 
 
+class _Strands:
+    """The strands algebra's view of one circle.
+
+    ``diagrams`` interns every valid diagram: the key is (moving,
+    horizontals) both as normalised and as first spelled by a caller, so a
+    diagram is validated once however often it is named.  The basis, its
+    index by idempotents and the reversed circle are filled in on first use.
+    """
+
+    __slots__ = ("diagrams", "basis", "between", "reverse")
+
+    def __init__(self):
+        self.diagrams: dict = {}
+        self.basis: list | None = None
+        # (left pairs, right pairs, truncated) -> basis elements, in basis order
+        self.between: dict | None = None
+        # (-Z, pair index of Z -> pair index of -Z); points map by reverse_point
+        self.reverse: tuple | None = None
+
+
+_tables: dict = {}
+
+
+def _strands(pmc: PointedMatchedCircle) -> _Strands:
+    table = _tables.get(pmc)
+    if table is None:
+        table = _tables[pmc] = _Strands()
+    return table
+
+
 class StrandsGenerator:
-    """A basic strands diagram.
+    """A basic strands diagram, interned: naming a diagram twice over one
+    circle gives the same object, so equality is identity.
 
     moving:      sorted tuple of (start, end) with start < end
     horizontals: sorted tuple of pair indices; each contributes both
                  matched horizontal strands
+    kept:        every local multiplicity is at most one, so the diagram
+                 survives truncation
     """
 
     __slots__ = ("pmc", "moving", "horizontals", "left_pairs", "right_pairs",
-                 "supp", "inv", "weight", "_hash")
+                 "supp", "inv", "weight", "kept", "_hash")
 
-    def __init__(self, pmc: PointedMatchedCircle, moving, horizontals):
-        moving = tuple(sorted(tuple(m) for m in moving))
-        horizontals = tuple(sorted(horizontals))
-        self.pmc = pmc
-        self.moving = moving
-        self.horizontals = horizontals
+    def __new__(cls, pmc: PointedMatchedCircle, moving, horizontals):
+        diagrams = _strands(pmc).diagrams
+        moving, horizontals = tuple(moving), tuple(horizontals)
+        try:
+            return diagrams[moving, horizontals]
+        except KeyError:
+            spelled = (moving, horizontals)
+        except TypeError:  # strands spelled as lists: no key
+            spelled = None
+        key = (tuple(sorted(tuple(m) for m in moving)), tuple(sorted(horizontals)))
+        self = diagrams.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self._build(pmc, *key)
+            diagrams[key] = self
+        if spelled is not None:
+            diagrams[spelled] = self
+        return self
 
+    def _build(self, pmc, moving, horizontals) -> None:
+        """Validate a new diagram and fill in its derived fields."""
         starts = [s for s, _ in moving]
         ends = [e for _, e in moving]
         if any(s >= e for s, e in moving):
@@ -47,6 +94,9 @@ class StrandsGenerator:
         if hset & set(start_pairs) or hset & set(end_pairs):
             raise ValueError("horizontal pair collides with a moving endpoint")
 
+        self.pmc = pmc
+        self.moving = moving
+        self.horizontals = horizontals
         self.left_pairs = frozenset(start_pairs) | hset
         self.right_pairs = frozenset(end_pairs) | hset
         self.weight = len(moving) + len(horizontals) - pmc.genus
@@ -56,6 +106,7 @@ class StrandsGenerator:
             for i in range(s, e):
                 supp[i - 1] += 1
         self.supp = tuple(supp)
+        self.kept = all(m <= 1 for m in supp)
 
         h_points = [p for h in horizontals for p in pmc.pairs[h]]
         inv = 0
@@ -70,15 +121,6 @@ class StrandsGenerator:
     @property
     def is_idempotent(self) -> bool:
         return not self.moving
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StrandsGenerator)
-            and self._hash == other._hash
-            and self.moving == other.moving
-            and self.horizontals == other.horizontals
-            and self.pmc == other.pmc
-        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -260,13 +302,11 @@ def basis(pmc: PointedMatchedCircle, weight: int) -> list[StrandsGenerator]:
     return [g for g in full_basis(pmc) if g.weight == weight]
 
 
-_basis_cache: dict = {}
-
-
 def full_basis(pmc: PointedMatchedCircle) -> list[StrandsGenerator]:
     """All basic generators of every weight."""
-    if pmc in _basis_cache:
-        return _basis_cache[pmc]
+    table = _strands(pmc)
+    if table.basis is not None:
+        return table.basis
     points = range(1, pmc.n_points + 1)
     out = []
     for num_moving in range(pmc.n_pairs + 1):
@@ -280,8 +320,32 @@ def full_basis(pmc: PointedMatchedCircle) -> list[StrandsGenerator]:
                     for hs in combinations(free, size):
                         out.append(StrandsGenerator(pmc, moving, hs))
     out.sort(key=StrandsGenerator.sort_key)
-    _basis_cache[pmc] = out
+    table.basis = out
     return out
+
+
+def basics_between(pmc: PointedMatchedCircle, left: frozenset, right: frozenset,
+                   truncated: bool = False) -> list[StrandsGenerator]:
+    """Basis elements from the idempotent ``left`` to ``right``, in basis
+    order; only those that survive truncation if ``truncated``."""
+    table = _strands(pmc)
+    if table.between is None:
+        index: dict = {}
+        for a in full_basis(pmc):
+            index.setdefault((a.left_pairs, a.right_pairs, False), []).append(a)
+            if a.kept:
+                index.setdefault((a.left_pairs, a.right_pairs, True), []).append(a)
+        table.between = index
+    return table.between.get((left, right, truncated), [])
+
+
+def reversal(pmc: PointedMatchedCircle) -> tuple[PointedMatchedCircle, list[int]]:
+    """The reversed circle -Z with the map from pairs of Z to pairs of -Z,
+    built once per circle."""
+    table = _strands(pmc)
+    if table.reverse is None:
+        table.reverse = (reverse_pmc(pmc), reversed_pair_map(pmc))
+    return table.reverse
 
 
 def _assignments(pmc, starts, chosen=()):
@@ -336,8 +400,7 @@ def chordset_element(pmc: PointedMatchedCircle, chords, weight: int | None = Non
 def opposite_basic(a: StrandsGenerator) -> StrandsGenerator:
     """Transport a generator to the reversed circle; anti-homomorphism."""
     pmc = a.pmc
-    rev = reverse_pmc(pmc)
-    pair_map = reversed_pair_map(pmc)
+    rev, pair_map = reversal(pmc)
     moving = [(reverse_point(pmc, e), reverse_point(pmc, s)) for s, e in a.moving]
     horizontals = [pair_map[h] for h in a.horizontals]
     return StrandsGenerator(rev, moving, horizontals)
@@ -345,7 +408,7 @@ def opposite_basic(a: StrandsGenerator) -> StrandsGenerator:
 
 def truncate_element(x: frozenset) -> frozenset:
     """Quotient by the differential ideal of local multiplicity >= 2."""
-    return frozenset(a for a in x if all(m <= 1 for m in a.supp))
+    return frozenset(a for a in x if a.kept)
 
 
 def summand_restriction(

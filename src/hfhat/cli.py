@@ -39,7 +39,7 @@ def cmd_algebra(args) -> int:
     pmc = _load_pmc(args.pmc)
     gens = alg.basis(pmc, args.weight)
     if args.truncated:
-        gens = [g for g in gens if all(m <= 1 for m in g.supp)]
+        gens = [g for g in gens if g.kept]
     products = 0
     leibniz_ok = True
     for a in gens:

@@ -15,6 +15,7 @@ from math import gcd
 from operator import add
 
 from .algebra import StrandsGenerator
+from .pmc import reversed_pair_map
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,9 @@ def parity_changes(alpha: tuple[int, ...]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if (a - b) % 2)
 
 
-def epsilon4(alpha: tuple[int, ...]) -> int:
-    """Quadrupled congruence defect: the number of parity changes."""
-    return parity_changes(alpha)
-
-
 def check_congruence(g: GradingElement) -> bool:
     """j must equal the quarter parity-change count modulo 1."""
-    e4 = sum(epsilon4(a) for a in g.alphas)
+    e4 = sum(parity_changes(a) for a in g.alphas)
     return (2 * g.j2 - e4) % 4 == 0
 
 
@@ -365,8 +361,6 @@ def slide_homology_matrix(slide) -> list[list[int]]:
     all other pairs are fixed.  Signs follow the six combinatorial cases of
     the slide, reduced to the c1-above-c2 configuration by reflecting.
     """
-    from .pmc import ArcSlide, reverse_pmc, reverse_point
-
     n = slide.source.n_pairs
     mat = [[0] * n for _ in range(n)]
     for j in range(n):
@@ -381,22 +375,15 @@ def slide_homology_matrix(slide) -> list[list[int]]:
         return mat
 
     # Reflect to reach the c1-above-c2 configuration, act, reflect back.
-    refl = ArcSlide(
-        reverse_pmc(slide.source),
-        reverse_point(slide.source, slide.b1),
-        reverse_point(slide.source, slide.c1),
-    )
-    from .pmc import reversed_pair_map
-
     src_map = reversed_pair_map(slide.source)  # pairs of Z -> pairs of -Z
     tgt_map = reversed_pair_map(slide.target)
-    inner = slide_homology_matrix(refl)
+    inner = slide_homology_matrix(slide.reflected())
     out = [[0] * n for _ in range(n)]
     for j in range(n):
         col = [0] * n
         col[src_map[j]] = 1
         image = [sum(inner[i][k] * col[k] for k in range(n)) for i in range(n)]
-        # refl.target should be reverse_pmc(slide.target); transport back.
+        # the reflected slide ends on -Z'; transport back.
         for i in range(n):
             if image[i]:
                 out[tgt_map.index(i)][j] = image[i]

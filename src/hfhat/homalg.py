@@ -21,7 +21,7 @@ from .grading import (
     lambda_power,
     propagate_gradings,
 )
-from .pmc import PointedMatchedCircle, reverse_pmc, reversed_pair_map
+from .pmc import PointedMatchedCircle
 
 
 class StructureError(RuntimeError):
@@ -45,7 +45,7 @@ def coef_multiply(factors, c1, c2):
         p = alg.multiply_basic(a, b)
         if p is None:
             return None
-        if f.truncated and any(m > 1 for m in p.supp):
+        if f.truncated and not p.kept:
             return None
         out.append(p)
     return tuple(out)
@@ -59,7 +59,7 @@ def coef_differential(factors, c):
     """
     for i, a in enumerate(c):
         for term in alg.differential_basic(a):
-            if not (factors[i].truncated and any(m > 1 for m in term.supp)):
+            if term.kept or not factors[i].truncated:
                 yield c[:i] + (term,) + c[i + 1:]
 
 
@@ -179,11 +179,6 @@ class TypeDStructure:
         self.gradings = propagate_gradings(self)
         return self.gradings
 
-    def grading_blocks(self) -> tuple[int, ...]:
-        if self.gradings is not None:
-            return self.gradings.sizes
-        return self.factor_sizes()
-
 
 def verify_idempotent_compat(M: TypeDStructure) -> bool:
     for x in M.generators:
@@ -234,22 +229,8 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
 # Morphism complexes
 
 
-_basics_cache: dict = {}
-
-
 def _basics_between(factor: AlgebraFactor, left: frozenset, right: frozenset):
-    key = (factor, left, right)
-    if key in _basics_cache:
-        return _basics_cache[key]
-    out = [
-        a
-        for a in alg.full_basis(factor.pmc)
-        if a.left_pairs == left and a.right_pairs == right
-    ]
-    if factor.truncated:
-        out = [a for a in out if all(m <= 1 for m in a.supp)]
-    _basics_cache[key] = out
-    return out
+    return alg.basics_between(factor.pmc, left, right, factor.truncated)
 
 
 def mor_complex(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
@@ -292,14 +273,15 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
     """
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(M.factors)) if i != keep]
-    rpms = [reversed_pair_map(M.factors[i].pmc) for i in kept]
+    reversals = [alg.reversal(M.factors[i].pmc) for i in kept]
     out = TypeDStructure(
-        [AlgebraFactor(reverse_pmc(M.factors[i].pmc), M.factors[i].truncated) for i in kept],
+        [AlgebraFactor(rev, M.factors[i].truncated) for (rev, _), i in zip(reversals, kept)],
         name=f"Mor({M.name},{N.name})",
     )
     per_pair: dict = {}
     for x in M.generators:
-        idem = tuple(frozenset(rpm[p] for p in M.idem[x][i]) for rpm, i in zip(rpms, kept))
+        idem = tuple(frozenset(rpm[p] for p in M.idem[x][i])
+                     for (_, rpm), i in zip(reversals, kept))
         for y in N.generators:
             choices = [
                 _basics_between(N.factors[k], M.idem[x][i], N.idem[y][k])

@@ -105,7 +105,7 @@ def cfd_self_gluing(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeD
             src = tuple(sorted(fused.left_pairs))
             tgt = tuple(sorted(fused.right_pairs))
             if src in keys and tgt in keys:
-                if truncated and any(m > 1 for m in fused.supp):
+                if truncated and not fused.kept:
                     continue
                 out.add_arrow(src, tgt, (fused,))
 
@@ -124,7 +124,7 @@ def cfd_self_gluing(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeD
                 src = tuple(sorted(a.left_pairs))
                 tgt = tuple(sorted(a.right_pairs))
                 if src in keys and tgt in keys:
-                    if truncated and any(m > 1 for m in a.supp):
+                    if truncated and not a.kept:
                         continue
                     out.add_arrow(src, tgt, (a,))
     out.propagate_gradings()
@@ -281,15 +281,6 @@ def dehn_twist_expand(pmc: PointedMatchedCircle, pair: int, power: int = 1,
 # The pipeline
 
 
-def reflect_slide(slide: ArcSlide) -> ArcSlide:
-    """The same slide on the orientation-reversed circle."""
-    return ArcSlide(
-        reverse_pmc(slide.source),
-        reverse_point(slide.source, slide.b1),
-        reverse_point(slide.source, slide.c1),
-    )
-
-
 def apply_slides(module: TypeDStructure, slides, truncated: bool = False,
                  stats: list | None = None, check: bool = False) -> TypeDStructure:
     """Pair the module against each slide bimodule in turn, reducing as we go.
@@ -401,7 +392,7 @@ def hf_hat_closed(genus: int, word: MappingWord, truncated: bool = False,
         pairing = mor_complex(left, right)
     elif final == "identity":
         right = apply_slides(cfd_zero_framed_handlebody_reversed(genus, truncated),
-                             [reflect_slide(s) for s in slides],
+                             [s.reflected() for s in slides],
                              truncated, stats, check=check)
         ddid = dd_identity(split_pmc(genus), truncated)
         pairing = mor_complex(ddid, tensor(left, right))

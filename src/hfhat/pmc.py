@@ -260,9 +260,10 @@ class ArcSlide:
             raise InvalidSlideError("inverse slide does not return to the source circle")
         return inv
 
-    def map_chord(self, chord: Chord) -> Chord:
-        s, e = self.point_map[chord.start], self.point_map[chord.end]
-        return Chord(min(s, e), max(s, e))
+    def reflected(self) -> "ArcSlide":
+        """The same slide on the orientation-reversed circle."""
+        src = self.source
+        return ArcSlide(reverse_pmc(src), reverse_point(src, self.b1), reverse_point(src, self.c1))
 
     def __repr__(self) -> str:
         return f"ArcSlide({self.source!r}, b1={self.b1}, c1={self.c1})"

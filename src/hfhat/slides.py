@@ -21,9 +21,7 @@ from .pmc import (
     PointedMatchedCircle,
     all_chords,
     restricted_chords,
-    reverse_pmc,
     reverse_point,
-    reversed_pair_map,
 )
 
 # ---------------------------------------------------------------------------
@@ -32,7 +30,7 @@ from .pmc import (
 
 def complementary_idempotent_pairs(pmc: PointedMatchedCircle):
     """(left pair set, right pair set on the reversed circle) for all splits."""
-    rpm = reversed_pair_map(pmc)
+    rpm = alg.reversal(pmc)[1]
     out = []
     for size in range(pmc.n_pairs + 1):
         for left in combinations(range(pmc.n_pairs), size):
@@ -45,8 +43,7 @@ def dd_identity(pmc: PointedMatchedCircle, truncated: bool = False,
                 weight: int | None = None) -> TypeDStructure:
     """The identity bimodule: complementary idempotent pairs, with one
     differential term for every chord and every horizontal completion."""
-    rev = reverse_pmc(pmc)
-    rpm = reversed_pair_map(pmc)
+    rev, rpm = alg.reversal(pmc)
     out = TypeDStructure(
         (AlgebraFactor(pmc, truncated), AlgebraFactor(rev, truncated)),
         name=f"DDid(g={pmc.genus})",
@@ -62,7 +59,7 @@ def dd_identity(pmc: PointedMatchedCircle, truncated: bool = False,
             src = tuple(sorted(aL.left_pairs))
             tgt = tuple(sorted(aL.right_pairs))
             if src in gen_keys and tgt in gen_keys:
-                if truncated and (any(m > 1 for m in aL.supp) or any(m > 1 for m in aR.supp)):
+                if truncated and not (aL.kept and aR.kept):
                     continue
                 out.add_arrow(src, tgt, (aL, aR))
     out.propagate_gradings()
@@ -100,8 +97,7 @@ class SlideContext:
         tgt = slide.target
         self.src = src
         self.tgt = tgt
-        self.rev_tgt = reverse_pmc(tgt)
-        self.rpm_tgt = reversed_pair_map(tgt)  # pairs of Z' -> pairs of -Z'
+        self.rev_tgt, self.rpm_tgt = alg.reversal(tgt)  # pairs of Z' -> pairs of -Z'
         self.n = src.n_points
         self.sigma = Chord(min(slide.b1, slide.c1), max(slide.b1, slide.c1))
         c2p = slide.point_map[slide.c2]
@@ -249,14 +245,6 @@ def _join_interval(chord: Chord, s: Chord) -> list[tuple[int, int]] | None:
     return None
 
 
-def _sigma_join(ctx: SlideContext, chord: Chord) -> list[tuple[int, int]] | None:
-    return _join_interval(chord, ctx.sigma)
-
-
-def _sigma_join_target(ctx: SlideContext, chord: Chord) -> list[tuple[int, int]] | None:
-    return _join_interval(chord, ctx.sigma_p)
-
-
 def _moving_configs(ctx: SlideContext):
     """(kind, source moving set, target moving set) for every near-chord
     shape; target chords are in target-circle coordinates."""
@@ -279,13 +267,13 @@ def _moving_configs(ctx: SlideContext):
             continue
         if xi.end == sigma.start or xi.start == sigma.end:
             if slide.c1 in (xi.start, xi.end):
-                configs.append(("3", _sigma_join(ctx, xi), [ctx.chord(xi)]))
+                configs.append(("3", _join_interval(xi, ctx.sigma), [ctx.chord(xi)]))
     for xi_t in all_chords(ctx.tgt):
         if slide.b1_new in (xi_t.start, xi_t.end):
             continue
         if xi_t.end == sigma_p.start or xi_t.start == sigma_p.end:
             if ctx.c2_target in (xi_t.start, xi_t.end):
-                configs.append(("3", [ctx.chord_back(xi_t)], _sigma_join_target(ctx, xi_t)))
+                configs.append(("3", [ctx.chord_back(xi_t)], _join_interval(xi_t, ctx.sigma_p)))
 
     # type 4: a chord containing sigma, minus sigma on one side
     for xi in all_chords(ctx.src):
@@ -333,7 +321,7 @@ def _moving_configs(ctx: SlideContext):
             continue  # sigma' interior: not this type
         if over and not (xi.end <= sigma.start or sigma.end <= xi.start):
             continue
-        join = _sigma_join(ctx, xi)
+        join = _join_interval(xi, ctx.sigma)
         if join is None:
             continue
         configs.append(("6", join, _pieces(xt, sigma_p)))
@@ -352,7 +340,7 @@ def _moving_configs(ctx: SlideContext):
             continue
         if over and not (xi_t.end <= sigma_p.start or sigma_p.end <= xi_t.start):
             continue
-        join = _sigma_join_target(ctx, xi_t)
+        join = _join_interval(xi_t, ctx.sigma_p)
         if join is None:
             continue
         configs.append(("6", _pieces(xs, sigma), join))
@@ -398,17 +386,18 @@ def _complete(ctx: SlideContext, kind: str, src_chords, tgt_chords):
               if h not in bare_l.left_pairs and h not in bare_l.right_pairs]
     free_r = [h for h in range(rev.n_pairs)
               if h not in bare_r.left_pairs and h not in bare_r.right_pairs]
+    rights = [StrandsGenerator(rev, moving_r, hr)
+              for size_r in range(len(free_r) + 1)
+              for hr in combinations(free_r, size_r)]
     for size_l in range(len(free_l) + 1):
         for hl in combinations(free_l, size_l):
             aL = StrandsGenerator(src, moving_l, hl)
-            for size_r in range(len(free_r) + 1):
-                for hr in combinations(free_r, size_r):
-                    aR = StrandsGenerator(rev, moving_r, hr)
-                    if ctx.idem_type(aL.left_pairs, aR.left_pairs) is None:
-                        continue
-                    if ctx.idem_type(aL.right_pairs, aR.right_pairs) is None:
-                        continue
-                    yield aL, aR
+            for aR in rights:
+                if ctx.idem_type(aL.left_pairs, aR.left_pairs) is None:
+                    continue
+                if ctx.idem_type(aL.right_pairs, aR.right_pairs) is None:
+                    continue
+                yield aL, aR
 
 
 def _is_indeterminate(ctx: SlideContext, kind: str, aL, aR) -> bool:
@@ -462,10 +451,7 @@ def enumerate_near_chords(slide: ArcSlide) -> list[NearChord]:
 def dischords(slide: ArcSlide) -> list[tuple[StrandsGenerator, StrandsGenerator]]:
     """Elements with the C-span on both sides and one strand per side."""
     ctx = SlideContext(slide)
-    out = []
-    for aL, aR in _complete(ctx, "D", [ctx.c_span], [ctx.c_span_target]):
-        out.append((aL, aR))
-    return out
+    return list(_complete(ctx, "D", [ctx.c_span], [ctx.c_span_target]))
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +484,9 @@ def near_diagonal_grading(slide: ArcSlide, aL: StrandsGenerator, aR: StrandsGene
     from .grading import iota2
 
     if slide.c1 < slide.c2:
-        refl = ArcSlide(
-            reverse_pmc(slide.source),
-            reverse_point(slide.source, slide.b1),
-            reverse_point(slide.source, slide.c1),
-        )
-        return near_diagonal_grading(refl, alg.opposite_basic(aL), _reflect_right(slide, refl, aR))
+        # aR lives over -Z'; the reflected slide's right algebra is -(-Z') = Z'.
+        return near_diagonal_grading(slide.reflected(), alg.opposite_basic(aL),
+                                     alg.opposite_basic(aR))
 
     ctx = SlideContext(slide)
     supp_l = aL.supp
@@ -544,12 +527,6 @@ def near_diagonal_grading(slide: ArcSlide, aL: StrandsGenerator, aR: StrandsGene
     if total4 % 4:
         raise ValueError(f"grading not an integer: {total4}/4")
     return total4 // 4
-
-
-def _reflect_right(slide: ArcSlide, refl: ArcSlide, aR: StrandsGenerator) -> StrandsGenerator:
-    """Transport the reversed-target factor through the reflection."""
-    # aR lives over -Z'; the reflected slide's right algebra is -(-Z') = Z'.
-    return alg.opposite_basic(aR)
 
 
 def grading_minus_one_scan(slide: ArcSlide):
@@ -619,44 +596,30 @@ def _arcslide_dd_uncached(slide: ArcSlide, truncated: bool,
 
     chords = enumerate_near_chords(slide)
     if truncated:
-        chords = [
-            nc for nc in chords
-            if all(m <= 1 for m in nc.left.supp) and all(m <= 1 for m in nc.right.supp)
-        ]
+        chords = [nc for nc in chords if nc.left.kept and nc.right.kept]
 
-    def add(nc: NearChord):
-        src_key = (tuple(sorted(nc.left.left_pairs)), tuple(sorted(nc.right.left_pairs)))
-        tgt_key = (tuple(sorted(nc.left.right_pairs)), tuple(sorted(nc.right.right_pairs)))
-        out.add_arrow(src_key, tgt_key, (nc.left, nc.right))
+    def with_terms(module: TypeDStructure, terms) -> TypeDStructure:
+        for nc in terms:
+            src_key = (tuple(sorted(nc.left.left_pairs)), tuple(sorted(nc.right.left_pairs)))
+            tgt_key = (tuple(sorted(nc.left.right_pairs)), tuple(sorted(nc.right.right_pairs)))
+            module.add_arrow(src_key, tgt_key, (nc.left, nc.right))
+        module.require_d_squared()
+        module.propagate_gradings()
+        return module
 
     if slide.kind == "under":
-        for nc in chords:
-            add(nc)
-        out.require_d_squared()
-        out.propagate_gradings()
+        with_terms(out, chords)
         if out.gradings.has_pure_lambda_relation():
             raise StructureError("under-slide grading set is not lambda-free")
         return out
 
-    snapshot = out.copy()
-    best = None
     for terms in _over_slide_solutions(ctx, out.factors, chords, basic_choice_side):
-        trial = snapshot.copy()
-        trial.delta = {x: dict(row) for x, row in snapshot.delta.items()}
-        for nc in terms:
-            src_key = (tuple(sorted(nc.left.left_pairs)), tuple(sorted(nc.right.left_pairs)))
-            tgt_key = (tuple(sorted(nc.left.right_pairs)), tuple(sorted(nc.right.right_pairs)))
-            trial.add_arrow(src_key, tgt_key, (nc.left, nc.right))
-        trial.require_d_squared()
-        trial.propagate_gradings()
+        trial = with_terms(out.copy(), terms)
         # no loop may reduce to a bare lambda power
         if not trial.gradings.has_pure_lambda_relation():
             return trial
-        if best is None:
-            best = trial
-    if best is None:
-        raise StructureError("no valid solution of the over-slide equation")
-    return best
+    raise StructureError(
+        f"every solution of the over-slide equation of {slide!r} has a pure lambda relation")
 
 
 def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
@@ -764,11 +727,16 @@ def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
         yield determinate + chosen3 + [nc for i, nc in enumerate(unknowns) if solution[i]]
 
 
-def _solve_f2_all(rows: list[dict], target: set, limit: int = 64):
+# Kernel dimensions up to this are enumerated in full (64 solutions).
+_KERNEL_DIM_MAX = 6
+
+
+def _solve_f2_all(rows: list[dict], target: set):
     """All solutions of sum_i c_i * rows[i] = target over F2, sparse rows.
 
     Yields bit lists: a particular solution shifted by every kernel
-    combination, capped at ``limit`` to keep degenerate systems in check.
+    combination.  A kernel of more than _KERNEL_DIM_MAX dimensions raises
+    rather than being enumerated.
     """
     rows = [set(k for k, v in r.items() if v) for r in rows]
     target = set(target)
@@ -793,8 +761,9 @@ def _solve_f2_all(rows: list[dict], target: set, limit: int = 64):
     if target:
         return
     kernel = [combos[i] for i in range(n) if not rows[i]]
-    if 1 << len(kernel) > limit:
-        kernel = kernel[: max(limit.bit_length() - 1, 0)]
+    if len(kernel) > _KERNEL_DIM_MAX:
+        raise StructureError(
+            f"over-slide equation has a {len(kernel)}-dimensional solution kernel")
     for mask in range(1 << len(kernel)):
         out = list(particular)
         for k, combo in enumerate(kernel):

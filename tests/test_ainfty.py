@@ -365,3 +365,51 @@ def test_box_walker_matches_the_two_earlier_walkers():
     for walk in (box_tensor_minimal, _old_box_tensor_minimal):
         with pytest.raises(BoundednessError):
             walk(model, "rho", loops, depth_cap=1)
+
+
+def _scan_differential(module, elt):
+    """The dual identity's differential by full-basis scans, as first written."""
+    g, a, c = elt
+    out = set()
+    for c2 in alg.differential_basic(c):
+        out ^= {(g, a, c2)}
+    for b in alg.full_basis(module.rev):
+        if b.right_pairs == a.right_pairs and a in alg.differential_basic(b):
+            out ^= {(g, b, c)}
+    for g2 in module.ddid.generators:
+        for g3, coefs in module.ddid.delta[g2].items():
+            if g3 != g:
+                continue
+            for p, q in coefs:
+                pc = alg.multiply_basic(p, c)
+                if pc is None or (module.truncated and any(m > 1 for m in pc.supp)):
+                    continue
+                for b in alg.full_basis(module.rev):
+                    if b.right_pairs == module.ddid.idem[g2][1] and alg.multiply_basic(b, q) == a:
+                        out ^= {(g2, b, pc)}
+    return frozenset(out)
+
+
+def _scan_lambda_action(module, chain, r):
+    out = set()
+    for g, a, c in chain:
+        for b in alg.full_basis(module.rev):
+            if b.left_pairs == r.right_pairs and alg.multiply_basic(r, b) == a:
+                out ^= {(g, b, c)}
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_dual_identity_index_lookups_match_basis_scans(truncated):
+    module = caa_identity(Z1, truncated)
+    arrows = 0
+    for b in module.basis:
+        assert module.differential(b) == _scan_differential(module, b)
+        arrows += len(module.differential(b))
+        for r in alg.full_basis(module.rev):
+            chain = frozenset({b})
+            assert module.act(chain, "lambda", r) == _scan_lambda_action(module, chain, r)
+    assert arrows == 15
+    chain = frozenset(module.basis[::3])
+    for r in alg.full_basis(module.rev):
+        assert module.act(chain, "lambda", r) == _scan_lambda_action(module, chain, r)

@@ -235,3 +235,82 @@ def test_quotient_map_is_algebra_map_on_samples():
         qa = alg.quotient_map(frozenset({a}), 4, total, part, base)
         qb = alg.quotient_map(frozenset({b}), 4, total, part, base)
         assert lhs == alg.multiply(qa, qb)
+
+
+# ---------------------------------------------------------------------------
+# The interned strands table
+
+SPLIT_AND_ANTIPODAL = (Z1, antipodal_pmc(1), Z2, A2)
+
+
+def _count_builds(monkeypatch) -> list:
+    built = []
+    build = StrandsGenerator._build
+    monkeypatch.setattr(StrandsGenerator, "_build",
+                        lambda self, *args: (built.append(args), build(self, *args)))
+    return built
+
+
+def test_naming_a_diagram_twice_gives_the_same_object(monkeypatch):
+    built = _count_builds(monkeypatch)
+    z3 = split_pmc(3)
+    normal = (((1, 4), (9, 12)), (2, 3))
+    assert normal not in alg._strands(z3).diagrams  # named by no other test
+    a = StrandsGenerator(z3, [(9, 12), (1, 4)], [3, 2])
+    assert (a.moving, a.horizontals) == normal
+    assert StrandsGenerator(z3, *normal) is a
+    assert StrandsGenerator(z3, [(1, 4), (9, 12)], (3, 2)) is a
+    assert StrandsGenerator(z3, [[1, 4], [9, 12]], [2, 3]) is a  # list spelling
+    # an equal circle built separately shares the table
+    assert StrandsGenerator(split_pmc(3), [(9, 12), (1, 4)], [3, 2]) is a
+    assert len(built) == 1
+    for b in alg.full_basis(Z2):
+        assert StrandsGenerator(Z2, list(b.moving), list(b.horizontals)) is b
+
+
+def test_invalid_diagrams_raise_and_are_not_stored(monkeypatch):
+    diagrams = alg._strands(Z1).diagrams
+    built = _count_builds(monkeypatch)
+    for moving, horizontals in [([(2, 1)], ()), ([(1, 2)], [0]), ([(1, 2), (3, 4)], ()),
+                                ([(1, 2), (1, 3)], ())]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                StrandsGenerator(Z1, moving, horizontals)
+        assert (tuple(moving), tuple(horizontals)) not in diagrams
+    assert len(built) == 8  # every attempt validates again, none is kept
+    built.clear()
+    fresh = ((1, 3),), (1,)
+    misses = 0 if fresh in diagrams else 1
+    for _ in range(3):
+        StrandsGenerator(Z1, *fresh)
+    assert len(built) == misses  # a valid diagram is validated once
+
+
+def test_hash_is_the_value_hash():
+    for pmc in SPLIT_AND_ANTIPODAL:
+        for a in alg.full_basis(pmc):
+            assert hash(a) == hash((pmc, a.moving, a.horizontals))
+
+
+def test_kept_flag_is_multiplicity_at_most_one():
+    for pmc in SPLIT_AND_ANTIPODAL:
+        basis = alg.full_basis(pmc)
+        assert any(a.kept for a in basis) and not all(a.kept for a in basis)
+        for a in basis:
+            assert a.kept == all(m <= 1 for m in a.supp)
+
+
+def test_opposite_is_an_interned_involution(monkeypatch):
+    for pmc in SPLIT_AND_ANTIPODAL:
+        alg.reversal(pmc)
+
+    def no_circle(_pmc):
+        raise AssertionError("opposite_basic built a circle")
+
+    monkeypatch.setattr(alg, "reverse_pmc", no_circle)
+    monkeypatch.setattr(alg, "reversed_pair_map", no_circle)
+    for pmc in SPLIT_AND_ANTIPODAL:
+        for a in alg.full_basis(pmc):
+            b = alg.opposite_basic(a)
+            assert b.pmc == reverse_pmc(pmc)
+            assert alg.opposite_basic(b) is a

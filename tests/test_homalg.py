@@ -625,3 +625,19 @@ def test_cancel_records_a_strong_deformation_retract():
 def test_cancel_records_a_retract_only_for_bare_complexes():
     with pytest.raises(ValueError):
         cancel(cfd_zero_framed_handlebody(1), retract={})
+
+
+def test_basics_between_matches_a_full_basis_scan():
+    ids = [i.left_pairs for i in alg.all_idempotents(Z2)]
+    for truncated in (False, True):
+        factor = AlgebraFactor(Z2, truncated)
+        found = 0
+        for left in ids:
+            for right in ids:
+                scan = [a for a in alg.full_basis(Z2)
+                        if a.left_pairs == left and a.right_pairs == right
+                        and (not truncated or all(m <= 1 for m in a.supp))]
+                assert list(_basics_between(factor, left, right)) == scan
+                found += len(scan)
+        assert found == len([a for a in alg.full_basis(Z2)
+                             if not truncated or all(m <= 1 for m in a.supp)])

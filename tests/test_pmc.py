@@ -125,6 +125,19 @@ def test_inverse_preserves_slide_kind():
             assert slide.inverse().kind == slide.kind
 
 
+def test_reflected_slide_mirrors_the_feet():
+    for pmc in (split_pmc(1), split_pmc(2), antipodal_pmc(2)):
+        for slide in all_arcslides(pmc):
+            refl = slide.reflected()
+            assert refl.source == reverse_pmc(pmc)
+            assert refl.target == reverse_pmc(slide.target)
+            assert (refl.b1, refl.c1) == (reverse_point(pmc, slide.b1),
+                                          reverse_point(pmc, slide.c1))
+            assert refl.kind == slide.kind
+            back = refl.reflected()
+            assert (back.source, back.b1, back.c1) == (pmc, slide.b1, slide.c1)
+
+
 def test_generated_circles_validate():
     for pmc in (split_pmc(2), antipodal_pmc(2)):
         for slide in all_arcslides(pmc):

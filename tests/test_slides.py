@@ -219,3 +219,29 @@ def test_unsatisfiable_trap_is_exercised():
     slide = ArcSlide(Z2, 1, 2)
     dd = arcslide_dd(slide)
     assert dd.verify_d_squared()
+
+
+def test_over_slide_without_a_lambda_free_solution_raises(monkeypatch):
+    from hfhat.grading import Gradings
+    from hfhat.homalg import StructureError
+    from hfhat.slides import _arcslide_dd_uncached
+
+    slide = ArcSlide(Z2, 1, 2)
+    assert slide.kind == "over"
+    monkeypatch.setattr(Gradings, "has_pure_lambda_relation", lambda self: True)
+    with pytest.raises(StructureError, match="pure lambda relation") as err:
+        _arcslide_dd_uncached(slide, False, "source")
+    assert repr(slide) in str(err.value)
+
+
+def test_solution_kernel_beyond_the_cap_raises():
+    from hfhat.homalg import StructureError
+    from hfhat.slides import _KERNEL_DIM_MAX, _solve_f2_all
+
+    rows = [{"t": 1}] + [{}] * _KERNEL_DIM_MAX
+    solutions = list(_solve_f2_all(rows, {"t"}))
+    assert len(solutions) == 1 << _KERNEL_DIM_MAX
+    assert all(s[0] == 1 for s in solutions)
+    assert len({tuple(s) for s in solutions}) == len(solutions)
+    with pytest.raises(StructureError, match=f"{_KERNEL_DIM_MAX + 1}-dimensional"):
+        list(_solve_f2_all(rows + [{}], {"t"}))
