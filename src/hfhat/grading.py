@@ -5,6 +5,13 @@ and alpha a one-chain of interval multiplicities, one block of coordinates
 per algebra factor of the graded structure.  j is stored doubled so all
 arithmetic is exact.  The product twists by the average local multiplicity
 of the second chain along the boundary of the first.
+
+An element holds its chain flat: all blocks end to end, with one 0 between
+adjacent blocks.  The twist and the parity count only ever pair adjacent
+coordinates, and every pair across a separator has a 0, so sums over the
+whole chain equal the sums block by block.  Only this module knows that
+layout; ``chain_length``, ``stack_blocks``, ``split_blocks`` and
+``place`` expose it.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from .algebra import StrandsGenerator
 from .pmc import reversed_pair_map
@@ -21,18 +28,13 @@ from .pmc import reversed_pair_map
 @dataclass(frozen=True)
 class GradingElement:
     j2: int  # doubled Maslov component
-    alphas: tuple[tuple[int, ...], ...]  # one multiplicity vector per factor
+    chain: tuple[int, ...]  # the factors' multiplicity blocks, 0-separated
 
     def __mul__(self, other: "GradingElement") -> "GradingElement":
-        if len(self.alphas) != len(other.alphas):
+        a, b = self.chain, other.chain
+        if len(a) != len(b):
             raise ValueError("grading elements live over different factor lists")
-        twist2 = 0
-        for a1, a2 in zip(self.alphas, other.alphas):
-            twist2 += _m2_boundary(a2, a1)
-        alphas = tuple(
-            tuple(map(add, a1, a2)) if any(a2) else a1 for a1, a2 in zip(self.alphas, other.alphas)
-        )
-        return GradingElement(self.j2 + other.j2 + twist2, alphas)
+        return GradingElement(self.j2 + other.j2 + _twist2(a, b), tuple(map(add, a, b)))
 
     def inverse(self) -> "GradingElement":
         return self.power(-1)
@@ -44,45 +46,54 @@ class GradingElement:
         (k-1) times m(alpha, d alpha).  It is also antisymmetric, so that
         term vanishes and g^n = (n*j, n*alpha).
         """
-        alphas = tuple(tuple(n * x for x in a) if any(a) else a for a in self.alphas)
-        return GradingElement(n * self.j2, alphas)
+        return GradingElement(n * self.j2, tuple(map(n.__mul__, self.chain)))
 
     @property
     def is_identity(self) -> bool:
-        return self.j2 == 0 and all(all(x == 0 for x in a) for a in self.alphas)
-
-    def flat(self) -> tuple[int, ...]:
-        return tuple(x for a in self.alphas for x in a)
+        return self.j2 == 0 and not any(self.chain)
 
 
-def _m2_boundary(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
-    """Doubled value of m(alpha, d(beta)): the boundary of beta evaluated
-    against the two-sided average multiplicity of alpha.  It equals
-    <w(alpha), beta> (see _twist_weights) and is antisymmetric."""
-    if not any(alpha) or not any(beta):
-        return 0
-    return sum(b0 * a1 - a0 * b1 for a0, a1, b0, b1 in zip(alpha, alpha[1:], beta, beta[1:]))
+def _twist2(a, b) -> int:
+    """Doubled twist of a product with chains a then b: m(b, d a), the
+    boundary of a evaluated against the two-sided average multiplicity of
+    b.  It is bilinear and antisymmetric."""
+    return sum(map(mul, a, b[1:])) - sum(map(mul, b, a[1:]))
 
 
-def _twist_weights(flat, sizes) -> list[int]:
-    """w(alpha) with w_i = alpha_{i+1} - alpha_{i-1} inside each block of
-    ``sizes`` (zero past a block's ends), so m2(alpha, d beta) = <w(alpha), beta>."""
-    out = []
-    start = 0
+def chain_length(sizes) -> int:
+    """Length of the flat chain of blocks of the given sizes."""
+    return sum(sizes) + len(sizes) - 1 if sizes else 0
+
+
+def stack_blocks(blocks) -> tuple[int, ...]:
+    """The flat chain of a list of blocks."""
+    out: list[int] = []
+    for i, block in enumerate(blocks):
+        if i:
+            out.append(0)
+        out.extend(block)
+    return tuple(out)
+
+
+def split_blocks(chain, sizes) -> list[tuple[int, ...]]:
+    """The blocks of a flat chain laid out by ``sizes``."""
+    out, start = [], 0
     for size in sizes:
-        end = start + size
-        for i in range(start, end):
-            out.append((flat[i + 1] if i + 1 < end else 0) - (flat[i - 1] if i > start else 0))
-        start = end
+        out.append(tuple(chain[start:start + size]))
+        start += size + 1
     return out
 
 
-def identity_element(sizes: tuple[int, ...]) -> GradingElement:
-    return GradingElement(0, tuple((0,) * s for s in sizes))
+def place(g: GradingElement, length: int, offset: int) -> GradingElement:
+    """g with its chain at ``offset`` inside a zero chain of ``length``."""
+    tail = length - offset - len(g.chain)
+    if tail < 0:
+        raise ValueError("grading element does not fit at that offset")
+    return GradingElement(g.j2, (0,) * offset + g.chain + (0,) * tail)
 
 
 def lambda_power(sizes: tuple[int, ...], n: int = 1) -> GradingElement:
-    return GradingElement(2 * n, tuple((0,) * s for s in sizes))
+    return GradingElement(2 * n, (0,) * chain_length(sizes))
 
 
 def parity_changes(alpha: tuple[int, ...]) -> int:
@@ -92,14 +103,13 @@ def parity_changes(alpha: tuple[int, ...]) -> int:
 
 def check_congruence(g: GradingElement) -> bool:
     """j must equal the quarter parity-change count modulo 1."""
-    e4 = sum(parity_changes(a) for a in g.alphas)
-    return (2 * g.j2 - e4) % 4 == 0
+    return (2 * g.j2 - parity_changes(g.chain)) % 4 == 0
 
 
 def gr_generator(a: StrandsGenerator) -> GradingElement:
     """Big-group grading of a basic generator: crossings minus the average
     multiplicity of the support along the initial points of all strands."""
-    return GradingElement(iota2(a), (a.supp,))
+    return GradingElement(iota2(a), a.supp)
 
 
 def iota2(a: StrandsGenerator) -> int:
@@ -116,11 +126,9 @@ def iota2(a: StrandsGenerator) -> int:
 
 def gr_coefficient(coef: tuple[StrandsGenerator, ...], sizes: tuple[int, ...]) -> GradingElement:
     """Grading of a basic coefficient of a multi-factor structure."""
-    j2 = sum(iota2(a) for a in coef)
-    alphas = tuple(a.supp for a in coef)
-    if tuple(len(a) for a in alphas) != sizes:
+    if tuple(len(a.supp) for a in coef) != tuple(sizes):
         raise ValueError("coefficient does not match the factor sizes")
-    return GradingElement(j2, alphas)
+    return GradingElement(sum(iota2(a) for a in coef), stack_blocks(a.supp for a in coef))
 
 
 # ---------------------------------------------------------------------------
@@ -133,90 +141,76 @@ class RelationLattice:
     Supports orbit membership for the homological part and the achievable
     set of lambda powers, which is j0 + n*Z for a torsion modulus n.
 
-    Elements are handled flat: a doubled Maslov component and one chain of
-    all blocks end to end.  The twist of a product g*h is
-    m2(beta, d alpha) = <w(beta), alpha> for chains alpha of g and beta of
-    h, with the weights w(beta)_i = beta_{i+1} - beta_{i-1} inside each
-    block.  It is bilinear and antisymmetric, so m2(beta, d beta) = 0 and
-    b^k = (k*j, k*beta): a row operation h -> h * b^k costs one dot
-    product with the weights of b.
+    The twist of a product g*h is the bilinear, antisymmetric
+    m2(beta, d alpha) for chains alpha of g and beta of h, so
+    m2(beta, d beta) = 0 and b^k = (k*j, k*beta): a row operation is the
+    group product h * b^k.  Separator columns are never pivots.
 
     The echelon basis holds subgroup elements, one per pivot column, and is
     reached by exact group products only, so it generates the same subgroup
     as the relations.  A relation that reduces to the zero chain is a pure
     lambda power read from its own j2; together with the commutators of the
-    basis, 2*<w(b), a>, these generate every lambda power in the subgroup,
+    basis, 2*m2(b, d a), these generate every lambda power in the subgroup,
     and their gcd is the torsion modulus.  Any two subgroup elements with
     the same chain differ by such a lambda power, so a degree taken modulo
     the torsion does not depend on which basis the reduction chose.
     """
 
     def __init__(self, relations: list[GradingElement], sizes: tuple[int, ...]):
-        self.sizes = tuple(sizes)
+        self.length = chain_length(sizes)
         tor = 0
         rows = []
         for r in relations:
-            chain = list(r.flat())
-            if any(chain):
-                rows.append((r.j2, chain))
+            if any(r.chain):
+                rows.append(r)
             else:
                 tor = gcd(tor, r.j2)
-        # (pivot column, j2, chain, twist weights of the chain)
-        self._basis: list[tuple[int, int, list[int], list[int]]] = []
-        for col in range(sum(self.sizes)):
-            live = [row for row in rows if row[1][col]]
+        self._basis: list[tuple[int, GradingElement]] = []  # (pivot column, element)
+        for col in range(self.length):
+            live = [row for row in rows if row.chain[col]]
             if not live:
                 continue
-            rows = [row for row in rows if not row[1][col]]
+            rows = [row for row in rows if not row.chain[col]]
             while True:  # Euclid on the column
-                piv = min(live, key=lambda row: abs(row[1][col]))
-                weights = _twist_weights(piv[1], self.sizes)
+                piv = min(live, key=lambda row: abs(row.chain[col]))
                 live_next = [piv]
                 for row in live:
                     if row is piv:
                         continue
-                    row = _times_power(row, piv, weights, -(row[1][col] // piv[1][col]))
-                    if row[1][col]:
+                    row = row * piv.power(-(row.chain[col] // piv.chain[col]))
+                    if row.chain[col]:
                         live_next.append(row)
-                    elif any(row[1]):
+                    elif any(row.chain):
                         rows.append(row)
                     else:
-                        tor = gcd(tor, row[0])
+                        tor = gcd(tor, row.j2)
                 live = live_next
                 if len(live) == 1:
                     break
-            self._basis.append((col, piv[0], piv[1], weights))
-        for i, (_, _, a, _) in enumerate(self._basis):
-            for _, _, _, w in self._basis[i + 1:]:
-                tor = gcd(tor, 2 * _dot(w, a))
+            self._basis.append((col, piv))
+        for i, (_, a) in enumerate(self._basis):
+            for _, b in self._basis[i + 1:]:
+                tor = gcd(tor, 2 * _twist2(a.chain, b.chain))
         self.lambda_torsion2 = tor
 
     def generators(self) -> list[GradingElement]:
         """The echelon basis plus one pure lambda power carrying the torsion."""
-        out = []
-        for _, j2, chain, _ in self._basis:
-            alphas = []
-            start = 0
-            for size in self.sizes:
-                alphas.append(tuple(chain[start:start + size]))
-                start += size
-            out.append(GradingElement(j2, tuple(alphas)))
+        out = [b for _, b in self._basis]
         if self.lambda_torsion2:
-            out.append(GradingElement(self.lambda_torsion2, identity_element(self.sizes).alphas))
+            out.append(GradingElement(self.lambda_torsion2, (0,) * self.length))
         return out
 
     def _reduce(self, g: GradingElement):
         """j2 of g * h for some subgroup element h cancelling g's chain, or
         None if g's chain is not in the lattice."""
-        j2, chain = g.j2, list(g.flat())
-        for col, jb, b, w in self._basis:
-            if chain[col]:
-                if chain[col] % b[col]:
+        for col, b in self._basis:
+            if g.chain[col]:
+                if g.chain[col] % b.chain[col]:
                     return None
-                j2, chain = _times_power((j2, chain), (jb, b), w, -(chain[col] // b[col]))
-        if any(chain):
+                g = g * b.power(-(g.chain[col] // b.chain[col]))
+        if any(g.chain):
             return None
-        return j2
+        return g.j2
 
     def contains_chain(self, g: GradingElement) -> bool:
         return self._reduce(g) is not None
@@ -236,16 +230,6 @@ class RelationLattice:
 
     def is_lambda_free(self) -> bool:
         return self.lambda_torsion2 == 0
-
-
-def _dot(u: list[int], v: list[int]) -> int:
-    return sum(x * y for x, y in zip(u, v) if x and y)
-
-
-def _times_power(h, b, weights_b, k):
-    """h * b^k for flat elements (j2, chain); weights_b are b's twist weights."""
-    (jh, ah), (jb, ab) = h, b
-    return (jh + k * jb + k * _dot(weights_b, ah), [x + k * y for x, y in zip(ah, ab)])
 
 
 class Gradings:
@@ -298,10 +282,7 @@ class Gradings:
 
     def has_pure_lambda_relation(self) -> bool:
         """Whether some relation is a nonzero power of lambda alone."""
-        return any(
-            r.j2 != 0 and all(all(v == 0 for v in a) for a in r.alphas)
-            for r in self.relations
-        )
+        return any(r.j2 and not any(r.chain) for r in self.relations)
 
     def orbit_partition(self, keys):
         """Group keys into lambda orbits, preserving input order."""
@@ -459,7 +440,7 @@ def propagate_gradings(structure):
     for start in structure.generators:
         if start in reps:
             continue
-        reps[start] = identity_element(sizes)
+        reps[start] = lambda_power(sizes, 0)
         stack = [start]
         while stack:
             x = stack.pop()
@@ -488,25 +469,33 @@ def _coef_key(coef):
 
 def dedupe_relations(relations):
     """Distinct non-identity relations, in first-seen order."""
-    seen = set()
-    out = []
-    for r in relations:
-        key = (r.j2, r.alphas)
-        if key not in seen and not r.is_identity:
-            seen.add(key)
-            out.append(r)
-    return out
+    return [r for r in dict.fromkeys(relations) if not r.is_identity]
 
 
-def verify_arrow_compatibility(structure, gradings: Gradings) -> bool:
-    """Every arrow must satisfy gr(src) = lambda*gr(coef)*gr(tgt) mod relations."""
+def arrow_defects(structure, gradings: Gradings) -> list[GradingElement]:
+    """The distinct loops h = (lambda*gr(coef)*gr(tgt))^-1 * gr(src) of the
+    arrows that are not the identity modulo the relations.
+
+    The structure's factor blocks lead the grading's; its retired blocks
+    follow, and coefficients are placed at the front.
+    """
     sizes = structure.factor_sizes()
-    lam = lambda_power(sizes)
+    if gradings.sizes[:len(sizes)] != sizes:
+        raise ValueError("grading blocks do not start with the factor sizes")
+    length = chain_length(gradings.sizes)
+    lam = lambda_power(gradings.sizes)
+    reps = gradings.reps
+    # h = gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src); both inverses recur
+    rep_inverse = {y: g.inverse() for y, g in reps.items()}
+    coef_inverse: dict = {}
+    loops = []
     for x in structure.generators:
-        for y, coefs in structure.delta.get(x, {}).items():
+        for y, coefs in structure.delta[x].items():
             for coef in coefs:
-                g = lam * gr_coefficient(coef, sizes)
-                h = (g * gradings.reps[y]).inverse() * gradings.reps[x]
-                if gradings.lattice.lambda_degree(h) != (0, gradings.lattice.lambda_torsion2):
-                    return False
-    return True
+                if coef not in coef_inverse:
+                    g = lam * place(gr_coefficient(coef, sizes), length, 0)
+                    coef_inverse[coef] = g.inverse()
+                loops.append(rep_inverse[y] * coef_inverse[coef] * reps[x])
+    lattice = gradings.lattice
+    trivial = (0, lattice.lambda_torsion2)
+    return [h for h in dedupe_relations(loops) if lattice.lambda_degree(h) != trivial]

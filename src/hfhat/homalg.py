@@ -16,10 +16,14 @@ from . import algebra as alg
 from .grading import (
     GradingElement,
     Gradings,
+    arrow_defects,
+    chain_length,
     dedupe_relations,
     gr_coefficient,
-    lambda_power,
+    place,
     propagate_gradings,
+    split_blocks,
+    stack_blocks,
 )
 from .pmc import PointedMatchedCircle
 
@@ -211,16 +215,13 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
                     out.add_arrow((u, v), (u, v2), pad + c)
     if M.gradings is not None and N.gradings is not None:
         sizes = M.gradings.sizes + N.gradings.sizes
-        reps = {}
-        for u in M.generators:
-            gu = M.gradings.reps[u]
-            for v in N.generators:
-                gv = N.gradings.reps[v]
-                reps[(u, v)] = GradingElement(gu.j2 + gv.j2, gu.alphas + gv.alphas)
-        m_pos = range(len(M.gradings.sizes))
-        n_pos = range(len(m_pos), len(sizes))
-        rels = [_place_blocks(r, sizes, m_pos) for r in M.gradings.relations]
-        rels += [_place_blocks(r, sizes, n_pos) for r in N.gradings.relations]
+        length = chain_length(sizes)
+        n_at = length - chain_length(N.gradings.sizes)
+        m_reps = {u: place(g, length, 0) for u, g in M.gradings.reps.items()}
+        n_reps = {v: place(g, length, n_at) for v, g in N.gradings.reps.items()}
+        reps = {(u, v): m_reps[u] * n_reps[v] for u in M.generators for v in N.generators}
+        rels = [place(r, length, 0) for r in M.gradings.relations]
+        rels += [place(r, length, n_at) for r in N.gradings.relations]
         out.gradings = Gradings(sizes, reps, rels)
     return out
 
@@ -328,16 +329,6 @@ def _product_tuples(choices):
     return out
 
 
-def _place_blocks(g: GradingElement, sizes, positions) -> GradingElement:
-    """Embed g's blocks into a wider stack at the given positions."""
-    alphas = [(0,) * s for s in sizes]
-    for block, pos in zip(g.alphas, positions):
-        if len(block) != sizes[pos]:
-            raise ValueError("block size mismatch while embedding grading")
-        alphas[pos] = tuple(x + y for x, y in zip(alphas[pos], block))
-    return GradingElement(g.j2, tuple(alphas))
-
-
 def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, keep):
     """Gradings of a morphism complex: the coset of gr(x)^-1 gr'(a) gr(y).
 
@@ -353,47 +344,31 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, kee
         return  # unsupported stacking layout; leave ungraded
 
     kept = [] if keep is None else [keep]
-    order = kept + [i for i in range(len(m_sizes)) if i != keep]
-    sizes = tuple(m_sizes[i] for i in order) + n_sizes[len(N.factors):]
-    m_pos = [order.index(i) for i in range(len(m_sizes))]
-    coef_pos = list(range(len(kept), len(m_sizes)))
-    n_pos = coef_pos + list(range(len(m_sizes), len(sizes)))
+    consumed = [i for i in range(len(m_sizes)) if i != keep]
+    sizes = tuple(m_sizes[i] for i in kept + consumed) + n_sizes[len(N.factors):]
+    length = chain_length(sizes)
+    n_at = length - chain_length(n_sizes)
 
     def transport(g: GradingElement) -> GradingElement:
         # a kept action is a right action read over the reversed circle:
         # its block transports by minus the reversed chain
-        alphas = list(g.alphas)
-        for i in kept:
-            alphas[i] = tuple(-v for v in reversed(alphas[i]))
-        return GradingElement(g.j2, tuple(alphas))
+        blocks = split_blocks(g.chain, m_sizes)
+        front = [tuple(-v for v in reversed(blocks[i])) for i in kept]
+        chain = stack_blocks(front + [blocks[i] for i in consumed])
+        return place(GradingElement(g.j2, chain), length, 0)
 
+    x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}
+    y_rep = {y: place(g, length, n_at) for y, g in N.gradings.reps.items()}
+    consumed_sizes = [m_sizes[i] for i in consumed]
     reps = {}
     for key in out.generators:
         x, coef, y = key
-        gx = _place_blocks(transport(M.gradings.reps[x]), sizes, m_pos)
-        gy = _place_blocks(N.gradings.reps[y], sizes, n_pos)
-        ga = _place_blocks(
-            gr_coefficient(coef, tuple(len(a.supp) for a in coef)), sizes, coef_pos
-        )
-        reps[key] = gx.inverse() * ga * gy
-    rels = [_place_blocks(transport(r), sizes, m_pos) for r in M.gradings.relations]
-    rels += [_place_blocks(r, sizes, n_pos) for r in N.gradings.relations]
+        ga = place(gr_coefficient(coef, consumed_sizes), length, n_at)
+        reps[key] = x_inv[x] * ga * y_rep[y]
+    rels = [transport(r) for r in M.gradings.relations]
+    rels += [place(r, length, n_at) for r in N.gradings.relations]
     grad = Gradings(sizes, reps, dedupe_relations(rels))
-
-    lam = lambda_power(sizes)
-    extra = []
-    result_pos = range(len(kept))
-    for x in out.generators:
-        for y, coefs in out.delta[x].items():
-            for coef in coefs:
-                g = lam
-                if coef:
-                    g = lam * _place_blocks(
-                        gr_coefficient(coef, out.factor_sizes()), sizes, result_pos
-                    )
-                extra.append((g * grad.reps[y]).inverse() * grad.reps[x])
-    defects = [h for h in dedupe_relations(extra)
-               if grad.lattice.lambda_degree(h) != (0, grad.lattice.lambda_torsion2)]
+    defects = arrow_defects(out, grad)
     if defects:
         grad = Gradings(sizes, reps, grad.compact().relations + defects)
     out.gradings = grad.compact()

@@ -14,8 +14,10 @@ from itertools import combinations
 
 from . import algebra as alg
 from .algebra import StrandsGenerator
+from .grading import arrow_defects
 from .homalg import (
     AlgebraFactor,
+    StructureError,
     TypeDStructure,
     cancel,
     mor_against_bimodule,
@@ -286,10 +288,12 @@ def apply_slides(module: TypeDStructure, slides, truncated: bool = False,
     """Pair the module against each slide bimodule in turn, reducing as we go.
 
     Each step consumes the bimodule's source factor against the module and
-    leaves a module over the slide's target circle.
+    leaves a module over the slide's target circle.  With ``check``, every
+    stage must have d^2 = 0 and, once reduced, gradings that agree with
+    each of its arrows.
     """
     current = module
-    for s in slides:
+    for index, s in enumerate(slides, 1):
         bim = arcslide_dd(s, truncated)
         if bim.factors[0] != current.factors[0]:
             raise WordError(
@@ -299,6 +303,10 @@ def apply_slides(module: TypeDStructure, slides, truncated: bool = False,
         if check:
             raw.require_d_squared()
         reduced = cancel(raw)
+        if check and (reduced.gradings is None or arrow_defects(reduced, reduced.gradings)):
+            raise StructureError(
+                f"stage {index} (slide at {s.b1} over {s.c1}): gradings disagree with its arrows"
+            )
         if stats is not None:
             stats.append((len(raw.generators), len(reduced.generators)))
         current = reduced
@@ -342,7 +350,7 @@ def spinc_maslov(complex_: TypeDStructure) -> list[dict]:
     reduced = cancel(complex_)
     gens = reduced.sorted_generators()
     if reduced.gradings is None:
-        return [{"rank": len(gens), "maslov": {}, "modulus": 0}] if gens else []
+        raise StructureError(f"{complex_.name or 'complex'} is ungraded; no spin-c split")
     gradings = reduced.gradings
     orbits = gradings.orbit_partition(gens)
     out = []

@@ -10,13 +10,14 @@ from hfhat.grading import (
     RelationLattice,
     check_congruence,
     gr_generator,
-    identity_element,
     iota2,
     lambda_power,
     slide_homology_matrix,
     xi_word,
 )
 from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, split_pmc
+
+from block_grading import BlockElement, block_congruence, block_identity, to_blocks, to_flat
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -52,7 +53,7 @@ def test_noncommutativity_witness():
     a = gr_generator(alg.StrandsGenerator(Z1, [(1, 2)], ()))
     b = gr_generator(alg.StrandsGenerator(Z1, [(2, 3)], ()))
     ab, ba = a * b, b * a
-    assert ab.alphas == ba.alphas
+    assert ab.chain == ba.chain
     assert abs(ab.j2 - ba.j2) == 2
 
 
@@ -103,7 +104,7 @@ def test_multiplicativity_and_lambda_drop_exhaustive():
 
 def test_self_pairing_vanishes():
     for g in random_elements(A2, 30, seed=4):
-        doubled = GradingElement(0, g.alphas)
+        doubled = GradingElement(0, g.chain)
         assert (doubled * doubled).j2 == 0
 
 
@@ -112,7 +113,7 @@ def test_power_closed_form_matches_repeated_product():
         for g in random_elements(pmc, 20, seed=5):
             for n in range(-6, 7):
                 step = g if n >= 0 else g.inverse()
-                expected = identity_element((7,))
+                expected = lambda_power((7,), 0)
                 for _ in range(abs(n)):
                     expected = expected * step
                 assert g.power(n) == expected
@@ -165,7 +166,8 @@ def _reference_row_reduce(rows):
 
 class ReferenceLattice:
     """The relation subgroup computed through an explicit combination matrix:
-    each query rebuilds the product of relation powers by repeated products."""
+    each query rebuilds the product of relation powers by repeated products.
+    It works on block elements, with the blocks end to end as columns."""
 
     def __init__(self, relations, sizes):
         self.relations = list(relations)
@@ -191,12 +193,12 @@ class ReferenceLattice:
         return tuple(out)
 
     def _pairing2(self, flat_a, flat_b):
-        a = GradingElement(0, self._split(flat_a))
-        b = GradingElement(0, self._split(flat_b))
+        a = BlockElement(0, self._split(flat_a))
+        b = BlockElement(0, self._split(flat_b))
         return (a * b).j2 - (b * a).j2
 
     def _product_j2(self, coeffs):
-        out = identity_element(self.sizes)
+        out = block_identity(self.sizes)
         for c, r in zip(coeffs, self.relations):
             step = r if c >= 0 else r.inverse()
             for _ in range(abs(c)):
@@ -237,11 +239,11 @@ class ReferenceLattice:
 def _random_stacked(pmcs, rng):
     """One generator grading per circle, stacked as blocks."""
     parts = [gr_generator(rng.choice(alg.full_basis(pmc))) for pmc in pmcs]
-    return GradingElement(sum(p.j2 for p in parts), tuple(p.alphas[0] for p in parts))
+    return BlockElement(sum(p.j2 for p in parts), tuple(p.chain for p in parts))
 
 
 def _random_word(elements, rng, length):
-    out = identity_element(tuple(len(a) for a in elements[0].alphas))
+    out = block_identity(tuple(len(a) for a in elements[0].alphas))
     for _ in range(length):
         out = out * rng.choice(elements).power(rng.randint(-2, 2))
     return out
@@ -260,7 +262,7 @@ def _random_relations(pmcs, rng):
         elif roll < 0.7:
             rels.append(rng.choice(rels))
         elif roll < 0.85:
-            rels.append(lambda_power(sizes, rng.randint(-3, 3)))
+            rels.append(block_identity(sizes, 2 * rng.randint(-3, 3)))
         else:
             a, b = rng.choice(base), rng.choice(base)
             rels.append(a * b * a.inverse() * b.inverse())
@@ -268,9 +270,10 @@ def _random_relations(pmcs, rng):
 
 
 def _random_queries(sizes, base, rels, pmcs, rng, count=12):
-    shift = GradingElement(1, identity_element(sizes).alphas)
+    shift = block_identity(sizes, 1)
     for _ in range(count):
-        g = _random_word(rels, rng, rng.randint(0, 3)) * lambda_power(sizes, rng.randint(-5, 5))
+        lam_power = block_identity(sizes, 2 * rng.randint(-5, 5))
+        g = _random_word(rels, rng, rng.randint(0, 3)) * lam_power
         roll = rng.random()
         if roll < 0.2:
             g = g * shift
@@ -290,12 +293,12 @@ def test_lattice_matches_combination_reference():
         pmcs = CIRCLE_STACKS[trial % len(CIRCLE_STACKS)]
         sizes, base, rels = _random_relations(pmcs, rng)
         ref = ReferenceLattice(rels, sizes)
-        lat = RelationLattice(rels, sizes)
+        lat = RelationLattice([to_flat(r) for r in rels], sizes)
         assert lat.lambda_torsion2 == ref.lambda_torsion2
         assert lat.is_lambda_free() == (ref.lambda_torsion2 == 0)
         for g in _random_queries(sizes, base, rels, pmcs, rng):
-            assert lat.contains_chain(g) == ref.contains_chain(g)
-            assert lat.lambda_degree(g) == ref.lambda_degree(g)
+            assert lat.contains_chain(to_flat(g)) == ref.contains_chain(g)
+            assert lat.lambda_degree(to_flat(g)) == ref.lambda_degree(g)
 
 
 def test_compact_answers_the_same_queries():
@@ -304,13 +307,41 @@ def test_compact_answers_the_same_queries():
         pmcs = CIRCLE_STACKS[trial % len(CIRCLE_STACKS)]
         sizes, base, rels = _random_relations(pmcs, rng)
         ref = ReferenceLattice(rels, sizes)
-        compact = Gradings(sizes, {}, rels).compact()
+        compact = Gradings(sizes, {}, [to_flat(r) for r in rels]).compact()
         rebuilt = RelationLattice(compact.relations, sizes)
         assert len(compact.relations) <= sum(sizes) + 1
         assert rebuilt.lambda_torsion2 == ref.lambda_torsion2
         for g in _random_queries(sizes, base, rels, pmcs, rng):
-            assert rebuilt.contains_chain(g) == ref.contains_chain(g)
-            assert rebuilt.lambda_degree(g) == ref.lambda_degree(g)
+            assert rebuilt.contains_chain(to_flat(g)) == ref.contains_chain(g)
+            assert rebuilt.lambda_degree(to_flat(g)) == ref.lambda_degree(g)
+
+
+def _random_boundary_element(sizes, rng):
+    """A block element whose every block starts and ends nonzero."""
+    def entry(nonzero):
+        x = rng.randint(-3, 3)
+        return x if x or not nonzero else rng.choice((-1, 1))
+
+    alphas = tuple(tuple(entry(i in (0, size - 1)) for i in range(size)) for size in sizes)
+    return BlockElement(rng.randint(-9, 9), alphas)
+
+
+def test_flat_layout_matches_block_reference():
+    rng = random.Random(9)
+    for pmcs in CIRCLE_STACKS:
+        sizes = tuple(pmc.n_points - 1 for pmc in pmcs)
+        els = [_random_boundary_element(sizes, rng) for _ in range(12)]
+        for a, b in product(els, repeat=2):
+            flat = to_flat(a) * to_flat(b)
+            assert to_blocks(flat, sizes) == a * b
+            assert check_congruence(flat) == block_congruence(a * b)
+        for a in els:
+            g = to_flat(a)
+            assert to_blocks(g.inverse(), sizes) == a.inverse()
+            assert check_congruence(g) == block_congruence(a)
+            for n in range(-3, 4):
+                assert to_blocks(g.power(n), sizes) == a.power(n)
+                assert check_congruence(g.power(n)) == block_congruence(a.power(n))
 
 
 # -- the mod-2 action of slide words ----------------------------------------

@@ -5,13 +5,12 @@ import pytest
 
 import hfhat.algebra as alg
 from hfhat.algebra import StrandsGenerator, idempotent
-from hfhat.grading import Gradings, dedupe_relations, gr_coefficient, lambda_power
+from hfhat.grading import Gradings, iota2
 from hfhat.homalg import (
     AlgebraFactor,
     TypeDStructure,
     _basics_between,
     _coef_inverse,
-    _place_blocks,
     _product_tuples,
     cancel,
     coef_is_idempotent,
@@ -33,6 +32,8 @@ from hfhat.manifolds import (
 from hfhat.pmc import reverse_pmc, reversed_pair_map, split_pmc
 from hfhat.slides import arcslide_dd, dd_identity
 from hfhat.pmc import ArcSlide
+
+from block_grading import BlockElement, block_identity, place_blocks, to_blocks, to_flat
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -468,7 +469,16 @@ def _old_mor_against_bimodule(B, N, seam):
     return out
 
 
+def _block_coefficient(coef):
+    return BlockElement(sum(iota2(a) for a in coef), tuple(a.supp for a in coef))
+
+
+def _block_dedupe(elements):
+    return [g for g in dict.fromkeys(elements) if not g.is_identity]
+
+
 def _old_mor_gradings(out, M, N, spectator):
+    """The earlier grading pass in block form; only the lattice sees flat chains."""
     if M.gradings is None or N.gradings is None:
         return
     m_sizes = M.gradings.sizes
@@ -483,7 +493,7 @@ def _old_mor_gradings(out, M, N, spectator):
         coef_pos = m_pos
 
         def transport(g):
-            return g
+            return to_blocks(g, m_sizes)
     else:
         keep, seam = spectator, 1 - spectator
         sizes = (m_sizes[keep], m_sizes[seam]) + n_old
@@ -492,23 +502,25 @@ def _old_mor_gradings(out, M, N, spectator):
         coef_pos = [1]
 
         def transport(g):
-            alphas = list(g.alphas)
+            alphas = list(to_blocks(g, m_sizes).alphas)
             alphas[keep] = tuple(-v for v in reversed(alphas[keep]))
-            return type(g)(g.j2, tuple(alphas))
+            return BlockElement(g.j2, tuple(alphas))
+
+    def from_n(g):
+        return place_blocks(to_blocks(g, n_sizes), sizes, n_pos)
 
     reps = {}
     for key in out.generators:
         x, coef, y = key
-        gx = _place_blocks(transport(M.gradings.reps[x]), sizes, m_pos)
-        gy = _place_blocks(N.gradings.reps[y], sizes, n_pos)
+        gx = place_blocks(transport(M.gradings.reps[x]), sizes, m_pos)
         coef_tuple = coef if spectator is None else (coef,)
-        ga = _place_blocks(
-            gr_coefficient(coef_tuple, tuple(len(a.supp) for a in coef_tuple)), sizes, coef_pos)
-        reps[key] = gx.inverse() * ga * gy
-    rels = [_place_blocks(transport(r), sizes, m_pos) for r in M.gradings.relations]
-    rels += [_place_blocks(r, sizes, n_pos) for r in N.gradings.relations]
-    grad = Gradings(sizes, reps, dedupe_relations(rels))
-    lam = lambda_power(sizes)
+        ga = place_blocks(_block_coefficient(coef_tuple), sizes, coef_pos)
+        reps[key] = gx.inverse() * ga * from_n(N.gradings.reps[y])
+    rels = [place_blocks(transport(r), sizes, m_pos) for r in M.gradings.relations]
+    rels += [from_n(r) for r in N.gradings.relations]
+    flat_reps = {key: to_flat(g) for key, g in reps.items()}
+    grad = Gradings(sizes, flat_reps, [to_flat(r) for r in _block_dedupe(rels)])
+    lam = block_identity(sizes, 2)
     extra = []
     result_pos = [0] if spectator is not None else []
     for x in out.generators:
@@ -516,13 +528,12 @@ def _old_mor_gradings(out, M, N, spectator):
             for coef in coefs:
                 g = lam
                 if coef:
-                    g = lam * _place_blocks(
-                        gr_coefficient(coef, out.factor_sizes()), sizes, result_pos)
-                extra.append((g * grad.reps[y]).inverse() * grad.reps[x])
-    defects = [h for h in dedupe_relations(extra)
-               if grad.lattice.lambda_degree(h) != (0, grad.lattice.lambda_torsion2)]
+                    g = lam * place_blocks(_block_coefficient(coef), sizes, result_pos)
+                extra.append((g * reps[y]).inverse() * reps[x])
+    defects = [to_flat(h) for h in _block_dedupe(extra)
+               if grad.lattice.lambda_degree(to_flat(h)) != (0, grad.lattice.lambda_torsion2)]
     if defects:
-        grad = Gradings(sizes, reps, grad.compact().relations + defects)
+        grad = Gradings(sizes, flat_reps, grad.compact().relations + defects)
     out.gradings = grad.compact()
 
 

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from hfhat.homalg import cancel, homology_rank, modules_isomorphic, mor_complex
+import hfhat.manifolds as manifolds
+from hfhat.grading import GradingElement
+from hfhat.homalg import StructureError, cancel, homology_rank, modules_isomorphic, mor_complex
 from hfhat.manifolds import (
     MappingWord,
     WordError,
@@ -187,3 +189,31 @@ def test_spinc_splitting_shape():
     payload = result.to_json()
     assert payload["orbits"][0]["rank"] == 2
     assert "stages" in payload and result.text()
+
+
+def test_ungraded_complex_has_no_spinc_split():
+    C = mor_complex(cfd_zero_framed_handlebody(1), cfd_zero_framed_handlebody(1))
+    C.gradings = None
+    with pytest.raises(StructureError, match="ungraded"):
+        spinc_maslov(C)
+
+
+def test_check_mode_checks_each_reduced_stage_grading(monkeypatch):
+    slides = dehn_twist_expand(Z1, 1, 3) + dehn_twist_expand(Z1, 0, -2)
+    apply_slides(cfd_zero_framed_handlebody(1), slides, check=True)
+
+    reduced = []
+
+    def tampered_cancel(structure):
+        out = cancel(structure)
+        reduced.append(out)
+        if len(reduced) == 2:  # shift one rep with an arrow by half a lambda
+            x = next(g for g in out.generators if out.delta[g])
+            rep = out.gradings.reps[x]
+            out.gradings = out.gradings.with_reps(
+                {**out.gradings.reps, x: GradingElement(rep.j2 + 1, rep.chain)})
+        return out
+
+    monkeypatch.setattr(manifolds, "cancel", tampered_cancel)
+    with pytest.raises(StructureError, match=rf"stage 2 \(slide at {slides[1].b1} over"):
+        apply_slides(cfd_zero_framed_handlebody(1), slides, check=True)
