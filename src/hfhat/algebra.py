@@ -8,7 +8,7 @@ difference.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 
 from .pmc import Chord, PointedMatchedCircle, reverse_pmc, reverse_point, reversed_pair_map
 
@@ -34,6 +34,7 @@ class _Strands:
 
 
 _tables: dict = {}
+_ids = count()
 
 
 def _strands(pmc: PointedMatchedCircle) -> _Strands:
@@ -52,10 +53,12 @@ class StrandsGenerator:
                  matched horizontal strands
     kept:        every local multiplicity is at most one, so the diagram
                  survives truncation
+    id:          a small integer naming the diagram among all circles'
+                 diagrams; products are cached by id pairs
     """
 
     __slots__ = ("pmc", "moving", "horizontals", "left_pairs", "right_pairs",
-                 "supp", "inv", "weight", "kept", "_hash")
+                 "supp", "inv", "iota2", "weight", "kept", "id", "_hash")
 
     def __new__(cls, pmc: PointedMatchedCircle, moving, horizontals):
         diagrams = _strands(pmc).diagrams
@@ -116,6 +119,13 @@ class StrandsGenerator:
         for s, e in moving:
             inv += sum(1 for p in h_points if s < p < e)
         self.inv = inv
+        # doubled Maslov component: crossings minus the average support
+        # multiplicity at every strand's initial point
+        m2 = 0
+        for p in starts + h_points:
+            m2 += (supp[p - 2] if p >= 2 else 0) + (supp[p - 1] if p - 1 < len(supp) else 0)
+        self.iota2 = 2 * inv - m2
+        self.id = next(_ids)
         self._hash = hash((pmc, moving, horizontals))
 
     @property
@@ -167,13 +177,14 @@ _diff_cache: dict = {}
 def multiply_basic(a: StrandsGenerator, b: StrandsGenerator) -> StrandsGenerator | None:
     """Product of basic generators: concatenate, drop half-horizontals,
     straighten; None when one of the five vanishing rules applies."""
+    key = (a.id, b.id)
+    try:
+        return _mul_cache[key]
+    except KeyError:
+        pass
     if a.pmc != b.pmc:
         raise ValueError("cannot multiply generators over different circles")
-    key = (a, b)
-    if key in _mul_cache:
-        return _mul_cache[key]
-    result = _multiply_basic_uncached(a, b)
-    _mul_cache[key] = result
+    result = _mul_cache[key] = _multiply_basic_uncached(a, b)
     return result
 
 

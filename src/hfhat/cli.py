@@ -67,15 +67,15 @@ def cmd_algebra(args) -> int:
 def cmd_hfhat(args) -> int:
     if args.preset:
         if args.preset == "poincare":
-            result = poincare_sphere(truncated=args.truncated)
+            result = poincare_sphere(truncated=args.truncated, check=args.check)
         elif args.preset == "self-gluing-g1":
             word = self_gluing_word()
             result = hf_hat_closed(2, word, truncated=args.truncated,
-                                   handedness=args.twist_handedness)
+                                   handedness=args.twist_handedness, check=args.check)
         elif args.preset in ("s1xs2-g1", "s1xs2-g2"):
             genus = int(args.preset[-1])
             result = hf_hat_closed(genus, MappingWord(genus=genus),
-                                   truncated=args.truncated)
+                                   truncated=args.truncated, check=args.check)
         else:
             raise WordError(f"unknown preset {args.preset!r}")
     else:
@@ -85,7 +85,7 @@ def cmd_hfhat(args) -> int:
             word = MappingWord.from_json(json.load(handle))
         result = hf_hat_closed(word.genus, word, truncated=args.truncated,
                                handedness=args.twist_handedness,
-                               final=args.final)
+                               final=args.final, check=args.check)
     _emit(args, result.to_json(), result.text())
     return 0
 
@@ -164,6 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", nargs="?", help="word JSON file")
     p.add_argument("--preset", choices=["poincare", "self-gluing-g1", "s1xs2-g1", "s1xs2-g2"])
     p.add_argument("--final", choices=["hom", "identity"], default="hom")
+    p.add_argument("--check", action="store_true",
+                   help="require d^2 = 0 and arrow-compatible gradings at every stage "
+                        "(exit 3 otherwise)")
     p.set_defaults(func=cmd_hfhat)
 
     p = sub.add_parser("dd-slide", help="dump the bimodule of one arc-slide")

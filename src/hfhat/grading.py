@@ -109,26 +109,20 @@ def check_congruence(g: GradingElement) -> bool:
 def gr_generator(a: StrandsGenerator) -> GradingElement:
     """Big-group grading of a basic generator: crossings minus the average
     multiplicity of the support along the initial points of all strands."""
-    return GradingElement(iota2(a), a.supp)
+    return GradingElement(a.iota2, a.supp)
 
 
 def iota2(a: StrandsGenerator) -> int:
-    """Doubled Maslov component of the generator's grading."""
-    start_points = [s for s, _ in a.moving]
-    for h in a.horizontals:
-        start_points.extend(a.pmc.pairs[h])
-    n = len(a.supp)
-    m2 = 0
-    for p in start_points:
-        m2 += (a.supp[p - 2] if p >= 2 else 0) + (a.supp[p - 1] if p - 1 < n else 0)
-    return 2 * a.inv - m2
+    """Doubled Maslov component of the generator's grading, computed when
+    the diagram is interned."""
+    return a.iota2
 
 
 def gr_coefficient(coef: tuple[StrandsGenerator, ...], sizes: tuple[int, ...]) -> GradingElement:
     """Grading of a basic coefficient of a multi-factor structure."""
     if tuple(len(a.supp) for a in coef) != tuple(sizes):
         raise ValueError("coefficient does not match the factor sizes")
-    return GradingElement(sum(iota2(a) for a in coef), stack_blocks(a.supp for a in coef))
+    return GradingElement(sum(a.iota2 for a in coef), stack_blocks(a.supp for a in coef))
 
 
 # ---------------------------------------------------------------------------
@@ -419,24 +413,25 @@ def propagate_gradings(structure):
 
     Tree arrows fix gradings exactly by gr(x) = lambda * gr(coef) * gr(y);
     every non-tree arrow contributes one loop relation.  Each connected
-    component starts from the identity at its first generator.
+    component starts from the identity at its first generator.  An arrow
+    is graded once, from whichever end the walk reaches first: seen again
+    from its other end it would give the identity (a tree arrow) or the
+    same loop (any other).
     """
     sizes = structure.factor_sizes()
     reps: dict = {}
     relations: list[GradingElement] = []
-    lam = lambda_power(sizes)
 
-    arrows = []
+    adjacency: dict = {x: [] for x in structure.generators}
+    n_arrows = 0
     for x in structure.generators:
         for y, coefs in structure.delta.get(x, {}).items():
             for coef in sorted(coefs, key=_coef_key):
-                arrows.append((x, coef, y))
+                adjacency[x].append((y, coef, True, n_arrows))
+                adjacency[y].append((x, coef, False, n_arrows))
+                n_arrows += 1
 
-    adjacency: dict = {x: [] for x in structure.generators}
-    for x, coef, y in arrows:
-        adjacency[x].append((y, coef, "fwd"))
-        adjacency[y].append((x, coef, "bwd"))
-
+    graded = [False] * n_arrows
     for start in structure.generators:
         if start in reps:
             continue
@@ -444,17 +439,18 @@ def propagate_gradings(structure):
         stack = [start]
         while stack:
             x = stack.pop()
-            for y, coef, direction in adjacency[x]:
-                g = lam * gr_coefficient(coef, sizes)
+            for y, coef, forward, arrow in adjacency[x]:
+                if graded[arrow]:
+                    continue
+                graded[arrow] = True
+                g = gr_coefficient(coef, sizes)
+                g = GradingElement(g.j2 + 2, g.chain)  # lambda * g: lambda is central
                 if y not in reps:
                     # gr(src) = lambda * gr(coef) * gr(tgt)
-                    if direction == "fwd":
-                        reps[y] = g.inverse() * reps[x]
-                    else:
-                        reps[y] = g * reps[x]
+                    reps[y] = (g.inverse() if forward else g) * reps[x]
                     stack.append(y)
                 else:
-                    if direction == "fwd":
+                    if forward:
                         loop = reps[x].inverse() * g * reps[y]
                     else:
                         loop = reps[y].inverse() * g * reps[x]

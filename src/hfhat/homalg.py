@@ -153,21 +153,26 @@ class TypeDStructure:
 
     def d_squared(self) -> dict:
         """(src, tgt) -> surviving coefficient set of the squared delta."""
-        acc: dict = {}
+        odd: dict = {}  # (src, tgt, term) seen an odd number of times, first-seen order
         for x in self.generators:
             for y, coefs in self.delta[x].items():
-                for c in coefs:
-                    for term in coef_differential(self.factors, c):
-                        key = (x, y)
-                        acc[key] = acc.get(key, frozenset()) ^ {term}
+                terms = [(y, term) for c in coefs for term in coef_differential(self.factors, c)]
                 for z, coefs2 in self.delta[y].items():
                     for c in coefs:
                         for e in coefs2:
                             p = coef_multiply(self.factors, c, e)
                             if p is not None:
-                                key = (x, z)
-                                acc[key] = acc.get(key, frozenset()) ^ {p}
-        return {k: v for k, v in acc.items() if v}
+                                terms.append((z, p))
+                for z, term in terms:
+                    item = (x, z, term)
+                    if item in odd:
+                        del odd[item]
+                    else:
+                        odd[item] = None
+        out: dict = {}
+        for x, z, term in odd:
+            out.setdefault((x, z), set()).add(term)
+        return {key: frozenset(terms) for key, terms in out.items()}
 
     def verify_d_squared(self) -> bool:
         return not self.d_squared()

@@ -111,6 +111,8 @@ class SlideContext:
         self.pair_from_rev = {}
         for p in range(tgt.n_pairs):
             self.pair_from_rev[self.rpm_tgt[p]] = slide.pair_map.index(p)
+        self.pair_to_rev = {v: k for k, v in self.pair_from_rev.items()}
+        self._partners: dict = {}  # left idempotent -> partners, filled on use
         # common-gap layout for restricted supports
         self.src_gap = self._gap_map(self.n, slide.b1, self.sigma)
         self.tgt_gap = self._gap_map(self.n, slide.b1_new, self.sigma_p)
@@ -190,6 +192,20 @@ class SlideContext:
         if left & right == frozenset({c}) and left | right == every - {b}:
             return "Y"
         return None
+
+    def partners(self, left: frozenset) -> list[frozenset]:
+        """The right idempotents (pairs of -Z') that ``idem_type`` accepts
+        with ``left``: its complement, and for a Y-type pair the complement
+        less b plus c."""
+        try:
+            return self._partners[left]
+        except KeyError:
+            pass
+        rest = frozenset(range(self.src.n_pairs)) - left
+        b, c = self.slide.b_pair, self.slide.c_pair
+        found = [rest, rest - {b} | {c}] if c in left and b in rest else [rest]
+        out = self._partners[left] = [frozenset(self.pair_to_rev[p] for p in r) for r in found]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +382,9 @@ def _moving_configs(ctx: SlideContext):
     return configs
 
 
-def _complete(ctx: SlideContext, kind: str, src_chords, tgt_chords):
-    """All horizontal completions with near-complementary ends."""
+def _complete(ctx: SlideContext, src_chords, tgt_chords):
+    """All horizontal completions with near-complementary ends, by left
+    completion and then right completion."""
     src, rev = ctx.src, ctx.rev_tgt
     moving_l = [(c.start, c.end) if isinstance(c, Chord) else c for c in src_chords]
     moving_r = [
@@ -386,18 +403,26 @@ def _complete(ctx: SlideContext, kind: str, src_chords, tgt_chords):
               if h not in bare_l.left_pairs and h not in bare_l.right_pairs]
     free_r = [h for h in range(rev.n_pairs)
               if h not in bare_r.left_pairs and h not in bare_r.right_pairs]
-    rights = [StrandsGenerator(rev, moving_r, hr)
-              for size_r in range(len(free_r) + 1)
-              for hr in combinations(free_r, size_r)]
+    # right completions by their left idempotent; a diagram's idempotents
+    # are its bare strands' plus its horizontals, so a completion is built
+    # only once it has a partner
+    rights: dict = {}
+    completions_r = [hr for size_r in range(len(free_r) + 1)
+                     for hr in combinations(free_r, size_r)]
+    for position, hr in enumerate(completions_r):
+        pairs = frozenset(hr)
+        rights.setdefault(bare_r.left_pairs | pairs, []).append(
+            (position, hr, bare_r.right_pairs | pairs))
     for size_l in range(len(free_l) + 1):
         for hl in combinations(free_l, size_l):
-            aL = StrandsGenerator(src, moving_l, hl)
-            for aR in rights:
-                if ctx.idem_type(aL.left_pairs, aR.left_pairs) is None:
-                    continue
-                if ctx.idem_type(aL.right_pairs, aR.right_pairs) is None:
-                    continue
-                yield aL, aR
+            pairs = frozenset(hl)
+            ends = ctx.partners(bare_l.right_pairs | pairs)
+            found = [r for right in ctx.partners(bare_l.left_pairs | pairs)
+                     for r in rights.get(right, ()) if r[2] in ends]
+            if found:
+                aL = StrandsGenerator(src, moving_l, hl)
+                for _, hr, _ in sorted(found):
+                    yield aL, StrandsGenerator(rev, moving_r, hr)
 
 
 def _is_indeterminate(ctx: SlideContext, kind: str, aL, aR) -> bool:
@@ -440,7 +465,7 @@ def enumerate_near_chords(slide: ArcSlide) -> list[NearChord]:
     for kind, src_chords, tgt_chords in _moving_configs(ctx):
         if src_chords is None or tgt_chords is None:
             continue
-        for aL, aR in _complete(ctx, kind, src_chords, tgt_chords):
+        for aL, aR in _complete(ctx, src_chords, tgt_chords):
             key = (aL, aR)
             if key in seen:
                 continue
@@ -451,7 +476,7 @@ def enumerate_near_chords(slide: ArcSlide) -> list[NearChord]:
 def dischords(slide: ArcSlide) -> list[tuple[StrandsGenerator, StrandsGenerator]]:
     """Elements with the C-span on both sides and one strand per side."""
     ctx = SlideContext(slide)
-    return list(_complete(ctx, "D", [ctx.c_span], [ctx.c_span_target]))
+    return list(_complete(ctx, [ctx.c_span], [ctx.c_span_target]))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +506,6 @@ def near_diagonal_grading(slide: ArcSlide, aL: StrandsGenerator, aR: StrandsGene
     terms in the six regions around the sliding interval; the c1-below-c2
     configurations are handled by reflecting everything first.
     """
-    from .grading import iota2
-
     if slide.c1 < slide.c2:
         # aR lives over -Z'; the reflected slide's right algebra is -(-Z') = Z'.
         return near_diagonal_grading(slide.reflected(), alg.opposite_basic(aL),
@@ -523,7 +546,7 @@ def near_diagonal_grading(slide: ArcSlide, aL: StrandsGenerator, aR: StrandsGene
     ty_j = ctx.idem_type(aL.right_pairs, aR.right_pairs)
     if ty_i is None or ty_j is None:
         raise ValueError("not a near-diagonal pair")
-    total4 = 2 * (iota2(aL) + iota2(aR)) + correction4(ty_i) + correction4(ty_j)
+    total4 = 2 * (aL.iota2 + aR.iota2) + correction4(ty_i) + correction4(ty_j)
     if total4 % 4:
         raise ValueError(f"grading not an integer: {total4}/4")
     return total4 // 4
@@ -548,7 +571,7 @@ def slide_generators(ctx: SlideContext):
     """All near-complementary idempotent pairs (X and Y types)."""
     src = ctx.src
     every = range(src.n_pairs)
-    rpm_inv = {v: k for k, v in ctx.pair_from_rev.items()}
+    rpm_inv = ctx.pair_to_rev
     out = []
     for size in range(src.n_pairs + 1):
         for left in combinations(every, size):
@@ -598,10 +621,12 @@ def _arcslide_dd_uncached(slide: ArcSlide, truncated: bool,
     if truncated:
         chords = [nc for nc in chords if nc.left.kept and nc.right.kept]
 
+    key_of = {idem: key for key, idem in out.idem.items()}
+
     def with_terms(module: TypeDStructure, terms) -> TypeDStructure:
         for nc in terms:
-            src_key = (tuple(sorted(nc.left.left_pairs)), tuple(sorted(nc.right.left_pairs)))
-            tgt_key = (tuple(sorted(nc.left.right_pairs)), tuple(sorted(nc.right.right_pairs)))
+            src_key = key_of[nc.left.left_pairs, nc.right.left_pairs]
+            tgt_key = key_of[nc.left.right_pairs, nc.right.right_pairs]
             module.add_arrow(src_key, tgt_key, (nc.left, nc.right))
         module.require_d_squared()
         module.propagate_gradings()
@@ -643,54 +668,58 @@ def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
             if covers_sigma == (basic_choice_side == "source"):
                 base.append((nc.left, nc.right))
                 chosen3.append(nc)
-    unknowns = [nc for nc in indet if nc.kind != "3"]
+    unknown_chords = [nc for nc in indet if nc.kind != "3"]
+    unknowns = [(nc.left, nc.right) for nc in unknown_chords]
 
-    def mul(c1, c2):
-        if c1[0].right_pairs != c2[0].left_pairs or c1[1].right_pairs != c2[1].left_pairs:
-            return None
-        return coef_multiply(factors, c1, c2)
+    def starts(c):
+        return (c[0].left_pairs, c[1].left_pairs)
 
-    const: dict = {}
+    def ends(c):
+        return (c[0].right_pairs, c[1].right_pairs)
+
+    # products c1 * c2 survive only when c1 ends where c2 starts
+    base_from: dict = {}
+    base_into: dict = {}
+    unknowns_from: dict = {}
+    for c in base:
+        base_from.setdefault(starts(c), []).append(c)
+        base_into.setdefault(ends(c), []).append(c)
+    for i, x in enumerate(unknowns):
+        unknowns_from.setdefault(starts(x), []).append(i)
 
     def toggle(acc, term):
-        acc[term] = acc.get(term, 0) ^ 1
+        if term is not None:
+            acc[term] = acc.get(term, 0) ^ 1
 
+    const: dict = {}
     for c in base:
         for term in coef_differential(factors, c):
             toggle(const, term)
     for c1 in base:
-        for c2 in base:
-            p = mul(c1, c2)
-            if p is not None:
-                toggle(const, p)
+        for c2 in base_from.get(ends(c1), ()):
+            toggle(const, coef_multiply(factors, c1, c2))
 
     lin: list[dict] = []
-    for nc in unknowns:
-        x = (nc.left, nc.right)
+    for x in unknowns:
         row: dict = {}
         for term in coef_differential(factors, x):
             toggle(row, term)
-        for c in base:
-            for p in (mul(c, x), mul(x, c)):
-                if p is not None:
-                    toggle(row, p)
-        p = mul(x, x)
-        if p is not None:
-            toggle(row, p)
+        for c in base_into.get(starts(x), ()):
+            toggle(row, coef_multiply(factors, c, x))
+        for c in base_from.get(ends(x), ()):
+            toggle(row, coef_multiply(factors, x, c))
+        if starts(x) == ends(x):
+            toggle(row, coef_multiply(factors, x, x))
         lin.append({k: v for k, v in row.items() if v})
 
+    # (i, j) with i < j -> the terms of x_i * x_j + x_j * x_i
     quad: dict = {}
-    for i in range(len(unknowns)):
-        for j in range(i + 1, len(unknowns)):
-            xi = (unknowns[i].left, unknowns[i].right)
-            xj = (unknowns[j].left, unknowns[j].right)
-            row: dict = {}
-            for p in (mul(xi, xj), mul(xj, xi)):
-                if p is not None:
-                    toggle(row, p)
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                quad[(i, j)] = row
+    for i, xi in enumerate(unknowns):
+        for j in unknowns_from.get(ends(xi), ()):
+            if j != i:
+                row = quad.setdefault((min(i, j), max(i, j)), {})
+                toggle(row, coef_multiply(factors, xi, unknowns[j]))
+    quad = {pair: row for pair, row in quad.items() if any(row.values())}
 
     coupled = sorted({i for pair in quad for i in pair})
     if len(coupled) > 20:
@@ -702,7 +731,7 @@ def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
         rhs = dict(const)
         rows = []
         cols = []
-        for i, nc in enumerate(unknowns):
+        for i in range(len(unknowns)):
             if i in forced:
                 if forced[i]:
                     for term, bit in lin[i].items():
@@ -724,7 +753,7 @@ def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
         raise StructureError("over-slide structural equation unsatisfiable")
     solutions.sort(key=lambda sol: (sum(sol.values()), sorted(sol.items())))
     for solution in solutions:
-        yield determinate + chosen3 + [nc for i, nc in enumerate(unknowns) if solution[i]]
+        yield determinate + chosen3 + [nc for i, nc in enumerate(unknown_chords) if solution[i]]
 
 
 # Kernel dimensions up to this are enumerated in full (64 solutions).

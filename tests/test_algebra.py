@@ -286,6 +286,34 @@ def test_invalid_diagrams_raise_and_are_not_stored(monkeypatch):
     assert len(built) == misses  # a valid diagram is validated once
 
 
+def test_ids_name_diagrams_across_circles():
+    basis = {a for pmc in SPLIT_AND_ANTIPODAL for a in alg.full_basis(pmc)}
+    assert len({a.id for a in basis}) == len(basis)
+
+
+def test_cross_circle_products_raise_every_time_and_are_not_cached():
+    a, b = rho((1, 2)), StrandsGenerator(Z2, [(2, 3)], ())
+    size = len(alg._mul_cache)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different circles"):
+            alg.multiply_basic(a, b)
+    assert len(alg._mul_cache) == size
+
+
+def test_equal_circles_built_separately_share_products():
+    first, second = antipodal_pmc(2), antipodal_pmc(2)
+    assert first is not second and first == second
+    a = StrandsGenerator(first, [(1, 3)], ())
+    b = StrandsGenerator(first, [(3, 6)], ())
+    product = alg.multiply_basic(a, b)
+    assert product is not None and product.pmc == first
+    size = len(alg._mul_cache)
+    again = alg.multiply_basic(StrandsGenerator(second, [(1, 3)], ()),
+                               StrandsGenerator(second, [(3, 6)], ()))
+    assert again is product
+    assert len(alg._mul_cache) == size
+
+
 def test_hash_is_the_value_hash():
     for pmc in SPLIT_AND_ANTIPODAL:
         for a in alg.full_basis(pmc):

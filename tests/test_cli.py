@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from hfhat.cli import main
+from hfhat import cli, manifolds
+from hfhat.cli import EXIT_INTERNAL, main
+from hfhat.grading import GradingElement
+from hfhat.homalg import StructureError, cancel
 from hfhat.pmc import split_pmc
 
 
@@ -57,6 +60,56 @@ def test_hf_hat_preset_s1xs2(capsys):
     assert main(["--output", "json", "hf-hat", "--preset", "s1xs2-g1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert sum(o["rank"] for o in payload["orbits"]) == 2
+
+
+@pytest.fixture()
+def twist_word_file(tmp_path):
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps({"genus": 1, "steps": [{"dehn_twist": {"pair": 1, "power": 3}}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("source", ["preset", "twist word"])
+def test_hf_hat_check_does_not_change_the_output(source, twist_word_file, capsys):
+    target = ["--preset", "s1xs2-g1"] if source == "preset" else [twist_word_file]
+    assert main(["--output", "json", "hf-hat", *target]) == 0
+    plain = capsys.readouterr().out
+    assert main(["--output", "json", "hf-hat", *target, "--check"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_hf_hat_check_exits_internal_on_a_stage_defect(twist_word_file, monkeypatch, capsys):
+    reduced = []
+
+    def tampered_cancel(structure):
+        out = cancel(structure)
+        reduced.append(out)
+        if len(reduced) == 2:  # shift one rep with an arrow by half a lambda
+            x = next(g for g in out.generators if out.delta[g])
+            rep = out.gradings.reps[x]
+            out.gradings = out.gradings.with_reps(
+                {**out.gradings.reps, x: GradingElement(rep.j2 + 1, rep.chain)})
+        return out
+
+    monkeypatch.setattr(manifolds, "cancel", tampered_cancel)
+    assert main(["hf-hat", twist_word_file]) == 0  # unchecked, the defect passes
+    reduced.clear()
+    assert main(["hf-hat", twist_word_file, "--check"]) == EXIT_INTERNAL
+    assert "stage 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["poincare", "self-gluing-g1", "s1xs2-g1", "s1xs2-g2"])
+def test_hf_hat_check_reaches_every_preset(preset, monkeypatch):
+    checks = []
+
+    def failing_run(*args, check=False, **kwargs):
+        checks.append(check)
+        raise StructureError("stage 1: defect")
+
+    monkeypatch.setattr(cli, "poincare_sphere", failing_run)
+    monkeypatch.setattr(cli, "hf_hat_closed", failing_run)
+    assert main(["hf-hat", "--preset", preset, "--check"]) == EXIT_INTERNAL
+    assert checks == [True]
 
 
 def test_hf_hat_malformed_word(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hfhat.homalg import (
     _coef_inverse,
     _product_tuples,
     cancel,
+    coef_differential,
     coef_is_idempotent,
     coef_multiply,
     homology_rank,
@@ -57,9 +58,8 @@ def test_verify_d_squared_on_handlebody():
     assert cfd_zero_framed_handlebody(2).verify_d_squared()
 
 
-def test_corrupted_module_fails_d_squared():
-    dd = dd_identity(Z2)
-    broken = dd.copy()
+def _drop_one_coefficient(module):
+    broken = module.copy()
     for x in broken.generators:
         if broken.delta[x]:
             y = next(iter(broken.delta[x]))
@@ -69,7 +69,43 @@ def test_corrupted_module_fails_d_squared():
             if not broken.delta[x][y]:
                 del broken.delta[x][y]
             break
-    assert not broken.verify_d_squared()
+    return broken
+
+
+def test_corrupted_module_fails_d_squared():
+    assert not _drop_one_coefficient(dd_identity(Z2)).verify_d_squared()
+
+
+def _d_squared_frozensets(structure):
+    """The squared delta, accumulated as one new frozenset per term."""
+    acc: dict = {}
+    for x in structure.generators:
+        for y, coefs in structure.delta[x].items():
+            for c in coefs:
+                for term in coef_differential(structure.factors, c):
+                    acc[(x, y)] = acc.get((x, y), frozenset()) ^ {term}
+            for z, coefs2 in structure.delta[y].items():
+                for c in coefs:
+                    for e in coefs2:
+                        p = coef_multiply(structure.factors, c, e)
+                        if p is not None:
+                            acc[(x, z)] = acc.get((x, z), frozenset()) ^ {p}
+    return {k: v for k, v in acc.items() if v}
+
+
+def test_d_squared_matches_the_frozenset_accumulator():
+    broken = _drop_one_coefficient(arcslide_dd(ArcSlide(Z2, 1, 2)))
+    assert broken.d_squared()
+    assert broken.d_squared() == _d_squared_frozensets(broken)
+    # a -> b1 -> c and a -> b2 -> c give the same term twice, which cancels
+    square = TypeDStructure(())
+    for g in ("a", "b1", "b2", "c"):
+        square.add_generator(g, ())
+    for x, y in (("a", "b1"), ("a", "b2"), ("b1", "c"), ("b2", "c")):
+        square.add_arrow(x, y, ())
+    assert square.d_squared() == _d_squared_frozensets(square) == {}
+    del square.delta["b2"]["c"]
+    assert square.d_squared() == _d_squared_frozensets(square) == {("a", "c"): frozenset({()})}
 
 
 def test_idempotent_compatibility():

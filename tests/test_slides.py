@@ -245,3 +245,197 @@ def test_solution_kernel_beyond_the_cap_raises():
     assert len({tuple(s) for s in solutions}) == len(solutions)
     with pytest.raises(StructureError, match=f"{_KERNEL_DIM_MAX + 1}-dimensional"):
         list(_solve_f2_all(rows + [{}], {"t"}))
+
+
+# ---------------------------------------------------------------------------
+# All-pairs oracles for the indexed completion and equation assembly
+
+
+def _complete_all_pairs(ctx, src_chords, tgt_chords):
+    """Every left completion tested against every right completion."""
+    from itertools import combinations
+
+    from hfhat.algebra import StrandsGenerator
+    from hfhat.pmc import Chord, reverse_point
+
+    src, rev = ctx.src, ctx.rev_tgt
+    moving_l = [(c.start, c.end) if isinstance(c, Chord) else c for c in src_chords]
+    moving_r = [
+        (reverse_point(ctx.tgt, c.end if isinstance(c, Chord) else c[1]),
+         reverse_point(ctx.tgt, c.start if isinstance(c, Chord) else c[0]))
+        for c in tgt_chords
+    ]
+    try:
+        bare_l = StrandsGenerator(src, moving_l, ())
+        bare_r = StrandsGenerator(rev, moving_r, ())
+    except ValueError:
+        return
+    if ctx.restricted_left(bare_l) != ctx.restricted_right(bare_r):
+        return
+    free_l = [h for h in range(src.n_pairs)
+              if h not in bare_l.left_pairs and h not in bare_l.right_pairs]
+    free_r = [h for h in range(rev.n_pairs)
+              if h not in bare_r.left_pairs and h not in bare_r.right_pairs]
+    rights = [StrandsGenerator(rev, moving_r, hr)
+              for size_r in range(len(free_r) + 1)
+              for hr in combinations(free_r, size_r)]
+    for size_l in range(len(free_l) + 1):
+        for hl in combinations(free_l, size_l):
+            aL = StrandsGenerator(src, moving_l, hl)
+            for aR in rights:
+                if ctx.idem_type(aL.left_pairs, aR.left_pairs) is None:
+                    continue
+                if ctx.idem_type(aL.right_pairs, aR.right_pairs) is None:
+                    continue
+                yield aL, aR
+
+
+def _over_slide_solutions_all_pairs(ctx, factors, chords, basic_choice_side):
+    """The over-slide equation with every product tried, composable or not."""
+    from hfhat.homalg import StructureError, coef_differential, coef_multiply
+    from hfhat.slides import _solve_f2_all
+
+    determinate = [nc for nc in chords if not nc.indeterminate]
+    indet = [nc for nc in chords if nc.indeterminate]
+    base = [(nc.left, nc.right) for nc in determinate]
+    chosen3 = []
+    for nc in indet:
+        if nc.kind == "3":
+            covers_sigma = nc.left.supp[ctx.sigma.start - 1] > 0
+            if covers_sigma == (basic_choice_side == "source"):
+                base.append((nc.left, nc.right))
+                chosen3.append(nc)
+    unknowns = [nc for nc in indet if nc.kind != "3"]
+
+    def mul(c1, c2):
+        if c1[0].right_pairs != c2[0].left_pairs or c1[1].right_pairs != c2[1].left_pairs:
+            return None
+        return coef_multiply(factors, c1, c2)
+
+    def toggle(acc, term):
+        acc[term] = acc.get(term, 0) ^ 1
+
+    const: dict = {}
+    for c in base:
+        for term in coef_differential(factors, c):
+            toggle(const, term)
+    for c1 in base:
+        for c2 in base:
+            p = mul(c1, c2)
+            if p is not None:
+                toggle(const, p)
+    lin = []
+    for nc in unknowns:
+        x = (nc.left, nc.right)
+        row: dict = {}
+        for term in coef_differential(factors, x):
+            toggle(row, term)
+        for c in base:
+            for p in (mul(c, x), mul(x, c)):
+                if p is not None:
+                    toggle(row, p)
+        p = mul(x, x)
+        if p is not None:
+            toggle(row, p)
+        lin.append({k: v for k, v in row.items() if v})
+    quad: dict = {}
+    for i in range(len(unknowns)):
+        for j in range(i + 1, len(unknowns)):
+            xi = (unknowns[i].left, unknowns[i].right)
+            xj = (unknowns[j].left, unknowns[j].right)
+            row = {}
+            for p in (mul(xi, xj), mul(xj, xi)):
+                if p is not None:
+                    toggle(row, p)
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                quad[(i, j)] = row
+
+    coupled = sorted({i for pair in quad for i in pair})
+    if len(coupled) > 20:
+        raise StructureError("over-slide equation has too many coupled unknowns")
+    solutions = []
+    for mask in range(1 << len(coupled)):
+        forced = {idx: bool(mask >> k & 1) for k, idx in enumerate(coupled)}
+        rhs = dict(const)
+        rows, cols = [], []
+        for i in range(len(unknowns)):
+            if i in forced:
+                if forced[i]:
+                    for term in lin[i]:
+                        toggle(rhs, term)
+            else:
+                rows.append(lin[i])
+                cols.append(i)
+        for (i, j), row in quad.items():
+            if forced[i] and forced[j]:
+                for term in row:
+                    toggle(rhs, term)
+        for values in _solve_f2_all(rows, {k for k, v in rhs.items() if v}):
+            solution = dict(forced)
+            solution.update({cols[k]: values[k] for k in range(len(cols))})
+            solutions.append(solution)
+    if not solutions:
+        raise StructureError("over-slide structural equation unsatisfiable")
+    solutions.sort(key=lambda sol: (sum(sol.values()), sorted(sol.items())))
+    for solution in solutions:
+        yield determinate + chosen3 + [nc for i, nc in enumerate(unknowns) if solution[i]]
+
+
+ORACLE_SLIDES = [(name, slide) for name, pmc in (("g1", Z1), ("split", Z2), ("antipodal", A2))
+                 for slide in all_arcslides(pmc)]
+
+
+def _chord_rows(chords):
+    return [(nc.left, nc.right, nc.kind, nc.indeterminate) for nc in chords]
+
+
+def _bimodule_rows(module):
+    """Generators, delta rows in order, reps in insertion order, relations."""
+    delta = [(x, [(y, sorted(coefs, key=repr)) for y, coefs in module.delta[x].items()])
+             for x in module.generators]
+    gradings = module.gradings
+    return (delta, list(gradings.reps.items()), gradings.relations,
+            gradings.lattice.lambda_torsion2)
+
+
+@pytest.mark.parametrize("name, slide", ORACLE_SLIDES,
+                         ids=[f"{name}-{s.b1}-{s.c1}" for name, s in ORACLE_SLIDES])
+def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch):
+    import hfhat.homalg as homalg
+    import hfhat.slides as slides
+
+    ctx = SlideContext(slide)
+    for _, src_chords, tgt_chords in slides._moving_configs(ctx):
+        assert (list(slides._complete(ctx, src_chords, tgt_chords))
+                == list(_complete_all_pairs(ctx, src_chords, tgt_chords)))
+    chords = enumerate_near_chords(slide)
+    dis = dischords(slide)
+    built = {t: slides._arcslide_dd_uncached(slide, t, "source") for t in (False, True)}
+
+    # the equation multiplies exactly the composable pairs the oracle does
+    multiplied = []
+
+    def recording_multiply(factors, c1, c2):
+        multiplied.append((c1, c2))
+        return coef_multiply(factors, c1, c2)
+
+    coef_multiply = homalg.coef_multiply
+    monkeypatch.setattr(homalg, "coef_multiply", recording_multiply)
+    factors = built[False].factors
+    for side in ("source", "target") if slide.kind == "over" else ():
+        multiplied.clear()
+        solutions = list(slides._over_slide_solutions(ctx, factors, chords, side))
+        indexed_products = Counter(multiplied)
+        multiplied.clear()
+        assert list(_over_slide_solutions_all_pairs(ctx, factors, chords, side)) == solutions
+        assert indexed_products == Counter(multiplied)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(slides, "_complete", _complete_all_pairs)
+    monkeypatch.setattr(slides, "_over_slide_solutions", _over_slide_solutions_all_pairs)
+    assert _chord_rows(enumerate_near_chords(slide)) == _chord_rows(chords)
+    assert dischords(slide) == dis
+    for truncated, module in built.items():
+        reference = slides._arcslide_dd_uncached(slide, truncated, "source")
+        assert _bimodule_rows(reference) == _bimodule_rows(module)
