@@ -3,8 +3,7 @@
 Group elements are pairs (j, alpha) with j a half-integer Maslov component
 and alpha a one-chain of interval multiplicities, one block of coordinates
 per algebra factor of the graded structure.  j is stored doubled so all
-arithmetic is exact.  The product twists by the average local multiplicity
-of the second chain along the boundary of the first.
+arithmetic is exact.
 
 An element holds its chain flat: all blocks end to end, with one 0 between
 adjacent blocks.  The twist and the parity count only ever pair adjacent
@@ -12,6 +11,19 @@ coordinates, and every pair across a separator has a 0, so sums over the
 whole chain equal the sums block by block.  Only this module knows that
 layout; ``chain_length``, ``stack_blocks``, ``split_blocks`` and
 ``place`` expose it.
+
+The product is (j, a)(k, b) = (j + k + t(a, b), a + b), twisted by the
+average local multiplicity of b along the boundary of a: doubled,
+t(a, b) = a . Db with (Db)_i = b_{i+1} - b_{i-1}, coordinates outside the
+chain being 0.  t is bilinear and antisymmetric, so b^k = (k*j, k*b), and
+the hot paths use two closed forms that touch only coordinates that can be
+nonzero:
+
+* row operation: h * b^k adds k*b to h's chain and
+  k*(j_b + sum over j in supp b of b_j (h_{j-1} - h_{j+1})) to its j2;
+* arrow loop: for an arrow x -> y with coefficient c and representatives
+  (jx, rx), (jy, ry), the loop gr(y)^-1 (lambda gr(c))^-1 gr(x) has chain
+  rx - ry - c and j2 = jx - jy - jc - 2 - t(ry, rx) + t(rx + ry, c).
 """
 
 from __future__ import annotations
@@ -19,13 +31,13 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 
 from .algebra import StrandsGenerator
 from .pmc import reversed_pair_map
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradingElement:
     j2: int  # doubled Maslov component
     chain: tuple[int, ...]  # the factors' multiplicity blocks, 0-separated
@@ -54,10 +66,27 @@ class GradingElement:
 
 
 def _twist2(a, b) -> int:
-    """Doubled twist of a product with chains a then b: m(b, d a), the
+    """Doubled twist t(a, b) of a product with chains a then b: m(b, d a), the
     boundary of a evaluated against the two-sided average multiplicity of
     b.  It is bilinear and antisymmetric."""
     return sum(map(mul, a, b[1:])) - sum(map(mul, b, a[1:]))
+
+
+def _twist_on(row, supp) -> int:
+    """t(h, b) for h a working row and b given by its padded support."""
+    return sum(v * (row[i - 1] - row[i + 1]) for i, v in supp)
+
+
+def _row_op(row, supp, j2: int, k: int) -> None:
+    """row := row * b^k in place, for b given by its padded support and j2."""
+    row[-1] += k * (j2 + _twist_on(row, supp))
+    for i, v in supp:
+        row[i] += k * v
+
+
+def _boundary(b) -> tuple[int, ...]:
+    """(Db)_i = b_{i+1} - b_{i-1} for i up to len(b), so t(a, b) = a . Db."""
+    return tuple(map(sub, (*b[1:], 0, 0), (0, *b)))
 
 
 def chain_length(sizes) -> int:
@@ -112,12 +141,6 @@ def gr_generator(a: StrandsGenerator) -> GradingElement:
     return GradingElement(a.iota2, a.supp)
 
 
-def iota2(a: StrandsGenerator) -> int:
-    """Doubled Maslov component of the generator's grading, computed when
-    the diagram is interned."""
-    return a.iota2
-
-
 def gr_coefficient(coef: tuple[StrandsGenerator, ...], sizes: tuple[int, ...]) -> GradingElement:
     """Grading of a basic coefficient of a multi-factor structure."""
     if tuple(len(a.supp) for a in coef) != tuple(sizes):
@@ -135,16 +158,16 @@ class RelationLattice:
     Supports orbit membership for the homological part and the achievable
     set of lambda powers, which is j0 + n*Z for a torsion modulus n.
 
-    The twist of a product g*h is the bilinear, antisymmetric
-    m2(beta, d alpha) for chains alpha of g and beta of h, so
-    m2(beta, d beta) = 0 and b^k = (k*j, k*beta): a row operation is the
-    group product h * b^k.  Separator columns are never pivots.
+    A row operation is the group product h * b^k in the closed form of the
+    module docstring, on a working row [0, *chain, 0, j2]: the chain padded
+    with one 0 at each end (column col at index col + 1), then j2.
+    Separator columns are never pivots.
 
     The echelon basis holds subgroup elements, one per pivot column, and is
     reached by exact group products only, so it generates the same subgroup
     as the relations.  A relation that reduces to the zero chain is a pure
     lambda power read from its own j2; together with the commutators of the
-    basis, 2*m2(b, d a), these generate every lambda power in the subgroup,
+    basis, 2*t(a, b), these generate every lambda power in the subgroup,
     and their gcd is the torsion modulus.  Any two subgroup elements with
     the same chain differ by such a lambda power, so a degree taken modulo
     the torsion does not depend on which basis the reduction chose.
@@ -156,40 +179,43 @@ class RelationLattice:
         rows = []
         for r in relations:
             if any(r.chain):
-                rows.append(r)
+                rows.append([0, *r.chain, 0, r.j2])
             else:
                 tor = gcd(tor, r.j2)
-        self._basis: list[tuple[int, GradingElement]] = []  # (pivot column, element)
-        for col in range(self.length):
-            live = [row for row in rows if row.chain[col]]
+        basis = []  # (padded pivot column, working row, its support)
+        for col in range(1, self.length + 1):
+            live = [row for row in rows if row[col]]
             if not live:
                 continue
-            rows = [row for row in rows if not row.chain[col]]
+            rows = [row for row in rows if not row[col]]
             while True:  # Euclid on the column
-                piv = min(live, key=lambda row: abs(row.chain[col]))
+                piv = min(live, key=lambda row: abs(row[col]))
+                supp = [(i, v) for i, v in enumerate(piv[:-1]) if v]  # padded support
                 live_next = [piv]
                 for row in live:
                     if row is piv:
                         continue
-                    row = row * piv.power(-(row.chain[col] // piv.chain[col]))
-                    if row.chain[col]:
+                    _row_op(row, supp, piv[-1], -(row[col] // piv[col]))
+                    if row[col]:
                         live_next.append(row)
-                    elif any(row.chain):
+                    elif any(row[:-1]):
                         rows.append(row)
                     else:
-                        tor = gcd(tor, row.j2)
+                        tor = gcd(tor, row[-1])
                 live = live_next
                 if len(live) == 1:
                     break
-            self._basis.append((col, piv))
-        for i, (_, a) in enumerate(self._basis):
-            for _, b in self._basis[i + 1:]:
-                tor = gcd(tor, 2 * _twist2(a.chain, b.chain))
+            basis.append((col, piv, supp))
+        for i, (_, a, _) in enumerate(basis):
+            for _, _, supp in basis[i + 1:]:
+                tor = gcd(tor, 2 * _twist_on(a, supp))
+        self._basis = [(col, GradingElement(row[-1], tuple(row[1:-2])), supp)
+                       for col, row, supp in basis]
         self.lambda_torsion2 = tor
 
     def generators(self) -> list[GradingElement]:
         """The echelon basis plus one pure lambda power carrying the torsion."""
-        out = [b for _, b in self._basis]
+        out = [b for _, b, _ in self._basis]
         if self.lambda_torsion2:
             out.append(GradingElement(self.lambda_torsion2, (0,) * self.length))
         return out
@@ -197,14 +223,16 @@ class RelationLattice:
     def _reduce(self, g: GradingElement):
         """j2 of g * h for some subgroup element h cancelling g's chain, or
         None if g's chain is not in the lattice."""
-        for col, b in self._basis:
-            if g.chain[col]:
-                if g.chain[col] % b.chain[col]:
+        row = [0, *g.chain, 0, g.j2]
+        for col, b, supp in self._basis:
+            if row[col]:
+                q, r = divmod(row[col], b.chain[col - 1])
+                if r:
                     return None
-                g = g * b.power(-(g.chain[col] // b.chain[col]))
-        if any(g.chain):
+                _row_op(row, supp, b.j2, -q)
+        if any(row[:-1]):
             return None
-        return g.j2
+        return row[-1]
 
     def contains_chain(self, g: GradingElement) -> bool:
         return self._reduce(g) is not None
@@ -239,23 +267,25 @@ class Gradings:
         self.sizes = tuple(sizes)
         self.reps = dict(reps)
         self.relations = list(relations)
-        self._lattice = RelationLattice(self.relations, self.sizes)
+        self._lattice: list[RelationLattice] = []  # built on first use; with_reps copies share it
 
     @property
     def lattice(self) -> RelationLattice:
-        return self._lattice
+        if not self._lattice:
+            self._lattice.append(RelationLattice(self.relations, self.sizes))
+        return self._lattice[0]
 
     def degree_difference(self, x, y):
         """(degree of x) - (degree of y) with its modulus, or None."""
         h = self.reps[y].inverse() * self.reps[x]
-        return self._lattice.lambda_degree(h)
+        return self.lattice.lambda_degree(h)
 
     def same_orbit(self, x, y) -> bool:
         h = self.reps[y].inverse() * self.reps[x]
-        return self._lattice.contains_chain(h)
+        return self.lattice.contains_chain(h)
 
     def is_lambda_free(self) -> bool:
-        return self._lattice.is_lambda_free()
+        return self.lattice.is_lambda_free()
 
     def with_reps(self, reps: dict) -> "Gradings":
         """The same relations and lattice over new representatives."""
@@ -271,7 +301,7 @@ class Gradings:
         torsion generates the same subgroup, so the lattice is kept.
         """
         out = self.with_reps(self.reps)
-        out.relations = self._lattice.generators()
+        out.relations = self.lattice.generators()
         return out
 
     def has_pure_lambda_relation(self) -> bool:
@@ -469,8 +499,16 @@ def dedupe_relations(relations):
 
 
 def arrow_defects(structure, gradings: Gradings) -> list[GradingElement]:
-    """The distinct loops h = (lambda*gr(coef)*gr(tgt))^-1 * gr(src) of the
-    arrows that are not the identity modulo the relations.
+    """The distinct ``arrow_loops`` that are not the identity modulo the relations."""
+    lattice = gradings.lattice
+    trivial = (0, lattice.lambda_torsion2)
+    loops = dedupe_relations(arrow_loops(structure, gradings))
+    return [h for h in loops if lattice.lambda_degree(h) != trivial]
+
+
+def arrow_loops(structure, gradings: Gradings):
+    """The loop h = gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src) of each
+    arrow, in delta order, by the loop expansion of the module docstring.
 
     The structure's factor blocks lead the grading's; its retired blocks
     follow, and coefficients are placed at the front.
@@ -478,20 +516,19 @@ def arrow_defects(structure, gradings: Gradings) -> list[GradingElement]:
     sizes = structure.factor_sizes()
     if gradings.sizes[:len(sizes)] != sizes:
         raise ValueError("grading blocks do not start with the factor sizes")
-    length = chain_length(gradings.sizes)
-    lam = lambda_power(gradings.sizes)
     reps = gradings.reps
-    # h = gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src); both inverses recur
-    rep_inverse = {y: g.inverse() for y, g in reps.items()}
-    coef_inverse: dict = {}
-    loops = []
+    coef_terms: dict = {}  # coef -> (jc + 2, c, Dc)
     for x in structure.generators:
+        jx, rx = reps[x].j2, reps[x].chain
+        d_rx = _boundary(rx)
         for y, coefs in structure.delta[x].items():
+            jy, ry = reps[y].j2, reps[y].chain
+            j_xy = jx - jy - sum(map(mul, ry, d_rx))
+            diff = tuple(map(sub, rx, ry))
             for coef in coefs:
-                if coef not in coef_inverse:
-                    g = lam * place(gr_coefficient(coef, sizes), length, 0)
-                    coef_inverse[coef] = g.inverse()
-                loops.append(rep_inverse[y] * coef_inverse[coef] * reps[x])
-    lattice = gradings.lattice
-    trivial = (0, lattice.lambda_torsion2)
-    return [h for h in dedupe_relations(loops) if lattice.lambda_degree(h) != trivial]
+                if coef not in coef_terms:
+                    g = gr_coefficient(coef, sizes)
+                    coef_terms[coef] = (g.j2 + 2, g.chain, _boundary(g.chain))
+                jc, c, d_c = coef_terms[coef]
+                j2 = j_xy - jc + sum(map(mul, rx, d_c)) + sum(map(mul, ry, d_c))
+                yield GradingElement(j2, tuple(map(sub, diff, c)) + diff[len(c):])

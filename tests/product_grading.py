@@ -1,0 +1,119 @@
+"""The product-based relation lattice and arrow loops, as test oracles.
+
+These are the earlier forms of ``hfhat.grading.RelationLattice`` and
+``hfhat.grading.arrow_defects``: every row operation and every arrow loop is
+a full-length ``GradingElement`` product.  The sparse forms in the package
+must give the same elements, in the same order.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from hfhat.grading import (
+    GradingElement,
+    chain_length,
+    dedupe_relations,
+    gr_coefficient,
+    lambda_power,
+    place,
+)
+
+
+class ProductLattice:
+    """Echelon basis and lambda torsion of a relation list, by products."""
+
+    def __init__(self, relations, sizes):
+        self.length = chain_length(sizes)
+        tor = 0
+        rows = []
+        for r in relations:
+            if any(r.chain):
+                rows.append(r)
+            else:
+                tor = gcd(tor, r.j2)
+        self._basis = []  # (pivot column, element)
+        for col in range(self.length):
+            live = [row for row in rows if row.chain[col]]
+            if not live:
+                continue
+            rows = [row for row in rows if not row.chain[col]]
+            while True:
+                piv = min(live, key=lambda row: abs(row.chain[col]))
+                live_next = [piv]
+                for row in live:
+                    if row is piv:
+                        continue
+                    row = row * piv.power(-(row.chain[col] // piv.chain[col]))
+                    if row.chain[col]:
+                        live_next.append(row)
+                    elif any(row.chain):
+                        rows.append(row)
+                    else:
+                        tor = gcd(tor, row.j2)
+                live = live_next
+                if len(live) == 1:
+                    break
+            self._basis.append((col, piv))
+        for i, (_, a) in enumerate(self._basis):
+            for _, b in self._basis[i + 1:]:
+                tor = gcd(tor, (a * b).j2 - (b * a).j2)
+        self.lambda_torsion2 = tor
+
+    def generators(self):
+        out = [b for _, b in self._basis]
+        if self.lambda_torsion2:
+            out.append(GradingElement(self.lambda_torsion2, (0,) * self.length))
+        return out
+
+    def _reduce(self, g):
+        for col, b in self._basis:
+            if g.chain[col]:
+                if g.chain[col] % b.chain[col]:
+                    return None
+                g = g * b.power(-(g.chain[col] // b.chain[col]))
+        if any(g.chain):
+            return None
+        return g.j2
+
+    def contains_chain(self, g):
+        return self._reduce(g) is not None
+
+    def lambda_degree(self, g):
+        diff2 = self._reduce(g)
+        if diff2 is None or diff2 % 2:
+            return None
+        tor = self.lambda_torsion2
+        if tor:
+            if tor % 2:
+                return None
+            return ((diff2 // 2) % (tor // 2) if tor != 2 else 0, tor)
+        return (diff2 // 2, 0)
+
+
+def product_arrow_loops(structure, gradings):
+    """gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src) per arrow, by two products."""
+    sizes = structure.factor_sizes()
+    assert gradings.sizes[:len(sizes)] == sizes
+    length = chain_length(gradings.sizes)
+    lam = lambda_power(gradings.sizes)
+    reps = gradings.reps
+    rep_inverse = {y: g.inverse() for y, g in reps.items()}
+    coef_inverse = {}
+    loops = []
+    for x in structure.generators:
+        for y, coefs in structure.delta[x].items():
+            for coef in coefs:
+                if coef not in coef_inverse:
+                    g = lam * place(gr_coefficient(coef, sizes), length, 0)
+                    coef_inverse[coef] = g.inverse()
+                loops.append(rep_inverse[y] * coef_inverse[coef] * reps[x])
+    return loops
+
+
+def product_arrow_defects(structure, gradings):
+    """The distinct loops that are not the identity modulo a product lattice."""
+    lattice = ProductLattice(gradings.relations, gradings.sizes)
+    trivial = (0, lattice.lambda_torsion2)
+    loops = dedupe_relations(product_arrow_loops(structure, gradings))
+    return [h for h in loops if lattice.lambda_degree(h) != trivial]

@@ -12,7 +12,7 @@ import pytest
 
 import hfhat.algebra as alg
 from hfhat.ainfty import box_closed, caa_identity, minimal_model, StrandsGenerator
-from hfhat.grading import gr_generator, iota2, lambda_power, xi_word
+from hfhat.grading import gr_generator, lambda_power, xi_word
 from hfhat.homalg import (
     cancel,
     homology_rank,
@@ -163,7 +163,7 @@ def test_criterion_6_property_suites():
     for pmc in (Z1, Z2, A2):
         for a in alg.full_basis(pmc):
             if not a.is_idempotent:
-                assert iota2(a) <= -runs(a.supp)
+                assert a.iota2 <= -runs(a.supp)
 
     for pmc in (Z2, A2):
         assert dd_identity(pmc).verify_d_squared()

@@ -15,18 +15,18 @@ from hfhat.grading import (
     dedupe_relations,
     gr_coefficient,
     gr_generator,
-    iota2,
     lambda_power,
     propagate_gradings,
     slide_homology_matrix,
     xi_word,
 )
 from hfhat.homalg import mor_against_bimodule
-from hfhat.manifolds import cfd_zero_framed_handlebody
+from hfhat.manifolds import cfd_zero_framed_handlebody, poincare_sphere
 from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, split_pmc
 from hfhat.slides import arcslide_dd
 
 from block_grading import BlockElement, block_congruence, block_identity, to_blocks, to_flat
+from product_grading import ProductLattice
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -73,7 +73,7 @@ def test_congruence_of_generator_gradings():
 
 
 def test_length_one_chord_maslov():
-    assert iota2(alg.StrandsGenerator(Z1, [(1, 2)], ())) == -1  # doubled -1/2
+    assert alg.StrandsGenerator(Z1, [(1, 2)], ()).iota2 == -1  # doubled -1/2
 
 
 def test_idempotent_grading_trivial():
@@ -93,7 +93,7 @@ def test_negative_maslov_bound_exhaustive():
     for pmc in (Z1, Z2, A2):
         for g in alg.full_basis(pmc):
             if not g.is_idempotent:
-                assert iota2(g) <= -runs(g.supp)
+                assert g.iota2 <= -runs(g.supp)
 
 
 def test_multiplicativity_and_lambda_drop_exhaustive():
@@ -136,7 +136,7 @@ def test_power_zero_and_lambda_powers():
         assert lam.power(a) * lam.power(b) == lam.power(a + b) == lambda_power((7, 3), a + b)
 
 
-# -- relation lattices against the combination-matrix reference --------------
+# -- relation lattices against the combination-matrix and product references -
 
 
 def _reference_row_reduce(rows):
@@ -297,17 +297,22 @@ CIRCLE_STACKS = [(Z1,), (Z1, Z1), (Z2,), (A2,), (Z2, Z1), (Z1, Z2, Z1)]
 
 
 def test_lattice_matches_combination_reference():
+    """Against the combination matrix, and element for element against the
+    product-based lattice over the same flat relations."""
     rng = random.Random(7)
     for trial in range(240):
         pmcs = CIRCLE_STACKS[trial % len(CIRCLE_STACKS)]
         sizes, base, rels = _random_relations(pmcs, rng)
         ref = ReferenceLattice(rels, sizes)
-        lat = RelationLattice([to_flat(r) for r in rels], sizes)
-        assert lat.lambda_torsion2 == ref.lambda_torsion2
+        flat = [to_flat(r) for r in rels]
+        lat, product = RelationLattice(flat, sizes), ProductLattice(flat, sizes)
+        assert lat.generators() == product.generators()
+        assert lat.lambda_torsion2 == product.lambda_torsion2 == ref.lambda_torsion2
         assert lat.is_lambda_free() == (ref.lambda_torsion2 == 0)
         for g in _random_queries(sizes, base, rels, pmcs, rng):
             assert lat.contains_chain(to_flat(g)) == ref.contains_chain(g)
             assert lat.lambda_degree(to_flat(g)) == ref.lambda_degree(g)
+            assert lat._reduce(to_flat(g)) == product._reduce(to_flat(g))
 
 
 def test_compact_answers_the_same_queries():
@@ -323,6 +328,32 @@ def test_compact_answers_the_same_queries():
         for g in _random_queries(sizes, base, rels, pmcs, rng):
             assert rebuilt.contains_chain(to_flat(g)) == ref.contains_chain(g)
             assert rebuilt.lambda_degree(to_flat(g)) == ref.lambda_degree(g)
+
+
+class _CountedLattice(RelationLattice):
+    built = 0
+
+    def __init__(self, relations, sizes):
+        type(self).built += 1
+        super().__init__(relations, sizes)
+
+
+def test_slide_bimodule_builds_its_lattice_on_first_use(monkeypatch):
+    monkeypatch.setattr("hfhat.slides._slide_dd_cache", {})
+    monkeypatch.setattr(grading, "RelationLattice", _CountedLattice)
+    monkeypatch.setattr(_CountedLattice, "built", 0)
+    bimodule = arcslide_dd(ArcSlide(Z2, 2, 1))
+    assert _CountedLattice.built == 0
+    lattice = bimodule.gradings.lattice
+    assert bimodule.gradings.with_reps(bimodule.gradings.reps).lattice is lattice
+    assert _CountedLattice.built == 1
+
+
+def test_poincare_builds_a_lattice_only_where_one_is_queried(monkeypatch):
+    monkeypatch.setattr(grading, "RelationLattice", _CountedLattice)
+    monkeypatch.setattr(_CountedLattice, "built", 0)
+    poincare_sphere()
+    assert 0 < _CountedLattice.built <= 25  # 25 when every Gradings built its own
 
 
 def _random_boundary_element(sizes, rng):
@@ -452,7 +483,7 @@ def _iota2_reference(a):
 def test_interned_iota2_matches_the_diagram():
     for pmc in (Z1, antipodal_pmc(1), Z2, A2):
         for a in alg.full_basis(pmc):
-            assert iota2(a) == _iota2_reference(a)
+            assert a.iota2 == _iota2_reference(a)
 
 
 def _propagate_two_visits(structure):

@@ -4,8 +4,12 @@ import random
 import pytest
 
 import hfhat.algebra as alg
+import hfhat.grading as grading
+import hfhat.homalg as homalg
+import hfhat.manifolds as manifolds
 from hfhat.algebra import StrandsGenerator, idempotent
-from hfhat.grading import Gradings, iota2
+from hfhat.cli import main
+from hfhat.grading import Gradings, RelationLattice, arrow_defects, arrow_loops
 from hfhat.homalg import (
     AlgebraFactor,
     TypeDStructure,
@@ -35,6 +39,7 @@ from hfhat.slides import arcslide_dd, dd_identity
 from hfhat.pmc import ArcSlide
 
 from block_grading import BlockElement, block_identity, place_blocks, to_blocks, to_flat
+from product_grading import ProductLattice, product_arrow_defects, product_arrow_loops
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -506,7 +511,7 @@ def _old_mor_against_bimodule(B, N, seam):
 
 
 def _block_coefficient(coef):
-    return BlockElement(sum(iota2(a) for a in coef), tuple(a.supp for a in coef))
+    return BlockElement(sum(a.iota2 for a in coef), tuple(a.supp for a in coef))
 
 
 def _block_dedupe(elements):
@@ -634,6 +639,54 @@ def test_mor_builder_matches_the_two_earlier_builders():
         left = cancel(cfd_self_gluing(Z1, truncated))
         glued = _check_stage(arcslide_dd(ArcSlide(Z2, 3, 4), truncated), left, 0)
         assert _check_pairing(left, glued).gradings is not None
+
+
+class _CheckedLattice(RelationLattice):
+    """A relation lattice that checks its basis, torsion and every
+    reduction against the product-based lattice over the same relations."""
+
+    def __init__(self, relations, sizes):
+        super().__init__(relations, sizes)
+        self.product = ProductLattice(relations, sizes)
+        assert self.generators() == self.product.generators()
+        assert self.lambda_torsion2 == self.product.lambda_torsion2
+
+    def _reduce(self, g):
+        got = super()._reduce(g)
+        assert got == self.product._reduce(g)
+        return got
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["plain", "truncated"])
+@pytest.mark.parametrize("preset", ["poincare", "s1xs2-g1", "s1xs2-g2", "self-gluing-g1"])
+def test_arrow_loops_and_lattices_match_the_product_path(preset, truncated, monkeypatch, capsys):
+    """Every lattice, arrow loop and defect of a checked preset run equals
+    the product-based one: the Mor stages, the final pairing and each
+    reduced stage that checking mode regrades."""
+    checked = []
+
+    def compared_defects(structure, gradings):
+        assert list(arrow_loops(structure, gradings)) == product_arrow_loops(structure, gradings)
+        defects = arrow_defects(structure, gradings)
+        assert defects == product_arrow_defects(structure, gradings)
+        checked.append(structure)
+        return defects
+
+    mor_gradings = homalg._mor_gradings
+
+    def counted_mor_gradings(out, *args):
+        before = len(checked)
+        mor_gradings(out, *args)
+        assert len(checked) == before + 1
+
+    monkeypatch.setattr(grading, "RelationLattice", _CheckedLattice)
+    monkeypatch.setattr(homalg, "arrow_defects", compared_defects)
+    monkeypatch.setattr(manifolds, "arrow_defects", compared_defects)
+    monkeypatch.setattr(homalg, "_mor_gradings", counted_mor_gradings)
+    argv = ["--truncated"] * truncated + ["--output", "json", "hf-hat", "--preset", preset, "--check"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["orbits"]
+    assert checked
 
 
 def _image(table, chain):
