@@ -188,40 +188,31 @@ def multiply_basic(a: StrandsGenerator, b: StrandsGenerator) -> StrandsGenerator
     return result
 
 
-def _strand_list(g: StrandsGenerator):
-    strands = list(g.moving)
-    for h in g.horizontals:
-        for p in g.pmc.pairs[h]:
-            strands.append((p, p))
-    return strands
-
-
 def _multiply_basic_uncached(a, b):
-    pmc = a.pmc
-    b_by_start = {s: (s, e) for s, e in _strand_list(b)}
-    consumed = set()
+    """One pass over a's strands through b's start-to-end map.
+
+    The product vanishes when a's right idempotent is not b's left one,
+    when a moving strand of a does not continue into b, or when two
+    composite strands cross twice.  The idempotent test stands for the
+    strand-level rules: every moving start of b is reached, and some half
+    of each horizontal of a continues and of each horizontal of b is
+    reached.  A half-horizontal that is neither continued nor reached is
+    dropped; the remaining strands are straightened.
+    """
+    if a.right_pairs != b.left_pairs:
+        return None
+    pairs = a.pmc.pairs
+    ends = dict(b.moving)
+    for h in b.horizontals:
+        for p in pairs[h]:
+            ends[p] = p
     composite = []
-    dropped_a: dict[int, int] = {}
-    for s, e in _strand_list(a):
-        nxt = b_by_start.get(e)
-        if nxt is None:
-            if s != e:
-                return None
-            dropped_a[pmc.pair_of(s)] = dropped_a.get(pmc.pair_of(s), 0) + 1
-            continue
-        consumed.add(e)
-        composite.append((s, e, nxt[1]))
-    if any(count == 2 for count in dropped_a.values()):
-        return None
-    dropped_b: dict[int, int] = {}
-    for s, e in _strand_list(b):
-        if s in consumed:
-            continue
-        if s != e:
+    for s, m in a.moving:
+        if m not in ends:
             return None
-        dropped_b[pmc.pair_of(s)] = dropped_b.get(pmc.pair_of(s), 0) + 1
-    if any(count == 2 for count in dropped_b.values()):
-        return None
+        composite.append((s, m, ends[m]))
+    for h in a.horizontals:
+        composite += [(p, p, ends[p]) for p in pairs[h] if p in ends]
 
     for (s1, m1, e1), (s2, m2, e2) in combinations(composite, 2):
         cross_lower = (s1 < s2) != (m1 < m2)
@@ -229,14 +220,9 @@ def _multiply_basic_uncached(a, b):
         if cross_lower and cross_upper:
             return None
 
-    moving = [(s, e) for s, _, e in composite if s != e]
-    flat = sorted(s for s, _, e in composite if s == e)
-    horizontals = []
-    for p in flat:
-        h = pmc.pair_of(p)
-        if h not in horizontals:
-            horizontals.append(h)
-    return StrandsGenerator(pmc, moving, horizontals)
+    moving = sorted((s, e) for s, _, e in composite if s != e)
+    horizontals = [h for h in a.horizontals if h in b.horizontals]
+    return StrandsGenerator(a.pmc, moving, horizontals)
 
 
 def multiply(x: frozenset, y: frozenset) -> frozenset:

@@ -65,25 +65,25 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_hfhat(args) -> int:
-    if args.preset:
-        if args.preset == "poincare":
-            result = poincare_sphere(truncated=args.truncated, check=args.check)
-        elif args.preset == "self-gluing-g1":
-            word = self_gluing_word()
-            result = hf_hat_closed(2, word, truncated=args.truncated,
-                                   handedness=args.twist_handedness, check=args.check)
+    if args.preset == "poincare":
+        if args.final != "hom" or args.twist_handedness != "standard":
+            raise WordError("the poincare preset takes neither --final nor --twist-handedness")
+        result = poincare_sphere(truncated=args.truncated, check=args.check)
+    else:
+        if args.preset == "self-gluing-g1":
+            genus, word = 2, self_gluing_word()
         elif args.preset in ("s1xs2-g1", "s1xs2-g2"):
             genus = int(args.preset[-1])
-            result = hf_hat_closed(genus, MappingWord(genus=genus),
-                                   truncated=args.truncated, check=args.check)
-        else:
+            word = MappingWord(genus=genus)
+        elif args.preset:
             raise WordError(f"unknown preset {args.preset!r}")
-    else:
-        if not args.word:
+        elif not args.word:
             raise WordError("either a word file or --preset is required")
-        with open(args.word) as handle:
-            word = MappingWord.from_json(json.load(handle))
-        result = hf_hat_closed(word.genus, word, truncated=args.truncated,
+        else:
+            with open(args.word) as handle:
+                word = MappingWord.from_json(json.load(handle))
+            genus = word.genus
+        result = hf_hat_closed(genus, word, truncated=args.truncated,
                                handedness=args.twist_handedness,
                                final=args.final, check=args.check)
     _emit(args, result.to_json(), result.text())

@@ -23,7 +23,12 @@ nonzero:
   k*(j_b + sum over j in supp b of b_j (h_{j-1} - h_{j+1})) to its j2;
 * arrow loop: for an arrow x -> y with coefficient c and representatives
   (jx, rx), (jy, ry), the loop gr(y)^-1 (lambda gr(c))^-1 gr(x) has chain
-  rx - ry - c and j2 = jx - jy - jc - 2 - t(ry, rx) + t(rx + ry, c).
+  rx - ry - c and j2 = jx - jy - jc - 2 - t(ry, rx) + t(rx + ry, c);
+* propagation step: with (jg, g) = lambda gr(c), the rep g^-1 (jx, rx)
+  across an arrow walked forward is (jx - jg - t(g, rx), rx - g), and
+  g (jx, rx) walked backward is (jx + jg + t(g, rx), rx + g);
+* propagation loop: gr(src)^-1 g gr(tgt) with gr(src) = (ja, a),
+  gr(tgt) = (jb, b) and m = g - a is (jb - ja + jg - t(a, g) + t(m, b), m + b).
 """
 
 from __future__ import annotations
@@ -446,26 +451,26 @@ def propagate_gradings(structure):
     component starts from the identity at its first generator.  An arrow
     is graded once, from whichever end the walk reaches first: seen again
     from its other end it would give the identity (a tree arrow) or the
-    same loop (any other).
+    same loop (any other).  Reps and loops are carried as (j2, chain)
+    pairs by the closed forms of the module docstring.
     """
     sizes = structure.factor_sizes()
-    reps: dict = {}
-    relations: list[GradingElement] = []
-
     adjacency: dict = {x: [] for x in structure.generators}
     n_arrows = 0
     for x in structure.generators:
         for y, coefs in structure.delta.get(x, {}).items():
-            for coef in sorted(coefs, key=_coef_key):
+            for coef in sorted(coefs, key=_coef_key) if len(coefs) > 1 else coefs:
                 adjacency[x].append((y, coef, True, n_arrows))
                 adjacency[y].append((x, coef, False, n_arrows))
                 n_arrows += 1
 
+    reps: dict = {}
+    relations: dict = {}  # (j2, chain) pairs in first-seen order
     graded = [False] * n_arrows
     for start in structure.generators:
         if start in reps:
             continue
-        reps[start] = lambda_power(sizes, 0)
+        reps[start] = (0, (0,) * chain_length(sizes))
         stack = [start]
         while stack:
             x = stack.pop()
@@ -474,19 +479,23 @@ def propagate_gradings(structure):
                     continue
                 graded[arrow] = True
                 g = gr_coefficient(coef, sizes)
-                g = GradingElement(g.j2 + 2, g.chain)  # lambda * g: lambda is central
+                jg, cg = g.j2 + 2, g.chain  # lambda * gr(coef): lambda is central
                 if y not in reps:
-                    # gr(src) = lambda * gr(coef) * gr(tgt)
-                    reps[y] = (g.inverse() if forward else g) * reps[x]
+                    jx, rx = reps[x]
+                    if forward:
+                        reps[y] = (jx - jg - _twist2(cg, rx), tuple(map(sub, rx, cg)))
+                    else:
+                        reps[y] = (jx + jg + _twist2(cg, rx), tuple(map(add, rx, cg)))
                     stack.append(y)
                 else:
-                    if forward:
-                        loop = reps[x].inverse() * g * reps[y]
-                    else:
-                        loop = reps[y].inverse() * g * reps[x]
-                    if not loop.is_identity:
-                        relations.append(loop)
-    return Gradings(sizes, reps, dedupe_relations(relations))
+                    (ja, a), (jb, b) = (reps[x], reps[y]) if forward else (reps[y], reps[x])
+                    m = tuple(map(sub, cg, a))
+                    j2 = jb - ja + jg - _twist2(a, cg) + _twist2(m, b)
+                    chain = tuple(map(add, m, b))
+                    if j2 or any(chain):
+                        relations[j2, chain] = None
+    return Gradings(sizes, {x: GradingElement(*r) for x, r in reps.items()},
+                    [GradingElement(*r) for r in relations])
 
 
 def _coef_key(coef):

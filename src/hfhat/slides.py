@@ -267,10 +267,12 @@ def _moving_configs(ctx: SlideContext):
     slide = ctx.slide
     sigma, sigma_p = ctx.sigma, ctx.sigma_p
     over = slide.kind == "over"
+    chords_src, chords_tgt = all_chords(ctx.src), all_chords(ctx.tgt)
+    restricted = restricted_chords(slide)
     configs: list[tuple[str, list, list]] = []
 
     # type 1: a restricted chord on both sides
-    for xi in restricted_chords(slide):
+    for xi in restricted:
         configs.append(("1", [xi], [ctx.chord(xi)]))
 
     # type 2: the sliding interval alone, on either side
@@ -278,13 +280,13 @@ def _moving_configs(ctx: SlideContext):
     configs.append(("2", [], [sigma_p]))
 
     # type 3: sigma glued onto a chord touching it at the C-foot
-    for xi in all_chords(ctx.src):
+    for xi in chords_src:
         if slide.b1 in (xi.start, xi.end):
             continue
         if xi.end == sigma.start or xi.start == sigma.end:
             if slide.c1 in (xi.start, xi.end):
                 configs.append(("3", _join_interval(xi, ctx.sigma), [ctx.chord(xi)]))
-    for xi_t in all_chords(ctx.tgt):
+    for xi_t in chords_tgt:
         if slide.b1_new in (xi_t.start, xi_t.end):
             continue
         if xi_t.end == sigma_p.start or xi_t.start == sigma_p.end:
@@ -292,22 +294,22 @@ def _moving_configs(ctx: SlideContext):
                 configs.append(("3", [ctx.chord_back(xi_t)], _join_interval(xi_t, ctx.sigma_p)))
 
     # type 4: a chord containing sigma, minus sigma on one side
-    for xi in all_chords(ctx.src):
+    for xi in chords_src:
         if xi.start <= sigma.start and sigma.end <= xi.end and xi != sigma:
             pieces = _pieces(xi, sigma)
             configs.append(("4", pieces, [ctx.chord(xi, fat=True)]))
-    for xi_t in all_chords(ctx.tgt):
+    for xi_t in chords_tgt:
         if xi_t.start <= sigma_p.start and sigma_p.end <= xi_t.end and xi_t != sigma_p:
             pieces = _pieces(xi_t, sigma_p)
             configs.append(("4", [ctx.chord_back(xi_t, fat=True)], pieces))
 
     # type 5: two chords, one ending on each foot of C, opposite signs
     c1, c2, b1, b2 = slide.c1, slide.c2, slide.b1, slide.b2
-    for xi in restricted_chords(slide):
+    for xi in restricted:
         if c1 not in (xi.start, xi.end) or b2 in (xi.start, xi.end):
             continue
         sign_c1 = 1 if xi.end == c1 else -1
-        for eta in all_chords(ctx.src):
+        for eta in chords_src:
             if b1 in (eta.start, eta.end):
                 continue
             if c2 not in (eta.start, eta.end):
@@ -329,7 +331,7 @@ def _moving_configs(ctx: SlideContext):
             configs.append(("5", [xi, eta], [ctx.chord(xi), ctx.chord(eta)]))
 
     # type 6: sigma glued on one side, sigma' removed from the other
-    for xi in restricted_chords(slide):
+    for xi in restricted:
         xt = ctx.chord(xi)
         if not (xt.start <= sigma_p.start and sigma_p.end <= xt.end):
             continue
@@ -341,7 +343,7 @@ def _moving_configs(ctx: SlideContext):
         if join is None:
             continue
         configs.append(("6", join, _pieces(xt, sigma_p)))
-    for xi_t in all_chords(ctx.tgt):
+    for xi_t in chords_tgt:
         if slide.b1_new in (xi_t.start, xi_t.end):
             continue
         if ctx.tgt.pair_of(xi_t.start) == ctx.tgt.pair_of(xi_t.end):
@@ -369,7 +371,7 @@ def _moving_configs(ctx: SlideContext):
         for w in range(span_t.start + 1, span_t.end):
             configs.append(("7", [span], [Chord(span_t.start, w), Chord(w, span_t.end)]))
         # type 8: the C-span plus a disjoint or strictly nested restricted chord
-        for xi in restricted_chords(slide):
+        for xi in restricted:
             if {xi.start, xi.end} & {span.start, span.end}:
                 continue
             disjoint = xi.end < span.start or span.end < xi.start
@@ -401,27 +403,21 @@ def _complete(ctx: SlideContext, src_chords, tgt_chords):
         return
     free_l = [h for h in range(src.n_pairs)
               if h not in bare_l.left_pairs and h not in bare_l.right_pairs]
-    free_r = [h for h in range(rev.n_pairs)
-              if h not in bare_r.left_pairs and h not in bare_r.right_pairs]
-    # right completions by their left idempotent; a diagram's idempotents
-    # are its bare strands' plus its horizontals, so a completion is built
-    # only once it has a partner
-    rights: dict = {}
-    completions_r = [hr for size_r in range(len(free_r) + 1)
-                     for hr in combinations(free_r, size_r)]
-    for position, hr in enumerate(completions_r):
-        pairs = frozenset(hr)
-        rights.setdefault(bare_r.left_pairs | pairs, []).append(
-            (position, hr, bare_r.right_pairs | pairs))
+    # a right completion is fixed by its left idempotent, one of the left
+    # completion's partners; its horizontals avoid bare_r's pairs
     for size_l in range(len(free_l) + 1):
         for hl in combinations(free_l, size_l):
             pairs = frozenset(hl)
             ends = ctx.partners(bare_l.right_pairs | pairs)
-            found = [r for right in ctx.partners(bare_l.left_pairs | pairs)
-                     for r in rights.get(right, ()) if r[2] in ends]
+            found = []
+            for right in ctx.partners(bare_l.left_pairs | pairs):
+                hr = right - bare_r.left_pairs
+                if (bare_r.left_pairs <= right and not hr & bare_r.right_pairs
+                        and bare_r.right_pairs | hr in ends):
+                    found.append((len(hr), tuple(sorted(hr))))
             if found:
                 aL = StrandsGenerator(src, moving_l, hl)
-                for _, hr, _ in sorted(found):
+                for _, hr in sorted(found):
                     yield aL, StrandsGenerator(rev, moving_r, hr)
 
 
@@ -651,10 +647,11 @@ def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
     """Yield candidate differential term lists for an over-slide.
 
     The sigma-extended indeterminates are set by the basic choice; the
-    rest are unknowns of the structural equation dA + A*A = 0.  The
-    equation's solutions form an affine space over F2; they are produced
-    in order of how many indeterminate terms they include, since the
-    holomorphic differential never uses disconnected domains.
+    rest are unknowns of the structural equation dA + A*A = 0.  A square
+    x*x is a linear term over F2, and a product of two distinct unknowns
+    raises, so the solutions form an affine space over F2; they are
+    produced in order of how many indeterminate terms they include, since
+    the holomorphic differential never uses disconnected domains.
     """
     from .homalg import coef_differential, coef_multiply
 
@@ -712,48 +709,19 @@ def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
             toggle(row, coef_multiply(factors, x, x))
         lin.append({k: v for k, v in row.items() if v})
 
-    # (i, j) with i < j -> the terms of x_i * x_j + x_j * x_i
-    quad: dict = {}
+    # the equation is linear: no product of two distinct unknowns survives
     for i, xi in enumerate(unknowns):
         for j in unknowns_from.get(ends(xi), ()):
-            if j != i:
-                row = quad.setdefault((min(i, j), max(i, j)), {})
-                toggle(row, coef_multiply(factors, xi, unknowns[j]))
-    quad = {pair: row for pair, row in quad.items() if any(row.values())}
+            if j != i and coef_multiply(factors, xi, unknowns[j]) is not None:
+                raise StructureError(
+                    f"over-slide equation of {ctx.slide!r} has a nonzero cross term")
 
-    coupled = sorted({i for pair in quad for i in pair})
-    if len(coupled) > 20:
-        raise StructureError("over-slide equation has too many coupled unknowns")
-
-    solutions = []
-    for mask in range(1 << len(coupled)):
-        forced = {idx: bool(mask >> k & 1) for k, idx in enumerate(coupled)}
-        rhs = dict(const)
-        rows = []
-        cols = []
-        for i in range(len(unknowns)):
-            if i in forced:
-                if forced[i]:
-                    for term, bit in lin[i].items():
-                        if bit:
-                            rhs[term] = rhs.get(term, 0) ^ 1
-            else:
-                rows.append(lin[i])
-                cols.append(i)
-        for (i, j), row in quad.items():
-            if forced[i] and forced[j]:
-                for term, bit in row.items():
-                    if bit:
-                        rhs[term] = rhs.get(term, 0) ^ 1
-        for values in _solve_f2_all(rows, {k for k, v in rhs.items() if v}):
-            solution = dict(forced)
-            solution.update({cols[k]: values[k] for k in range(len(cols))})
-            solutions.append(solution)
+    solutions = sorted(_solve_f2_all(lin, {k for k, v in const.items() if v}),
+                       key=lambda values: (sum(values), values))
     if not solutions:
         raise StructureError("over-slide structural equation unsatisfiable")
-    solutions.sort(key=lambda sol: (sum(sol.values()), sorted(sol.items())))
-    for solution in solutions:
-        yield determinate + chosen3 + [nc for i, nc in enumerate(unknown_chords) if solution[i]]
+    for values in solutions:
+        yield determinate + chosen3 + [nc for nc, bit in zip(unknown_chords, values) if bit]
 
 
 # Kernel dimensions up to this are enumerated in full (64 solutions).

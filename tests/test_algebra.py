@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -342,3 +343,82 @@ def test_opposite_is_an_interned_involution(monkeypatch):
             b = alg.opposite_basic(a)
             assert b.pmc == reverse_pmc(pmc)
             assert alg.opposite_basic(b) is a
+
+
+# ---------------------------------------------------------------------------
+# The one-pass product against the strand-list product it replaced
+
+
+def _strand_list_reference(g):
+    strands = list(g.moving)
+    for h in g.horizontals:
+        for p in g.pmc.pairs[h]:
+            strands.append((p, p))
+    return strands
+
+
+def _multiply_reference(a, b):
+    """Concatenate both strand lists, count dropped halves per pair."""
+    pmc = a.pmc
+    b_by_start = {s: (s, e) for s, e in _strand_list_reference(b)}
+    consumed = set()
+    composite = []
+    dropped_a: dict[int, int] = {}
+    for s, e in _strand_list_reference(a):
+        nxt = b_by_start.get(e)
+        if nxt is None:
+            if s != e:
+                return None
+            dropped_a[pmc.pair_of(s)] = dropped_a.get(pmc.pair_of(s), 0) + 1
+            continue
+        consumed.add(e)
+        composite.append((s, e, nxt[1]))
+    if any(count == 2 for count in dropped_a.values()):
+        return None
+    dropped_b: dict[int, int] = {}
+    for s, e in _strand_list_reference(b):
+        if s in consumed:
+            continue
+        if s != e:
+            return None
+        dropped_b[pmc.pair_of(s)] = dropped_b.get(pmc.pair_of(s), 0) + 1
+    if any(count == 2 for count in dropped_b.values()):
+        return None
+
+    for (s1, m1, e1), (s2, m2, e2) in combinations(composite, 2):
+        cross_lower = (s1 < s2) != (m1 < m2)
+        cross_upper = (m1 < m2) != (e1 < e2)
+        if cross_lower and cross_upper:
+            return None
+
+    moving = [(s, e) for s, _, e in composite if s != e]
+    flat = sorted(s for s, _, e in composite if s == e)
+    horizontals = []
+    for p in flat:
+        h = pmc.pair_of(p)
+        if h not in horizontals:
+            horizontals.append(h)
+    return StrandsGenerator(pmc, moving, horizontals)
+
+
+def _composable_pairs(pmc):
+    basis = alg.full_basis(pmc)
+    by_left: dict = {}
+    for b in basis:
+        by_left.setdefault(b.left_pairs, []).append(b)
+    return [(a, b) for a in basis for b in by_left.get(a.right_pairs, ())]
+
+
+def test_one_pass_product_matches_the_strand_list_product():
+    rng = random.Random(5)
+    pairs = _composable_pairs(Z1) + _composable_pairs(Z2)
+    pairs += rng.sample(_composable_pairs(A2), 20000)
+    for pmc in (Z2, A2):  # mostly idempotent mismatches
+        basis = alg.full_basis(pmc)
+        pairs += [(rng.choice(basis), rng.choice(basis)) for _ in range(5000)]
+    vanished = 0
+    for a, b in pairs:
+        want = _multiply_reference(a, b)
+        assert alg._multiply_basic_uncached(a, b) is want, (a, b)
+        vanished += want is None
+    assert 0 < vanished < len(pairs)

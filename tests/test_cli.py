@@ -112,6 +112,40 @@ def test_hf_hat_check_reaches_every_preset(preset, monkeypatch):
     assert checks == [True]
 
 
+@pytest.mark.parametrize("preset", ["self-gluing-g1", "s1xs2-g1", "s1xs2-g2"])
+def test_hf_hat_presets_pass_final_and_handedness(preset, monkeypatch):
+    calls = []
+
+    def recording_run(genus, word, **kwargs):
+        calls.append(kwargs)
+        raise StructureError("recorded")
+
+    monkeypatch.setattr(cli, "hf_hat_closed", recording_run)
+    argv = ["--twist-handedness", "reversed", "hf-hat", "--preset", preset, "--final", "identity"]
+    assert main(argv) == EXIT_INTERNAL
+    assert [(c["final"], c["handedness"]) for c in calls] == [("identity", "reversed")]
+
+
+def test_hf_hat_preset_final_matches_the_empty_word_file(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"genus": 1, "steps": []}))
+    assert main(["--output", "json", "hf-hat", str(path), "--final", "identity"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["--output", "json", "hf-hat", "--preset", "s1xs2-g1", "--final", "identity"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert main(["--output", "json", "hf-hat", "--preset", "s1xs2-g1"]) == 0
+    assert capsys.readouterr().out != from_file
+
+
+@pytest.mark.parametrize("option", [["hf-hat", "--final", "identity"],
+                                    ["--twist-handedness", "reversed", "hf-hat"]],
+                         ids=["final", "handedness"])
+def test_hf_hat_poincare_preset_rejects_pairing_options(option, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "poincare_sphere", lambda **kwargs: pytest.fail("ran the preset"))
+    assert main([*option, "--preset", "poincare"]) == 2
+    assert "poincare" in capsys.readouterr().err
+
+
 def test_hf_hat_malformed_word(tmp_path, capsys):
     bad = tmp_path / "word.json"
     bad.write_text(json.dumps({"genus": 1, "steps": [{"slide": {"b1": 1, "c1": 3}}]}))

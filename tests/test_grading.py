@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations, product
 from math import gcd
 
@@ -23,7 +24,7 @@ from hfhat.grading import (
 from hfhat.homalg import mor_against_bimodule
 from hfhat.manifolds import cfd_zero_framed_handlebody, poincare_sphere
 from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, split_pmc
-from hfhat.slides import arcslide_dd
+from hfhat.slides import arcslide_dd, dd_identity
 
 from block_grading import BlockElement, block_congruence, block_identity, to_blocks, to_flat
 from product_grading import ProductLattice
@@ -524,19 +525,23 @@ def _propagate_two_visits(structure):
     return Gradings(sizes, reps, dedupe_relations(relations))
 
 
-PROPAGATION_CASES = [(f"{name}-{s.b1}-{s.c1}", s)
+def _mor_stage():
+    """A one-factor complex whose walk closes loops."""
+    bimodule = arcslide_dd(ArcSlide(Z2, 2, 1))
+    return mor_against_bimodule(bimodule, cfd_zero_framed_handlebody(2), seam=0)
+
+
+PROPAGATION_CASES = [(f"{name}-{s.b1}-{s.c1}{suffix}", partial(arcslide_dd, s, truncated))
                      for name, pmc in (("g1", Z1), ("split", Z2), ("antipodal", A2))
-                     for s in all_arcslides(pmc)] + [("mor-stage", None)]
+                     for s in all_arcslides(pmc)
+                     for suffix, truncated in (("", False), ("-truncated", True))]
+PROPAGATION_CASES += [("identity-g2", partial(dd_identity, Z2)), ("mor-stage", _mor_stage)]
 
 
-@pytest.mark.parametrize("name, slide", PROPAGATION_CASES,
+@pytest.mark.parametrize("name, build", PROPAGATION_CASES,
                          ids=[name for name, _ in PROPAGATION_CASES])
-def test_one_visit_propagation_matches_two_visits(name, slide, monkeypatch):
-    if slide is None:  # a one-factor complex whose walk closes loops
-        bimodule = arcslide_dd(ArcSlide(Z2, 2, 1))
-        structure = mor_against_bimodule(bimodule, cfd_zero_framed_handlebody(2), seam=0)
-    else:
-        structure = arcslide_dd(slide)
+def test_one_visit_propagation_matches_two_visits(name, build, monkeypatch):
+    structure = build()
     graded = []
 
     def counted(coef, sizes):
@@ -551,4 +556,4 @@ def test_one_visit_propagation_matches_two_visits(name, slide, monkeypatch):
     assert list(got.reps.items()) == list(want.reps.items())
     assert got.relations == want.relations
     assert got.lattice.lambda_torsion2 == want.lattice.lambda_torsion2
-    assert got.relations or slide is not None
+    assert got.relations or name != "mor-stage"

@@ -234,6 +234,31 @@ def test_over_slide_without_a_lambda_free_solution_raises(monkeypatch):
     assert repr(slide) in str(err.value)
 
 
+def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
+    import hfhat.homalg as homalg
+    from hfhat.homalg import StructureError
+    from hfhat.slides import _arcslide_dd_uncached
+
+    slide = ArcSlide(Z2, 1, 2)
+    assert slide.kind == "over"
+    unknowns = {(nc.left, nc.right) for nc in enumerate_near_chords(slide)
+                if nc.indeterminate and nc.kind != "3"}
+    coef_multiply = homalg.coef_multiply
+    forced = []
+
+    def one_cross_term(factors, c1, c2):
+        if not forced and c1 in unknowns and c2 in unknowns and c1 != c2:
+            forced.append((c1, c2))
+            return c1  # any nonzero term
+        return coef_multiply(factors, c1, c2)
+
+    monkeypatch.setattr(homalg, "coef_multiply", one_cross_term)
+    with pytest.raises(StructureError, match="nonzero cross term") as err:
+        _arcslide_dd_uncached(slide, False, "source")
+    assert repr(slide) in str(err.value)
+    assert len(forced) == 1
+
+
 def test_solution_kernel_beyond_the_cap_raises():
     from hfhat.homalg import StructureError
     from hfhat.slides import _KERNEL_DIM_MAX, _solve_f2_all
