@@ -175,8 +175,8 @@ _diff_cache: dict = {}
 
 
 def multiply_basic(a: StrandsGenerator, b: StrandsGenerator) -> StrandsGenerator | None:
-    """Product of basic generators: concatenate, drop half-horizontals,
-    straighten; None when one of the five vanishing rules applies."""
+    """Product of basic generators, cached by id pair; None when it
+    vanishes (see _multiply_basic_uncached)."""
     key = (a.id, b.id)
     try:
         return _mul_cache[key]

@@ -459,7 +459,7 @@ def propagate_gradings(structure):
     n_arrows = 0
     for x in structure.generators:
         for y, coefs in structure.delta.get(x, {}).items():
-            for coef in sorted(coefs, key=_coef_key) if len(coefs) > 1 else coefs:
+            for coef in sorted(coefs, key=_coef_key):
                 adjacency[x].append((y, coef, True, n_arrows))
                 adjacency[y].append((x, coef, False, n_arrows))
                 n_arrows += 1

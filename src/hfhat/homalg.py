@@ -44,15 +44,6 @@ class AlgebraFactor:
 
 def coef_multiply(factors, c1, c2):
     """Componentwise product of basic coefficient tuples; None if it dies."""
-    if len(c1) == 2:  # every bimodule coefficient
-        f, g = factors
-        p = alg.multiply_basic(c1[0], c2[0])
-        if p is None or f.truncated and not p.kept:
-            return None
-        q = alg.multiply_basic(c1[1], c2[1])
-        if q is None or g.truncated and not q.kept:
-            return None
-        return (p, q)
     out = []
     for f, a, b in zip(factors, c1, c2):
         p = alg.multiply_basic(a, b)

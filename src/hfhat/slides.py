@@ -648,8 +648,9 @@ def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
 
     The sigma-extended indeterminates are set by the basic choice; the
     rest are unknowns of the structural equation dA + A*A = 0.  A square
-    x*x is a linear term over F2, and a product of two distinct unknowns
-    raises, so the solutions form an affine space over F2; they are
+    x*x is a linear term over F2, and a nonzero sum x_i*x_j + x_j*x_i of
+    two distinct unknowns raises, so the solutions form an affine space
+    over F2; they are
     produced in order of how many indeterminate terms they include, since
     the holomorphic differential never uses disconnected domains.
     """
@@ -709,12 +710,16 @@ def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
             toggle(row, coef_multiply(factors, x, x))
         lin.append({k: v for k, v in row.items() if v})
 
-    # the equation is linear: no product of two distinct unknowns survives
+    # the equation is linear: x_i*x_j + x_j*x_i vanishes for each i != j
+    cross: dict = {}
     for i, xi in enumerate(unknowns):
         for j in unknowns_from.get(ends(xi), ()):
-            if j != i and coef_multiply(factors, xi, unknowns[j]) is not None:
-                raise StructureError(
-                    f"over-slide equation of {ctx.slide!r} has a nonzero cross term")
+            if j != i:
+                toggle(cross.setdefault((min(i, j), max(i, j)), {}),
+                       coef_multiply(factors, xi, unknowns[j]))
+    if any(any(row.values()) for row in cross.values()):
+        raise StructureError(
+            f"over-slide equation of {ctx.slide!r} has a nonzero cross term")
 
     solutions = sorted(_solve_f2_all(lin, {k for k, v in const.items() if v}),
                        key=lambda values: (sum(values), values))

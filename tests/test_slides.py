@@ -259,6 +259,41 @@ def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
     assert len(forced) == 1
 
 
+def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
+    import hfhat.homalg as homalg
+    from hfhat.homalg import AlgebraFactor
+    from hfhat.slides import SlideContext, _over_slide_solutions
+
+    slide = ArcSlide(Z2, 1, 2)
+    ctx = SlideContext(slide)
+    factors = (AlgebraFactor(slide.source), AlgebraFactor(ctx.rev_tgt))
+    chords = enumerate_near_chords(slide)
+    expected = list(_over_slide_solutions(ctx, factors, chords, "source"))
+    unknowns = [(nc.left, nc.right) for nc in chords if nc.indeterminate and nc.kind != "3"]
+
+    def starts(c):
+        return (c[0].left_pairs, c[1].left_pairs)
+
+    def ends(c):
+        return (c[0].right_pairs, c[1].right_pairs)
+
+    # a pair composable both ways, so both x*y and y*x enter the equation
+    pair = next({x, y} for x in unknowns for y in unknowns
+                if x != y and ends(x) == starts(y) and ends(y) == starts(x))
+    coef_multiply = homalg.coef_multiply
+    forced = []
+
+    def cancelling(factors, c1, c2):
+        if {c1, c2} == pair and c1 != c2:
+            forced.append((c1, c2))
+            return min(pair, key=repr)  # the same nonzero term both ways
+        return coef_multiply(factors, c1, c2)
+
+    monkeypatch.setattr(homalg, "coef_multiply", cancelling)
+    assert list(_over_slide_solutions(ctx, factors, chords, "source")) == expected
+    assert len(forced) == 2
+
+
 def test_solution_kernel_beyond_the_cap_raises():
     from hfhat.homalg import StructureError
     from hfhat.slides import _KERNEL_DIM_MAX, _solve_f2_all
