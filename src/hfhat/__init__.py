@@ -34,7 +34,7 @@ from .manifolds import (
     poincare_sphere,
     spinc_maslov,
 )
-from .ainfty import box_closed, box_closed_dg, box_tensor_minimal, caa_identity, minimal_model
+from .ainfty import box_closed_dg, caa_identity, minimal_model
 
 __all__ = [
     "ArcSlide",
@@ -51,9 +51,7 @@ __all__ = [
     "apply_arcslide",
     "arcslide_dd",
     "basis",
-    "box_closed",
     "box_closed_dg",
-    "box_tensor_minimal",
     "caa_identity",
     "cancel",
     "cfd_self_gluing",

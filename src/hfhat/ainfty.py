@@ -10,17 +10,11 @@ two input sequences.
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import algebra as alg
 from .algebra import StrandsGenerator
 from .homalg import TypeDStructure, cancel
 from .pmc import PointedMatchedCircle
 from .slides import dd_identity
-
-
-class BoundednessError(RuntimeError):
-    """An iterated-delta evaluation exceeded its depth cap."""
 
 
 class RetractError(ValueError):
@@ -40,8 +34,7 @@ class DualIdentityBimodule:
     actions precompose with the first factor and postmultiply the value.
     """
 
-    def __init__(self, pmc: PointedMatchedCircle, truncated: bool = False,
-                 weight: int | None = 0):
+    def __init__(self, pmc: PointedMatchedCircle, truncated: bool = False):
         self.pmc = pmc
         self.rev = alg.reversal(pmc)[0]
         self.truncated = truncated
@@ -50,18 +43,10 @@ class DualIdentityBimodule:
         for g in self.ddid.generators:
             left, right = self.ddid.idem[g]
             for a in alg.full_basis(self.rev):
-                if a.right_pairs != right:
-                    continue
-                if weight is not None and a.weight != -weight:
-                    continue
-                if not self._kept(a):
+                if a.right_pairs != right or a.weight != 0 or not self._kept(a):
                     continue
                 for c in alg.full_basis(pmc):
-                    if c.left_pairs != left:
-                        continue
-                    if weight is not None and c.weight != weight:
-                        continue
-                    if not self._kept(c):
+                    if c.left_pairs != left or c.weight != 0 or not self._kept(c):
                         continue
                     basis.append((g, a, c))
         self.basis = sorted(basis, key=lambda t: (repr(t[0]), t[1].sort_key(), t[2].sort_key()))
@@ -121,9 +106,8 @@ class DualIdentityBimodule:
         return frozenset(out)
 
 
-def caa_identity(pmc: PointedMatchedCircle, truncated: bool = False,
-                 weight: int | None = 0) -> DualIdentityBimodule:
-    return DualIdentityBimodule(pmc, truncated, weight)
+def caa_identity(pmc: PointedMatchedCircle, truncated: bool = False) -> DualIdentityBimodule:
+    return DualIdentityBimodule(pmc, truncated)
 
 
 class MinimalModel:
@@ -161,13 +145,6 @@ class MinimalModel:
         for b in self.module.basis:
             if _image(d, self._T[b]) ^ _image(self._T, d[b]) != {b} ^ _image(self._f, self._g[b]):
                 raise RetractError("dT + Td != id + fg")
-
-    def lambda_idempotent(self, x) -> frozenset:
-        """Pairs of the reversed circle whose idempotent acts by one on x."""
-        return x[1].left_pairs
-
-    def rho_idempotent(self, x) -> frozenset:
-        return x[2].right_pairs
 
     # -- lazy operations ----------------------------------------------------
 
@@ -243,17 +220,7 @@ def minimal_model(module: DualIdentityBimodule, seed: int = 0) -> MinimalModel:
 
 
 # ---------------------------------------------------------------------------
-# Box tensor products
-
-
-def box_tensor_minimal(model: MinimalModel, side: str, N: TypeDStructure,
-                       depth_cap: int | None = None) -> TypeDStructure:
-    """Pair one action of the minimal model against a type D structure.
-
-    The result is an F2 complex on idempotent-matched pairs (x, u) whose
-    differential sums the operations fed by iterated delta coefficients.
-    """
-    return _box(model, [(side, N)], f"box({side})", depth_cap)
+# The box tensor product of the strict actions
 
 
 def box_closed_dg(module: DualIdentityBimodule, N_lambda: TypeDStructure,
@@ -289,69 +256,4 @@ def box_closed_dg(module: DualIdentityBimodule, N_lambda: TypeDStructure,
                 for b2 in module.act(frozenset({b}), "rho", c[0]):
                     if (b2, u, v2) in out.idem:
                         out.add_arrow((b, u, v), (b2, u, v2), ())
-    return out
-
-
-def box_closed(model: MinimalModel, N_lambda: TypeDStructure, N_rho: TypeDStructure,
-               depth_cap: int | None = None) -> TypeDStructure:
-    """Close up both actions of the minimal model against two modules.
-
-    The differential on idempotent-matched triples (x, u, v) sums
-    bimodule operations over interleaved delta paths from the two sides.
-    """
-    return _box(model, [("lambda", N_lambda), ("rho", N_rho)], "box(closed)", depth_cap)
-
-
-def _box(model: MinimalModel, sides, name: str, depth_cap: int | None) -> TypeDStructure:
-    """Box the minimal model with one one-factor module per (side, N).
-
-    Generators are (x, u, ...) with one generator of each module, its
-    idempotent matched to x's on that side.  Evaluation walks delta paths
-    depth first: each stack entry is one interleaving prefix with its live
-    zigzag chain, pruned once the chain dies.
-    """
-    if any(len(N.factors) != 1 for _, N in sides):
-        raise ValueError("box tensor needs one-factor type D structures")
-    size = max(sum(len(N.generators) for _, N in sides), 1)
-    cap = depth_cap if depth_cap is not None else 10 * size
-    idem_of = {"lambda": model.lambda_idempotent, "rho": model.rho_idempotent}
-    out = TypeDStructure((), name=name)
-    keys = [
-        (x,) + us
-        for x in model.generators
-        for us in product(*[[u for u in N.generators if idem_of[side](x) == N.idem[u][0]]
-                            for side, N in sides])
-    ]
-    for key in keys:
-        out.add_generator(key, ())
-
-    def arrows(src, chain, ws):
-        for y in _image(model._g, chain):
-            if (y,) + ws in out.idem:
-                out.add_arrow(src, (y,) + ws, ())
-
-    for key in keys:
-        fx = frozenset(model._f[key[0]])
-        stack = [(0, key[1:], None)]
-        while stack:
-            depth, ws, chain = stack.pop()
-            if depth:
-                arrows(key, chain, ws)
-            if depth >= cap:
-                raise BoundednessError("box tensor exceeded its depth cap")
-            for i, (side, N) in enumerate(sides):
-                for w2, cs in N.delta[ws[i]].items():
-                    nws = ws[:i] + (w2,) + ws[i + 1:]
-                    for c in cs:
-                        basic = c[0]
-                        if basic.is_idempotent:
-                            # strict unitality: a unit coefficient only moves
-                            # the module marker, and only before any real input
-                            if chain is None:
-                                arrows(key, model.module.act(fx, side, basic), nws)
-                            continue
-                        nxt = model.module.act(
-                            fx if chain is None else _image(model._T, chain), side, basic)
-                        if nxt:
-                            stack.append((depth + 1, nws, nxt))
     return out

@@ -189,16 +189,6 @@ class TypeDStructure:
         return self.gradings
 
 
-def verify_idempotent_compat(M: TypeDStructure) -> bool:
-    for x in M.generators:
-        for y, coefs in M.delta[x].items():
-            for c in coefs:
-                for i in range(len(M.factors)):
-                    if c[i].left_pairs != M.idem[x][i] or c[i].right_pairs != M.idem[y][i]:
-                        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Tensor product over F2 (external: disjoint factor lists)
 

@@ -472,27 +472,15 @@ def poincare_twist_tokens() -> list:
     return out
 
 
-def poincare_sphere(truncated: bool = False, check: bool = False,
-                    self_gluing_route: str = "direct") -> ClosedResult:
+def poincare_sphere(truncated: bool = False, check: bool = False) -> ClosedResult:
     """HF-hat of the Poincare sphere via self-gluing handlebodies."""
     stats: list = []
-    if self_gluing_route == "slides":
-        base = apply_slides(
-            cfd_zero_framed_handlebody(2, truncated),
-            self_gluing_word().expand(),
-            truncated,
-            stats,
-            check=check,
-        )
-    else:
-        base = cancel(cfd_self_gluing(split_pmc(1), truncated))
-    twist_stats: list = []
+    base = cancel(cfd_self_gluing(split_pmc(1), truncated))
     slides = [ArcSlide(split_pmc(2), b1, c1) for _, b1, c1 in poincare_twist_tokens()]
-    module = apply_slides(base, slides, truncated, twist_stats, check=check)
+    module = apply_slides(base, slides, truncated, stats, check=check)
     left = cancel(cfd_self_gluing(split_pmc(1), truncated))
     pairing = mor_complex(left, module)
     if check:
         pairing.require_d_squared()
     orbits = spinc_maslov(pairing)
-    return ClosedResult(orbits=orbits, stages=stats + twist_stats,
-                        mor_rank=len(pairing.generators))
+    return ClosedResult(orbits=orbits, stages=stats, mor_rank=len(pairing.generators))

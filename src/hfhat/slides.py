@@ -616,43 +616,30 @@ def _arcslide_dd_uncached(slide: ArcSlide, truncated: bool,
     chords = enumerate_near_chords(slide)
     if truncated:
         chords = [nc for nc in chords if nc.left.kept and nc.right.kept]
+    if slide.kind == "over":
+        chords = _over_slide_terms(ctx, out.factors, chords, basic_choice_side)
 
     key_of = {idem: key for key, idem in out.idem.items()}
-
-    def with_terms(module: TypeDStructure, terms) -> TypeDStructure:
-        for nc in terms:
-            src_key = key_of[nc.left.left_pairs, nc.right.left_pairs]
-            tgt_key = key_of[nc.left.right_pairs, nc.right.right_pairs]
-            module.add_arrow(src_key, tgt_key, (nc.left, nc.right))
-        module.require_d_squared()
-        module.propagate_gradings()
-        return module
-
-    if slide.kind == "under":
-        with_terms(out, chords)
-        if out.gradings.has_pure_lambda_relation():
-            raise StructureError("under-slide grading set is not lambda-free")
-        return out
-
-    for terms in _over_slide_solutions(ctx, out.factors, chords, basic_choice_side):
-        trial = with_terms(out.copy(), terms)
-        # no loop may reduce to a bare lambda power
-        if not trial.gradings.has_pure_lambda_relation():
-            return trial
-    raise StructureError(
-        f"every solution of the over-slide equation of {slide!r} has a pure lambda relation")
+    for nc in chords:
+        src_key = key_of[nc.left.left_pairs, nc.right.left_pairs]
+        tgt_key = key_of[nc.left.right_pairs, nc.right.right_pairs]
+        out.add_arrow(src_key, tgt_key, (nc.left, nc.right))
+    out.require_d_squared()
+    out.propagate_gradings()
+    # no loop may reduce to a bare lambda power
+    if out.gradings.has_pure_lambda_relation():
+        raise StructureError(f"the grading set of {slide!r} has a pure lambda relation")
+    return out
 
 
-def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
-    """Yield candidate differential term lists for an over-slide.
+def _over_slide_terms(ctx, factors, chords, basic_choice_side):
+    """The differential terms of an over-slide.
 
     The sigma-extended indeterminates are set by the basic choice; the
     rest are unknowns of the structural equation dA + A*A = 0.  A square
     x*x is a linear term over F2, and a nonzero sum x_i*x_j + x_j*x_i of
-    two distinct unknowns raises, so the solutions form an affine space
-    over F2; they are
-    produced in order of how many indeterminate terms they include, since
-    the holomorphic differential never uses disconnected domains.
+    two distinct unknowns raises, so the equation is linear; it must have
+    exactly one solution.
     """
     from .homalg import coef_differential, coef_multiply
 
@@ -721,24 +708,14 @@ def _over_slide_solutions(ctx, factors, chords, basic_choice_side):
         raise StructureError(
             f"over-slide equation of {ctx.slide!r} has a nonzero cross term")
 
-    solutions = sorted(_solve_f2_all(lin, {k for k, v in const.items() if v}),
-                       key=lambda values: (sum(values), values))
-    if not solutions:
-        raise StructureError("over-slide structural equation unsatisfiable")
-    for values in solutions:
-        yield determinate + chosen3 + [nc for nc, bit in zip(unknown_chords, values) if bit]
+    values = _solve_f2(lin, {k for k, v in const.items() if v}, ctx.slide)
+    return determinate + chosen3 + [nc for nc, bit in zip(unknown_chords, values) if bit]
 
 
-# Kernel dimensions up to this are enumerated in full (64 solutions).
-_KERNEL_DIM_MAX = 6
+def _solve_f2(rows: list[dict], target: set, slide: ArcSlide) -> list[int]:
+    """The solution of sum_i c_i * rows[i] = target over F2, sparse rows.
 
-
-def _solve_f2_all(rows: list[dict], target: set):
-    """All solutions of sum_i c_i * rows[i] = target over F2, sparse rows.
-
-    Yields bit lists: a particular solution shifted by every kernel
-    combination.  A kernel of more than _KERNEL_DIM_MAX dimensions raises
-    rather than being enumerated.
+    Raises, naming the slide, unless the solution exists and is unique.
     """
     rows = [set(k for k, v in r.items() if v) for r in rows]
     target = set(target)
@@ -754,22 +731,15 @@ def _solve_f2_all(rows: list[dict], target: set):
                 rows[j] ^= rows[i]
                 combos[j] ^= combos[i]
         pivots.append((piv, i))
-    particular = [0] * n
+    values = [0] * n
     for piv, i in pivots:
         if piv in target:
             target ^= rows[i]
             for k in combos[i]:
-                particular[k] ^= 1
+                values[k] ^= 1
     if target:
-        return
-    kernel = [combos[i] for i in range(n) if not rows[i]]
-    if len(kernel) > _KERNEL_DIM_MAX:
-        raise StructureError(
-            f"over-slide equation has a {len(kernel)}-dimensional solution kernel")
-    for mask in range(1 << len(kernel)):
-        out = list(particular)
-        for k, combo in enumerate(kernel):
-            if mask >> k & 1:
-                for idx in combo:
-                    out[idx] ^= 1
-        yield out
+        raise StructureError(f"over-slide equation of {slide!r} is unsatisfiable")
+    if len(pivots) < n:
+        raise StructureError(f"over-slide equation of {slide!r} has a "
+                             f"{n - len(pivots)}-dimensional solution kernel")
+    return values

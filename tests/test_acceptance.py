@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 import hfhat.algebra as alg
-from hfhat.ainfty import box_closed, caa_identity, minimal_model, StrandsGenerator
+from hfhat.ainfty import caa_identity, minimal_model, StrandsGenerator
 from hfhat.grading import gr_generator, lambda_power, xi_word
 from hfhat.homalg import (
     cancel,

@@ -1,21 +1,11 @@
-from itertools import product
-
 import pytest
 
 import hfhat.algebra as alg
-from hfhat.ainfty import (
-    BoundednessError,
-    MinimalModel,
-    RetractError,
-    box_closed,
-    box_tensor_minimal,
-    caa_identity,
-    minimal_model,
-)
+from hfhat.ainfty import caa_identity, minimal_model
 from hfhat.algebra import StrandsGenerator
-from hfhat.homalg import AlgebraFactor, TypeDStructure, cancel, homology_rank
+from hfhat.homalg import homology_rank
 from hfhat.manifolds import apply_slides, cfd_zero_framed_handlebody, hf_hat_closed, MappingWord
-from hfhat.pmc import ArcSlide, reverse_pmc, split_pmc
+from hfhat.pmc import reverse_pmc, split_pmc
 
 Z1 = split_pmc(1)
 REV = reverse_pmc(Z1)
@@ -171,26 +161,6 @@ def test_ainfty_relations_exhaustive_short_inputs():
                 assert not acc, (x, ls, rs)
 
 
-def test_box_with_zero_delta_module():
-    model = minimal_model(caa_identity(Z1))
-    N = TypeDStructure((cfd_zero_framed_handlebody(1).factors[0],))
-    N.add_generator("u", (frozenset({0}),))
-    out = box_tensor_minimal(model, "rho", N)
-    # vanishing delta leaves only the (zero) m_1 differential
-    assert out.arrow_count() == 0
-    assert len(out.generators) == 1  # one model generator matches the idempotent
-
-
-def test_box_tensor_depth_cap_raises():
-    model = minimal_model(caa_identity(Z1))
-    loops = TypeDStructure((cfd_zero_framed_handlebody(1).factors[0],))
-    loops.add_generator("u", (frozenset({0}),))
-    loops.add_arrow("u", "u", (RHO["12"],))
-    assert loops.verify_d_squared()
-    with pytest.raises(BoundednessError):
-        box_tensor_minimal(model, "rho", loops, depth_cap=1)
-
-
 def test_cross_path_ranks_on_random_words():
     import random
 
@@ -210,161 +180,6 @@ def test_cross_path_ranks_on_random_words():
         boxed = box_closed_dg(caa, left, right)
         assert boxed.verify_d_squared()
         assert homology_rank(boxed) == mor_rank, word.steps
-
-
-# The two earlier box walkers, kept as the oracle for the single walker
-# behind box_tensor_minimal and box_closed.
-
-
-def _old_chain(table, chain):
-    out = set()
-    for v in chain:
-        out ^= table[v]
-    return frozenset(out)
-
-
-def _old_box_tensor_minimal(model, side, N, depth_cap=None):
-    cap = depth_cap if depth_cap is not None else 10 * max(len(N.generators), 1)
-    idem_of = model.lambda_idempotent if side == "lambda" else model.rho_idempotent
-    out = TypeDStructure((), name=f"box({side})")
-    pairs = [(x, u) for x in model.generators for u in N.generators
-             if idem_of(x) == N.idem[u][0]]
-    for x, u in pairs:
-        out.add_generator((x, u), ())
-    for x, u in pairs:
-        stack = [(0, u, None)]
-        while stack:
-            depth, w, chain = stack.pop()
-            if depth:
-                result = _old_chain(model._g, chain) if chain else frozenset()
-                for y in result:
-                    if (y, w) in out.idem:
-                        out.add_arrow((x, u), (y, w), ())
-            if depth >= cap:
-                raise BoundednessError("box tensor exceeded its depth cap")
-            for w2, cs in N.delta[w].items():
-                for c in cs:
-                    basic = c[0]
-                    if basic.is_idempotent:
-                        if chain is None:
-                            kept = model.module.act(frozenset(model._f[x]), side, basic)
-                            for y in _old_chain(model._g, kept):
-                                if (y, w2) in out.idem:
-                                    out.add_arrow((x, u), (y, w2), ())
-                        continue
-                    if chain is None:
-                        nxt = model.module.act(frozenset(model._f[x]), side, basic)
-                    else:
-                        nxt = model.module.act(_old_chain(model._T, chain), side, basic)
-                    if nxt:
-                        stack.append((depth + 1, w2, nxt))
-    return out
-
-
-def _old_box_closed(model, N_lambda, N_rho, depth_cap=None):
-    size = max(len(N_lambda.generators) + len(N_rho.generators), 1)
-    cap = depth_cap if depth_cap is not None else 10 * size
-    out = TypeDStructure((), name="box(closed)")
-    triples = [
-        (x, u, v)
-        for x in model.generators
-        for u in N_lambda.generators
-        if model.lambda_idempotent(x) == N_lambda.idem[u][0]
-        for v in N_rho.generators
-        if model.rho_idempotent(x) == N_rho.idem[v][0]
-    ]
-    for key in triples:
-        out.add_generator(key, ())
-    for x, u, v in triples:
-        stack = [(0, u, v, None)]
-        while stack:
-            depth, w_l, w_r, chain = stack.pop()
-            if depth:
-                for y in _old_chain(model._g, chain):
-                    if (y, w_l, w_r) in out.idem:
-                        out.add_arrow((x, u, v), (y, w_l, w_r), ())
-            if depth >= cap:
-                raise BoundednessError("box tensor exceeded its depth cap")
-            moves = [("lambda", w2, c[0], w_r)
-                     for w2, cs in N_lambda.delta[w_l].items() for c in cs]
-            moves += [("rho", w_l, c[0], w2)
-                      for w2, cs in N_rho.delta[w_r].items() for c in cs]
-            for side, nl, basic, nr in moves:
-                if basic.is_idempotent:
-                    if chain is None:
-                        kept = model.module.act(frozenset(model._f[x]), side, basic)
-                        for y in _old_chain(model._g, kept):
-                            if (y, nl, nr) in out.idem:
-                                out.add_arrow((x, u, v), (y, nl, nr), ())
-                    continue
-                if chain is None:
-                    nxt = model.module.act(frozenset(model._f[x]), side, basic)
-                else:
-                    nxt = model.module.act(_old_chain(model._T, chain), side, basic)
-                if nxt:
-                    stack.append((depth + 1, nl, nr, nxt))
-    return out
-
-
-def _assert_same_box(new, old):
-    assert new.name == old.name
-    assert new.generators == old.generators
-    assert new.delta == old.delta
-    assert [list(row) for row in new.delta.values()] == [list(row) for row in old.delta.values()]
-
-
-def test_box_walker_matches_the_two_earlier_walkers():
-    import random
-
-    from hfhat.manifolds import cfd_zero_framed_handlebody_reversed
-
-    rng = random.Random(23)  # the words of test_cross_path_ranks_on_random_words
-    model = minimal_model(caa_identity(Z1))
-    left = cfd_zero_framed_handlebody_reversed(1)
-    arrows = 0
-    for _ in range(3):
-        word = MappingWord(genus=1)
-        for _i in range(rng.randint(1, 6)):
-            word.steps.append(("slide", *rng.choice(
-                [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)])))
-        right = apply_slides(cfd_zero_framed_handlebody(1), word.expand())
-        closed = box_closed(model, left, right)
-        _assert_same_box(closed, _old_box_closed(model, left, right))
-        arrows += closed.arrow_count()
-        for side, N in (("lambda", left), ("rho", right)):
-            _assert_same_box(box_tensor_minimal(model, side, N),
-                             _old_box_tensor_minimal(model, side, N))
-    assert arrows == 0  # reduced genus-1 modules leave the boxes arrow-free
-
-    # every weight-0 coefficient, units included, forward along 0 < 1 < 2 < 3
-    def acyclic(pmc):
-        N = TypeDStructure((AlgebraFactor(pmc),))
-        for i in range(4):
-            N.add_generator(i, (frozenset({i % 2}),))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for a in alg.basis(pmc, 0):
-                    if a.left_pairs == N.idem[i][0] and a.right_pairs == N.idem[j][0]:
-                        N.add_arrow(i, j, (a,))
-        return N
-
-    dag_l, dag_r = acyclic(REV), acyclic(Z1)
-    closed = box_closed(model, dag_l, dag_r)
-    _assert_same_box(closed, _old_box_closed(model, dag_l, dag_r))
-    assert closed.arrow_count() == 14
-    for side, N in (("lambda", dag_l), ("rho", dag_r)):
-        _assert_same_box(box_tensor_minimal(model, side, N),
-                         _old_box_tensor_minimal(model, side, N))
-
-    loops = TypeDStructure((cfd_zero_framed_handlebody(1).factors[0],))
-    loops.add_generator("u", (frozenset({0}),))
-    loops.add_arrow("u", "u", (RHO["12"],))
-    _assert_same_box(box_tensor_minimal(model, "rho", loops),
-                     _old_box_tensor_minimal(model, "rho", loops))
-    _assert_same_box(box_closed(model, dag_l, loops), _old_box_closed(model, dag_l, loops))
-    for walk in (box_tensor_minimal, _old_box_tensor_minimal):
-        with pytest.raises(BoundednessError):
-            walk(model, "rho", loops, depth_cap=1)
 
 
 def _scan_differential(module, elt):

@@ -25,7 +25,6 @@ from hfhat.homalg import (
     mor_against_bimodule,
     mor_complex,
     tensor,
-    verify_idempotent_compat,
 )
 from hfhat.manifolds import (
     cfd_self_gluing,
@@ -114,8 +113,17 @@ def test_d_squared_matches_the_frozenset_accumulator():
 
 
 def test_idempotent_compatibility():
-    assert verify_idempotent_compat(dd_identity(Z2))
-    assert verify_idempotent_compat(cfd_zero_framed_handlebody(2))
+    # add_arrow refuses a coefficient whose idempotents disagree with its ends
+    rho1 = StrandsGenerator(Z1, [(1, 2)], ())  # from pair 0 to pair 1
+    N = TypeDStructure((AlgebraFactor(Z1),))
+    N.add_generator("u", (frozenset({0}),))
+    N.add_generator("v", (frozenset({1}),))
+    N.add_arrow("u", "v", (rho1,))
+    for src, tgt in (("v", "u"), ("u", "u"), ("v", "v")):
+        with pytest.raises(ValueError, match="incompatible with idempotents"):
+            N.add_arrow(src, tgt, (rho1,))
+    assert N.delta["u"] == {"v": frozenset({(rho1,)})}
+    assert not N.delta["v"]
 
 
 def test_homology_of_zero_boundary():

@@ -226,12 +226,13 @@ def test_over_slide_without_a_lambda_free_solution_raises(monkeypatch):
     from hfhat.homalg import StructureError
     from hfhat.slides import _arcslide_dd_uncached
 
-    slide = ArcSlide(Z2, 1, 2)
-    assert slide.kind == "over"
     monkeypatch.setattr(Gradings, "has_pure_lambda_relation", lambda self: True)
-    with pytest.raises(StructureError, match="pure lambda relation") as err:
-        _arcslide_dd_uncached(slide, False, "source")
-    assert repr(slide) in str(err.value)
+    # one raise serves both kinds, and it names the slide
+    for slide, kind in ((ArcSlide(Z2, 1, 2), "over"), (ArcSlide(Z2, 2, 1), "under")):
+        assert slide.kind == kind
+        with pytest.raises(StructureError, match="pure lambda relation") as err:
+            _arcslide_dd_uncached(slide, False, "source")
+        assert repr(slide) in str(err.value)
 
 
 def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
@@ -262,13 +263,13 @@ def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
 def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
     import hfhat.homalg as homalg
     from hfhat.homalg import AlgebraFactor
-    from hfhat.slides import SlideContext, _over_slide_solutions
+    from hfhat.slides import SlideContext, _over_slide_terms
 
     slide = ArcSlide(Z2, 1, 2)
     ctx = SlideContext(slide)
     factors = (AlgebraFactor(slide.source), AlgebraFactor(ctx.rev_tgt))
     chords = enumerate_near_chords(slide)
-    expected = list(_over_slide_solutions(ctx, factors, chords, "source"))
+    expected = _over_slide_terms(ctx, factors, chords, "source")
     unknowns = [(nc.left, nc.right) for nc in chords if nc.indeterminate and nc.kind != "3"]
 
     def starts(c):
@@ -290,21 +291,37 @@ def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
         return coef_multiply(factors, c1, c2)
 
     monkeypatch.setattr(homalg, "coef_multiply", cancelling)
-    assert list(_over_slide_solutions(ctx, factors, chords, "source")) == expected
+    assert _over_slide_terms(ctx, factors, chords, "source") == expected
     assert len(forced) == 2
 
 
-def test_solution_kernel_beyond_the_cap_raises():
+def test_solve_f2_returns_the_unique_solution_or_raises():
     from hfhat.homalg import StructureError
-    from hfhat.slides import _KERNEL_DIM_MAX, _solve_f2_all
+    from hfhat.slides import _solve_f2
 
-    rows = [{"t": 1}] + [{}] * _KERNEL_DIM_MAX
-    solutions = list(_solve_f2_all(rows, {"t"}))
-    assert len(solutions) == 1 << _KERNEL_DIM_MAX
-    assert all(s[0] == 1 for s in solutions)
-    assert len({tuple(s) for s in solutions}) == len(solutions)
-    with pytest.raises(StructureError, match=f"{_KERNEL_DIM_MAX + 1}-dimensional"):
-        list(_solve_f2_all(rows + [{}], {"t"}))
+    slide = ArcSlide(Z2, 1, 2)
+    rows = [{"a": 1, "b": 1}, {"b": 1}, {"c": 1, "a": 0}]
+    assert _solve_f2(rows, {"a", "c"}, slide) == [1, 1, 1]
+    assert _solve_f2(rows, {"b"}, slide) == [0, 1, 0]
+    assert _solve_f2(rows, set(), slide) == [0, 0, 0]
+    with pytest.raises(StructureError, match="1-dimensional solution kernel") as err:
+        _solve_f2(rows + [{"a": 1}], {"a"}, slide)
+    assert repr(slide) in str(err.value)
+    with pytest.raises(StructureError, match="unsatisfiable") as err:
+        _solve_f2(rows, {"d"}, slide)
+    assert repr(slide) in str(err.value)
+
+
+def test_genus_three_over_slides_have_one_solution():
+    # _solve_f2 raises unless each over-slide equation has exactly one
+    # solution; this pins that past the genus-2 catalogue
+    over = [s for s in all_arcslides(split_pmc(3)) if s.kind == "over"]
+    assert len(over) == 10
+    for slide in over:
+        for truncated in (False, True):
+            dd = arcslide_dd(slide, truncated)
+            assert len(dd.generators) == 80  # 64 complementary + 16 Y-type
+            assert dd.arrow_count()
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +367,10 @@ def _complete_all_pairs(ctx, src_chords, tgt_chords):
                 yield aL, aR
 
 
-def _over_slide_solutions_all_pairs(ctx, factors, chords, basic_choice_side):
-    """The over-slide equation with every product tried, composable or not."""
+def _over_slide_terms_all_pairs(ctx, factors, chords, basic_choice_side):
+    """The over-slide equation with every product tried, composable or not,
+    and every solution enumerated; there must be exactly one."""
     from hfhat.homalg import StructureError, coef_differential, coef_multiply
-    from hfhat.slides import _solve_f2_all
 
     determinate = [nc for nc in chords if not nc.indeterminate]
     indet = [nc for nc in chords if nc.indeterminate]
@@ -435,11 +452,46 @@ def _over_slide_solutions_all_pairs(ctx, factors, chords, basic_choice_side):
             solution = dict(forced)
             solution.update({cols[k]: values[k] for k in range(len(cols))})
             solutions.append(solution)
-    if not solutions:
-        raise StructureError("over-slide structural equation unsatisfiable")
-    solutions.sort(key=lambda sol: (sum(sol.values()), sorted(sol.items())))
-    for solution in solutions:
-        yield determinate + chosen3 + [nc for i, nc in enumerate(unknowns) if solution[i]]
+    assert len(solutions) == 1, f"{len(solutions)} solutions for {ctx.slide!r}"
+    return determinate + chosen3 + [nc for i, nc in enumerate(unknowns) if solutions[0][i]]
+
+
+def _solve_f2_all(rows, target):
+    """All solutions of sum_i c_i * rows[i] = target over F2, sparse rows:
+    a particular solution shifted by every kernel combination."""
+    rows = [set(k for k, v in r.items() if v) for r in rows]
+    target = set(target)
+    n = len(rows)
+    combos = [{i} for i in range(n)]
+    pivots = []
+    for i in range(n):
+        if not rows[i]:
+            continue
+        piv = min(rows[i], key=repr)
+        for j in range(n):
+            if j != i and piv in rows[j]:
+                rows[j] ^= rows[i]
+                combos[j] ^= combos[i]
+        pivots.append((piv, i))
+    particular = [0] * n
+    for piv, i in pivots:
+        if piv in target:
+            target ^= rows[i]
+            for k in combos[i]:
+                particular[k] ^= 1
+    if target:
+        return
+    kernel = [combos[i] for i in range(n) if not rows[i]]
+    assert len(kernel) <= 6, f"{len(kernel)}-dimensional kernel"
+    for mask in range(1 << len(kernel)):
+        out = list(particular)
+        for k, combo in enumerate(kernel):
+            if mask >> k & 1:
+                for idx in combo:
+                    out[idx] ^= 1
+        yield out
+
+
 
 
 ORACLE_SLIDES = [(name, slide) for name, pmc in (("g1", Z1), ("split", Z2), ("antipodal", A2))
@@ -485,15 +537,15 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
     factors = built[False].factors
     for side in ("source", "target") if slide.kind == "over" else ():
         multiplied.clear()
-        solutions = list(slides._over_slide_solutions(ctx, factors, chords, side))
+        terms = slides._over_slide_terms(ctx, factors, chords, side)
         indexed_products = Counter(multiplied)
         multiplied.clear()
-        assert list(_over_slide_solutions_all_pairs(ctx, factors, chords, side)) == solutions
+        assert _over_slide_terms_all_pairs(ctx, factors, chords, side) == terms
         assert indexed_products == Counter(multiplied)
     monkeypatch.undo()
 
     monkeypatch.setattr(slides, "_complete", _complete_all_pairs)
-    monkeypatch.setattr(slides, "_over_slide_solutions", _over_slide_solutions_all_pairs)
+    monkeypatch.setattr(slides, "_over_slide_terms", _over_slide_terms_all_pairs)
     assert _chord_rows(enumerate_near_chords(slide)) == _chord_rows(chords)
     assert dischords(slide) == dis
     for truncated, module in built.items():
