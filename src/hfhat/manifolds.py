@@ -26,15 +26,12 @@ from .homalg import (
 )
 from .pmc import (
     ArcSlide,
-    Chord,
     PointedMatchedCircle,
     connected_sum,
     reverse_pmc,
-    reverse_point,
-    reversed_pair_map,
     split_pmc,
 )
-from .slides import arcslide_dd, dd_identity, matched_chord_terms
+from .slides import arcslide_dd, dd_identity
 
 
 # ---------------------------------------------------------------------------
@@ -73,43 +70,24 @@ def self_gluing_circle(pmc: PointedMatchedCircle) -> PointedMatchedCircle:
 def cfd_self_gluing(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeDStructure:
     """The handlebody whose boundary doubles the circle across a junction.
 
-    Generators are the complementary idempotent pairs, read inside the glued
-    algebra; the differential multiplies by every matched chord pair from
-    the two halves plus every chord symmetric across the junction.
+    The identity bimodule of the reversed circle, read inside the glued
+    algebra: each generator's and each arrow's two halves are fused, and
+    every chord symmetric across the junction is added.
     """
-    rev = reverse_pmc(pmc)
     big = self_gluing_circle(pmc)
     n = pmc.n_points
+    ddid = dd_identity(reverse_pmc(pmc), truncated)
     out = TypeDStructure((AlgebraFactor(big, truncated),), name=f"Hsg(g={pmc.genus})")
 
-    def w_pair(point: int) -> int:
-        return big.pair_of(point)
-
-    keys = {}
-    for size in range(pmc.n_pairs + 1):
-        for left in combinations(range(pmc.n_pairs), size):
-            rev_pairs = frozenset(
-                w_pair(rev.pairs[p][0]) for p in left
-            )
-            comp = [q for q in range(pmc.n_pairs) if q not in
-                    {_pair_under_reversal(pmc, rev, p) for p in left}]
-            z_pairs = frozenset(w_pair(pmc.pairs[q][0] + n) for q in comp)
-            idem = rev_pairs | z_pairs
-            key = tuple(sorted(idem))
-            keys[key] = idem
-            out.add_generator(key, (idem,))
-
-    # chords matched across the two halves
-    rpm_rev = reversed_pair_map(rev)
-    for chord in [Chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]:
-        for aL, aR in matched_chord_terms(rev, pmc, rpm_rev, chord):
-            fused = _fuse_pair(big, aL, aR, shift=n)
-            src = tuple(sorted(fused.left_pairs))
-            tgt = tuple(sorted(fused.right_pairs))
-            if src in keys and tgt in keys:
-                if truncated and not fused.kept:
-                    continue
-                out.add_arrow(src, tgt, (fused,))
+    key_of = {}
+    for g in ddid.generators:
+        idem = _fuse_pair(big, *ddid.idempotent_coef(g), shift=n).left_pairs
+        key_of[g] = tuple(sorted(idem))
+        out.add_generator(key_of[g], (idem,))
+    for g in ddid.generators:
+        for g2, coefs in ddid.delta[g].items():
+            for aL, aR in coefs:
+                out.add_arrow(key_of[g], key_of[g2], (_fuse_pair(big, aL, aR, shift=n),))
 
     # chords symmetric about the junction between the halves
     for radius in range(n):
@@ -125,18 +103,12 @@ def cfd_self_gluing(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeD
                 a = StrandsGenerator(big, [(s, t)], hs)
                 src = tuple(sorted(a.left_pairs))
                 tgt = tuple(sorted(a.right_pairs))
-                if src in keys and tgt in keys:
+                if src in out.idem and tgt in out.idem:
                     if truncated and not a.kept:
                         continue
                     out.add_arrow(src, tgt, (a,))
     out.propagate_gradings()
     return out
-
-
-def _pair_under_reversal(pmc, rev, rev_pair: int) -> int:
-    """Which pair of the circle a pair of the reversed circle came from."""
-    a, _ = rev.pairs[rev_pair]
-    return pmc.pair_of(reverse_point(pmc, a))
 
 
 def _fuse_pair(big, a_first: StrandsGenerator, a_second: StrandsGenerator,
@@ -147,8 +119,7 @@ def _fuse_pair(big, a_first: StrandsGenerator, a_second: StrandsGenerator,
     return StrandsGenerator(big, moving, sorted(horiz))
 
 
-def dd_elementary_cobordism(pmc: PointedMatchedCircle, side: str = "right",
-                            truncated: bool = False) -> TypeDStructure:
+def dd_elementary_cobordism(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeDStructure:
     """The handle-attaching cobordism with its split bordering.
 
     Built as the identity bimodule tensored with the genus-one handlebody,
@@ -157,17 +128,12 @@ def dd_elementary_cobordism(pmc: PointedMatchedCircle, side: str = "right",
     """
     ddid = dd_identity(pmc, truncated)
     torus = split_pmc(1)
-    big = connected_sum(pmc, torus, side=side)
-    shift = pmc.n_points if side == "right" else torus.n_points
-    rev = reverse_pmc(pmc)
+    big = connected_sum(pmc, torus)
+    n = pmc.n_points
     out = TypeDStructure(
-        (AlgebraFactor(big, truncated), AlgebraFactor(rev, truncated)),
+        (AlgebraFactor(big, truncated), ddid.factors[1]),
         name=f"Cob(g{pmc.genus}->g{pmc.genus + 1})",
     )
-
-    def fuse(a: StrandsGenerator, torus_part: StrandsGenerator) -> StrandsGenerator:
-        first, second = (a, torus_part) if side == "right" else (torus_part, a)
-        return _fuse_pair(big, first, second, shift)
 
     # the torus block carries the reversed-handlebody framing so that the
     # orientation reversal at the next pairing lands on the zero-framed one
@@ -175,19 +141,14 @@ def dd_elementary_cobordism(pmc: PointedMatchedCircle, side: str = "right",
     h_loop = StrandsGenerator(torus, [(2, 4)], ())
 
     for g in ddid.generators:
-        left, right = ddid.idem[g]
-        fused_idem = fuse(alg.idempotent(pmc, sorted(left)), h_idem)
-        out.add_generator(g, (fused_idem.left_pairs, right))
+        i_left = ddid.idempotent_coef(g)[0]
+        out.add_generator(g, (_fuse_pair(big, i_left, h_idem, n).left_pairs, ddid.idem[g][1]))
     for g in ddid.generators:
         for g2, coefs in ddid.delta[g].items():
             for aL, aR in coefs:
-                out.add_arrow(g, g2, (fuse(aL, h_idem), aR))
-        left, right = ddid.idem[g]
-        out.add_arrow(
-            g, g,
-            (fuse(alg.idempotent(pmc, sorted(left)), h_loop),
-             alg.idempotent(rev, sorted(right))),
-        )
+                out.add_arrow(g, g2, (_fuse_pair(big, aL, h_idem, n), aR))
+        i_left, i_right = ddid.idempotent_coef(g)
+        out.add_arrow(g, g, (_fuse_pair(big, i_left, h_loop, n), i_right))
     out.propagate_gradings()
     return out
 
@@ -478,8 +439,7 @@ def poincare_sphere(truncated: bool = False, check: bool = False) -> ClosedResul
     base = cancel(cfd_self_gluing(split_pmc(1), truncated))
     slides = [ArcSlide(split_pmc(2), b1, c1) for _, b1, c1 in poincare_twist_tokens()]
     module = apply_slides(base, slides, truncated, stats, check=check)
-    left = cancel(cfd_self_gluing(split_pmc(1), truncated))
-    pairing = mor_complex(left, module)
+    pairing = mor_complex(base, module)
     if check:
         pairing.require_d_squared()
     orbits = spinc_maslov(pairing)

@@ -169,10 +169,6 @@ class Chord:
         if not self.start < self.end:
             raise ValueError(f"chord needs start < end, got [{self.start},{self.end}]")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 def all_chords(pmc: PointedMatchedCircle) -> list[Chord]:
     n = pmc.n_points

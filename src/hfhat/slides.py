@@ -28,40 +28,22 @@ from .pmc import (
 # The identity bimodule
 
 
-def complementary_idempotent_pairs(pmc: PointedMatchedCircle):
-    """(left pair set, right pair set on the reversed circle) for all splits."""
-    rpm = alg.reversal(pmc)[1]
-    out = []
-    for size in range(pmc.n_pairs + 1):
-        for left in combinations(range(pmc.n_pairs), size):
-            right = frozenset(rpm[p] for p in range(pmc.n_pairs) if p not in left)
-            out.append((frozenset(left), right))
-    return out
-
-
-def dd_identity(pmc: PointedMatchedCircle, truncated: bool = False,
-                weight: int | None = None) -> TypeDStructure:
+def dd_identity(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeDStructure:
     """The identity bimodule: complementary idempotent pairs, with one
-    differential term for every chord and every horizontal completion."""
+    differential term for every chord and every horizontal completion.
+    Each term is one strand, so truncation keeps every term."""
     rev, rpm = alg.reversal(pmc)
     out = TypeDStructure(
         (AlgebraFactor(pmc, truncated), AlgebraFactor(rev, truncated)),
         name=f"DDid(g={pmc.genus})",
     )
-    for left, right in complementary_idempotent_pairs(pmc):
-        if weight is not None and len(left) - pmc.genus != weight:
-            continue
-        out.add_generator(tuple(sorted(left)), (left, right))
-
-    gen_keys = {tuple(sorted(idm[0])) for g in out.generators for idm in [out.idem[g]]}
+    for size in range(pmc.n_pairs + 1):
+        for left in combinations(range(pmc.n_pairs), size):
+            right = [rpm[p] for p in range(pmc.n_pairs) if p not in left]
+            out.add_generator(left, (left, right))
     for chord in all_chords(pmc):
         for aL, aR in matched_chord_terms(pmc, rev, rpm, chord):
-            src = tuple(sorted(aL.left_pairs))
-            tgt = tuple(sorted(aL.right_pairs))
-            if src in gen_keys and tgt in gen_keys:
-                if truncated and not (aL.kept and aR.kept):
-                    continue
-                out.add_arrow(src, tgt, (aL, aR))
+            out.add_arrow(tuple(sorted(aL.left_pairs)), tuple(sorted(aL.right_pairs)), (aL, aR))
     out.propagate_gradings()
     return out
 
@@ -107,11 +89,8 @@ class SlideContext:
         lo = min(slide.point_map[slide.c1], c2p)
         hi = max(slide.point_map[slide.c1], c2p)
         self.c_span_target = Chord(lo, hi)
-        # pair translation: pairs of -Z' back to pairs of Z
-        self.pair_from_rev = {}
-        for p in range(tgt.n_pairs):
-            self.pair_from_rev[self.rpm_tgt[p]] = slide.pair_map.index(p)
-        self.pair_to_rev = {v: k for k, v in self.pair_from_rev.items()}
+        # pair translation: pairs of Z to pairs of -Z'
+        self.pair_to_rev = {p: self.rpm_tgt[q] for p, q in enumerate(slide.pair_map)}
         self._partners: dict = {}  # left idempotent -> partners, filled on use
         # common-gap layout for restricted supports
         self.src_gap = self._gap_map(self.n, slide.b1, self.sigma)
@@ -179,24 +158,17 @@ class SlideContext:
 
     # -- idempotent types ---------------------------------------------------
 
-    def translate_right_idem(self, pairs_rev: frozenset) -> frozenset:
-        return frozenset(self.pair_from_rev[p] for p in pairs_rev)
-
     def idem_type(self, left: frozenset, right_rev: frozenset) -> str | None:
         """'CX', 'XC', or 'Y'; None when not near-complementary."""
-        right = self.translate_right_idem(right_rev)
-        every = frozenset(range(self.src.n_pairs))
-        b, c = self.slide.b_pair, self.slide.c_pair
-        if left & right == frozenset() and left | right == every:
-            return "CX" if c in left else "XC"
-        if left & right == frozenset({c}) and left | right == every - {b}:
-            return "Y"
-        return None
+        found = self.partners(left)
+        if right_rev == found[0]:
+            return "CX" if self.slide.c_pair in left else "XC"
+        return "Y" if right_rev in found[1:] else None
 
     def partners(self, left: frozenset) -> list[frozenset]:
-        """The right idempotents (pairs of -Z') that ``idem_type`` accepts
-        with ``left``: its complement, and for a Y-type pair the complement
-        less b plus c."""
+        """The right idempotents (pairs of -Z') near-complementary to
+        ``left``: its complement (X type), and when ``left`` holds c but
+        not b, the complement less b plus c (Y type)."""
         try:
             return self._partners[left]
         except KeyError:
@@ -223,9 +195,6 @@ class NearChord:
         self.right = right
         self.kind = kind
         self.indeterminate = indeterminate
-
-    def key(self):
-        return (self.left, self.right)
 
     def __repr__(self) -> str:
         flag = "?" if self.indeterminate else ""
@@ -564,23 +533,11 @@ def grading_minus_one_scan(slide: ArcSlide):
 
 
 def slide_generators(ctx: SlideContext):
-    """All near-complementary idempotent pairs (X and Y types)."""
-    src = ctx.src
-    every = range(src.n_pairs)
-    rpm_inv = ctx.pair_to_rev
-    out = []
-    for size in range(src.n_pairs + 1):
-        for left in combinations(every, size):
-            right = frozenset(p for p in every if p not in left)
-            out.append((frozenset(left), frozenset(rpm_inv[p] for p in right)))
-    b, c = ctx.slide.b_pair, ctx.slide.c_pair
-    rest = [p for p in every if p not in (b, c)]
-    for size in range(len(rest) + 1):
-        for extra in combinations(rest, size):
-            left = frozenset({c, *extra})
-            right_src = frozenset({c, *(p for p in rest if p not in extra)})
-            out.append((left, frozenset(rpm_inv[p] for p in right_src)))
-    return out
+    """All near-complementary idempotent pairs: every X type, then every Y."""
+    n = ctx.src.n_pairs
+    lefts = [frozenset(left) for size in range(n + 1) for left in combinations(range(n), size)]
+    return ([(left, ctx.partners(left)[0]) for left in lefts]
+            + [(left, right) for left in lefts for right in ctx.partners(left)[1:]])
 
 
 _slide_dd_cache: dict = {}

@@ -47,12 +47,6 @@ def test_dd_identity_d_squared_genus_two():
         assert dd_identity(pmc).verify_d_squared()
 
 
-def test_dd_identity_weight_restriction():
-    dd = dd_identity(Z2, weight=0)
-    assert all(len(dd.idem[g][0]) == 2 for g in dd.generators)
-    assert dd.verify_d_squared()
-
-
 def test_near_chord_enumeration_matches_grading_scan():
     for pmc in (Z1,) + GENUS2_CIRCLES:
         for slide in all_arcslides(pmc):
@@ -551,3 +545,145 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
     for truncated, module in built.items():
         reference = slides._arcslide_dd_uncached(slide, truncated, "source")
         assert _bimodule_rows(reference) == _bimodule_rows(module)
+
+
+# ---------------------------------------------------------------------------
+# Hand-built oracles for the rules now read from dd_identity and partners
+
+
+def _hand_built_self_gluing(pmc, truncated):
+    """The earlier cfd_self_gluing: subsets and matched chords by hand."""
+    from itertools import combinations
+
+    from hfhat.algebra import StrandsGenerator
+    from hfhat.homalg import AlgebraFactor, TypeDStructure
+    from hfhat.manifolds import _fuse_pair, self_gluing_circle
+    from hfhat.pmc import Chord, reverse_point, reversed_pair_map
+    from hfhat.slides import matched_chord_terms
+
+    def pair_under_reversal(rev_pair):
+        return pmc.pair_of(reverse_point(pmc, rev.pairs[rev_pair][0]))
+
+    rev = reverse_pmc(pmc)
+    big = self_gluing_circle(pmc)
+    n = pmc.n_points
+    out = TypeDStructure((AlgebraFactor(big, truncated),), name=f"Hsg(g={pmc.genus})")
+    keys = {}
+    for size in range(pmc.n_pairs + 1):
+        for left in combinations(range(pmc.n_pairs), size):
+            rev_pairs = frozenset(big.pair_of(rev.pairs[p][0]) for p in left)
+            comp = [q for q in range(pmc.n_pairs)
+                    if q not in {pair_under_reversal(p) for p in left}]
+            idem = rev_pairs | frozenset(big.pair_of(pmc.pairs[q][0] + n) for q in comp)
+            key = tuple(sorted(idem))
+            keys[key] = idem
+            out.add_generator(key, (idem,))
+    rpm_rev = reversed_pair_map(rev)
+    for chord in [Chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]:
+        for aL, aR in matched_chord_terms(rev, pmc, rpm_rev, chord):
+            fused = _fuse_pair(big, aL, aR, shift=n)
+            src, tgt = tuple(sorted(fused.left_pairs)), tuple(sorted(fused.right_pairs))
+            if src in keys and tgt in keys and (fused.kept or not truncated):
+                out.add_arrow(src, tgt, (fused,))
+    for radius in range(n):
+        s, t = n - radius, n + radius + 1
+        if s < 1 or t > big.n_points or big.pair_of(s) == big.pair_of(t):
+            continue
+        free = [h for h in range(big.n_pairs) if h not in (big.pair_of(s), big.pair_of(t))]
+        for size in range(len(free) + 1):
+            for hs in combinations(free, size):
+                a = StrandsGenerator(big, [(s, t)], hs)
+                src, tgt = tuple(sorted(a.left_pairs)), tuple(sorted(a.right_pairs))
+                if src in keys and tgt in keys and (a.kept or not truncated):
+                    out.add_arrow(src, tgt, (a,))
+    out.propagate_gradings()
+    return out
+
+
+def _hand_built_pair_to_rev(ctx):
+    """Pairs of Z to pairs of -Z', inverted from the map back to Z."""
+    slide = ctx.slide
+    return {slide.pair_map.index(p): ctx.rpm_tgt[p] for p in range(ctx.tgt.n_pairs)}
+
+
+def _hand_built_slide_generators(ctx):
+    """The earlier slide_generators: complements, then the Y pairs by hand."""
+    from itertools import combinations
+
+    every = range(ctx.src.n_pairs)
+    rpm_inv = _hand_built_pair_to_rev(ctx)
+    out = []
+    for size in range(ctx.src.n_pairs + 1):
+        for left in combinations(every, size):
+            right = frozenset(p for p in every if p not in left)
+            out.append((frozenset(left), frozenset(rpm_inv[p] for p in right)))
+    b, c = ctx.slide.b_pair, ctx.slide.c_pair
+    rest = [p for p in every if p not in (b, c)]
+    for size in range(len(rest) + 1):
+        for extra in combinations(rest, size):
+            right_src = frozenset({c, *(p for p in rest if p not in extra)})
+            out.append((frozenset({c, *extra}), frozenset(rpm_inv[p] for p in right_src)))
+    return out
+
+
+def _hand_built_idem_type(ctx, left, right_rev):
+    """The earlier idem_type, by intersection and union over Z."""
+    pair_from_rev = {v: k for k, v in _hand_built_pair_to_rev(ctx).items()}
+    right = frozenset(pair_from_rev[p] for p in right_rev)
+    every = frozenset(range(ctx.src.n_pairs))
+    b, c = ctx.slide.b_pair, ctx.slide.c_pair
+    if not left & right and left | right == every:
+        return "CX" if c in left else "XC"
+    if left & right == {c} and left | right == every - {b}:
+        return "Y"
+    return None
+
+
+def _catalogue_circles():
+    """Every circle reachable by slides from the split circles of genus 1 and 2."""
+    out = []
+    for start in (Z1, Z2):
+        seen, todo = {start}, [start]
+        while todo:
+            for slide in all_arcslides(todo.pop()):
+                if slide.target not in seen:
+                    seen.add(slide.target)
+                    todo.append(slide.target)
+        out += sorted(seen, key=repr)
+    return out
+
+
+RULE_CASES = (
+    [("self-gluing", pmc, truncated) for pmc in (Z1, Z2, A2) for truncated in (False, True)]
+    + [("slides", pmc, None) for pmc in _catalogue_circles()]
+)
+
+
+@pytest.mark.parametrize("rule, pmc, truncated", RULE_CASES,
+                         ids=[f"{rule}-{'.'.join(f'{a}{b}' for a, b in pmc.pairs)}-{truncated}"
+                              for rule, pmc, truncated in RULE_CASES])
+def test_idempotent_rules_match_the_hand_built_oracles(rule, pmc, truncated):
+    from itertools import combinations
+
+    from hfhat.manifolds import cfd_self_gluing
+    from hfhat.slides import slide_generators
+
+    if rule == "self-gluing":
+        new, old = cfd_self_gluing(pmc, truncated), _hand_built_self_gluing(pmc, truncated)
+        assert (new.name, new.factors, new.generators) == (old.name, old.factors, old.generators)
+        assert new.idem == old.idem
+        for x in old.generators:
+            assert list(new.delta[x].items()) == list(old.delta[x].items())
+        assert list(new.gradings.reps.items()) == list(old.gradings.reps.items())
+        assert new.gradings.relations == old.gradings.relations
+        assert new.gradings.lattice.lambda_torsion2 == old.gradings.lattice.lambda_torsion2
+        return
+    subsets = [frozenset(s) for size in range(pmc.n_pairs + 1)
+               for s in combinations(range(pmc.n_pairs), size)]
+    for slide in all_arcslides(pmc):
+        ctx = SlideContext(slide)
+        assert ctx.pair_to_rev == _hand_built_pair_to_rev(ctx)
+        assert slide_generators(ctx) == _hand_built_slide_generators(ctx)
+        for left in subsets:
+            for right in subsets:
+                assert ctx.idem_type(left, right) == _hand_built_idem_type(ctx, left, right)
