@@ -65,6 +65,8 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_hfhat(args) -> int:
+    if args.preset and args.word:
+        raise WordError("give either a word file or --preset, not both")
     if args.preset == "poincare":
         if args.final != "hom" or args.twist_handedness != "standard":
             raise WordError("the poincare preset takes neither --final nor --twist-handedness")

@@ -8,15 +8,15 @@ arithmetic is exact.
 An element holds its chain flat: all blocks end to end, with one 0 between
 adjacent blocks.  The twist and the parity count only ever pair adjacent
 coordinates, and every pair across a separator has a 0, so sums over the
-whole chain equal the sums block by block.  Only this module knows that
-layout; ``chain_length``, ``stack_blocks``, ``split_blocks`` and
-``place`` expose it.
+whole chain equal the sums block by block.  ``chain_length``,
+``stack_blocks``, ``split_blocks`` and ``place`` expose that layout, and
+the separator split below says how chains cut at a separator recombine.
 
 The product is (j, a)(k, b) = (j + k + t(a, b), a + b), twisted by the
 average local multiplicity of b along the boundary of a: doubled,
 t(a, b) = a . Db with (Db)_i = b_{i+1} - b_{i-1}, coordinates outside the
 chain being 0.  t is bilinear and antisymmetric, so b^k = (k*j, k*b), and
-the hot paths use two closed forms that touch only coordinates that can be
+the hot paths use closed forms that touch only coordinates that can be
 nonzero:
 
 * row operation: h * b^k adds k*b to h's chain and
@@ -28,7 +28,10 @@ nonzero:
   across an arrow walked forward is (jx - jg - t(g, rx), rx - g), and
   g (jx, rx) walked backward is (jx + jg + t(g, rx), rx + g);
 * propagation loop: gr(src)^-1 g gr(tgt) with gr(src) = (ja, a),
-  gr(tgt) = (jb, b) and m = g - a is (jb - ja + jg - t(a, g) + t(m, b), m + b).
+  gr(tgt) = (jb, b) and m = g - a is (jb - ja + jg - t(a, g) + t(m, b), m + b);
+* separator split: for k the index of a block separator,
+  t(a, b) = t(a[:k], b[:k]) + t(a[k:], b[k:]), so products and loops are
+  computed on the heads and the tails apart and concatenated.
 """
 
 from __future__ import annotations
@@ -124,10 +127,6 @@ def place(g: GradingElement, length: int, offset: int) -> GradingElement:
     if tail < 0:
         raise ValueError("grading element does not fit at that offset")
     return GradingElement(g.j2, (0,) * offset + g.chain + (0,) * tail)
-
-
-def lambda_power(sizes: tuple[int, ...], n: int = 1) -> GradingElement:
-    return GradingElement(2 * n, (0,) * chain_length(sizes))
 
 
 def parity_changes(alpha: tuple[int, ...]) -> int:
@@ -520,19 +519,33 @@ def arrow_loops(structure, gradings: Gradings):
     arrow, in delta order, by the loop expansion of the module docstring.
 
     The structure's factor blocks lead the grading's; its retired blocks
-    follow, and coefficients are placed at the front.
+    follow, and coefficients are placed at the front.  Reps are split at
+    the separator after one more block (the separator split of the module
+    docstring): each pair of distinct tails is worked out once, and only
+    the heads per arrow.
     """
     sizes = structure.factor_sizes()
     if gradings.sizes[:len(sizes)] != sizes:
         raise ValueError("grading blocks do not start with the factor sizes")
-    reps = gradings.reps
+    k = chain_length(gradings.sizes[:len(sizes) + 1])
+    tail_ids: dict = {}  # distinct tail -> its index
+    heads = {}  # x -> (jx, head, D head, tail index)
+    for x in structure.generators:
+        g = gradings.reps[x]
+        head = g.chain[:k]
+        heads[x] = (g.j2, head, _boundary(head), tail_ids.setdefault(g.chain[k:], len(tail_ids)))
+    tails = list(tail_ids)
+    tail_terms: dict = {}  # (tail x, tail y) -> (t(sy, sx), sx - sy)
     coef_terms: dict = {}  # coef -> (jc + 2, c, Dc)
     for x in structure.generators:
-        jx, rx = reps[x].j2, reps[x].chain
-        d_rx = _boundary(rx)
+        jx, rx, d_rx, ix = heads[x]
         for y, coefs in structure.delta[x].items():
-            jy, ry = reps[y].j2, reps[y].chain
-            j_xy = jx - jy - sum(map(mul, ry, d_rx))
+            jy, ry, _, iy = heads[y]
+            if (ix, iy) not in tail_terms:
+                sx, sy = tails[ix], tails[iy]
+                tail_terms[ix, iy] = (_twist2(sy, sx), tuple(map(sub, sx, sy)))
+            t_tail, d_tail = tail_terms[ix, iy]
+            j_xy = jx - jy - sum(map(mul, ry, d_rx)) - t_tail
             diff = tuple(map(sub, rx, ry))
             for coef in coefs:
                 if coef not in coef_terms:
@@ -540,4 +553,4 @@ def arrow_loops(structure, gradings: Gradings):
                     coef_terms[coef] = (g.j2 + 2, g.chain, _boundary(g.chain))
                 jc, c, d_c = coef_terms[coef]
                 j2 = j_xy - jc + sum(map(mul, rx, d_c)) + sum(map(mul, ry, d_c))
-                yield GradingElement(j2, tuple(map(sub, diff, c)) + diff[len(c):])
+                yield GradingElement(j2, tuple(map(sub, diff, c)) + diff[len(c):] + d_tail)

@@ -212,9 +212,12 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
         sizes = M.gradings.sizes + N.gradings.sizes
         length = chain_length(sizes)
         n_at = length - chain_length(N.gradings.sizes)
-        m_reps = {u: place(g, length, 0) for u, g in M.gradings.reps.items()}
-        n_reps = {v: place(g, length, n_at) for v, g in N.gradings.reps.items()}
-        reps = {(u, v): m_reps[u] * n_reps[v] for u in M.generators for v in N.generators}
+        m_reps, n_reps = M.gradings.reps, N.gradings.reps
+        # blocks on either side of a separator: the product concatenates
+        sep = (0,) * (n_at - chain_length(M.gradings.sizes))
+        reps = {(u, v): GradingElement(m_reps[u].j2 + n_reps[v].j2,
+                                       m_reps[u].chain + sep + n_reps[v].chain)
+                for u in M.generators for v in N.generators}
         rels = [place(r, length, 0) for r in M.gradings.relations]
         rels += [place(r, length, n_at) for r in N.gradings.relations]
         out.gradings = Gradings(sizes, reps, rels)
@@ -329,7 +332,10 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, kee
 
     The consumed blocks of M are identified with N's live blocks; N's
     retired blocks ride along.  The kept factor's block, if any, is moved
-    to the front so the result again has its live blocks first.
+    to the front so the result again has its live blocks first.  Reps are
+    multiplied out on the chain up to the separator that ends N's live
+    blocks, and N's retired part is appended (the separator split of the
+    ``grading`` module docstring).
     """
     if M.gradings is None or N.gradings is None:
         return
@@ -343,24 +349,27 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, kee
     sizes = tuple(m_sizes[i] for i in kept + consumed) + n_sizes[len(N.factors):]
     length = chain_length(sizes)
     n_at = length - chain_length(n_sizes)
+    live = chain_length(N.factor_sizes())
 
     def transport(g: GradingElement) -> GradingElement:
         # a kept action is a right action read over the reversed circle:
         # its block transports by minus the reversed chain
         blocks = split_blocks(g.chain, m_sizes)
-        front = [tuple(-v for v in reversed(blocks[i])) for i in kept]
-        chain = stack_blocks(front + [blocks[i] for i in consumed])
-        return place(GradingElement(g.j2, chain), length, 0)
+        head = [tuple(-v for v in reversed(blocks[i])) for i in kept]
+        return GradingElement(g.j2, stack_blocks(head + [blocks[i] for i in consumed]))
 
     x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}
-    y_rep = {y: place(g, length, n_at) for y, g in N.gradings.reps.items()}
+    y_split = {y: (GradingElement(g.j2, (0,) * n_at + g.chain[:live]), g.chain[live:])
+               for y, g in N.gradings.reps.items()}
     consumed_sizes = [m_sizes[i] for i in consumed]
     reps = {}
     for key in out.generators:
         x, coef, y = key
-        ga = place(gr_coefficient(coef, consumed_sizes), length, n_at)
-        reps[key] = x_inv[x] * ga * y_rep[y]
-    rels = [transport(r) for r in M.gradings.relations]
+        y_head, y_tail = y_split[y]
+        ga = place(gr_coefficient(coef, consumed_sizes), n_at + live, n_at)
+        head = x_inv[x] * ga * y_head
+        reps[key] = GradingElement(head.j2, head.chain + y_tail)
+    rels = [place(transport(r), length, 0) for r in M.gradings.relations]
     rels += [place(r, length, n_at) for r in N.gradings.relations]
     grad = Gradings(sizes, reps, dedupe_relations(rels))
     defects = arrow_defects(out, grad)

@@ -104,8 +104,6 @@ def cfd_self_gluing(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeD
                 src = tuple(sorted(a.left_pairs))
                 tgt = tuple(sorted(a.right_pairs))
                 if src in out.idem and tgt in out.idem:
-                    if truncated and not a.kept:
-                        continue
                     out.add_arrow(src, tgt, (a,))
     out.propagate_gradings()
     return out

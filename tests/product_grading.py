@@ -15,9 +15,13 @@ from hfhat.grading import (
     chain_length,
     dedupe_relations,
     gr_coefficient,
-    lambda_power,
     place,
 )
+
+
+def lambda_power(sizes, n=1):
+    """lambda^n over the given factor sizes: a pure Maslov shift of n."""
+    return GradingElement(2 * n, (0,) * chain_length(sizes))
 
 
 class ProductLattice:

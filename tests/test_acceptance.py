@@ -12,7 +12,7 @@ import pytest
 
 import hfhat.algebra as alg
 from hfhat.ainfty import caa_identity, minimal_model, StrandsGenerator
-from hfhat.grading import gr_generator, lambda_power, xi_word
+from hfhat.grading import gr_generator, xi_word
 from hfhat.homalg import (
     cancel,
     homology_rank,
@@ -38,6 +38,8 @@ from hfhat.slides import (
     grading_minus_one_scan,
     near_diagonal_grading,
 )
+
+from product_grading import lambda_power
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)

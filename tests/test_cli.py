@@ -156,6 +156,16 @@ def test_hf_hat_needs_word_or_preset(capsys):
     assert main(["hf-hat"]) == 2
 
 
+@pytest.mark.parametrize("preset", ["poincare", "s1xs2-g2"])
+def test_hf_hat_rejects_a_word_file_with_a_preset(preset, word_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "poincare_sphere", lambda **kwargs: pytest.fail("ran the preset"))
+    monkeypatch.setattr(cli, "hf_hat_closed", lambda *a, **kwargs: pytest.fail("ran a word"))
+    assert main(["hf-hat", word_file, "--preset", preset]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "not both" in captured.err
+
+
 def test_dd_slide_dump(pmc_file, capsys):
     assert main(["dd-slide", pmc_file, "2", "1"]) == 0
     out = capsys.readouterr().out

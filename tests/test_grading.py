@@ -16,7 +16,6 @@ from hfhat.grading import (
     dedupe_relations,
     gr_coefficient,
     gr_generator,
-    lambda_power,
     propagate_gradings,
     slide_homology_matrix,
     xi_word,
@@ -27,7 +26,7 @@ from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, split_pmc
 from hfhat.slides import arcslide_dd, dd_identity
 
 from block_grading import BlockElement, block_congruence, block_identity, to_blocks, to_flat
-from product_grading import ProductLattice
+from product_grading import ProductLattice, lambda_power
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)

@@ -33,7 +33,7 @@ from hfhat.manifolds import (
     dd_elementary_cobordism,
     dehn_twist_expand,
 )
-from hfhat.pmc import reverse_pmc, reversed_pair_map, split_pmc
+from hfhat.pmc import all_arcslides, reverse_pmc, reversed_pair_map, split_pmc
 from hfhat.slides import arcslide_dd, dd_identity
 from hfhat.pmc import ArcSlide
 
@@ -695,6 +695,95 @@ def test_arrow_loops_and_lattices_match_the_product_path(preset, truncated, monk
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["orbits"]
     assert checked
+
+
+def _product_mor_reps(out, M, N, keep):
+    """Mor reps as two full-length products, x_inv[x] * ga * y_rep[y]."""
+    m_sizes, n_sizes = M.gradings.sizes, N.gradings.sizes
+    kept = [] if keep is None else [keep]
+    consumed = [i for i in range(len(m_sizes)) if i != keep]
+    sizes = tuple(m_sizes[i] for i in kept + consumed) + n_sizes[len(N.factors):]
+    length = grading.chain_length(sizes)
+    n_at = length - grading.chain_length(n_sizes)
+
+    def transport(g):
+        blocks = grading.split_blocks(g.chain, m_sizes)
+        front = [tuple(-v for v in reversed(blocks[i])) for i in kept]
+        chain = grading.stack_blocks(front + [blocks[i] for i in consumed])
+        return grading.place(grading.GradingElement(g.j2, chain), length, 0)
+
+    x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}
+    y_rep = {y: grading.place(g, length, n_at) for y, g in N.gradings.reps.items()}
+    consumed_sizes = [m_sizes[i] for i in consumed]
+    return {(x, coef, y): x_inv[x]
+            * grading.place(grading.gr_coefficient(coef, consumed_sizes), length, n_at)
+            * y_rep[y]
+            for x, coef, y in out.generators}
+
+
+def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkeypatch):
+    """The seeded genus-2 word of 20 slides (21 grading blocks) under check
+    mode: every Mor stage's reps equal the full-length products, and every
+    arrow loop the product-based loop."""
+    rng = random.Random(3)
+    slides, cur = [], Z2
+    for _ in range(20):
+        slides.append(rng.choice(sorted(all_arcslides(cur), key=lambda s: (s.b1, s.c1))))
+        cur = slides[-1].target
+    stages, loop_checks = [], []
+
+    def compared_defects(structure, gradings):
+        assert list(arrow_loops(structure, gradings)) == product_arrow_loops(structure, gradings)
+        loop_checks.append(len(gradings.sizes))
+        return arrow_defects(structure, gradings)
+
+    mor_gradings = homalg._mor_gradings
+
+    def compared_mor_gradings(out, M, N, keep):
+        mor_gradings(out, M, N, keep)
+        assert out.gradings.reps == _product_mor_reps(out, M, N, keep)
+        stages.append(len(out.gradings.sizes))
+
+    monkeypatch.setattr(homalg, "arrow_defects", compared_defects)
+    monkeypatch.setattr(manifolds, "arrow_defects", compared_defects)
+    monkeypatch.setattr(homalg, "_mor_gradings", compared_mor_gradings)
+    module = manifolds.apply_slides(cfd_zero_framed_handlebody(2), slides, check=True)
+    assert stages == list(range(2, 22))
+    assert len(loop_checks) == 40 and max(loop_checks) == 21
+    assert module.gradings.sizes == (7,) * 21
+
+
+def test_arrow_loops_split_exactly_at_every_separator():
+    """arrow_loops splits at the separator after the first block past the
+    structure's factors.  With one factor per leading block of a random
+    layout, each separator is the split point once, and the loops equal
+    the product-based ones.  Products split the same way."""
+    rng = random.Random(15)
+    circles = {pmc.n_points - 1: pmc for pmc in (Z1, Z2)}
+    for _ in range(30):
+        sizes = tuple(rng.choice(list(circles)) for _ in range(rng.randint(1, 5)))
+
+        def element():
+            blocks = [tuple(rng.randint(-3, 3) for _ in range(s)) for s in sizes]
+            return grading.GradingElement(rng.randint(-9, 9), grading.stack_blocks(blocks))
+
+        for n_factors in range(len(sizes) + 1):
+            pmcs = [circles[s] for s in sizes[:n_factors]]
+            S = TypeDStructure([AlgebraFactor(pmc) for pmc in pmcs])
+            for g in range(5):
+                S.add_generator(g, [{pmc.pair_of(1)} for pmc in pmcs])
+            for _ in range(12):
+                coef = tuple(rng.choice([idempotent(pmc, [pmc.pair_of(1)]),
+                                         StrandsGenerator(pmc, [(1, 3)], ())]) for pmc in pmcs)
+                S.add_arrow(rng.randrange(5), rng.randrange(5), coef)
+            G = Gradings(sizes, {g: element() for g in S.generators}, [])
+            assert list(arrow_loops(S, G)) == product_arrow_loops(S, G)
+
+        a, b = element(), element()
+        for k in (grading.chain_length(sizes[:i]) for i in range(1, len(sizes))):
+            head = grading.GradingElement(a.j2, a.chain[:k]) * grading.GradingElement(b.j2, b.chain[:k])
+            tail = grading.GradingElement(0, a.chain[k:]) * grading.GradingElement(0, b.chain[k:])
+            assert a * b == grading.GradingElement(head.j2 + tail.j2, head.chain + tail.chain)
 
 
 def _image(table, chain):
