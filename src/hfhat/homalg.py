@@ -352,10 +352,10 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, kee
     live = chain_length(N.factor_sizes())
 
     def transport(g: GradingElement) -> GradingElement:
-        # a kept action is a right action read over the reversed circle:
-        # its block transports by minus the reversed chain
+        # a kept action is a right action read over the reversed circle,
+        # whose grading group is the opposite one: its block is reversed
         blocks = split_blocks(g.chain, m_sizes)
-        head = [tuple(-v for v in reversed(blocks[i])) for i in kept]
+        head = [tuple(reversed(blocks[i])) for i in kept]
         return GradingElement(g.j2, stack_blocks(head + [blocks[i] for i in consumed]))
 
     x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}

@@ -1,10 +1,10 @@
-"""Handlebody modules and the closed-manifold pipeline.
+"""Handlebody modules and the closed and bordered pipelines.
 
-A closed three-manifold presented by a gluing word is computed by walking
-the word: each slide contributes one morphism complex against its
-bimodule, reduced before the next step; the two handlebody modules are
-paired off at the end and the homology is split into lambda orbits with
-relative Maslov degrees.
+A three-manifold presented by a gluing word is computed by walking the
+word: each slide or handle attachment contributes one morphism complex
+against its bimodule, reduced before the next step; for a closed manifold
+the two handlebody modules are paired off at the end and the homology is
+split into lambda orbits with relative Maslov degrees.
 """
 
 from __future__ import annotations
@@ -190,22 +190,33 @@ class MappingWord:
         return {"genus": self.genus, "steps": steps}
 
     def expand(self, handedness: str = "standard") -> list[ArcSlide]:
-        cur = split_pmc(self.genus)
-        slides: list[ArcSlide] = []
-        for step in self.steps:
-            if step[0] == "slide":
-                try:
-                    s = ArcSlide(cur, step[1], step[2])
-                except ValueError as err:
-                    raise WordError(str(err)) from err
-                slides.append(s)
-                cur = s.target
-            else:
-                batch = dehn_twist_expand(cur, step[1], step[2], handedness)
-                slides.extend(batch)
-                if batch:
-                    cur = batch[-1].target
-        return slides
+        return expand_steps(split_pmc(self.genus), self.steps, handedness)
+
+
+def expand_steps(cur: PointedMatchedCircle, steps, handedness: str = "standard") -> list:
+    """The arc-slides of ('slide', b1, c1) and ('twist', pair, power) tokens.
+
+    Tokens refer to positions on the running circle, which starts at
+    ``cur``.  ('cobordism',) markers pass through unchanged and move the
+    running circle to the boundary left by attaching a handle.
+    """
+    out: list = []
+    for step in steps:
+        if step[0] == "cobordism":
+            out.append(step)
+            cur = reverse_pmc(connected_sum(reverse_pmc(cur), split_pmc(1)))
+            continue
+        if step[0] == "slide":
+            try:
+                batch = [ArcSlide(cur, step[1], step[2])]
+            except ValueError as err:
+                raise WordError(str(err)) from err
+        else:
+            batch = dehn_twist_expand(cur, step[1], step[2], handedness)
+        out.extend(batch)
+        if batch:
+            cur = batch[-1].target
+    return out
 
 
 def dehn_twist_expand(pmc: PointedMatchedCircle, pair: int, power: int = 1,
@@ -244,28 +255,31 @@ def dehn_twist_expand(pmc: PointedMatchedCircle, pair: int, power: int = 1,
 
 def apply_slides(module: TypeDStructure, slides, truncated: bool = False,
                  stats: list | None = None, check: bool = False) -> TypeDStructure:
-    """Pair the module against each slide bimodule in turn, reducing as we go.
+    """Pair the module against each step's bimodule in turn, reducing as we go.
 
-    Each step consumes the bimodule's source factor against the module and
-    leaves a module over the slide's target circle.  With ``check``, every
-    stage must have d^2 = 0 and, once reduced, gradings that agree with
-    each of its arrows.
+    A slide's bimodule consumes its source factor against the module and
+    leaves a module over the slide's target circle; a ('cobordism',)
+    marker pairs the elementary cobordism's second factor with it and
+    raises the boundary genus by one.  With ``check``, every stage must
+    have d^2 = 0 and, once reduced, gradings that agree with each of its
+    arrows.
     """
     current = module
-    for index, s in enumerate(slides, 1):
-        bim = arcslide_dd(s, truncated)
-        if bim.factors[0] != current.factors[0]:
-            raise WordError(
-                f"slide at {s.b1} over {s.c1} does not act on the module's circle"
-            )
-        raw = mor_against_bimodule(bim, current, seam=0).relabel()
+    for index, step in enumerate(slides, 1):
+        if isinstance(step, ArcSlide):
+            bim, seam = arcslide_dd(step, truncated), 0
+            label = f"slide at {step.b1} over {step.c1}"
+        else:
+            bim = dd_elementary_cobordism(reverse_pmc(current.factors[0].pmc), truncated)
+            seam, label = 1, "cobordism"
+        if bim.factors[seam] != current.factors[0]:
+            raise WordError(f"stage {index} ({label}) does not act on the module's circle")
+        raw = mor_against_bimodule(bim, current, seam=seam).relabel()
         if check:
             raw.require_d_squared()
         reduced = cancel(raw)
         if check and (reduced.gradings is None or arrow_defects(reduced, reduced.gradings)):
-            raise StructureError(
-                f"stage {index} (slide at {s.b1} over {s.c1}): gradings disagree with its arrows"
-            )
+            raise StructureError(f"stage {index} ({label}): gradings disagree with its arrows")
         if stats is not None:
             stats.append((len(raw.generators), len(reduced.generators)))
         current = reduced
@@ -361,18 +375,18 @@ def hf_hat_closed(genus: int, word: MappingWord, truncated: bool = False,
         right = apply_slides(cfd_zero_framed_handlebody_reversed(genus, truncated),
                              [s.reflected() for s in slides],
                              truncated, stats, check=check)
-        ddid = dd_identity(split_pmc(genus), truncated)
-        pairing = mor_complex(ddid, tensor(left, right))
+        pairing = mor_complex(dd_identity(split_pmc(genus), truncated), tensor(left, right))
     else:
         raise ValueError(f"unknown final pairing {final!r}")
+    return _closed(pairing, stats, check)
+
+
+def _closed(pairing: TypeDStructure, stats: list, check: bool) -> ClosedResult:
+    """The closed result of a final pairing complex."""
     if check:
         pairing.require_d_squared()
-    orbits = spinc_maslov(pairing)
-    return ClosedResult(orbits=orbits, stages=stats, mor_rank=len(pairing.generators))
-
-
-# ---------------------------------------------------------------------------
-# Bordered pipeline with elementary cobordisms
+    return ClosedResult(orbits=spinc_maslov(pairing), stages=stats,
+                        mor_rank=len(pairing.generators))
 
 
 def cfd_bordered(start_genus: int, steps, truncated: bool = False,
@@ -384,28 +398,8 @@ def cfd_bordered(start_genus: int, steps, truncated: bool = False,
     with the split bordering.  Tokens refer to positions on the running
     underlying circle, which starts as the split circle of the given genus.
     """
-    module = cfd_zero_framed_handlebody(start_genus, truncated)
-    cur = split_pmc(start_genus)
-    for step in steps:
-        if step[0] == "cobordism":
-            base = reverse_pmc(cur)
-            bim = dd_elementary_cobordism(base, truncated=truncated)
-            if bim.factors[1] != module.factors[0]:
-                raise WordError("cobordism does not match the module's boundary")
-            raw = mor_against_bimodule(bim, module, seam=1).relabel()
-            module = cancel(raw)
-            if stats is not None:
-                stats.append((len(raw.generators), len(module.generators)))
-            cur = reverse_pmc(connected_sum(base, split_pmc(1)))
-            continue
-        if step[0] == "twist":
-            batch = dehn_twist_expand(cur, step[1], step[2])
-        else:
-            batch = [ArcSlide(cur, step[1], step[2])]
-        module = apply_slides(module, batch, truncated, stats)
-        if batch:
-            cur = batch[-1].target
-    return module
+    return apply_slides(cfd_zero_framed_handlebody(start_genus, truncated),
+                        expand_steps(split_pmc(start_genus), steps), truncated, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -416,29 +410,19 @@ SELF_GLUING_SLIDES = [(5, 4), (2, 1), (3, 2), (4, 3), (2, 1), (6, 5), (7, 6), (2
 
 
 def self_gluing_word() -> MappingWord:
-    word = MappingWord(genus=2)
-    word.steps = [("slide", b1, c1) for b1, c1 in SELF_GLUING_SLIDES]
-    return word
+    return MappingWord(2, [("slide", b1, c1) for b1, c1 in SELF_GLUING_SLIDES])
 
 
 def poincare_twist_tokens() -> list:
     # Five repetitions of the two torus twists on the split genus-two
     # circle, as slides in the handedness pinned by the published run
-    out = []
-    for _ in range(5):
-        out.append(("slide", 3, 4))
-        out.append(("slide", 2, 3))
-    return out
+    return [("slide", 3, 4), ("slide", 2, 3)] * 5
 
 
 def poincare_sphere(truncated: bool = False, check: bool = False) -> ClosedResult:
     """HF-hat of the Poincare sphere via self-gluing handlebodies."""
     stats: list = []
     base = cancel(cfd_self_gluing(split_pmc(1), truncated))
-    slides = [ArcSlide(split_pmc(2), b1, c1) for _, b1, c1 in poincare_twist_tokens()]
-    module = apply_slides(base, slides, truncated, stats, check=check)
-    pairing = mor_complex(base, module)
-    if check:
-        pairing.require_d_squared()
-    orbits = spinc_maslov(pairing)
-    return ClosedResult(orbits=orbits, stages=stats, mor_rank=len(pairing.generators))
+    module = apply_slides(base, MappingWord(2, poincare_twist_tokens()).expand(),
+                          truncated, stats, check=check)
+    return _closed(mor_complex(base, module), stats, check)

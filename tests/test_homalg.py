@@ -552,7 +552,7 @@ def _old_mor_gradings(out, M, N, spectator):
 
         def transport(g):
             alphas = list(to_blocks(g, m_sizes).alphas)
-            alphas[keep] = tuple(-v for v in reversed(alphas[keep]))
+            alphas[keep] = tuple(reversed(alphas[keep]))
             return BlockElement(g.j2, tuple(alphas))
 
     def from_n(g):
@@ -708,7 +708,7 @@ def _product_mor_reps(out, M, N, keep):
 
     def transport(g):
         blocks = grading.split_blocks(g.chain, m_sizes)
-        front = [tuple(-v for v in reversed(blocks[i])) for i in kept]
+        front = [tuple(reversed(blocks[i])) for i in kept]
         chain = grading.stack_blocks(front + [blocks[i] for i in consumed])
         return grading.place(grading.GradingElement(g.j2, chain), length, 0)
 

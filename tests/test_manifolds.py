@@ -4,8 +4,15 @@ import random
 import pytest
 
 import hfhat.manifolds as manifolds
-from hfhat.grading import GradingElement
-from hfhat.homalg import StructureError, cancel, homology_rank, modules_isomorphic, mor_complex
+from hfhat.grading import GradingElement, xi_word
+from hfhat.homalg import (
+    StructureError,
+    cancel,
+    homology_rank,
+    modules_isomorphic,
+    mor_against_bimodule,
+    mor_complex,
+)
 from hfhat.manifolds import (
     MappingWord,
     WordError,
@@ -20,7 +27,8 @@ from hfhat.manifolds import (
     self_gluing_word,
     spinc_maslov,
 )
-from hfhat.pmc import ArcSlide, all_arcslides, split_pmc
+from hfhat.pmc import ArcSlide, all_arcslides, connected_sum, reverse_pmc, split_pmc
+from hfhat.slides import arcslide_dd
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -217,3 +225,92 @@ def test_check_mode_checks_each_reduced_stage_grading(monkeypatch):
     monkeypatch.setattr(manifolds, "cancel", tampered_cancel)
     with pytest.raises(StructureError, match=rf"stage 2 \(slide at {slides[1].b1} over"):
         apply_slides(cfd_zero_framed_handlebody(1), slides, check=True)
+
+
+def _stepwise_cfd_bordered(start_genus, steps, stats):
+    """The bordered loop as it stood before slides and cobordisms shared one
+    stage body: each token read and paired on its own."""
+    module = cfd_zero_framed_handlebody(start_genus)
+    cur = split_pmc(start_genus)
+    for step in steps:
+        if step[0] == "cobordism":
+            base = reverse_pmc(cur)
+            raw = mor_against_bimodule(dd_elementary_cobordism(base), module, seam=1).relabel()
+            module = cancel(raw)
+            stats.append((len(raw.generators), len(module.generators)))
+            cur = reverse_pmc(connected_sum(base, split_pmc(1)))
+            continue
+        if step[0] == "twist":
+            batch = dehn_twist_expand(cur, step[1], step[2])
+        else:
+            batch = [ArcSlide(cur, step[1], step[2])]
+        for s in batch:
+            raw = mor_against_bimodule(arcslide_dd(s), module, seam=0).relabel()
+            module = cancel(raw)
+            stats.append((len(raw.generators), len(module.generators)))
+        if batch:
+            cur = batch[-1].target
+    return module
+
+
+def test_bordered_word_reads_tokens_like_the_stepwise_loop():
+    steps = [("twist", 1, 2), ("cobordism",), ("slide", 3, 4), ("twist", 3, -1)]
+    stats, expected_stats = [], []
+    module = cfd_bordered(1, steps, stats=stats)
+    expected = _stepwise_cfd_bordered(1, steps, expected_stats)
+    assert module.factors == expected.factors
+    assert module.sorted_generators() == expected.sorted_generators()
+    assert module.delta == expected.delta
+    assert stats == expected_stats and len(stats) == 5
+
+
+def test_a_stage_off_the_running_circle_is_named_by_its_place_in_the_word():
+    # two twist slides and a handle later the module lives on the genus-2 circle
+    steps = dehn_twist_expand(Z1, 1, 2) + [("cobordism",), ArcSlide(Z1, 2, 1)]
+    with pytest.raises(WordError, match=r"stage 4 \(slide at 2 over 1\)"):
+        apply_slides(cfd_zero_framed_handlebody(1), steps)
+
+
+def _h1_order(word):
+    """|H_1| of the closed manifold: |det| of the word's action on H_1 of
+    the surface, rows at the odd pairs and columns at the even ones."""
+    g = word.genus
+    m = xi_word(word.expand(), 2 * g).matrix
+    return abs(_det([[m[2 * i + 1][2 * j] for j in range(g)] for i in range(g)]))
+
+
+def _det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_lens_space_splits_into_p_orbits_of_rank_one(p):
+    word = MappingWord(1, [("twist", 1, p)])
+    assert _h1_order(word) == p
+    assert [o["rank"] for o in hf_hat_closed(1, word).orbits] == [1] * p
+
+
+def test_two_handle_twists_give_six_orbits_of_rank_one():
+    word = MappingWord(2, [("twist", 1, 2), ("twist", 3, 3)])
+    assert _h1_order(word) == 6
+    assert [o["rank"] for o in hf_hat_closed(2, word).orbits] == [1] * 6
+
+
+def test_seeded_genus_one_twist_words_match_the_order_of_h1():
+    rng = random.Random(11)
+    orders = []
+    for _ in range(60):
+        word = MappingWord(1, [("twist", rng.randrange(2), rng.choice([-3, -2, -1, 1, 2, 3]))
+                               for _ in range(rng.randint(1, 4))])
+        order = _h1_order(word)
+        result = hf_hat_closed(1, word)
+        assert result.total_rank >= order, word.steps
+        if order:
+            assert len(result.orbits) == order, word.steps
+        orders.append(order)
+    # the sample reaches rational and non-rational homology spheres alike
+    assert 0 in orders and max(orders) >= 5
+
