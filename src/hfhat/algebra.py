@@ -18,14 +18,17 @@ class _Strands:
 
     ``diagrams`` interns every valid diagram: the key is (moving,
     horizontals) both as normalised and as first spelled by a caller, so a
-    diagram is validated once however often it is named.  The basis, its
-    index by idempotents and the reversed circle are filled in on first use.
+    diagram is validated once however often it is named.  ``identities``
+    holds each idempotent's identity diagram by the frozenset of its pairs.
+    The basis, its index by idempotents and the reversed circle are filled
+    in on first use.
     """
 
-    __slots__ = ("diagrams", "basis", "between", "reverse")
+    __slots__ = ("diagrams", "identities", "basis", "between", "reverse")
 
     def __init__(self):
         self.diagrams: dict = {}
+        self.identities: dict = {}
         self.basis: list | None = None
         # (left pairs, right pairs, truncated) -> basis elements, in basis order
         self.between: dict | None = None
@@ -167,7 +170,13 @@ ZERO: frozenset = frozenset()
 
 
 def idempotent(pmc: PointedMatchedCircle, pairs) -> StrandsGenerator:
-    return StrandsGenerator(pmc, (), tuple(sorted(pairs)))
+    """The identity diagram of the idempotent on ``pairs``."""
+    identities = _strands(pmc).identities
+    pairs = frozenset(pairs)
+    out = identities.get(pairs)
+    if out is None:
+        out = identities[pairs] = StrandsGenerator(pmc, (), tuple(sorted(pairs)))
+    return out
 
 
 _mul_cache: dict = {}
@@ -401,52 +410,3 @@ def opposite_basic(a: StrandsGenerator) -> StrandsGenerator:
     moving = [(reverse_point(pmc, e), reverse_point(pmc, s)) for s, e in a.moving]
     horizontals = [pair_map[h] for h in a.horizontals]
     return StrandsGenerator(rev, moving, horizontals)
-
-
-def truncate_element(x: frozenset) -> frozenset:
-    """Quotient by the differential ideal of local multiplicity >= 2."""
-    return frozenset(a for a in x if a.kept)
-
-
-def summand_restriction(
-    a: StrandsGenerator,
-    keep_points: int,
-    sum_pmc: PointedMatchedCircle,
-    part_pmc: PointedMatchedCircle,
-    base_pairs: frozenset,
-) -> StrandsGenerator | None:
-    """One basic-generator step of the quotient map A(Z#Z0) -> A(Z).
-
-    keep_points is the number of points of the first summand Z; the
-    generator dies unless its support stays inside Z and its horizontals on
-    Z0 are exactly base_pairs (which are stripped).
-    """
-    if any(s > keep_points or e > keep_points for s, e in a.moving):
-        return None
-    inner, outer = [], []
-    for h in a.horizontals:
-        (p, _q) = sum_pmc.pairs[h]
-        (inner if p <= keep_points else outer).append(h)
-    if frozenset(outer) != base_pairs:
-        return None
-    pair_map = {}
-    for h in inner:
-        p, q = sum_pmc.pairs[h]
-        pair_map[h] = part_pmc.pair_of(p)
-    return StrandsGenerator(part_pmc, a.moving, sorted(pair_map[h] for h in inner))
-
-
-def quotient_map(
-    x: frozenset,
-    keep_points: int,
-    sum_pmc: PointedMatchedCircle,
-    part_pmc: PointedMatchedCircle,
-    base_pairs,
-) -> frozenset:
-    base = frozenset(base_pairs)
-    out: set = set()
-    for a in x:
-        b = summand_restriction(a, keep_points, sum_pmc, part_pmc, base)
-        if b is not None:
-            out ^= {b}
-    return frozenset(out)

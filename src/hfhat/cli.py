@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["poincare", "self-gluing-g1", "s1xs2-g1", "s1xs2-g2"])
     p.add_argument("--final", choices=["hom", "identity"], default="hom")
     p.add_argument("--check", action="store_true",
-                   help="require d^2 = 0 and arrow-compatible gradings at every stage "
-                        "(exit 3 otherwise)")
+                   help="require d^2 = 0 and arrow-compatible gradings at every stage, "
+                        "and for a word |H_1| orbits when H_1 is finite (exit 3 otherwise)")
     p.set_defaults(func=cmd_hfhat)
 
     p = sub.add_parser("dd-slide", help="dump the bimodule of one arc-slide")

@@ -454,6 +454,23 @@ def propagate_gradings(structure):
     pairs by the closed forms of the module docstring.
     """
     sizes = structure.factor_sizes()
+    blocks: dict = {}  # (factor, element) -> its block, checked against the factor once
+
+    def lambda_gr(coef):
+        """lambda * gr_coefficient(coef) as (j2, chain): lambda is central."""
+        if len(coef) != len(sizes):
+            raise ValueError("coefficient does not match the factor sizes")
+        j2, chain = 2, ()
+        for i, a in enumerate(coef):
+            block = blocks.get((i, a))
+            if block is None:
+                if len(a.supp) != sizes[i]:
+                    raise ValueError("coefficient does not match the factor sizes")
+                block = blocks[i, a] = (0, *a.supp) if i else a.supp
+            j2 += a.iota2
+            chain += block
+        return j2, chain
+
     adjacency: dict = {x: [] for x in structure.generators}
     n_arrows = 0
     for x in structure.generators:
@@ -477,8 +494,7 @@ def propagate_gradings(structure):
                 if graded[arrow]:
                     continue
                 graded[arrow] = True
-                g = gr_coefficient(coef, sizes)
-                jg, cg = g.j2 + 2, g.chain  # lambda * gr(coef): lambda is central
+                jg, cg = lambda_gr(coef)
                 if y not in reps:
                     jx, rx = reps[x]
                     if forward:
@@ -507,22 +523,40 @@ def dedupe_relations(relations):
 
 
 def arrow_defects(structure, gradings: Gradings) -> list[GradingElement]:
-    """The distinct ``arrow_loops`` that are not the identity modulo the relations."""
+    """The distinct ``arrow_loops`` that are not the identity modulo the
+    relations, in first-seen order.
+
+    Loops are told apart by their keys, so an element is built, and the
+    lattice asked, once per distinct loop rather than once per arrow.
+    """
     lattice = gradings.lattice
     trivial = (0, lattice.lambda_torsion2)
-    loops = dedupe_relations(arrow_loops(structure, gradings))
-    return [h for h in loops if lattice.lambda_degree(h) != trivial]
+    out = []
+    for (j2, head, _), tail in dict(_arrow_loop_parts(structure, gradings)).items():
+        if j2 or any(head) or any(tail):
+            h = GradingElement(j2, head + tail)
+            if lattice.lambda_degree(h) != trivial:
+                out.append(h)
+    return out
 
 
 def arrow_loops(structure, gradings: Gradings):
     """The loop h = gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src) of each
-    arrow, in delta order, by the loop expansion of the module docstring.
+    arrow, in delta order."""
+    for (j2, head, _), tail in _arrow_loop_parts(structure, gradings):
+        yield GradingElement(j2, head + tail)
+
+
+def _arrow_loop_parts(structure, gradings: Gradings):
+    """Each arrow's loop, in delta order, as ((j2, head, tail id), tail), by
+    the loop expansion of the module docstring.
 
     The structure's factor blocks lead the grading's; its retired blocks
     follow, and coefficients are placed at the front.  Reps are split at
     the separator after one more block (the separator split of the module
     docstring): each pair of distinct tails is worked out once, and only
-    the heads per arrow.
+    the heads per arrow.  Equal tail differences share an id, so two loops
+    are equal exactly when their keys are.
     """
     sizes = structure.factor_sizes()
     if gradings.sizes[:len(sizes)] != sizes:
@@ -535,22 +569,27 @@ def arrow_loops(structure, gradings: Gradings):
         head = g.chain[:k]
         heads[x] = (g.j2, head, _boundary(head), tail_ids.setdefault(g.chain[k:], len(tail_ids)))
     tails = list(tail_ids)
-    tail_terms: dict = {}  # (tail x, tail y) -> (t(sy, sx), sx - sy)
-    coef_terms: dict = {}  # coef -> (jc + 2, c, Dc)
+    diff_ids: dict = {}  # distinct tail difference -> its id
+    tail_terms: dict = {}  # (tail x, tail y) -> (t(sy, sx), id of sx - sy, sx - sy)
+    coef_terms: dict = {}  # coef -> (jc + 2, c padded to the head, Dc)
     for x in structure.generators:
         jx, rx, d_rx, ix = heads[x]
         for y, coefs in structure.delta[x].items():
             jy, ry, _, iy = heads[y]
-            if (ix, iy) not in tail_terms:
+            terms = tail_terms.get((ix, iy))
+            if terms is None:
                 sx, sy = tails[ix], tails[iy]
-                tail_terms[ix, iy] = (_twist2(sy, sx), tuple(map(sub, sx, sy)))
-            t_tail, d_tail = tail_terms[ix, iy]
+                d_tail = tuple(map(sub, sx, sy))
+                terms = tail_terms[ix, iy] = (
+                    _twist2(sy, sx), diff_ids.setdefault(d_tail, len(diff_ids)), d_tail)
+            t_tail, d_id, d_tail = terms
             j_xy = jx - jy - sum(map(mul, ry, d_rx)) - t_tail
-            diff = tuple(map(sub, rx, ry))
             for coef in coefs:
-                if coef not in coef_terms:
+                terms = coef_terms.get(coef)
+                if terms is None:
                     g = gr_coefficient(coef, sizes)
-                    coef_terms[coef] = (g.j2 + 2, g.chain, _boundary(g.chain))
-                jc, c, d_c = coef_terms[coef]
-                j2 = j_xy - jc + sum(map(mul, rx, d_c)) + sum(map(mul, ry, d_c))
-                yield GradingElement(j2, tuple(map(sub, diff, c)) + diff[len(c):] + d_tail)
+                    terms = coef_terms[coef] = (g.j2 + 2, g.chain + (0,) * (k - len(g.chain)),
+                                                _boundary(g.chain))
+                jc, c, d_c = terms
+                j2 = j_xy - jc + sum(map(mul, map(add, rx, ry), d_c))
+                yield (j2, tuple(map(sub, map(sub, rx, ry), c)), d_id), d_tail

@@ -67,8 +67,13 @@ def coef_differential(factors, c):
                 yield c[:i] + (term,) + c[i + 1:]
 
 
-def coef_is_idempotent(c) -> bool:
-    return all(a.is_idempotent for a in c)
+def identity_coef(factors, idem) -> tuple:
+    """The identity coefficient of an idempotent, one per factor.
+
+    It is the only idempotent coefficient an arrow out of a generator with
+    that idempotent can carry: an idempotent diagram is fixed by its pairs.
+    """
+    return tuple(alg.idempotent(f.pmc, s) for f, s in zip(factors, idem))
 
 
 class TypeDStructure:
@@ -107,10 +112,7 @@ class TypeDStructure:
             del self.delta[src][tgt]
 
     def idempotent_coef(self, src):
-        return tuple(
-            alg.idempotent(f.pmc, sorted(self.idem[src][i]))
-            for i, f in enumerate(self.factors)
-        )
+        return identity_coef(self.factors, self.idem[src])
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -198,16 +200,16 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
     for u in M.generators:
         for v in N.generators:
             out.add_generator((u, v), M.idem[u] + N.idem[v])
+    m_pad = {u: M.idempotent_coef(u) for u in M.generators}
+    n_pad = {v: N.idempotent_coef(v) for v in N.generators}
     for u in M.generators:
         for v in N.generators:
             for u2, coefs in M.delta[u].items():
-                pad = tuple(alg.idempotent(f.pmc, sorted(s)) for f, s in zip(N.factors, N.idem[v]))
                 for c in coefs:
-                    out.add_arrow((u, v), (u2, v), c + pad)
+                    out.add_arrow((u, v), (u2, v), c + n_pad[v])
             for v2, coefs in N.delta[v].items():
-                pad = tuple(alg.idempotent(f.pmc, sorted(s)) for f, s in zip(M.factors, M.idem[u]))
                 for c in coefs:
-                    out.add_arrow((u, v), (u, v2), pad + c)
+                    out.add_arrow((u, v), (u, v2), m_pad[u] + c)
     if M.gradings is not None and N.gradings is not None:
         sizes = M.gradings.sizes + N.gradings.sizes
         length = chain_length(sizes)
@@ -278,9 +280,11 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
         name=f"Mor({M.name},{N.name})",
     )
     per_pair: dict = {}
+    ident: dict = {}  # x -> the identity coefficient of every generator (x, coef, y)
     for x in M.generators:
         idem = tuple(frozenset(rpm[p] for p in M.idem[x][i])
                      for (_, rpm), i in zip(reversals, kept))
+        ident[x] = identity_coef(out.factors, idem)
         for y in N.generators:
             choices = [
                 _basics_between(N.factors[k], M.idem[x][i], N.idem[y][k])
@@ -303,14 +307,13 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
         for y in N.generators:
             for coef in per_pair[(x, y)]:
                 src = (x, coef, y)
-                ident = out.idempotent_coef(src)
                 for term in coef_differential(N.factors, coef):
-                    out.add_arrow(src, (x, term, y), ident)
+                    out.add_arrow(src, (x, term, y), ident[x])
                 for y2, coefs in N.delta[y].items():
                     for e in coefs:
                         p = coef_multiply(N.factors, coef, e)
                         if p is not None:
-                            out.add_arrow(src, (x, p, y2), ident)
+                            out.add_arrow(src, (x, p, y2), ident[x])
                 for x0, parts in incoming.get(x, []):
                     for e, kept_part in parts:
                         p = coef_multiply(N.factors, e, coef)
@@ -342,7 +345,8 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, kee
     m_sizes = M.gradings.sizes
     n_sizes = N.gradings.sizes
     if m_sizes != M.factor_sizes() or n_sizes[: len(N.factors)] != N.factor_sizes():
-        return  # unsupported stacking layout; leave ungraded
+        raise StructureError(f"{out.name}: cannot grade from blocks {m_sizes} into {n_sizes}; "
+                             f"the source needs exactly its factor blocks, the target its own first")
 
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(m_sizes)) if i != keep]
@@ -362,12 +366,16 @@ def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, kee
     y_split = {y: (GradingElement(g.j2, (0,) * n_at + g.chain[:live]), g.chain[live:])
                for y, g in N.gradings.reps.items()}
     consumed_sizes = [m_sizes[i] for i in consumed]
+    x_coef: dict = {}  # (x, coef) -> gr(x)^-1 gr'(coef), shared by every y
     reps = {}
     for key in out.generators:
         x, coef, y = key
         y_head, y_tail = y_split[y]
-        ga = place(gr_coefficient(coef, consumed_sizes), n_at + live, n_at)
-        head = x_inv[x] * ga * y_head
+        xa = x_coef.get((x, coef))
+        if xa is None:
+            ga = place(gr_coefficient(coef, consumed_sizes), n_at + live, n_at)
+            xa = x_coef[x, coef] = x_inv[x] * ga
+        head = xa * y_head
         reps[key] = GradingElement(head.j2, head.chain + y_tail)
     rels = [place(transport(r), length, 0) for r in M.gradings.relations]
     rels += [place(r, length, n_at) for r in N.gradings.relations]
@@ -429,16 +437,11 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
     order = out.sorted_generators()
     rank = {g: (i - order_seed) % len(order) for i, g in enumerate(order)}
     heap: list = []  # (cost, rank x, rank y, x, y); the ranks make entries unique
-
-    def ident_of(x, y):
-        if x != y:
-            for c in delta[x].get(y, ()):
-                if coef_is_idempotent(c):
-                    return c
-        return None
+    # the one idempotent coefficient an arrow out of x can carry
+    identity = {x: out.idempotent_coef(x) for x in out.generators}
 
     def push(x, y):
-        if ident_of(x, y) is not None:
+        if x != y and identity[x] in delta[x].get(y, ()):
             cost = (len(back[y]) - 1) * (len(delta[x]) - 1)
             heapq.heappush(heap, (cost, rank[x], rank[y], x, y))
 
@@ -456,8 +459,8 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
         cost, _, _, x, y = heapq.heappop(heap)
         if x not in delta or y not in delta:
             continue
-        ident = ident_of(x, y)
-        if ident is None or cost != (len(back[y]) - 1) * (len(delta[x]) - 1):
+        ident = identity[x]
+        if ident not in delta[x].get(y, ()) or cost != (len(back[y]) - 1) * (len(delta[x]) - 1):
             continue
         if retract is not None:
             # compose with the elementary retract of the pair x -> y: f(w) += f(x)

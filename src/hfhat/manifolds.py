@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import algebra as alg
 from .algebra import StrandsGenerator
-from .grading import arrow_defects
+from .grading import arrow_defects, xi_word
 from .homalg import (
     AlgebraFactor,
     StructureError,
@@ -358,7 +358,9 @@ def hf_hat_closed(genus: int, word: MappingWord, truncated: bool = False,
     ``final`` picks the pairing model for the last step: ``hom`` maps one
     handlebody module into the other, ``identity`` maps the identity
     bimodule into the tensor of the two sides.  Both give the same
-    homology; the identity model is the larger complex.
+    homology; the identity model is the larger complex.  With ``check``,
+    the rank must be at least |H_1| and, when H_1 is finite, there must be
+    one orbit per spin-c structure, |H_1| in all.
     """
     if word.genus != genus:
         raise WordError("word genus disagrees with the requested genus")
@@ -378,7 +380,13 @@ def hf_hat_closed(genus: int, word: MappingWord, truncated: bool = False,
         pairing = mor_complex(dd_identity(split_pmc(genus), truncated), tensor(left, right))
     else:
         raise ValueError(f"unknown final pairing {final!r}")
-    return _closed(pairing, stats, check)
+    result = _closed(pairing, stats, check)
+    if check:
+        order = h1_order(slides, genus)
+        if result.total_rank < order or (order and len(result.orbits) != order):
+            raise StructureError(f"word {word.steps}: {len(result.orbits)} orbit(s) of total "
+                                 f"rank {result.total_rank}, but |H_1| = {order}")
+    return result
 
 
 def _closed(pairing: TypeDStructure, stats: list, check: bool) -> ClosedResult:
@@ -387,6 +395,23 @@ def _closed(pairing: TypeDStructure, stats: list, check: bool) -> ClosedResult:
         pairing.require_d_squared()
     return ClosedResult(orbits=spinc_maslov(pairing), stages=stats,
                         mor_rank=len(pairing.generators))
+
+
+def h1_order(slides, genus: int) -> int:
+    """|H_1| of the closed manifold the slides glue, 0 if it is infinite.
+
+    It is |det| of the word's action on H_1 of the surface, rows at the
+    odd pairs and columns at the even ones.
+    """
+    m = xi_word(slides, 2 * genus).matrix
+    return abs(_det([[m[2 * i + 1][2 * j] for j in range(genus)] for i in range(genus)]))
+
+
+def _det(rows) -> int:
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
 
 
 def cfd_bordered(start_genus: int, steps, truncated: bool = False,

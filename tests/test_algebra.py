@@ -7,6 +7,8 @@ import hfhat.algebra as alg
 from hfhat.algebra import StrandsGenerator, idempotent
 from hfhat.pmc import Chord, antipodal_pmc, reverse_pmc, split_pmc
 
+from summand_maps import quotient_map, truncate_element
+
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
 A2 = antipodal_pmc(2)
@@ -197,14 +199,14 @@ def test_truncation_drops_high_multiplicity():
     keep = StrandsGenerator(Z2, [(1, 3)], ())
     double = StrandsGenerator(Z2, [(1, 4), (2, 5)], ())
     assert any(m > 1 for m in double.supp)
-    out = alg.truncate_element(frozenset({keep, double}))
+    out = truncate_element(frozenset({keep, double}))
     assert out == frozenset({keep})
 
 
 def test_truncation_commutes_with_differential_genus_two():
     for g in alg.full_basis(Z2):
-        lhs = alg.truncate_element(alg.differential_basic(g))
-        rhs = alg.differential(alg.truncate_element(frozenset({g})))
+        lhs = truncate_element(alg.differential_basic(g))
+        rhs = alg.differential(truncate_element(frozenset({g})))
         assert lhs == rhs  # the support is preserved by resolutions
 
 
@@ -213,12 +215,12 @@ def test_quotient_map_on_summand():
     part = split_pmc(1)
     base = frozenset({total.pair_of(5)})
     inside = StrandsGenerator(total, [(1, 2)], [total.pair_of(5)])
-    kept = alg.quotient_map(frozenset({inside}), 4, total, part, base)
+    kept = quotient_map(frozenset({inside}), 4, total, part, base)
     assert kept == frozenset({StrandsGenerator(part, [(1, 2)], ())})
     crossing = StrandsGenerator(total, [(2, 6)], ())
-    assert alg.quotient_map(frozenset({crossing}), 4, total, part, base) == frozenset()
+    assert quotient_map(frozenset({crossing}), 4, total, part, base) == frozenset()
     wrong_idem = StrandsGenerator(total, [(1, 2)], [total.pair_of(6)])
-    assert alg.quotient_map(frozenset({wrong_idem}), 4, total, part, base) == frozenset()
+    assert quotient_map(frozenset({wrong_idem}), 4, total, part, base) == frozenset()
 
 
 def test_quotient_map_is_algebra_map_on_samples():
@@ -232,9 +234,9 @@ def test_quotient_map_is_algebra_map_on_samples():
     for _ in range(300):
         a, b = random.choice(basis), random.choice(basis)
         ab = alg.multiply_basic(a, b)
-        lhs = alg.quotient_map(frozenset([ab]) if ab else frozenset(), 4, total, part, base)
-        qa = alg.quotient_map(frozenset({a}), 4, total, part, base)
-        qb = alg.quotient_map(frozenset({b}), 4, total, part, base)
+        lhs = quotient_map(frozenset([ab]) if ab else frozenset(), 4, total, part, base)
+        qa = quotient_map(frozenset({a}), 4, total, part, base)
+        qb = quotient_map(frozenset({b}), 4, total, part, base)
         assert lhs == alg.multiply(qa, qb)
 
 

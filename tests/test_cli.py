@@ -98,6 +98,17 @@ def test_hf_hat_check_exits_internal_on_a_stage_defect(twist_word_file, monkeypa
     assert "stage 2" in capsys.readouterr().err
 
 
+def test_hf_hat_check_exits_internal_when_the_orbits_miss_the_order_of_h1(
+        twist_word_file, monkeypatch, capsys):
+    # L(3,1) has three spin-c structures; plant a fourth
+    monkeypatch.setattr(manifolds, "h1_order", lambda slides, genus: 4)
+    assert main(["hf-hat", twist_word_file]) == 0  # unchecked, nothing is compared
+    capsys.readouterr()
+    assert main(["hf-hat", twist_word_file, "--check"]) == EXIT_INTERNAL
+    assert "word [('twist', 1, 3)]: 3 orbit(s) of total rank 3, but |H_1| = 4" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("preset", ["poincare", "self-gluing-g1", "s1xs2-g1", "s1xs2-g2"])
 def test_hf_hat_check_reaches_every_preset(preset, monkeypatch):
     checks = []

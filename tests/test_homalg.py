@@ -1,3 +1,4 @@
+import heapq
 import json
 import random
 
@@ -9,16 +10,22 @@ import hfhat.homalg as homalg
 import hfhat.manifolds as manifolds
 from hfhat.algebra import StrandsGenerator, idempotent
 from hfhat.cli import main
-from hfhat.grading import Gradings, RelationLattice, arrow_defects, arrow_loops
+from hfhat.grading import (
+    Gradings,
+    RelationLattice,
+    arrow_defects,
+    arrow_loops,
+    dedupe_relations,
+)
 from hfhat.homalg import (
     AlgebraFactor,
+    StructureError,
     TypeDStructure,
     _basics_between,
     _coef_inverse,
     _product_tuples,
     cancel,
     coef_differential,
-    coef_is_idempotent,
     coef_multiply,
     homology_rank,
     modules_isomorphic,
@@ -42,6 +49,10 @@ from product_grading import ProductLattice, product_arrow_defects, product_arrow
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
+
+
+def coef_is_idempotent(c) -> bool:
+    return all(a.is_idempotent for a in c)
 
 
 def two_step_complex():
@@ -250,10 +261,20 @@ def test_mor_preserves_homology_through_cancellation():
     raw = mor_against_bimodule(arcslide_dd(s), h2, seam=0)
     red = cancel(raw)
     probe = cfd_zero_framed_handlebody_reversed(2)
+
+    def ungraded(S):
+        # a Mor stage keeps its target's blocks after its factor's, a layout
+        # the source of a morphism complex cannot have, so compare ungraded
+        out = S.relabel()
+        out.gradings = None
+        return out
+
     # pairing against a fixed test module before and after reduction
-    before = homology_rank(mor_complex(raw.relabel(), raw.relabel()))
-    after = homology_rank(mor_complex(red.relabel(), red.relabel()))
+    before = homology_rank(mor_complex(ungraded(raw), ungraded(raw)))
+    after = homology_rank(mor_complex(ungraded(red), ungraded(red)))
     assert before == after
+    with pytest.raises(StructureError, match="source needs exactly its factor blocks"):
+        mor_complex(raw.relabel(), raw.relabel())
 
 
 def test_relabel_keeps_structure():
@@ -723,8 +744,9 @@ def _product_mor_reps(out, M, N, keep):
 
 def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkeypatch):
     """The seeded genus-2 word of 20 slides (21 grading blocks) under check
-    mode: every Mor stage's reps equal the full-length products, and every
-    arrow loop the product-based loop."""
+    mode: every Mor stage's reps equal the full-length products, every
+    arrow loop the product-based loop, and every defect pass and cancel
+    the per-arrow pass and the coefficient scan."""
     rng = random.Random(3)
     slides, cur = [], Z2
     for _ in range(20):
@@ -735,7 +757,7 @@ def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkey
     def compared_defects(structure, gradings):
         assert list(arrow_loops(structure, gradings)) == product_arrow_loops(structure, gradings)
         loop_checks.append(len(gradings.sizes))
-        return arrow_defects(structure, gradings)
+        return _compared_defects(structure, gradings)
 
     mor_gradings = homalg._mor_gradings
 
@@ -747,10 +769,159 @@ def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkey
     monkeypatch.setattr(homalg, "arrow_defects", compared_defects)
     monkeypatch.setattr(manifolds, "arrow_defects", compared_defects)
     monkeypatch.setattr(homalg, "_mor_gradings", compared_mor_gradings)
+    monkeypatch.setattr(manifolds, "cancel", _compared_cancel)
     module = manifolds.apply_slides(cfd_zero_framed_handlebody(2), slides, check=True)
     assert stages == list(range(2, 22))
     assert len(loop_checks) == 40 and max(loop_checks) == 21
     assert module.gradings.sizes == (7,) * 21
+
+
+# The defect pass that keys loops before building them, and the pivot test
+# by the source's identity coefficient, checked against the per-arrow pass
+# and the coefficient scan they replaced, on every stage of a run.
+
+
+def _per_arrow_defects(structure, gradings):
+    """Defects from one full-length loop per arrow, deduplicated as elements."""
+    lattice = gradings.lattice
+    trivial = (0, lattice.lambda_torsion2)
+    loops = dedupe_relations(arrow_loops(structure, gradings))
+    return [h for h in loops if lattice.lambda_degree(h) != trivial]
+
+
+def _coefficient_scan_cancel(M):
+    """cancel finding each pivot's idempotent coefficient by scanning the
+    arrow's coefficients for one whose entries are all idempotents."""
+    out = M.copy()
+    delta = out.delta
+    back = {x: set() for x in out.generators}
+    for x in out.generators:
+        for y in delta[x]:
+            back[y].add(x)
+    order = out.sorted_generators()
+    rank = {g: i for i, g in enumerate(order)}
+    heap = []
+
+    def ident_of(x, y):
+        if x != y:
+            for c in delta[x].get(y, ()):
+                if coef_is_idempotent(c):
+                    return c
+        return None
+
+    def push(x, y):
+        if ident_of(x, y) is not None:
+            cost = (len(back[y]) - 1) * (len(delta[x]) - 1)
+            heapq.heappush(heap, (cost, rank[x], rank[y], x, y))
+
+    for x in out.generators:
+        for y in delta[x]:
+            push(x, y)
+    while heap:
+        cost, _, _, x, y = heapq.heappop(heap)
+        if x not in delta or y not in delta:
+            continue
+        ident = ident_of(x, y)
+        if ident is None or cost != (len(back[y]) - 1) * (len(delta[x]) - 1):
+            continue
+        inv = _coef_inverse(out.factors, delta[x][y], ident)
+        outgoing = [(z, coefs) for z, coefs in delta[x].items() if z not in (x, y)]
+        entering = [(w, delta[w][y]) for w in back[y] if w not in (x, y)]
+        for w, wcoefs in entering:
+            for z, zcoefs in outgoing:
+                for cw in wcoefs:
+                    for ci in inv:
+                        left = coef_multiply(out.factors, cw, ci)
+                        if left is None:
+                            continue
+                        for cz in zcoefs:
+                            p = coef_multiply(out.factors, left, cz)
+                            if p is None:
+                                continue
+                            entry = delta[w].setdefault(z, frozenset()) ^ {p}
+                            if entry:
+                                delta[w][z] = entry
+                                back[z].add(w)
+                            else:
+                                del delta[w][z]
+                                back[z].discard(w)
+        sources = (back[x] | back[y]) - {x, y}
+        targets = (set(delta[x]) | set(delta[y])) - {x, y}
+        for dead in (x, y):
+            for z in delta.pop(dead, {}):
+                back[z].discard(dead)
+            for w in back.pop(dead, ()):
+                if w in delta and dead in delta[w]:
+                    del delta[w][dead]
+        for w in sources:
+            for z in delta[w]:
+                push(w, z)
+        for z in targets:
+            for w in back[z]:
+                push(w, z)
+    out.generators = [g for g in out.generators if g in delta]
+    out.idem = {g: out.idem[g] for g in out.generators}
+    out.delta = {g: delta[g] for g in out.generators}
+    if out.gradings is not None:
+        out.gradings = out.gradings.with_reps({g: out.gradings.reps[g] for g in out.generators})
+    return out
+
+
+def _compared_defects(structure, gradings):
+    """arrow_defects, asserted equal to the per-arrow pass, and also with
+    the relations dropped, where every loop but the identity is a defect."""
+    defects = arrow_defects(structure, gradings)
+    assert defects == _per_arrow_defects(structure, gradings)
+    bare = Gradings(gradings.sizes, gradings.reps, [])
+    assert arrow_defects(structure, bare) == _per_arrow_defects(structure, bare)
+    return defects
+
+
+def _compared_cancel(M):
+    """cancel, asserted equal to the coefficient scan: the same survivors,
+    the same rows in the same order, the same reps."""
+    new, old = cancel(M), _coefficient_scan_cancel(M)
+    assert new.generators == old.generators
+    assert [list(row.items()) for row in new.delta.values()] \
+        == [list(row.items()) for row in old.delta.values()]
+    assert (new.gradings is None) == (old.gradings is None)
+    if new.gradings is not None:
+        assert new.gradings.reps == old.gradings.reps
+    return new
+
+
+def _install_stage_oracles(monkeypatch):
+    """Route every defect pass and every cancel of a run through the
+    oracles; the returned counter records how often each ran."""
+    seen = {"defects": 0, "cancel": 0}
+
+    def defects(structure, gradings):
+        seen["defects"] += 1
+        return _compared_defects(structure, gradings)
+
+    def reduced(M):
+        seen["cancel"] += 1
+        return _compared_cancel(M)
+
+    monkeypatch.setattr(homalg, "arrow_defects", defects)
+    monkeypatch.setattr(manifolds, "arrow_defects", defects)
+    monkeypatch.setattr(manifolds, "cancel", reduced)
+    return seen
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["plain", "truncated"])
+@pytest.mark.parametrize("preset", ["poincare", "s1xs2-g1", "s1xs2-g2", "self-gluing-g1"])
+def test_keyed_defects_and_identity_pivots_match_the_scans(preset, truncated, monkeypatch, capsys):
+    """Every Mor stage, reduced stage and final pairing of a checked preset
+    run: the same defects in the same order, the same reduced structures."""
+    seen = _install_stage_oracles(monkeypatch)
+    argv = ["--truncated"] * truncated + ["--output", "json", "hf-hat", "--preset", preset, "--check"]
+    assert main(argv) == 0
+    stages = len(json.loads(capsys.readouterr().out)["stages"])
+    # a raw and a reduced pass per stage, one on the final pairing
+    assert seen["defects"] == 2 * stages + 1
+    # a cancel per stage and one for the spin-c split; Poincare reduces its base too
+    assert seen["cancel"] == stages + 1 + (preset == "poincare")
 
 
 def test_arrow_loops_split_exactly_at_every_separator():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import hfhat.manifolds as manifolds
-from hfhat.grading import GradingElement, xi_word
+from hfhat.grading import GradingElement
 from hfhat.homalg import (
     StructureError,
     cancel,
@@ -23,6 +23,7 @@ from hfhat.manifolds import (
     cfd_zero_framed_handlebody_reversed,
     dd_elementary_cobordism,
     dehn_twist_expand,
+    h1_order,
     hf_hat_closed,
     self_gluing_word,
     spinc_maslov,
@@ -271,31 +272,16 @@ def test_a_stage_off_the_running_circle_is_named_by_its_place_in_the_word():
         apply_slides(cfd_zero_framed_handlebody(1), steps)
 
 
-def _h1_order(word):
-    """|H_1| of the closed manifold: |det| of the word's action on H_1 of
-    the surface, rows at the odd pairs and columns at the even ones."""
-    g = word.genus
-    m = xi_word(word.expand(), 2 * g).matrix
-    return abs(_det([[m[2 * i + 1][2 * j] for j in range(g)] for i in range(g)]))
-
-
-def _det(rows):
-    if not rows:
-        return 1
-    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j in range(len(rows)))
-
-
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_lens_space_splits_into_p_orbits_of_rank_one(p):
     word = MappingWord(1, [("twist", 1, p)])
-    assert _h1_order(word) == p
+    assert h1_order(word.expand(), word.genus) == p
     assert [o["rank"] for o in hf_hat_closed(1, word).orbits] == [1] * p
 
 
 def test_two_handle_twists_give_six_orbits_of_rank_one():
     word = MappingWord(2, [("twist", 1, 2), ("twist", 3, 3)])
-    assert _h1_order(word) == 6
+    assert h1_order(word.expand(), word.genus) == 6
     assert [o["rank"] for o in hf_hat_closed(2, word).orbits] == [1] * 6
 
 
@@ -305,7 +291,7 @@ def test_seeded_genus_one_twist_words_match_the_order_of_h1():
     for _ in range(60):
         word = MappingWord(1, [("twist", rng.randrange(2), rng.choice([-3, -2, -1, 1, 2, 3]))
                                for _ in range(rng.randint(1, 4))])
-        order = _h1_order(word)
+        order = h1_order(word.expand(), word.genus)
         result = hf_hat_closed(1, word)
         assert result.total_rank >= order, word.steps
         if order:
@@ -314,3 +300,14 @@ def test_seeded_genus_one_twist_words_match_the_order_of_h1():
     # the sample reaches rational and non-rational homology spheres alike
     assert 0 in orders and max(orders) >= 5
 
+
+def test_seeded_genus_two_twist_words_pass_the_checked_run():
+    rng = random.Random(5)
+    orders = []
+    for _ in range(12):
+        word = MappingWord(2, [("twist", rng.randrange(4), rng.choice([-3, -2, -1, 1, 2, 3]))
+                               for _ in range(rng.randint(1, 3))])
+        hf_hat_closed(2, word, check=True)  # raises unless rank and orbits fit |H_1|
+        orders.append(h1_order(word.expand(), 2))
+    # two rational homology spheres among them, with 2 and 6 spin-c structures
+    assert sorted(o for o in orders if o) == [2, 6]

@@ -17,6 +17,8 @@ from hfhat.slides import (
     near_diagonal_pairs,
 )
 
+from summand_maps import summand_restriction
+
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
 A2 = antipodal_pmc(2)
@@ -147,6 +149,9 @@ def test_over_slide_gauge_independence():
     for side in ("source", "target"):
         dd = arcslide_dd(slide, basic_choice_side=side)
         module = cancel(mor_against_bimodule(dd, h, seam=0).relabel())
+        # a Mor stage keeps its target's blocks after its factor's, a layout
+        # the source of a morphism complex cannot have; ranks need no grading
+        module.gradings = None
         ranks.append(homology_rank(mor_complex(module, module)))
     assert ranks[0] == ranks[1]
 
@@ -170,7 +175,7 @@ def test_stability_under_stabilized_slide():
     base_right = frozenset({rev_big.pair_of(1)})
 
     def restrict_left(a):
-        return alg.summand_restriction(a, 4, Z2, Z1, base_left)
+        return summand_restriction(a, 4, Z2, Z1, base_left)
 
     def restrict_right(b):
         if any(s <= 4 or e <= 4 for s, e in b.moving):
