@@ -15,12 +15,11 @@ from .pmc import (
     PointedMatchedCircle,
     all_chords,
     antipodal_pmc,
-    apply_arcslide,
     connected_sum,
     reverse_pmc,
     split_pmc,
 )
-from .algebra import StrandsGenerator, basis, chord_element, chordset_element, idempotent
+from .algebra import StrandsGenerator, basis, chordset_element, idempotent
 from .homalg import TypeDStructure, cancel, mor_against_bimodule, mor_complex, tensor
 from .slides import arcslide_dd, dd_identity, enumerate_near_chords
 from .manifolds import (
@@ -34,29 +33,28 @@ from .manifolds import (
     poincare_sphere,
     spinc_maslov,
 )
-from .ainfty import box_closed_dg, caa_identity, minimal_model
+from .ainfty import DualIdentityBimodule, MinimalModel, box_closed_dg
 
 __all__ = [
     "ArcSlide",
     "Chord",
     "ClosedResult",
+    "DualIdentityBimodule",
     "InvalidCircleError",
     "InvalidSlideError",
     "MappingWord",
+    "MinimalModel",
     "PointedMatchedCircle",
     "StrandsGenerator",
     "TypeDStructure",
     "all_chords",
     "antipodal_pmc",
-    "apply_arcslide",
     "arcslide_dd",
     "basis",
     "box_closed_dg",
-    "caa_identity",
     "cancel",
     "cfd_self_gluing",
     "cfd_zero_framed_handlebody",
-    "chord_element",
     "chordset_element",
     "connected_sum",
     "dd_elementary_cobordism",
@@ -65,7 +63,6 @@ __all__ = [
     "enumerate_near_chords",
     "hf_hat_closed",
     "idempotent",
-    "minimal_model",
     "mor_against_bimodule",
     "mor_complex",
     "poincare_sphere",

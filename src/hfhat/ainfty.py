@@ -106,10 +106,6 @@ class DualIdentityBimodule:
         return frozenset(out)
 
 
-def caa_identity(pmc: PointedMatchedCircle, truncated: bool = False) -> DualIdentityBimodule:
-    return DualIdentityBimodule(pmc, truncated)
-
-
 class MinimalModel:
     """The transferred structure on the homology of the dualized identity.
 
@@ -213,10 +209,6 @@ def _interleavings(seq1, seq2):
         yield (seq1[0],) + rest
     for rest in _interleavings(seq1, seq2[1:]):
         yield (seq2[0],) + rest
-
-
-def minimal_model(module: DualIdentityBimodule, seed: int = 0) -> MinimalModel:
-    return MinimalModel(module, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, count
 
-from .pmc import Chord, PointedMatchedCircle, reverse_pmc, reverse_point, reversed_pair_map
+from .pmc import PointedMatchedCircle, reverse_pmc, reverse_point, reversed_pair_map
 
 
 class _Strands:
@@ -166,9 +166,6 @@ class StrandsGenerator:
         return "\n".join(rows)
 
 
-ZERO: frozenset = frozenset()
-
-
 def idempotent(pmc: PointedMatchedCircle, pairs) -> StrandsGenerator:
     """The identity diagram of the idempotent on ``pairs``."""
     identities = _strands(pmc).identities
@@ -232,16 +229,6 @@ def _multiply_basic_uncached(a, b):
     moving = sorted((s, e) for s, _, e in composite if s != e)
     horizontals = [h for h in a.horizontals if h in b.horizontals]
     return StrandsGenerator(a.pmc, moving, horizontals)
-
-
-def multiply(x: frozenset, y: frozenset) -> frozenset:
-    out: set = set()
-    for a in x:
-        for b in y:
-            c = multiply_basic(a, b)
-            if c is not None:
-                out ^= {c}
-    return frozenset(out)
 
 
 def _inv_of_strands(strands) -> int:
@@ -367,19 +354,6 @@ def _assignments(pmc, starts, chosen=()):
         yield from _assignments(pmc, starts[1:], chosen + ((s, e),))
 
 
-def all_idempotents(pmc: PointedMatchedCircle) -> list[StrandsGenerator]:
-    out = []
-    for size in range(pmc.n_pairs + 1):
-        for pairs in combinations(range(pmc.n_pairs), size):
-            out.append(idempotent(pmc, pairs))
-    return out
-
-
-def chord_element(pmc: PointedMatchedCircle, chord: Chord, weight: int | None = None) -> frozenset:
-    """Sum of all horizontal completions of the single moving strand."""
-    return chordset_element(pmc, [chord], weight)
-
-
 def chordset_element(pmc: PointedMatchedCircle, chords, weight: int | None = None) -> frozenset:
     """Sum over all valid horizontal completions of several moving strands.
 
@@ -391,7 +365,7 @@ def chordset_element(pmc: PointedMatchedCircle, chords, weight: int | None = Non
     try:
         StrandsGenerator(pmc, moving, ())
     except ValueError:
-        return ZERO
+        return frozenset()
     used = {pmc.pair_of(p) for m in moving for p in m}
     free = [h for h in range(pmc.n_pairs) if h not in used]
     out = set()

@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import algebra as alg
-from .ainfty import caa_identity, minimal_model
+from .ainfty import DualIdentityBimodule, MinimalModel
 from .homalg import StructureError
 from .manifolds import (
     MappingWord,
@@ -68,15 +68,14 @@ def cmd_hfhat(args) -> int:
     if args.preset and args.word:
         raise WordError("give either a word file or --preset, not both")
     if args.preset == "poincare":
-        if args.final != "hom" or args.twist_handedness != "standard":
-            raise WordError("the poincare preset takes neither --final nor --twist-handedness")
+        if args.final != "hom":
+            raise WordError("the poincare preset takes no --final")
         result = poincare_sphere(truncated=args.truncated, check=args.check)
     else:
         if args.preset == "self-gluing-g1":
-            genus, word = 2, self_gluing_word()
+            word = self_gluing_word()
         elif args.preset in ("s1xs2-g1", "s1xs2-g2"):
-            genus = int(args.preset[-1])
-            word = MappingWord(genus=genus)
+            word = MappingWord(genus=int(args.preset[-1]))
         elif args.preset:
             raise WordError(f"unknown preset {args.preset!r}")
         elif not args.word:
@@ -84,10 +83,8 @@ def cmd_hfhat(args) -> int:
         else:
             with open(args.word) as handle:
                 word = MappingWord.from_json(json.load(handle))
-            genus = word.genus
-        result = hf_hat_closed(genus, word, truncated=args.truncated,
-                               handedness=args.twist_handedness,
-                               final=args.final, check=args.check)
+        result = hf_hat_closed(word, truncated=args.truncated, final=args.final,
+                               check=args.check)
     _emit(args, result.to_json(), result.text())
     return 0
 
@@ -131,8 +128,8 @@ def cmd_ddid(args) -> int:
 
 def cmd_aaid(args) -> int:
     pmc = _load_pmc(args.pmc)
-    module = caa_identity(pmc, truncated=args.truncated)
-    model = minimal_model(module)
+    module = DualIdentityBimodule(pmc, truncated=args.truncated)
+    model = MinimalModel(module)
     payload = {
         "dg_generators": len(module.basis),
         "homology_generators": [repr(g) for g in model.generators],
@@ -151,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--truncated", action="store_true",
                         help="work in the local-multiplicity-one quotient algebra")
-    parser.add_argument("--twist-handedness", choices=["standard", "reversed"],
-                        default="standard")
     parser.add_argument("--output", choices=["text", "json"], default="text")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -193,7 +188,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidCircleError, InvalidSlideError, WordError, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as err:
+            IsADirectoryError, PermissionError, json.JSONDecodeError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except StructureError as err:

@@ -129,22 +129,6 @@ def place(g: GradingElement, length: int, offset: int) -> GradingElement:
     return GradingElement(g.j2, (0,) * offset + g.chain + (0,) * tail)
 
 
-def parity_changes(alpha: tuple[int, ...]) -> int:
-    seq = [0, *alpha, 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if (a - b) % 2)
-
-
-def check_congruence(g: GradingElement) -> bool:
-    """j must equal the quarter parity-change count modulo 1."""
-    return (2 * g.j2 - parity_changes(g.chain)) % 4 == 0
-
-
-def gr_generator(a: StrandsGenerator) -> GradingElement:
-    """Big-group grading of a basic generator: crossings minus the average
-    multiplicity of the support along the initial points of all strands."""
-    return GradingElement(a.iota2, a.supp)
-
-
 def gr_coefficient(coef: tuple[StrandsGenerator, ...], sizes: tuple[int, ...]) -> GradingElement:
     """Grading of a basic coefficient of a multi-factor structure."""
     if tuple(len(a.supp) for a in coef) != tuple(sizes):
@@ -367,8 +351,10 @@ def slide_homology_matrix(slide) -> list[list[int]]:
     """Matrix of the slide on the pair classes, target basis by source basis.
 
     The sliding pair maps to its successor plus or minus the slid-over pair;
-    all other pairs are fixed.  Signs follow the six combinatorial cases of
-    the slide, reduced to the c1-above-c2 configuration by reflecting.
+    all other pairs are fixed.  With c1 above c2, psi(h(B)) = b_sign * h(B')
+    + c_sign * h(C), and the signs depend only on where the other foot b2
+    of the sliding pair sits, whether the slide is under or over; the
+    c1-below-c2 configuration is reduced to that one by reflecting.
     """
     n = slide.source.n_pairs
     mat = [[0] * n for _ in range(n)]
@@ -377,8 +363,12 @@ def slide_homology_matrix(slide) -> list[list[int]]:
             mat[slide.pair_map[j]][j] = 1
 
     if slide.c1 > slide.c2:
-        case = _slide_case(slide)
-        b_sign, c_sign = _CASE_SIGNS[case]
+        if slide.c2 < slide.b2 < slide.c1:
+            b_sign, c_sign = -1, 1
+        elif slide.b2 > slide.c1:
+            b_sign, c_sign = 1, -1
+        else:
+            b_sign, c_sign = 1, 1
         mat[slide.pair_map[slide.b_pair]][slide.b_pair] = b_sign
         mat[slide.pair_map[slide.c_pair]][slide.b_pair] = c_sign
         return mat
@@ -397,31 +387,6 @@ def slide_homology_matrix(slide) -> list[list[int]]:
             if image[i]:
                 out[tgt_map.index(i)][j] = image[i]
     return out
-
-
-def _slide_case(slide) -> str:
-    """Combinatorial case of a slide with c1 above c2."""
-    b1, b2, c1, c2 = slide.b1, slide.b2, slide.c1, slide.c2
-    if slide.kind == "under":
-        if not c2 < b2 < c1:
-            return "U.I" if b2 > c1 else "U.III"
-        return "U.II"
-    if b2 > c1:
-        return "O.I"
-    if c2 < b2 < c1:
-        return "O.II"
-    return "O.III"
-
-
-_CASE_SIGNS = {
-    # psi(h(B)) = b_sign * h(B') + c_sign * h(C)
-    "U.I": (1, -1),
-    "U.II": (-1, 1),
-    "U.III": (1, 1),
-    "O.I": (1, -1),
-    "O.II": (-1, 1),
-    "O.III": (1, 1),
-}
 
 
 def xi_word(slides, n_pairs: int | None = None) -> Mod2GradingMap:

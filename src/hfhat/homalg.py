@@ -230,10 +230,6 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
 # Morphism complexes
 
 
-def _basics_between(factor: AlgebraFactor, left: frozenset, right: frozenset):
-    return alg.basics_between(factor.pmc, left, right, factor.truncated)
-
-
 def mor_complex(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
     """Chain complex of module maps between structures over one algebra.
 
@@ -287,7 +283,8 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
         ident[x] = identity_coef(out.factors, idem)
         for y in N.generators:
             choices = [
-                _basics_between(N.factors[k], M.idem[x][i], N.idem[y][k])
+                alg.basics_between(N.factors[k].pmc, M.idem[x][i], N.idem[y][k],
+                                   N.factors[k].truncated)
                 for k, i in enumerate(consumed)
             ]
             per_pair[(x, y)] = _product_tuples(choices)
@@ -528,56 +525,3 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
     if retract is not None:
         retract.update(f=f, g=g, T=T)
     return out
-
-
-def modules_isomorphic(M: TypeDStructure, N: TypeDStructure) -> bool:
-    """Whether two type D structures match under an idempotent bijection.
-
-    Searches the idempotent-respecting generator bijections for one
-    carrying the differential over on the nose; enough to compare reduced
-    models with few generators per idempotent.
-    """
-    from itertools import permutations
-
-    if M.factors != N.factors or len(M.generators) != len(N.generators):
-        return False
-    by_idem_m: dict = {}
-    by_idem_n: dict = {}
-    for g in M.generators:
-        by_idem_m.setdefault(M.idem[g], []).append(g)
-    for g in N.generators:
-        by_idem_n.setdefault(N.idem[g], []).append(g)
-    if set(by_idem_m) != set(by_idem_n):
-        return False
-    if any(len(by_idem_m[k]) != len(by_idem_n[k]) for k in by_idem_m):
-        return False
-    keys = sorted(by_idem_m, key=repr)
-    choices = [list(permutations(by_idem_n[k])) for k in keys]
-
-    def assignments(idx, mapping):
-        if idx == len(keys):
-            yield dict(mapping)
-            return
-        for perm in choices[idx]:
-            new = dict(mapping)
-            new.update(zip(by_idem_m[keys[idx]], perm))
-            yield from assignments(idx + 1, new)
-
-    for phi in assignments(0, {}):
-        ok = True
-        for x in M.generators:
-            got = {(phi[y], coefs) for y, coefs in M.delta[x].items()}
-            want = {(y, coefs) for y, coefs in N.delta[phi[x]].items()}
-            if got != want:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def homology_rank(C: TypeDStructure) -> int:
-    """Rank of the homology of an F2 complex (no algebra factors)."""
-    if C.factors:
-        raise ValueError("homology is for bare complexes; cancel modules first")
-    return len(cancel(C).generators)

@@ -167,17 +167,29 @@ class MappingWord:
     steps: list = field(default_factory=list)
 
     @staticmethod
-    def from_json(data: dict) -> "MappingWord":
-        word = MappingWord(genus=data["genus"])
-        for step in data.get("steps", []):
-            if "slide" in step:
-                word.steps.append(("slide", step["slide"]["b1"], step["slide"]["c1"]))
-            elif "dehn_twist" in step:
-                word.steps.append(
-                    ("twist", step["dehn_twist"]["pair"], step["dehn_twist"].get("power", 1))
-                )
+    def from_json(data) -> "MappingWord":
+        """The word of a JSON object; raises WordError unless it is well formed.
+
+        The genus is an integer of at least 0; each step holds exactly one
+        of ``slide`` (integers ``b1`` and ``c1``) and ``dehn_twist`` (an
+        integer ``pair`` and an optional integer ``power``, default 1).
+        """
+        if not isinstance(data, dict):
+            raise WordError(f"a word is a JSON object, got {data!r}")
+        word = MappingWord(genus=_int_field(data, "genus", minimum=0))
+        steps = data.get("steps", [])
+        if not isinstance(steps, list):
+            raise WordError(f"steps must be a list, got {steps!r}")
+        for step in steps:
+            kinds = [k for k in ("slide", "dehn_twist") if isinstance(step, dict) and k in step]
+            if len(kinds) != 1:
+                raise WordError(f"step {step!r} needs exactly one of slide or dehn_twist")
+            body = step[kinds[0]]
+            if kinds[0] == "slide":
+                word.steps.append(("slide", _int_field(body, "b1"), _int_field(body, "c1")))
             else:
-                raise WordError(f"unknown step {step!r}")
+                word.steps.append(("twist", _int_field(body, "pair"),
+                                   _int_field(body, "power", default=1)))
         return word
 
     def to_json(self) -> dict:
@@ -189,11 +201,20 @@ class MappingWord:
                 steps.append({"dehn_twist": {"pair": step[1], "power": step[2]}})
         return {"genus": self.genus, "steps": steps}
 
-    def expand(self, handedness: str = "standard") -> list[ArcSlide]:
-        return expand_steps(split_pmc(self.genus), self.steps, handedness)
+    def expand(self) -> list[ArcSlide]:
+        return expand_steps(split_pmc(self.genus), self.steps)
 
 
-def expand_steps(cur: PointedMatchedCircle, steps, handedness: str = "standard") -> list:
+def _int_field(obj, key: str, default=None, minimum=None) -> int:
+    """``obj[key]`` (or ``default`` when it is absent) as an integer."""
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" of at least {minimum}"
+        raise WordError(f"{key} must be an integer{bound}, got {value!r} in {obj!r}")
+    return value
+
+
+def expand_steps(cur: PointedMatchedCircle, steps) -> list:
     """The arc-slides of ('slide', b1, c1) and ('twist', pair, power) tokens.
 
     Tokens refer to positions on the running circle, which starts at
@@ -212,25 +233,23 @@ def expand_steps(cur: PointedMatchedCircle, steps, handedness: str = "standard")
             except ValueError as err:
                 raise WordError(str(err)) from err
         else:
-            batch = dehn_twist_expand(cur, step[1], step[2], handedness)
+            batch = dehn_twist_expand(cur, step[1], step[2])
         out.extend(batch)
         if batch:
             cur = batch[-1].target
     return out
 
 
-def dehn_twist_expand(pmc: PointedMatchedCircle, pair: int, power: int = 1,
-                      handedness: str = "standard") -> list[ArcSlide]:
+def dehn_twist_expand(pmc: PointedMatchedCircle, pair: int, power: int = 1) -> list[ArcSlide]:
     """Factor a Dehn twist along a matched pair into arc-slides.
 
-    Each point between the feet slides over the pair once, in turn.  The
-    standard handedness is the direction pinned by the Poincare sphere
-    computation; the reversed handedness (or a negative power) gives the
-    inverse twist.
+    Each point between the feet slides over the pair once, in turn.  A
+    positive power twists in the direction pinned by the Poincare sphere
+    computation; a negative power gives the inverse twist.
     """
     if not 0 <= pair < pmc.n_pairs:
         raise WordError(f"no matched pair {pair} on this circle")
-    inverted = (power < 0) == (handedness == "standard")
+    inverted = power < 0
     out: list[ArcSlide] = []
     cur = pmc
     for _ in range(abs(power)):
@@ -253,18 +272,19 @@ def dehn_twist_expand(pmc: PointedMatchedCircle, pair: int, power: int = 1,
 # The pipeline
 
 
-def apply_slides(module: TypeDStructure, slides, truncated: bool = False,
-                 stats: list | None = None, check: bool = False) -> TypeDStructure:
+def apply_slides(module: TypeDStructure, slides, stats: list | None = None,
+                 check: bool = False) -> TypeDStructure:
     """Pair the module against each step's bimodule in turn, reducing as we go.
 
     A slide's bimodule consumes its source factor against the module and
     leaves a module over the slide's target circle; a ('cobordism',)
     marker pairs the elementary cobordism's second factor with it and
-    raises the boundary genus by one.  With ``check``, every stage must
-    have d^2 = 0 and, once reduced, gradings that agree with each of its
-    arrows.
+    raises the boundary genus by one.  Bimodules are truncated as the
+    module's algebra is.  With ``check``, every stage must have d^2 = 0
+    and, once reduced, gradings that agree with each of its arrows.
     """
     current = module
+    truncated = module.factors[0].truncated
     for index, step in enumerate(slides, 1):
         if isinstance(step, ArcSlide):
             bim, seam = arcslide_dd(step, truncated), 0
@@ -350,8 +370,7 @@ def spinc_maslov(complex_: TypeDStructure) -> list[dict]:
     return out
 
 
-def hf_hat_closed(genus: int, word: MappingWord, truncated: bool = False,
-                  handedness: str = "standard", final: str = "hom",
+def hf_hat_closed(word: MappingWord, truncated: bool = False, final: str = "hom",
                   check: bool = False) -> ClosedResult:
     """HF-hat of the closed manifold glued from two handlebodies by the word.
 
@@ -362,21 +381,19 @@ def hf_hat_closed(genus: int, word: MappingWord, truncated: bool = False,
     the rank must be at least |H_1| and, when H_1 is finite, there must be
     one orbit per spin-c structure, |H_1| in all.
     """
-    if word.genus != genus:
-        raise WordError("word genus disagrees with the requested genus")
-    slides = word.expand(handedness)
+    genus = word.genus
+    slides = word.expand()
     stats: list = []
     left = cfd_zero_framed_handlebody(genus, truncated)
     if final == "hom":
         right = apply_slides(cfd_zero_framed_handlebody(genus, truncated), slides,
-                             truncated, stats, check=check)
+                             stats, check=check)
         if left.factors != right.factors:
             raise WordError("word does not return to the split circle")
         pairing = mor_complex(left, right)
     elif final == "identity":
         right = apply_slides(cfd_zero_framed_handlebody_reversed(genus, truncated),
-                             [s.reflected() for s in slides],
-                             truncated, stats, check=check)
+                             [s.reflected() for s in slides], stats, check=check)
         pairing = mor_complex(dd_identity(split_pmc(genus), truncated), tensor(left, right))
     else:
         raise ValueError(f"unknown final pairing {final!r}")
@@ -424,7 +441,7 @@ def cfd_bordered(start_genus: int, steps, truncated: bool = False,
     underlying circle, which starts as the split circle of the given genus.
     """
     return apply_slides(cfd_zero_framed_handlebody(start_genus, truncated),
-                        expand_steps(split_pmc(start_genus), steps), truncated, stats)
+                        expand_steps(split_pmc(start_genus), steps), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +457,7 @@ def self_gluing_word() -> MappingWord:
 
 def poincare_twist_tokens() -> list:
     # Five repetitions of the two torus twists on the split genus-two
-    # circle, as slides in the handedness pinned by the published run
+    # circle, as slides in the direction pinned by the published run
     return [("slide", 3, 4), ("slide", 2, 3)] * 5
 
 
@@ -449,5 +466,5 @@ def poincare_sphere(truncated: bool = False, check: bool = False) -> ClosedResul
     stats: list = []
     base = cancel(cfd_self_gluing(split_pmc(1), truncated))
     module = apply_slides(base, MappingWord(2, poincare_twist_tokens()).expand(),
-                          truncated, stats, check=check)
+                          stats, check=check)
     return _closed(mor_complex(base, module), stats, check)

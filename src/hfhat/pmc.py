@@ -101,8 +101,15 @@ class PointedMatchedCircle:
         return {"points": self.n_points, "matching": [list(p) for p in self.pairs]}
 
     @staticmethod
-    def from_json(data: dict) -> "PointedMatchedCircle":
-        pmc = PointedMatchedCircle(data["matching"])
+    def from_json(data) -> "PointedMatchedCircle":
+        """The circle of ``{"matching": [[a, b], ...]}`` with an optional
+        ``points`` count; raises InvalidCircleError unless well formed."""
+        matching = data.get("matching") if isinstance(data, dict) else None
+        if not isinstance(matching, list) or not all(
+                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+                for p in matching):
+            raise InvalidCircleError(f"a circle needs a matching of integer pairs, got {data!r}")
+        pmc = PointedMatchedCircle(matching)
         if pmc.n_points != data.get("points", pmc.n_points):
             raise InvalidCircleError("declared point count disagrees with matching")
         return pmc
@@ -140,19 +147,9 @@ def reversed_pair_map(pmc: PointedMatchedCircle) -> list[int]:
     return [rev.pair_of(reverse_point(pmc, a)) for a, _ in pmc.pairs]
 
 
-def connected_sum(
-    pmc1: PointedMatchedCircle, pmc2: PointedMatchedCircle, side: str = "right"
-) -> PointedMatchedCircle:
-    """Concatenate two circles.
-
-    The sum has two basepoint-free regions; ``side`` records which one keeps
-    the basepoint z.  ``right`` puts pmc1's points first (z stays in pmc1's
-    basepoint region), ``left`` puts pmc2 first.
-    """
-    if side == "left":
-        pmc1, pmc2 = pmc2, pmc1
-    elif side != "right":
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def connected_sum(pmc1: PointedMatchedCircle, pmc2: PointedMatchedCircle) -> PointedMatchedCircle:
+    """Concatenate two circles, pmc1's points first: z stays in pmc1's
+    basepoint region."""
     shift = pmc1.n_points
     pairs = list(pmc1.pairs) + [(a + shift, b + shift) for a, b in pmc2.pairs]
     return PointedMatchedCircle(pairs)
@@ -266,10 +263,6 @@ class ArcSlide:
 
     def to_json(self) -> dict:
         return {"b1": self.b1, "c1": self.c1}
-
-
-def apply_arcslide(pmc: PointedMatchedCircle, b1: int, c1: int) -> ArcSlide:
-    return ArcSlide(pmc, b1, c1)
 
 
 def all_arcslides(pmc: PointedMatchedCircle) -> Iterator[ArcSlide]:

@@ -11,12 +11,10 @@ from itertools import product
 import pytest
 
 import hfhat.algebra as alg
-from hfhat.ainfty import caa_identity, minimal_model, StrandsGenerator
-from hfhat.grading import gr_generator, xi_word
+from hfhat.ainfty import DualIdentityBimodule, MinimalModel, StrandsGenerator
+from hfhat.grading import xi_word
 from hfhat.homalg import (
     cancel,
-    homology_rank,
-    modules_isomorphic,
     mor_against_bimodule,
     mor_complex,
 )
@@ -33,12 +31,13 @@ from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, reverse_pmc, split
 from hfhat.slides import (
     arcslide_dd,
     dd_identity,
-    dischords,
     enumerate_near_chords,
-    grading_minus_one_scan,
-    near_diagonal_grading,
 )
 
+from algebra_sums import multiply
+from flat_grading import gr_generator
+from module_checks import homology_rank, modules_isomorphic
+from near_diagonal import dischords, grading_minus_one_scan, near_diagonal_grading
 from product_grading import lambda_power
 
 Z1 = split_pmc(1)
@@ -87,12 +86,12 @@ def test_criterion_2_reduced_count_tables(poincare, self_gluing_stats):
 
 
 def test_criterion_3_s1xs2_family():
-    g1 = hf_hat_closed(1, MappingWord(genus=1))
+    g1 = hf_hat_closed(MappingWord(genus=1))
     assert g1.total_rank == 2
     assert len(g1.orbits) == 1
     assert g1.orbits[0]["maslov"] == {"0": 1, "1": 1}, "two adjacent degrees"
     assert g1.orbits[0]["modulus"] == 0
-    g2 = hf_hat_closed(2, MappingWord(genus=2))
+    g2 = hf_hat_closed(MappingWord(genus=2))
     assert g2.total_rank == 4
     print("\nPASS criterion 3: S1xS2 ranks 2 and 4, adjacent degrees at genus 1")
 
@@ -105,9 +104,9 @@ def test_criterion_4_self_gluing_equivalence(self_gluing_stats):
 
 
 def test_criterion_5_aa_identity():
-    caa = caa_identity(Z1)
+    caa = DualIdentityBimodule(Z1)
     assert len(caa.basis) == 30
-    model = minimal_model(caa)
+    model = MinimalModel(caa)
     assert len(model.generators) == 2
     rev = reverse_pmc(Z1)
     rho3 = StrandsGenerator(Z1, [(3, 4)], ())
@@ -138,8 +137,8 @@ def test_criterion_6_property_suites():
         for a, b in product(weight0, repeat=2):
             ab = alg.multiply_basic(a, b)
             lhs = alg.differential(frozenset([ab]) if ab else frozenset())
-            rhs = alg.multiply(alg.differential_basic(a), frozenset([b]))
-            rhs ^= alg.multiply(frozenset([a]), alg.differential_basic(b))
+            rhs = multiply(alg.differential_basic(a), frozenset([b]))
+            rhs ^= multiply(frozenset([a]), alg.differential_basic(b))
             assert lhs == rhs
             if ab is not None:
                 assert gr_generator(a) * gr_generator(b) == gr_generator(ab)
@@ -199,7 +198,7 @@ def test_criterion_6_property_suites():
     rng = random.Random(17)
     base = MappingWord(genus=1)
     base.steps = [("slide", 2, 1), ("slide", 3, 2)]
-    reference = hf_hat_closed(1, base).total_rank
+    reference = hf_hat_closed(base).total_rank
     slides = base.expand()
     for _ in range(5):
         spot = rng.randint(0, len(slides))
@@ -238,7 +237,7 @@ def test_criterion_7_cross_path_ranks():
     from hfhat.manifolds import cfd_zero_framed_handlebody_reversed
 
     rng = random.Random(41)
-    caa = caa_identity(Z1)
+    caa = DualIdentityBimodule(Z1)
     left = cfd_zero_framed_handlebody_reversed(1)
     checked = []
     for _ in range(3):
@@ -246,7 +245,7 @@ def test_criterion_7_cross_path_ranks():
         for _i in range(rng.randint(1, 6)):
             word.steps.append(("slide", *rng.choice(
                 [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)])))
-        mor_rank = hf_hat_closed(1, word).total_rank
+        mor_rank = hf_hat_closed(word).total_rank
         right = apply_slides(cfd_zero_framed_handlebody(1), word.expand())
         box = box_closed_dg(caa, left, right)
         assert box.verify_d_squared()

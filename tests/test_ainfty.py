@@ -1,11 +1,12 @@
 import pytest
 
 import hfhat.algebra as alg
-from hfhat.ainfty import caa_identity, minimal_model
+from hfhat.ainfty import DualIdentityBimodule, MinimalModel
 from hfhat.algebra import StrandsGenerator
-from hfhat.homalg import homology_rank
 from hfhat.manifolds import apply_slides, cfd_zero_framed_handlebody, hf_hat_closed, MappingWord
 from hfhat.pmc import reverse_pmc, split_pmc
+
+from module_checks import homology_rank
 
 Z1 = split_pmc(1)
 REV = reverse_pmc(Z1)
@@ -19,11 +20,11 @@ LAM = {name: StrandsGenerator(REV, [mv], ()) for name, mv in
 
 
 def test_caa_identity_generator_count():
-    assert len(caa_identity(Z1).basis) == 30
+    assert len(DualIdentityBimodule(Z1).basis) == 30
 
 
 def test_caa_identity_d_squared_zero():
-    caa = caa_identity(Z1)
+    caa = DualIdentityBimodule(Z1)
     for b in caa.basis:
         acc = set()
         for t in caa.differential(b):
@@ -32,18 +33,18 @@ def test_caa_identity_d_squared_zero():
 
 
 def test_caa_identity_differential_pair_structure():
-    caa = caa_identity(Z1)
+    caa = DualIdentityBimodule(Z1)
     sources = [b for b in caa.basis if caa.differential(b)]
     arrows = sum(len(caa.differential(b)) for b in caa.basis)
     assert len(sources) == 14
     assert arrows == 15
-    model = minimal_model(caa)
+    model = MinimalModel(caa)
     assert len(model.generators) == 2
 
 
 def test_minimal_model_retract_identities():
     # the constructor verifies g o f = id and dT + Td = id + fg
-    minimal_model(caa_identity(Z1))
+    MinimalModel(DualIdentityBimodule(Z1))
 
 
 def test_minimal_model_quoted_operations():
@@ -53,7 +54,7 @@ def test_minimal_model_quoted_operations():
     published computation on the nose; the closing single chord is the
     mirror-partner of the opener under our reversed-circle labelling.
     """
-    model = minimal_model(caa_identity(Z1))
+    model = MinimalModel(DualIdentityBimodule(Z1))
     x0, y0 = model.generators
     triple = model.operation(x0, lambdas=[LAM["1"]], rhos=[RHO["3"]])
     assert triple == frozenset({y0})
@@ -63,18 +64,18 @@ def test_minimal_model_quoted_operations():
 
 @pytest.fixture(scope="module")
 def caa_genus_two():
-    return caa_identity(split_pmc(2))
+    return DualIdentityBimodule(split_pmc(2))
 
 
 def test_minimal_model_operations_are_gauge_invariant(caa_genus_two):
     # genus 2 has enough pivot ties for the seed to change the retract
-    low, high = (minimal_model(caa_genus_two, seed=s) for s in (0, 500))
+    low, high = (MinimalModel(caa_genus_two, seed=s) for s in (0, 500))
     assert low.generators == high.generators
     assert any(low._g[b] != high._g[b] or low._T[b] != high._T[b]
                for b in caa_genus_two.basis)
 
-    caa = caa_identity(Z1)
-    models = [minimal_model(caa, seed=s) for s in (0, 1)]
+    caa = DualIdentityBimodule(Z1)
+    models = [MinimalModel(caa, seed=s) for s in (0, 1)]
     ops = []
     for model in models:
         table = set()
@@ -89,7 +90,7 @@ def test_minimal_model_operations_are_gauge_invariant(caa_genus_two):
 
 
 def test_truncated_genus_two_identity_stays_in_its_basis():
-    caa = caa_identity(split_pmc(2), truncated=True)
+    caa = DualIdentityBimodule(split_pmc(2), truncated=True)
     basis = set(caa.basis)
     for b in caa.basis:
         assert caa.differential(b) <= basis
@@ -97,7 +98,7 @@ def test_truncated_genus_two_identity_stays_in_its_basis():
         for t in caa.differential(b):
             acc ^= set(caa.differential(t))
         assert not acc
-    model = minimal_model(caa)
+    model = MinimalModel(caa)
     assert len(model.generators) == 6
     for x in model.generators:
         chain = frozenset(model._f[x])
@@ -108,7 +109,7 @@ def test_truncated_genus_two_identity_stays_in_its_basis():
 
 
 def test_strict_unitality():
-    model = minimal_model(caa_identity(Z1))
+    model = MinimalModel(DualIdentityBimodule(Z1))
     x0 = model.generators[0]
     iota = alg.idempotent(Z1, sorted(x0[2].left_pairs))
     assert model.operation(x0, rhos=[iota]) == frozenset({x0})
@@ -119,7 +120,7 @@ def test_ainfty_relations_exhaustive_short_inputs():
     """Structure relations over every pair of input sequences whose total
     support length is at most four: operation compositions over all splits
     cancel against operations with one adjacent product taken inside."""
-    model = minimal_model(caa_identity(Z1))
+    model = MinimalModel(DualIdentityBimodule(Z1))
     singles_r = [RHO[k] for k in ("1", "2", "3", "12", "23", "123")]
     singles_l = [LAM[k] for k in ("1", "2", "3", "12", "23", "123")]
 
@@ -168,14 +169,14 @@ def test_cross_path_ranks_on_random_words():
     from hfhat.manifolds import cfd_zero_framed_handlebody_reversed
 
     rng = random.Random(23)
-    caa = caa_identity(Z1)
+    caa = DualIdentityBimodule(Z1)
     left = cfd_zero_framed_handlebody_reversed(1)
     for _ in range(3):
         word = MappingWord(genus=1)
         for _i in range(rng.randint(1, 6)):
             word.steps.append(("slide", *rng.choice(
                 [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)])))
-        mor_rank = hf_hat_closed(1, word).total_rank
+        mor_rank = hf_hat_closed(word).total_rank
         right = apply_slides(cfd_zero_framed_handlebody(1), word.expand())
         boxed = box_closed_dg(caa, left, right)
         assert boxed.verify_d_squared()
@@ -216,7 +217,7 @@ def _scan_lambda_action(module, chain, r):
 
 @pytest.mark.parametrize("truncated", [False, True])
 def test_dual_identity_index_lookups_match_basis_scans(truncated):
-    module = caa_identity(Z1, truncated)
+    module = DualIdentityBimodule(Z1, truncated)
     arrows = 0
     for b in module.basis:
         assert module.differential(b) == _scan_differential(module, b)

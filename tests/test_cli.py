@@ -127,14 +127,19 @@ def test_hf_hat_check_reaches_every_preset(preset, monkeypatch):
 def test_hf_hat_presets_pass_final_and_handedness(preset, monkeypatch):
     calls = []
 
-    def recording_run(genus, word, **kwargs):
+    def recording_run(word, **kwargs):
         calls.append(kwargs)
         raise StructureError("recorded")
 
     monkeypatch.setattr(cli, "hf_hat_closed", recording_run)
-    argv = ["--twist-handedness", "reversed", "hf-hat", "--preset", preset, "--final", "identity"]
-    assert main(argv) == EXIT_INTERNAL
-    assert [(c["final"], c["handedness"]) for c in calls] == [("identity", "reversed")]
+    assert main(["hf-hat", "--preset", preset, "--final", "identity"]) == EXIT_INTERNAL
+    # a twist's handedness is the sign of its power in the word; no option sets it
+    expected = [{"truncated": False, "final": "identity", "check": False}]
+    assert calls == expected
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--twist-handedness", "reversed", "hf-hat", "--preset", preset])
+    assert exit_info.value.code == 2
+    assert calls == expected  # the refused option ran nothing
 
 
 def test_hf_hat_preset_final_matches_the_empty_word_file(tmp_path, capsys):
@@ -148,9 +153,7 @@ def test_hf_hat_preset_final_matches_the_empty_word_file(tmp_path, capsys):
     assert capsys.readouterr().out != from_file
 
 
-@pytest.mark.parametrize("option", [["hf-hat", "--final", "identity"],
-                                    ["--twist-handedness", "reversed", "hf-hat"]],
-                         ids=["final", "handedness"])
+@pytest.mark.parametrize("option", [["hf-hat", "--final", "identity"]], ids=["final"])
 def test_hf_hat_poincare_preset_rejects_pairing_options(option, monkeypatch, capsys):
     monkeypatch.setattr(cli, "poincare_sphere", lambda **kwargs: pytest.fail("ran the preset"))
     assert main([*option, "--preset", "poincare"]) == 2
@@ -161,6 +164,40 @@ def test_hf_hat_malformed_word(tmp_path, capsys):
     bad = tmp_path / "word.json"
     bad.write_text(json.dumps({"genus": 1, "steps": [{"slide": {"b1": 1, "c1": 3}}]}))
     assert main(["hf-hat", str(bad)]) == 2
+
+
+SLIDE = {"slide": {"b1": 2, "c1": 1}}
+
+
+@pytest.mark.parametrize("word", [
+    {"steps": [SLIDE]},
+    {"genus": 1, "steps": [{"slide": {"b1": 2}}]},
+    {"genus": "1", "steps": [SLIDE]},
+    {"genus": 1, "steps": [{"dehn_twist": {"pair": 1, "power": 1.5}}]},
+    [SLIDE],
+    {"genus": -1, "steps": []},
+    {"genus": 1, "steps": [{**SLIDE, "dehn_twist": {"pair": 1}}]},
+], ids=["no-genus", "slide-without-c1", "string-genus", "fractional-power", "top-level-list",
+        "negative-genus", "slide-and-twist"])
+def test_hf_hat_malformed_word_file_is_an_input_error(word, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "hf_hat_closed", lambda *a, **kwargs: pytest.fail("ran a word"))
+    bad = tmp_path / "word.json"
+    bad.write_text(json.dumps(word))
+    assert main(["hf-hat", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_a_directory_in_place_of_an_input_file_is_an_input_error(tmp_path, capsys):
+    assert main(["hf-hat", str(tmp_path)]) == 2
+    assert main(["algebra", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_circle_file_without_matching_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "circle.json"
+    bad.write_text(json.dumps({"points": 4}))
+    assert main(["algebra", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_hf_hat_needs_word_or_preset(capsys):

@@ -12,20 +12,20 @@ from hfhat.grading import (
     Gradings,
     Mod2GradingMap,
     RelationLattice,
-    check_congruence,
     dedupe_relations,
     gr_coefficient,
-    gr_generator,
     propagate_gradings,
     slide_homology_matrix,
     xi_word,
 )
 from hfhat.homalg import mor_against_bimodule
 from hfhat.manifolds import cfd_zero_framed_handlebody, poincare_sphere
-from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, split_pmc
+from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, reversed_pair_map, split_pmc
 from hfhat.slides import arcslide_dd, dd_identity
 
+from algebra_sums import all_idempotents
 from block_grading import BlockElement, block_congruence, block_identity, to_blocks, to_flat
+from flat_grading import check_congruence, gr_generator
 from product_grading import ProductLattice, lambda_power
 
 Z1 = split_pmc(1)
@@ -77,7 +77,7 @@ def test_length_one_chord_maslov():
 
 
 def test_idempotent_grading_trivial():
-    for g in alg.all_idempotents(Z2):
+    for g in all_idempotents(Z2):
         assert gr_generator(g).is_identity
 
 
@@ -462,6 +462,81 @@ def test_mod2_functor_respects_application_order():
     m1 = Mod2GradingMap(slide_homology_matrix(s1))
     m2 = Mod2GradingMap(slide_homology_matrix(s2))
     assert word.matrix == m2.compose(m1).matrix
+
+
+def _slide_case(slide) -> str:
+    """The six-case classification of a slide with c1 above c2."""
+    b2, c1, c2 = slide.b2, slide.c1, slide.c2
+    if slide.kind == "under":
+        if not c2 < b2 < c1:
+            return "U.I" if b2 > c1 else "U.III"
+        return "U.II"
+    if b2 > c1:
+        return "O.I"
+    if c2 < b2 < c1:
+        return "O.II"
+    return "O.III"
+
+
+_CASE_SIGNS = {
+    # psi(h(B)) = b_sign * h(B') + c_sign * h(C)
+    "U.I": (1, -1),
+    "U.II": (-1, 1),
+    "U.III": (1, 1),
+    "O.I": (1, -1),
+    "O.II": (-1, 1),
+    "O.III": (1, 1),
+}
+
+
+def _case_table_matrix(slide) -> list[list[int]]:
+    """The slide's matrix with its signs read from the six-case table."""
+    n = slide.source.n_pairs
+    if slide.c1 < slide.c2:
+        src_map = reversed_pair_map(slide.source)
+        tgt_map = reversed_pair_map(slide.target)
+        inner = _case_table_matrix(slide.reflected())
+        out = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(n):
+                if inner[i][src_map[j]]:
+                    out[tgt_map.index(i)][j] = inner[i][src_map[j]]
+        return out
+    mat = [[0] * n for _ in range(n)]
+    for j in range(n):
+        if j != slide.b_pair:
+            mat[slide.pair_map[j]][j] = 1
+    b_sign, c_sign = _CASE_SIGNS[_slide_case(slide)]
+    mat[slide.pair_map[slide.b_pair]][slide.b_pair] = b_sign
+    mat[slide.pair_map[slide.c_pair]][slide.b_pair] = c_sign
+    return mat
+
+
+def _reachable_circles(genus: int, cap: int) -> list:
+    """Up to ``cap`` circles reachable from the split circle by slides,
+    breadth first."""
+    found = [split_pmc(genus)]
+    seen = set(found)
+    for pmc in found:
+        for slide in all_arcslides(pmc):
+            if len(found) == cap:
+                return found
+            if slide.target not in seen:
+                seen.add(slide.target)
+                found.append(slide.target)
+    return found
+
+
+def test_slide_signs_match_the_six_case_table():
+    cases: set = set()
+    for genus, cap in ((1, 10), (2, 21), (3, 80)):
+        for pmc in _reachable_circles(genus, cap):
+            for slide in all_arcslides(pmc):
+                for s in (slide, slide.reflected()):
+                    assert slide_homology_matrix(s) == _case_table_matrix(s), s
+                    if s.c1 > s.c2:
+                        cases.add(_slide_case(s))
+    assert cases == set(_CASE_SIGNS)
 
 
 # ---------------------------------------------------------------------------

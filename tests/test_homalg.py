@@ -21,14 +21,11 @@ from hfhat.homalg import (
     AlgebraFactor,
     StructureError,
     TypeDStructure,
-    _basics_between,
     _coef_inverse,
     _product_tuples,
     cancel,
     coef_differential,
     coef_multiply,
-    homology_rank,
-    modules_isomorphic,
     mor_against_bimodule,
     mor_complex,
     tensor,
@@ -44,7 +41,9 @@ from hfhat.pmc import all_arcslides, reverse_pmc, reversed_pair_map, split_pmc
 from hfhat.slides import arcslide_dd, dd_identity
 from hfhat.pmc import ArcSlide
 
+from algebra_sums import all_idempotents
 from block_grading import BlockElement, block_identity, place_blocks, to_blocks, to_flat
+from module_checks import homology_rank, modules_isomorphic
 from product_grading import ProductLattice, product_arrow_defects, product_arrow_loops
 
 Z1 = split_pmc(1)
@@ -460,7 +459,7 @@ def _old_mor_complex(M, N):
     for x in M.generators:
         for y in N.generators:
             choices = [
-                _basics_between(f, M.idem[x][i], N.idem[y][i])
+                alg.basics_between(f.pmc, M.idem[x][i], N.idem[y][i], f.truncated)
                 for i, f in enumerate(factors)
             ]
             per_pair[(x, y)] = _product_tuples(choices)
@@ -505,7 +504,8 @@ def _old_mor_against_bimodule(B, N, seam):
     per_pair = {}
     for b in B.generators:
         for u in N.generators:
-            per_pair[(b, u)] = _basics_between(factor, B.idem[b][seam], N.idem[u][0])
+            per_pair[(b, u)] = alg.basics_between(factor.pmc, B.idem[b][seam], N.idem[u][0],
+                                                  factor.truncated)
             for a in per_pair[(b, u)]:
                 out.add_generator((b, a, u), (translate(B.idem[b][keep]),))
 
@@ -996,16 +996,15 @@ def test_cancel_records_a_retract_only_for_bare_complexes():
 
 
 def test_basics_between_matches_a_full_basis_scan():
-    ids = [i.left_pairs for i in alg.all_idempotents(Z2)]
+    ids = [i.left_pairs for i in all_idempotents(Z2)]
     for truncated in (False, True):
-        factor = AlgebraFactor(Z2, truncated)
         found = 0
         for left in ids:
             for right in ids:
                 scan = [a for a in alg.full_basis(Z2)
                         if a.left_pairs == left and a.right_pairs == right
                         and (not truncated or all(m <= 1 for m in a.supp))]
-                assert list(_basics_between(factor, left, right)) == scan
+                assert list(alg.basics_between(Z2, left, right, truncated)) == scan
                 found += len(scan)
         assert found == len([a for a in alg.full_basis(Z2)
                              if not truncated or all(m <= 1 for m in a.supp)])

@@ -8,8 +8,6 @@ from hfhat.grading import GradingElement
 from hfhat.homalg import (
     StructureError,
     cancel,
-    homology_rank,
-    modules_isomorphic,
     mor_against_bimodule,
     mor_complex,
 )
@@ -30,6 +28,8 @@ from hfhat.manifolds import (
 )
 from hfhat.pmc import ArcSlide, all_arcslides, connected_sum, reverse_pmc, split_pmc
 from hfhat.slides import arcslide_dd
+
+from module_checks import homology_rank, modules_isomorphic
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -74,7 +74,7 @@ def test_self_gluing_equals_slide_route():
 
 
 def test_genus_one_empty_word():
-    result = hf_hat_closed(1, MappingWord(genus=1))
+    result = hf_hat_closed(MappingWord(genus=1))
     assert result.total_rank == 2
     assert len(result.orbits) == 1
     assert result.orbits[0]["maslov"] == {"0": 1, "1": 1}
@@ -82,7 +82,7 @@ def test_genus_one_empty_word():
 
 
 def test_genus_two_empty_word():
-    result = hf_hat_closed(2, MappingWord(genus=2))
+    result = hf_hat_closed(MappingWord(genus=2))
     assert result.total_rank == 4
     assert len(result.orbits) == 1
 
@@ -91,14 +91,9 @@ def test_identity_final_matches_hom_final():
     for steps in ([], [("slide", 2, 1)]):
         word = MappingWord(genus=1)
         word.steps = list(steps)
-        hom = hf_hat_closed(1, word, final="hom")
-        ident = hf_hat_closed(1, word, final="identity")
+        hom = hf_hat_closed(word, final="hom")
+        ident = hf_hat_closed(word, final="identity")
         assert hom.total_rank == ident.total_rank
-
-
-def test_word_genus_mismatch():
-    with pytest.raises(WordError):
-        hf_hat_closed(2, MappingWord(genus=1))
 
 
 def test_malformed_word_rejected():
@@ -112,16 +107,48 @@ def test_dehn_twist_expansion_counts():
     ones = dehn_twist_expand(Z1, 0, 1)
     assert len(ones) == 1  # one point between the feet of the first pair
     assert (ones[0].b1, ones[0].c1) == (2, 3)
-    reversed_hand = dehn_twist_expand(Z1, 0, 1, handedness="reversed")
-    assert (reversed_hand[0].b1, reversed_hand[0].c1) == (2, 1)
+    inverse = dehn_twist_expand(Z1, 0, -1)
+    assert (inverse[0].b1, inverse[0].c1) == (2, 1)
     assert len(dehn_twist_expand(Z2, 0, 2)) == 2
     assert dehn_twist_expand(Z1, 1, 0) == []
+
+
+def _reversed_twist_expand(pmc, pair: int, power: int) -> list:
+    """The Dehn-twist factorization as it ran with the twist direction
+    flipped by a separate handedness switch."""
+    inverted = power >= 0
+    out = []
+    cur = pmc
+    for _ in range(abs(power)):
+        b, b_top = cur.pairs[pair]
+        batch = []
+        for _ in range(b_top - b - 1):
+            s = ArcSlide(cur, b + 1, b)
+            batch.append(s)
+            cur = s.target
+        if not inverted:
+            batch = [s.inverse() for s in reversed(batch)]
+        out.extend(batch)
+        if batch:
+            cur = batch[-1].target
+    return out
+
+
+def test_flipped_handedness_is_the_negated_power():
+    def spelled(slides):
+        return [(s.source, s.b1, s.c1) for s in slides]
+
+    for pmc in (Z1, Z2):
+        for pair in range(pmc.n_pairs):
+            for power in range(-3, 4):
+                assert (spelled(_reversed_twist_expand(pmc, pair, power))
+                        == spelled(dehn_twist_expand(pmc, pair, -power))), (pmc, pair, power)
 
 
 def test_dehn_twist_inverse_cancels():
     word = MappingWord(genus=1)
     word.steps = [("twist", 0, 1), ("twist", 0, -1)]
-    result = hf_hat_closed(1, word)
+    result = hf_hat_closed(word)
     assert result.total_rank == 2  # back to the identity gluing
 
 
@@ -131,7 +158,7 @@ def test_twist_word_equals_slide_word():
     slid = MappingWord(genus=1)
     slid.steps = [("slide", 2, 3)]
     assert (
-        hf_hat_closed(1, twisted).total_rank == hf_hat_closed(1, slid).total_rank
+        hf_hat_closed(twisted).total_rank == hf_hat_closed(slid).total_rank
     )
 
 
@@ -155,7 +182,7 @@ def test_slide_inverse_insertion_invariance():
     rng = random.Random(31)
     base = MappingWord(genus=1)
     base.steps = [("slide", 2, 1), ("slide", 3, 2)]
-    reference = hf_hat_closed(1, base).total_rank
+    reference = hf_hat_closed(base).total_rank
     for _ in range(3):
         slides = base.expand()
         spot = rng.randint(0, len(slides))
@@ -189,12 +216,12 @@ def test_cobordism_then_word_cross_check():
     via_cobordism = homology_rank(mor_complex(cap, module))
     word = MappingWord(genus=2)
     word.steps = [("slide", 2, 1), ("slide", 2, 1)]
-    direct = hf_hat_closed(2, word).total_rank
+    direct = hf_hat_closed(word).total_rank
     assert via_cobordism == direct
 
 
 def test_spinc_splitting_shape():
-    result = hf_hat_closed(1, MappingWord(genus=1))
+    result = hf_hat_closed(MappingWord(genus=1))
     payload = result.to_json()
     assert payload["orbits"][0]["rank"] == 2
     assert "stages" in payload and result.text()
@@ -276,13 +303,13 @@ def test_a_stage_off_the_running_circle_is_named_by_its_place_in_the_word():
 def test_lens_space_splits_into_p_orbits_of_rank_one(p):
     word = MappingWord(1, [("twist", 1, p)])
     assert h1_order(word.expand(), word.genus) == p
-    assert [o["rank"] for o in hf_hat_closed(1, word).orbits] == [1] * p
+    assert [o["rank"] for o in hf_hat_closed(word).orbits] == [1] * p
 
 
 def test_two_handle_twists_give_six_orbits_of_rank_one():
     word = MappingWord(2, [("twist", 1, 2), ("twist", 3, 3)])
     assert h1_order(word.expand(), word.genus) == 6
-    assert [o["rank"] for o in hf_hat_closed(2, word).orbits] == [1] * 6
+    assert [o["rank"] for o in hf_hat_closed(word).orbits] == [1] * 6
 
 
 def test_seeded_genus_one_twist_words_match_the_order_of_h1():
@@ -292,7 +319,7 @@ def test_seeded_genus_one_twist_words_match_the_order_of_h1():
         word = MappingWord(1, [("twist", rng.randrange(2), rng.choice([-3, -2, -1, 1, 2, 3]))
                                for _ in range(rng.randint(1, 4))])
         order = h1_order(word.expand(), word.genus)
-        result = hf_hat_closed(1, word)
+        result = hf_hat_closed(word)
         assert result.total_rank >= order, word.steps
         if order:
             assert len(result.orbits) == order, word.steps
@@ -307,7 +334,7 @@ def test_seeded_genus_two_twist_words_pass_the_checked_run():
     for _ in range(12):
         word = MappingWord(2, [("twist", rng.randrange(4), rng.choice([-3, -2, -1, 1, 2, 3]))
                                for _ in range(rng.randint(1, 3))])
-        hf_hat_closed(2, word, check=True)  # raises unless rank and orbits fit |H_1|
+        hf_hat_closed(word, check=True)  # raises unless rank and orbits fit |H_1|
         orders.append(h1_order(word.expand(), 2))
     # two rational homology spheres among them, with 2 and 6 spin-c structures
     assert sorted(o for o in orders if o) == [2, 6]

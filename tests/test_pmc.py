@@ -9,7 +9,6 @@ from hfhat.pmc import (
     all_arcslides,
     all_chords,
     antipodal_pmc,
-    apply_arcslide,
     connected_sum,
     reverse_pmc,
     reverse_point,
@@ -69,7 +68,7 @@ def test_connected_sum_antipodal_with_torus():
 def test_connected_sum_empty_identity():
     empty = PointedMatchedCircle([])
     assert connected_sum(split_pmc(2), empty) == split_pmc(2)
-    assert connected_sum(empty, split_pmc(2), side="left") == split_pmc(2)
+    assert connected_sum(empty, split_pmc(2)) == split_pmc(2)
 
 
 def test_chord_counts():
@@ -83,22 +82,22 @@ def test_chord_needs_increasing_endpoints():
 
 
 def test_genus_one_slide_keeps_unique_circle():
-    slide = apply_arcslide(split_pmc(1), 2, 1)
+    slide = ArcSlide(split_pmc(1), 2, 1)
     assert slide.target == split_pmc(1)
 
 
 def test_slide_five_over_four_starts_self_gluing_sequence():
-    slide = apply_arcslide(split_pmc(2), 5, 4)
+    slide = ArcSlide(split_pmc(2), 5, 4)
     assert slide.kind == "over"
     assert slide.target.pairs == ((1, 4), (2, 7), (3, 5), (6, 8))
 
 
 def test_slide_requires_adjacency():
     with pytest.raises(InvalidSlideError):
-        apply_arcslide(split_pmc(2), 5, 3)
+        ArcSlide(split_pmc(2), 5, 3)
     # z sits between the extremes, so they are not adjacent
     with pytest.raises(InvalidSlideError):
-        apply_arcslide(split_pmc(2), 8, 1)
+        ArcSlide(split_pmc(2), 8, 1)
 
 
 def test_slide_feet_must_be_unmatched():
@@ -106,7 +105,7 @@ def test_slide_feet_must_be_unmatched():
     # test fails first), so the matched check is only reachable through
     # non-adjacent requests, which the adjacency check already rejects
     with pytest.raises(InvalidSlideError):
-        apply_arcslide(split_pmc(1), 1, 3)
+        ArcSlide(split_pmc(1), 1, 3)
 
 
 def test_slide_inverse_round_trips():

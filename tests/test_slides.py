@@ -3,20 +3,24 @@ from collections import Counter
 import pytest
 
 import hfhat.algebra as alg
-from hfhat.homalg import cancel, homology_rank, mor_against_bimodule, mor_complex
+from hfhat.homalg import cancel, mor_against_bimodule, mor_complex
 from hfhat.manifolds import cfd_zero_framed_handlebody
 from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, reverse_pmc, split_pmc
 from hfhat.slides import (
     SlideContext,
     arcslide_dd,
     dd_identity,
-    dischords,
     enumerate_near_chords,
+)
+
+from module_checks import homology_rank, modules_isomorphic
+from near_diagonal import (
+    dischords,
     grading_minus_one_scan,
+    idem_type,
     near_diagonal_grading,
     near_diagonal_pairs,
 )
-
 from summand_maps import summand_restriction
 
 Z1 = split_pmc(1)
@@ -161,7 +165,7 @@ def test_stability_under_stabilized_slide():
     # same bimodule after restricting to a fixed idempotent on the new
     # summand and killing everything whose support touches it
     from hfhat.algebra import StrandsGenerator
-    from hfhat.homalg import AlgebraFactor, TypeDStructure, modules_isomorphic
+    from hfhat.homalg import AlgebraFactor, TypeDStructure
 
     small = ArcSlide(Z1, 2, 1)
     big = ArcSlide(Z2, 2, 1)
@@ -359,9 +363,9 @@ def _complete_all_pairs(ctx, src_chords, tgt_chords):
         for hl in combinations(free_l, size_l):
             aL = StrandsGenerator(src, moving_l, hl)
             for aR in rights:
-                if ctx.idem_type(aL.left_pairs, aR.left_pairs) is None:
+                if idem_type(ctx, aL.left_pairs, aR.left_pairs) is None:
                     continue
-                if ctx.idem_type(aL.right_pairs, aR.right_pairs) is None:
+                if idem_type(ctx, aL.right_pairs, aR.right_pairs) is None:
                     continue
                 yield aL, aR
 
@@ -691,4 +695,4 @@ def test_idempotent_rules_match_the_hand_built_oracles(rule, pmc, truncated):
         assert slide_generators(ctx) == _hand_built_slide_generators(ctx)
         for left in subsets:
             for right in subsets:
-                assert ctx.idem_type(left, right) == _hand_built_idem_type(ctx, left, right)
+                assert idem_type(ctx, left, right) == _hand_built_idem_type(ctx, left, right)
