@@ -20,15 +20,19 @@ class _Strands:
     horizontals) both as normalised and as first spelled by a caller, so a
     diagram is validated once however often it is named.  ``identities``
     holds each idempotent's identity diagram by the frozenset of its pairs.
-    The basis, its index by idempotents and the reversed circle are filled
-    in on first use.
+    ``values`` holds one object per distinct pair set and support tuple, each
+    keyed by itself: diagrams and generator idempotents take theirs from it
+    (``pair_set``), so a circle keeps at most 2^(2g) pair sets however many
+    diagrams it has.  The basis, its index by idempotents and the reversed
+    circle are filled in on first use.
     """
 
-    __slots__ = ("diagrams", "identities", "basis", "between", "reverse")
+    __slots__ = ("diagrams", "identities", "values", "basis", "between", "reverse")
 
     def __init__(self):
         self.diagrams: dict = {}
         self.identities: dict = {}
+        self.values: dict = {}
         self.basis: list | None = None
         # (left pairs, right pairs, truncated) -> basis elements, in basis order
         self.between: dict | None = None
@@ -47,6 +51,12 @@ def _strands(pmc: PointedMatchedCircle) -> _Strands:
     return table
 
 
+def pair_set(pmc: PointedMatchedCircle, pairs) -> frozenset:
+    """The circle's one frozenset of the matched pairs ``pairs``."""
+    pairs = frozenset(pairs)
+    return _strands(pmc).values.setdefault(pairs, pairs)
+
+
 class StrandsGenerator:
     """A basic strands diagram, interned: naming a diagram twice over one
     circle gives the same object, so equality is identity.
@@ -57,7 +67,7 @@ class StrandsGenerator:
     kept:        every local multiplicity is at most one, so the diagram
                  survives truncation
     id:          a small integer naming the diagram among all circles'
-                 diagrams; products are cached by id pairs
+                 diagrams; products are cached by packed id pairs
     """
 
     __slots__ = ("pmc", "moving", "horizontals", "left_pairs", "right_pairs",
@@ -103,15 +113,16 @@ class StrandsGenerator:
         self.pmc = pmc
         self.moving = moving
         self.horizontals = horizontals
-        self.left_pairs = frozenset(start_pairs) | hset
-        self.right_pairs = frozenset(end_pairs) | hset
+        self.left_pairs = pair_set(pmc, hset.union(start_pairs))
+        self.right_pairs = pair_set(pmc, hset.union(end_pairs))
         self.weight = len(moving) + len(horizontals) - pmc.genus
 
         supp = [0] * max(pmc.n_points - 1, 0)
         for s, e in moving:
             for i in range(s, e):
                 supp[i - 1] += 1
-        self.supp = tuple(supp)
+        supp = tuple(supp)
+        self.supp = _strands(pmc).values.setdefault(supp, supp)
         self.kept = all(m <= 1 for m in supp)
 
         h_points = [p for h in horizontals for p in pmc.pairs[h]]
@@ -178,12 +189,14 @@ def idempotent(pmc: PointedMatchedCircle, pairs) -> StrandsGenerator:
 
 _mul_cache: dict = {}
 _diff_cache: dict = {}
+_EMPTY: frozenset = frozenset()  # every vanishing differential
 
 
 def multiply_basic(a: StrandsGenerator, b: StrandsGenerator) -> StrandsGenerator | None:
-    """Product of basic generators, cached by id pair; None when it
-    vanishes (see _multiply_basic_uncached)."""
-    key = (a.id, b.id)
+    """Product of basic generators; None when it vanishes (see
+    _multiply_basic_uncached).  Cached under the packed key
+    ``a.id << 32 | b.id``, which names the pair while ids stay below 2**32."""
+    key = a.id << 32 | b.id
     try:
         return _mul_cache[key]
     except KeyError:
@@ -245,7 +258,8 @@ def differential_basic(a: StrandsGenerator) -> frozenset:
 
     The double-crossing test runs on the resolved diagram before any
     mate-less horizontal is dropped, so crossings with the doomed
-    horizontal still count against the resolution.
+    horizontal still count against the resolution.  Every vanishing
+    differential is the one shared empty frozenset.
     """
     if a in _diff_cache:
         return _diff_cache[a]
@@ -276,8 +290,7 @@ def differential_basic(a: StrandsGenerator) -> frozenset:
                     continue
                 new_h = [x for x in a.horizontals if x != h]
                 out ^= {StrandsGenerator(pmc, new_moving, new_h)}
-    result = frozenset(out)
-    _diff_cache[a] = result
+    result = _diff_cache[a] = frozenset(out) or _EMPTY
     return result
 
 

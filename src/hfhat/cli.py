@@ -187,11 +187,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidCircleError, InvalidSlideError, WordError, FileNotFoundError,
-            IsADirectoryError, PermissionError, json.JSONDecodeError, ValueError) as err:
+    except (InvalidCircleError, InvalidSlideError, WordError, OSError,
+            json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except StructureError as err:
+    except (StructureError, ValueError) as err:
         print(f"internal invariant failure: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -278,8 +278,8 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
     per_pair: dict = {}
     ident: dict = {}  # x -> the identity coefficient of every generator (x, coef, y)
     for x in M.generators:
-        idem = tuple(frozenset(rpm[p] for p in M.idem[x][i])
-                     for (_, rpm), i in zip(reversals, kept))
+        idem = tuple(alg.pair_set(rev, (rpm[p] for p in M.idem[x][i]))
+                     for (rev, rpm), i in zip(reversals, kept))
         ident[x] = identity_coef(out.factors, idem)
         for y in N.generators:
             choices = [

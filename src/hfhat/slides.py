@@ -40,7 +40,7 @@ def dd_identity(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeDStru
     for size in range(pmc.n_pairs + 1):
         for left in combinations(range(pmc.n_pairs), size):
             right = [rpm[p] for p in range(pmc.n_pairs) if p not in left]
-            out.add_generator(left, (left, right))
+            out.add_generator(left, (alg.pair_set(pmc, left), alg.pair_set(rev, right)))
     for chord in all_chords(pmc):
         for aL, aR in matched_chord_terms(pmc, rev, rpm, chord):
             out.add_arrow(tuple(sorted(aL.left_pairs)), tuple(sorted(aL.right_pairs)), (aL, aR))
@@ -169,7 +169,8 @@ class SlideContext:
         rest = frozenset(range(self.src.n_pairs)) - left
         b, c = self.slide.b_pair, self.slide.c_pair
         found = [rest, rest - {b} | {c}] if c in left and b in rest else [rest]
-        out = self._partners[left] = [frozenset(self.pair_to_rev[p] for p in r) for r in found]
+        out = self._partners[left] = [alg.pair_set(self.rev_tgt, (self.pair_to_rev[p] for p in r))
+                                      for r in found]
         return out
 
 
@@ -438,7 +439,8 @@ def enumerate_near_chords(slide: ArcSlide) -> list[NearChord]:
 def slide_generators(ctx: SlideContext):
     """All near-complementary idempotent pairs: every X type, then every Y."""
     n = ctx.src.n_pairs
-    lefts = [frozenset(left) for size in range(n + 1) for left in combinations(range(n), size)]
+    lefts = [alg.pair_set(ctx.src, left)
+             for size in range(n + 1) for left in combinations(range(n), size)]
     return ([(left, ctx.partners(left)[0]) for left in lefts]
             + [(left, right) for left in lefts for right in ctx.partners(left)[1:]])
 

@@ -8,6 +8,7 @@ from hfhat.algebra import StrandsGenerator, idempotent
 from hfhat.pmc import Chord, antipodal_pmc, reverse_pmc, split_pmc
 
 from algebra_sums import all_idempotents, multiply
+from shared_values import assert_one_object_per_value
 from summand_maps import quotient_map, truncate_element
 
 Z1 = split_pmc(1)
@@ -426,3 +427,30 @@ def test_one_pass_product_matches_the_strand_list_product():
         assert alg._multiply_basic_uncached(a, b) is want, (a, b)
         vanished += want is None
     assert 0 < vanished < len(pairs)
+
+
+# Placed last: the genus-3 basis names diagrams that the interning test above
+# expects to be new.
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_a_split_basis_keeps_one_object_per_pair_set_and_support(genus):
+    pmc = split_pmc(genus)
+    basis = alg.full_basis(pmc)
+    assert_one_object_per_value(basis, [(pmc, a.left_pairs) for a in basis])
+    assert len({id(a.left_pairs) for a in basis}) == 4 ** genus
+
+
+def test_the_product_cache_holds_one_packed_key_per_distinct_pair(monkeypatch):
+    monkeypatch.setattr(alg, "_mul_cache", {})
+    rng = random.Random(7)
+    pairs = rng.sample(_composable_pairs(Z2), 2000)
+    basis = alg.full_basis(A2)
+    pairs += [(rng.choice(basis), rng.choice(basis)) for _ in range(2000)]
+    for a, b in pairs + pairs[::3]:  # a third of the pairs twice
+        alg.multiply_basic(a, b)
+    assert len(alg._mul_cache) == len(set(pairs))
+    assert set(alg._mul_cache) == {a.id << 32 | b.id for a, b in pairs}
+
+
+def test_vanishing_differentials_are_one_object():
+    empty = [d for a in alg.full_basis(A2) if not (d := alg.differential_basic(a))]
+    assert empty and all(d is empty[0] for d in empty)

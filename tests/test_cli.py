@@ -200,6 +200,29 @@ def test_circle_file_without_matching_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("command", ["hf-hat", "algebra"])
+def test_undecodable_and_unreachable_input_files_are_input_errors(command, tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert main([command, str(binary)]) == 2
+    assert main([command, str(binary / "inner.json")]) == 2  # a file as a directory
+    assert capsys.readouterr().err.count("input error: ") == 2
+
+
+def test_a_slide_that_is_not_on_the_circle_is_an_input_error(pmc_file, capsys):
+    assert main(["dd-slide", pmc_file, "1", "3"]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_an_internal_value_error_exits_internal(monkeypatch, capsys):
+    def mismatched(self, other):
+        raise ValueError("grading elements live over different factor lists")
+
+    monkeypatch.setattr(GradingElement, "__mul__", mismatched)
+    assert main(["hf-hat", "--preset", "s1xs2-g1"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal invariant failure: grading elements")
+
+
 def test_hf_hat_needs_word_or_preset(capsys):
     assert main(["hf-hat"]) == 2
 

@@ -312,6 +312,33 @@ def test_two_handle_twists_give_six_orbits_of_rank_one():
     assert [o["rank"] for o in hf_hat_closed(word).orbits] == [1] * 6
 
 
+def _twists(*spec) -> list:
+    """The word steps of (pair, power) twists, in order."""
+    return [("twist", pair, power) for pair, power in spec]
+
+
+# Words that a relation of the mapping class group identifies, or that are
+# conjugate or inverse, give the same total rank and the same number of
+# spin-c orbits.  Maslov degrees are not compared: they are defined only up
+# to the lambda torsion of the Mor grading sets.
+RELATED_WORDS = {
+    "chain-relation": (1, [[], _twists(*[(0, 1), (1, 1)] * 6)], 2, 1),
+    "braid-relation": (1, [_twists((0, 1), (1, 1), (0, 1)),
+                           _twists((1, 1), (0, 1), (1, 1))], 1, 1),
+    "conjugate-and-inverse": (1, [_twists((1, 3)), _twists((0, 1), (1, 3), (0, -1)),
+                                  _twists((1, -3))], 3, 3),
+    "disjoint-twists-commute": (2, [_twists((1, 2), (3, 3)), _twists((3, 3), (1, 2))], 6, 6),
+}
+
+
+@pytest.mark.parametrize("genus, words, rank, orbits", RELATED_WORDS.values(),
+                         ids=RELATED_WORDS.keys())
+def test_related_words_give_the_same_rank_and_orbit_count(genus, words, rank, orbits):
+    for steps in words:
+        result = hf_hat_closed(MappingWord(genus, steps))
+        assert (result.total_rank, len(result.orbits)) == (rank, orbits), steps
+
+
 def test_seeded_genus_one_twist_words_match_the_order_of_h1():
     rng = random.Random(11)
     orders = []

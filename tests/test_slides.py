@@ -21,6 +21,7 @@ from near_diagonal import (
     near_diagonal_grading,
     near_diagonal_pairs,
 )
+from shared_values import assert_one_object_per_value
 from summand_maps import summand_restriction
 
 Z1 = split_pmc(1)
@@ -142,6 +143,43 @@ def test_genus_one_slide_bimodules():
         dd = arcslide_dd(slide)
         assert dd.verify_d_squared()
         assert len(dd.generators) == 5  # 4 complementary + 1 sub-complementary
+
+
+def _reachable_circles(start):
+    circles, todo = {start}, [start]
+    while todo:
+        for slide in all_arcslides(todo.pop()):
+            if slide.target not in circles:
+                circles.add(slide.target)
+                todo.append(slide.target)
+    return sorted(circles, key=repr)
+
+
+def test_catalogue_bimodules_share_pair_sets_supports_and_products(monkeypatch):
+    # every slide bimodule of the circles reachable from split_pmc(1) and
+    # split_pmc(2), built cold, and the two split identity bimodules
+    monkeypatch.setattr("hfhat.slides._slide_dd_cache", {})
+    monkeypatch.setattr(alg, "_mul_cache", {})
+    multiplied = set()
+    multiply = alg.multiply_basic
+
+    def recording(a, b):
+        multiplied.add((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(alg, "multiply_basic", recording)
+    modules = [dd_identity(Z1), dd_identity(Z2)]
+    for start in (Z1, Z2):
+        modules += [arcslide_dd(s) for pmc in _reachable_circles(start) for s in all_arcslides(pmc)]
+    assert len(modules) == 2 + 6 + 294
+    diagrams, idempotents = [], []
+    for dd in modules:
+        for x in dd.generators:
+            idempotents += zip((f.pmc for f in dd.factors), dd.idem[x])
+            diagrams += [a for coefs in dd.delta[x].values() for c in coefs for a in c]
+    assert_one_object_per_value(diagrams, idempotents)
+    assert multiplied and len(alg._mul_cache) == len(multiplied)
+    assert len({id(d) for d in alg._diff_cache.values() if not d}) == 1
 
 
 def test_over_slide_gauge_independence():
