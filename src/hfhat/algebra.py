@@ -126,13 +126,8 @@ class StrandsGenerator:
         self.kept = all(m <= 1 for m in supp)
 
         h_points = [p for h in horizontals for p in pmc.pairs[h]]
-        inv = 0
-        for (s1, e1), (s2, e2) in combinations(moving, 2):
-            if (s1 < s2) != (e1 < e2):
-                inv += 1
-        for s, e in moving:
-            inv += sum(1 for p in h_points if s < p < e)
-        self.inv = inv
+        # a horizontal at p crosses the strand (s, e) exactly when s < p < e
+        inv = self.inv = _inv_of_strands([*moving, *((p, p) for p in h_points)])
         # doubled Maslov component: crossings minus the average support
         # multiplicity at every strand's initial point
         m2 = 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebra as alg
@@ -187,6 +188,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the exit flush
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InvalidCircleError, InvalidSlideError, WordError, OSError,
             json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)

@@ -42,7 +42,6 @@ from math import gcd
 from operator import add, mul, sub
 
 from .algebra import StrandsGenerator
-from .pmc import reversed_pair_map
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,42 +350,25 @@ def slide_homology_matrix(slide) -> list[list[int]]:
     """Matrix of the slide on the pair classes, target basis by source basis.
 
     The sliding pair maps to its successor plus or minus the slid-over pair;
-    all other pairs are fixed.  With c1 above c2, psi(h(B)) = b_sign * h(B')
-    + c_sign * h(C), and the signs depend only on where the other foot b2
-    of the sliding pair sits, whether the slide is under or over; the
-    c1-below-c2 configuration is reduced to that one by reflecting.
+    all other pairs are fixed.  psi(h(B)) = b_sign * h(B') + c_sign * h(C),
+    and the signs depend only on where the other foot b2 of the sliding
+    pair sits against the feet of C and on which foot of C is slid over.
     """
     n = slide.source.n_pairs
     mat = [[0] * n for _ in range(n)]
     for j in range(n):
         if j != slide.b_pair:
             mat[slide.pair_map[j]][j] = 1
-
-    if slide.c1 > slide.c2:
-        if slide.c2 < slide.b2 < slide.c1:
-            b_sign, c_sign = -1, 1
-        elif slide.b2 > slide.c1:
-            b_sign, c_sign = 1, -1
-        else:
-            b_sign, c_sign = 1, 1
-        mat[slide.pair_map[slide.b_pair]][slide.b_pair] = b_sign
-        mat[slide.pair_map[slide.c_pair]][slide.b_pair] = c_sign
-        return mat
-
-    # Reflect to reach the c1-above-c2 configuration, act, reflect back.
-    src_map = reversed_pair_map(slide.source)  # pairs of Z -> pairs of -Z
-    tgt_map = reversed_pair_map(slide.target)
-    inner = slide_homology_matrix(slide.reflected())
-    out = [[0] * n for _ in range(n)]
-    for j in range(n):
-        col = [0] * n
-        col[src_map[j]] = 1
-        image = [sum(inner[i][k] * col[k] for k in range(n)) for i in range(n)]
-        # the reflected slide ends on -Z'; transport back.
-        for i in range(n):
-            if image[i]:
-                out[tgt_map.index(i)][j] = image[i]
-    return out
+    lo, hi = sorted((slide.c1, slide.c2))
+    if lo < slide.b2 < hi:
+        b_sign, c_sign = -1, 1
+    elif (slide.b2 > hi) == (slide.c1 > slide.c2):
+        b_sign, c_sign = 1, -1
+    else:
+        b_sign, c_sign = 1, 1
+    mat[slide.pair_map[slide.b_pair]][slide.b_pair] = b_sign
+    mat[slide.pair_map[slide.c_pair]][slide.b_pair] = c_sign
+    return mat
 
 
 def xi_word(slides, n_pairs: int | None = None) -> Mod2GradingMap:

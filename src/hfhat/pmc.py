@@ -172,18 +172,6 @@ def all_chords(pmc: PointedMatchedCircle) -> list[Chord]:
     return [Chord(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def is_restricted_chord(slide: "ArcSlide", chord: Chord) -> bool:
-    """Endpoints avoid the sliding foot and are not matched to each other."""
-    pmc = slide.source
-    if slide.b1 in (chord.start, chord.end):
-        return False
-    return pmc.pair_of(chord.start) != pmc.pair_of(chord.end)
-
-
-def restricted_chords(slide: "ArcSlide") -> list[Chord]:
-    return [c for c in all_chords(slide.source) if is_restricted_chord(slide, c)]
-
-
 class ArcSlide:
     """The slide of the foot b1 over the matched pair containing c1.
 

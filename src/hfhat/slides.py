@@ -11,16 +11,22 @@ equation.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 from . import algebra as alg
 from .algebra import StrandsGenerator
-from .homalg import AlgebraFactor, StructureError, TypeDStructure
+from .homalg import (
+    AlgebraFactor,
+    StructureError,
+    TypeDStructure,
+    coef_differential,
+    coef_multiply,
+)
 from .pmc import (
     ArcSlide,
     Chord,
     PointedMatchedCircle,
     all_chords,
-    restricted_chords,
     reverse_point,
 )
 
@@ -81,82 +87,31 @@ class SlideContext:
         self.tgt = tgt
         self.rev_tgt, self.rpm_tgt = alg.reversal(tgt)  # pairs of Z' -> pairs of -Z'
         self.n = src.n_points
+        # source point -> target point, the sliding foot b1 to the new foot b1'
+        self.forward = {**slide.point_map, slide.b1: slide.b1_new}
+        self.back = {q: p for p, q in self.forward.items()}
         self.sigma = Chord(min(slide.b1, slide.c1), max(slide.b1, slide.c1))
-        c2p = slide.point_map[slide.c2]
+        c2p = self.c2_target = slide.point_map[slide.c2]
         self.sigma_p = Chord(min(slide.b1_new, c2p), max(slide.b1_new, c2p))
-        self.c2_target = c2p
         self.c_span = Chord(min(slide.c1, slide.c2), max(slide.c1, slide.c2))
-        lo = min(slide.point_map[slide.c1], c2p)
-        hi = max(slide.point_map[slide.c1], c2p)
-        self.c_span_target = Chord(lo, hi)
+        self.c_span_target = _carry(self.c_span, self.forward)
         # pair translation: pairs of Z to pairs of -Z'
         self.pair_to_rev = {p: self.rpm_tgt[q] for p, q in enumerate(slide.pair_map)}
         self._partners: dict = {}  # left idempotent -> partners, filled on use
         # common-gap layout for restricted supports
-        self.src_gap = self._gap_map(self.n, slide.b1, self.sigma)
-        self.tgt_gap = self._gap_map(self.n, slide.b1_new, self.sigma_p)
+        self.src_gap = self._gap_map(slide.b1, self.sigma)
+        self.tgt_gap = self._gap_map(slide.b1_new, self.sigma_p)
 
-    @staticmethod
-    def _gap_map(n: int, removed: int, sigma: Chord):
+    def _gap_map(self, removed: int, sigma: Chord) -> dict:
         """interval index (1-based) -> common-gap index, with the sliding
         interval mapped to None (it is dropped from restricted supports)."""
-        points = [p for p in range(1, n + 1) if p != removed]
-        out = {}
-        for i in range(1, n):
-            if i == sigma.start:
-                out[i] = None
-            else:
-                below = sum(1 for p in points if p <= i)
-                out[i] = below - 1
-        return out
-
-    # -- point/chord transport --------------------------------------------
-
-    def point(self, p: int, fat: bool = False) -> int:
-        if p == self.slide.b1:
-            if not fat:
-                raise KeyError("the sliding foot has no target point")
-            return self.slide.b1_new
-        return self.slide.point_map[p]
-
-    def point_back(self, q: int, fat: bool = False) -> int:
-        if q == self.slide.b1_new:
-            if not fat:
-                raise KeyError("the new foot has no source point")
-            return self.slide.b1
-        for p, v in self.slide.point_map.items():
-            if v == q:
-                return p
-        raise KeyError(q)
-
-    def chord(self, c: Chord, fat: bool = False) -> Chord:
-        a, b = self.point(c.start, fat), self.point(c.end, fat)
-        return Chord(min(a, b), max(a, b))
-
-    def chord_back(self, c: Chord, fat: bool = False) -> Chord:
-        a, b = self.point_back(c.start, fat), self.point_back(c.end, fat)
-        return Chord(min(a, b), max(a, b))
-
-    # -- restricted supports ------------------------------------------------
+        return {i: None if i == sigma.start else i - 1 - (removed <= i) for i in range(1, self.n)}
 
     def restricted_left(self, a: StrandsGenerator) -> tuple[int, ...]:
-        out = [0] * (self.n - 2)
-        for i, mult in enumerate(a.supp, start=1):
-            g = self.src_gap[i]
-            if g is not None and mult:
-                out[g] += mult
-        return tuple(out)
+        return _restricted(a.supp, self.src_gap)
 
     def restricted_right(self, a_o: StrandsGenerator) -> tuple[int, ...]:
-        supp_t = tuple(reversed(a_o.supp))  # back to target-circle coordinates
-        out = [0] * (self.n - 2)
-        for i, mult in enumerate(supp_t, start=1):
-            g = self.tgt_gap[i]
-            if g is not None and mult:
-                out[g] += mult
-        return tuple(out)
-
-    # -- near-complementary idempotents -------------------------------------
+        return _restricted(a_o.supp[::-1], self.tgt_gap)  # in target-circle coordinates
 
     def partners(self, left: frozenset) -> list[frozenset]:
         """The right idempotents (pairs of -Z') near-complementary to
@@ -172,6 +127,22 @@ class SlideContext:
         out = self._partners[left] = [alg.pair_set(self.rev_tgt, (self.pair_to_rev[p] for p in r))
                                       for r in found]
         return out
+
+
+def _carry(chord: Chord, points: dict) -> Chord:
+    """The chord with both ends moved to the other circle by ``points``."""
+    a, b = points[chord.start], points[chord.end]
+    return Chord(min(a, b), max(a, b))
+
+
+def _restricted(supp: tuple[int, ...], gap: dict) -> tuple[int, ...]:
+    """The support summed onto the common gaps, the sliding interval dropped."""
+    out = [0] * (len(supp) - 1)
+    for i, mult in enumerate(supp, start=1):
+        g = gap[i]
+        if g is not None and mult:
+            out[g] += mult
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -224,58 +195,74 @@ def _join_interval(chord: Chord, s: Chord) -> list[tuple[int, int]] | None:
     return None
 
 
+class _Side(NamedTuple):
+    """One circle of the slide, in its own coordinates."""
+
+    sigma: Chord  # the sliding interval
+    c_foot: int  # the foot of C at sigma: c1, or c2' on the target
+    span: Chord  # the C-span
+    points: dict  # this circle's points -> the other circle's
+    chords: list[Chord]
+    restricted: list[Chord]  # chords avoiding the moving foot, ends unmatched
+
+
+def _sides(ctx: SlideContext) -> list[_Side]:
+    """The source side, then the target side."""
+    slide = ctx.slide
+    out = []
+    for pmc, foot, sigma, c_foot, span, points in (
+            (ctx.src, slide.b1, ctx.sigma, slide.c1, ctx.c_span, ctx.forward),
+            (ctx.tgt, slide.b1_new, ctx.sigma_p, ctx.c2_target, ctx.c_span_target, ctx.back)):
+        chords = all_chords(pmc)
+        restricted = [c for c in chords if foot not in (c.start, c.end)
+                      and pmc.pair_of(c.start) != pmc.pair_of(c.end)]
+        out.append(_Side(sigma, c_foot, span, points, chords, restricted))
+    return out
+
+
 def _moving_configs(ctx: SlideContext):
     """(kind, source moving set, target moving set) for every near-chord
-    shape; target chords are in target-circle coordinates."""
+    shape, type by type and the source side first; target chords are in
+    target-circle coordinates.  A mirrored type is written once for a side
+    ``me`` and swapped into place for the target."""
     slide = ctx.slide
-    sigma, sigma_p = ctx.sigma, ctx.sigma_p
     over = slide.kind == "over"
-    chords_src, chords_tgt = all_chords(ctx.src), all_chords(ctx.tgt)
-    restricted = restricted_chords(slide)
+    src, tgt = _sides(ctx)
     configs: list[tuple[str, list, list]] = []
 
+    def add(kind, me, mine, theirs):
+        configs.append((kind, mine, theirs) if me is src else (kind, theirs, mine))
+
     # type 1: a restricted chord on both sides
-    for xi in restricted:
-        configs.append(("1", [xi], [ctx.chord(xi)]))
+    for xi in src.restricted:
+        configs.append(("1", [xi], [_carry(xi, src.points)]))
 
     # type 2: the sliding interval alone, on either side
-    configs.append(("2", [sigma], []))
-    configs.append(("2", [], [sigma_p]))
+    for me in (src, tgt):
+        add("2", me, [me.sigma], [])
 
     # type 3: sigma glued onto a chord touching it at the C-foot
-    for xi in chords_src:
-        if slide.b1 in (xi.start, xi.end):
-            continue
-        if xi.end == sigma.start or xi.start == sigma.end:
-            if slide.c1 in (xi.start, xi.end):
-                configs.append(("3", _join_interval(xi, ctx.sigma), [ctx.chord(xi)]))
-    for xi_t in chords_tgt:
-        if slide.b1_new in (xi_t.start, xi_t.end):
-            continue
-        if xi_t.end == sigma_p.start or xi_t.start == sigma_p.end:
-            if ctx.c2_target in (xi_t.start, xi_t.end):
-                configs.append(("3", [ctx.chord_back(xi_t)], _join_interval(xi_t, ctx.sigma_p)))
+    for me in (src, tgt):
+        s = me.sigma
+        for xi in me.chords:
+            if me.c_foot in (xi.start, xi.end) and (xi.end == s.start or xi.start == s.end):
+                add("3", me, _join_interval(xi, s), [_carry(xi, me.points)])
 
     # type 4: a chord containing sigma, minus sigma on one side
-    for xi in chords_src:
-        if xi.start <= sigma.start and sigma.end <= xi.end and xi != sigma:
-            pieces = _pieces(xi, sigma)
-            configs.append(("4", pieces, [ctx.chord(xi, fat=True)]))
-    for xi_t in chords_tgt:
-        if xi_t.start <= sigma_p.start and sigma_p.end <= xi_t.end and xi_t != sigma_p:
-            pieces = _pieces(xi_t, sigma_p)
-            configs.append(("4", [ctx.chord_back(xi_t, fat=True)], pieces))
+    for me in (src, tgt):
+        for xi in me.chords:
+            if xi.start <= me.sigma.start and me.sigma.end <= xi.end and xi != me.sigma:
+                add("4", me, _pieces(xi, me.sigma), [_carry(xi, me.points)])
 
     # type 5: two chords, one ending on each foot of C, opposite signs
     c1, c2, b1, b2 = slide.c1, slide.c2, slide.b1, slide.b2
-    for xi in restricted:
+    sigma = ctx.sigma
+    for xi in src.restricted:
         if c1 not in (xi.start, xi.end) or b2 in (xi.start, xi.end):
             continue
         sign_c1 = 1 if xi.end == c1 else -1
-        for eta in chords_src:
-            if b1 in (eta.start, eta.end):
-                continue
-            if c2 not in (eta.start, eta.end):
+        for eta in src.chords:
+            if b1 in (eta.start, eta.end) or c2 not in (eta.start, eta.end):
                 continue
             sign_c2 = 1 if eta.end == c2 else -1
             if sign_c1 == sign_c2:
@@ -283,58 +270,39 @@ def _moving_configs(ctx: SlideContext):
             if {xi.start, xi.end} & {eta.start, eta.end}:
                 continue
             disjoint = xi.end < eta.start or eta.end < xi.start
-            nested = (xi.start < eta.start and eta.end < xi.end) or (
-                eta.start < xi.start and xi.end < eta.end
-            )
+            nested = (xi.start < eta.start and eta.end < xi.end
+                      or eta.start < xi.start and xi.end < eta.end)
             if over and not (disjoint or nested):
                 continue
             # the chord at c1 must approach it away from the sliding interval
             if xi.start <= sigma.start and sigma.end <= xi.end:
                 continue
-            configs.append(("5", [xi, eta], [ctx.chord(xi), ctx.chord(eta)]))
+            configs.append(("5", [xi, eta], [_carry(xi, src.points), _carry(eta, src.points)]))
 
-    # type 6: sigma glued on one side, sigma' removed from the other
-    for xi in restricted:
-        xt = ctx.chord(xi)
-        if not (xt.start <= sigma_p.start and sigma_p.end <= xt.end):
-            continue
-        if xt.start < sigma_p.start and sigma_p.end < xt.end:
-            continue  # sigma' interior: not this type
-        if over and not (xi.end <= sigma.start or sigma.end <= xi.start):
-            continue
-        join = _join_interval(xi, ctx.sigma)
-        if join is None:
-            continue
-        configs.append(("6", join, _pieces(xt, sigma_p)))
-    for xi_t in chords_tgt:
-        if slide.b1_new in (xi_t.start, xi_t.end):
-            continue
-        if ctx.tgt.pair_of(xi_t.start) == ctx.tgt.pair_of(xi_t.end):
-            continue
-        try:
-            xs = ctx.chord_back(xi_t)
-        except KeyError:
-            continue
-        if not (xs.start <= sigma.start and sigma.end <= xs.end):
-            continue
-        if xs.start < sigma.start and sigma.end < xs.end:
-            continue
-        if over and not (xi_t.end <= sigma_p.start or sigma_p.end <= xi_t.start):
-            continue
-        join = _join_interval(xi_t, ctx.sigma_p)
-        if join is None:
-            continue
-        configs.append(("6", _pieces(xs, sigma), join))
+    # type 6: sigma glued on one side, the other side's sigma removed
+    for me, other in ((src, tgt), (tgt, src)):
+        there = other.sigma
+        for xi in me.restricted:
+            xt = _carry(xi, me.points)
+            if not (xt.start <= there.start and there.end <= xt.end):
+                continue
+            if xt.start < there.start and there.end < xt.end:
+                continue  # sigma interior: not this type
+            if over and not (xi.end <= me.sigma.start or me.sigma.end <= xi.start):
+                continue
+            join = _join_interval(xi, me.sigma)
+            if join is not None:
+                add("6", me, join, _pieces(xt, there))
 
     if over:
-        span, span_t = ctx.c_span, ctx.c_span_target
         # type 7: the C-span on both sides, broken once on one side
-        for w in range(span.start + 1, span.end):
-            configs.append(("7", [Chord(span.start, w), Chord(w, span.end)], [span_t]))
-        for w in range(span_t.start + 1, span_t.end):
-            configs.append(("7", [span], [Chord(span_t.start, w), Chord(w, span_t.end)]))
+        for me in (src, tgt):
+            span, span_there = me.span, [_carry(me.span, me.points)]
+            for w in range(span.start + 1, span.end):
+                add("7", me, [Chord(span.start, w), Chord(w, span.end)], span_there)
         # type 8: the C-span plus a disjoint or strictly nested restricted chord
-        for xi in restricted:
+        span, span_t = src.span, tgt.span
+        for xi in src.restricted:
             if {xi.start, xi.end} & {span.start, span.end}:
                 continue
             disjoint = xi.end < span.start or span.end < xi.start
@@ -342,7 +310,7 @@ def _moving_configs(ctx: SlideContext):
             around = xi.start < span.start and span.end < xi.end
             if not (disjoint or nested or around):
                 continue
-            configs.append(("8", [span, xi], [span_t, ctx.chord(xi)]))
+            configs.append(("8", [span, xi], [span_t, _carry(xi, src.points)]))
 
     return configs
 
@@ -503,8 +471,6 @@ def _over_slide_terms(ctx, factors, chords, basic_choice_side):
     two distinct unknowns raises, so the equation is linear; it must have
     exactly one solution.
     """
-    from .homalg import coef_differential, coef_multiply
-
     determinate = [nc for nc in chords if not nc.indeterminate]
     indet = [nc for nc in chords if nc.indeterminate]
     base = [(nc.left, nc.right) for nc in determinate]

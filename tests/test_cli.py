@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hfhat
 from hfhat import cli, manifolds
 from hfhat.cli import EXIT_INTERNAL, main
 from hfhat.grading import GradingElement
@@ -13,6 +18,13 @@ from hfhat.pmc import split_pmc
 def pmc_file(tmp_path):
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(split_pmc(1).to_json()))
+    return str(path)
+
+
+@pytest.fixture()
+def genus2_file(tmp_path):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(split_pmc(2).to_json()))
     return str(path)
 
 
@@ -243,6 +255,27 @@ def test_dd_slide_dump(pmc_file, capsys):
     assert "near-chords" in out and "generators" in out
 
 
+def test_dd_slide_counts_the_near_chords_of_a_genus_two_over_slide(genus2_file, capsys):
+    assert main(["dd-slide", genus2_file, "5", "4"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "over-slide of 5 over 4; 134 near-chords (20 indeterminate)"
+
+
+def test_a_closed_stdout_exits_quietly(genus2_file):
+    # the reader is gone before the first write, as with `| head -1` on a
+    # long dump, so every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(hfhat.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "hfhat.cli", "dd-slide", genus2_file, "5", "4"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
+
+
 def test_dd_id_dump_json(pmc_file, capsys):
     assert main(["--output", "json", "dd-id", pmc_file]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -261,3 +294,11 @@ def test_aa_id_json_counts_cancelled_pairs(pmc_file, capsys):
     assert payload["dg_generators"] == 30
     assert len(payload["homology_generators"]) == 2
     assert payload["differential_pairs"] == 14
+
+
+def test_truncated_aa_id_on_the_genus_two_split_circle(genus2_file, capsys):
+    assert main(["--truncated", "--output", "json", "aa-id", genus2_file]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dg_generators"] == 2950
+    assert len(payload["homology_generators"]) == 6
+    assert payload["differential_pairs"] == 1472

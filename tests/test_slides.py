@@ -5,7 +5,8 @@ import pytest
 import hfhat.algebra as alg
 from hfhat.homalg import cancel, mor_against_bimodule, mor_complex
 from hfhat.manifolds import cfd_zero_framed_handlebody
-from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, reverse_pmc, split_pmc
+from hfhat.pmc import (ArcSlide, Chord, all_arcslides, all_chords, antipodal_pmc, reverse_pmc,
+                       split_pmc)
 from hfhat.slides import (
     SlideContext,
     arcslide_dd,
@@ -278,6 +279,7 @@ def test_over_slide_without_a_lambda_free_solution_raises(monkeypatch):
 
 def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
     import hfhat.homalg as homalg
+    import hfhat.slides as slides
     from hfhat.homalg import StructureError
     from hfhat.slides import _arcslide_dd_uncached
 
@@ -294,7 +296,7 @@ def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
             return c1  # any nonzero term
         return coef_multiply(factors, c1, c2)
 
-    monkeypatch.setattr(homalg, "coef_multiply", one_cross_term)
+    monkeypatch.setattr(slides, "coef_multiply", one_cross_term)
     with pytest.raises(StructureError, match="nonzero cross term") as err:
         _arcslide_dd_uncached(slide, False, "source")
     assert repr(slide) in str(err.value)
@@ -303,6 +305,7 @@ def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
 
 def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
     import hfhat.homalg as homalg
+    import hfhat.slides as slides
     from hfhat.homalg import AlgebraFactor
     from hfhat.slides import SlideContext, _over_slide_terms
 
@@ -331,7 +334,7 @@ def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
             return min(pair, key=repr)  # the same nonzero term both ways
         return coef_multiply(factors, c1, c2)
 
-    monkeypatch.setattr(homalg, "coef_multiply", cancelling)
+    monkeypatch.setattr(slides, "coef_multiply", cancelling)
     assert _over_slide_terms(ctx, factors, chords, "source") == expected
     assert len(forced) == 2
 
@@ -574,6 +577,8 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
         return coef_multiply(factors, c1, c2)
 
     coef_multiply = homalg.coef_multiply
+    # the indexed equation multiplies through slides, the oracle through homalg
+    monkeypatch.setattr(slides, "coef_multiply", recording_multiply)
     monkeypatch.setattr(homalg, "coef_multiply", recording_multiply)
     factors = built[False].factors
     for side in ("source", "target") if slide.kind == "over" else ():
@@ -734,3 +739,172 @@ def test_idempotent_rules_match_the_hand_built_oracles(rule, pmc, truncated):
         for left in subsets:
             for right in subsets:
                 assert idem_type(ctx, left, right) == _hand_built_idem_type(ctx, left, right)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for _moving_configs: the near-chord shapes with each mirrored type
+# spelled out twice, source loop then target loop, through four point and
+# chord transports whose ``fat`` flag maps the moving foot
+
+
+def _point(ctx, p, fat=False):
+    if p == ctx.slide.b1:
+        if not fat:
+            raise KeyError("the sliding foot has no target point")
+        return ctx.slide.b1_new
+    return ctx.slide.point_map[p]
+
+
+def _point_back(ctx, q, fat=False):
+    if q == ctx.slide.b1_new:
+        if not fat:
+            raise KeyError("the new foot has no source point")
+        return ctx.slide.b1
+    for p, v in ctx.slide.point_map.items():
+        if v == q:
+            return p
+    raise KeyError(q)
+
+
+def _chord(ctx, c, fat=False):
+    a, b = _point(ctx, c.start, fat), _point(ctx, c.end, fat)
+    return Chord(min(a, b), max(a, b))
+
+
+def _chord_back(ctx, c, fat=False):
+    a, b = _point_back(ctx, c.start, fat), _point_back(ctx, c.end, fat)
+    return Chord(min(a, b), max(a, b))
+
+
+def _gap_map_by_count(n, removed, sigma):
+    points = [p for p in range(1, n + 1) if p != removed]
+    return {i: None if i == sigma.start else sum(1 for p in points if p <= i) - 1
+            for i in range(1, n)}
+
+
+def _moving_configs_side_by_side(ctx):
+    from hfhat.slides import _join_interval, _pieces
+
+    slide = ctx.slide
+    sigma, sigma_p = ctx.sigma, ctx.sigma_p
+    over = slide.kind == "over"
+    chords_src, chords_tgt = all_chords(ctx.src), all_chords(ctx.tgt)
+    restricted = [c for c in chords_src if slide.b1 not in (c.start, c.end)
+                  and ctx.src.pair_of(c.start) != ctx.src.pair_of(c.end)]
+    configs = []
+
+    for xi in restricted:
+        configs.append(("1", [xi], [_chord(ctx, xi)]))
+
+    configs.append(("2", [sigma], []))
+    configs.append(("2", [], [sigma_p]))
+
+    for xi in chords_src:
+        if slide.b1 in (xi.start, xi.end):
+            continue
+        if xi.end == sigma.start or xi.start == sigma.end:
+            if slide.c1 in (xi.start, xi.end):
+                configs.append(("3", _join_interval(xi, sigma), [_chord(ctx, xi)]))
+    for xi_t in chords_tgt:
+        if slide.b1_new in (xi_t.start, xi_t.end):
+            continue
+        if xi_t.end == sigma_p.start or xi_t.start == sigma_p.end:
+            if ctx.c2_target in (xi_t.start, xi_t.end):
+                configs.append(("3", [_chord_back(ctx, xi_t)], _join_interval(xi_t, sigma_p)))
+
+    for xi in chords_src:
+        if xi.start <= sigma.start and sigma.end <= xi.end and xi != sigma:
+            configs.append(("4", _pieces(xi, sigma), [_chord(ctx, xi, fat=True)]))
+    for xi_t in chords_tgt:
+        if xi_t.start <= sigma_p.start and sigma_p.end <= xi_t.end and xi_t != sigma_p:
+            configs.append(("4", [_chord_back(ctx, xi_t, fat=True)], _pieces(xi_t, sigma_p)))
+
+    c1, c2, b1, b2 = slide.c1, slide.c2, slide.b1, slide.b2
+    for xi in restricted:
+        if c1 not in (xi.start, xi.end) or b2 in (xi.start, xi.end):
+            continue
+        sign_c1 = 1 if xi.end == c1 else -1
+        for eta in chords_src:
+            if b1 in (eta.start, eta.end):
+                continue
+            if c2 not in (eta.start, eta.end):
+                continue
+            sign_c2 = 1 if eta.end == c2 else -1
+            if sign_c1 == sign_c2:
+                continue
+            if {xi.start, xi.end} & {eta.start, eta.end}:
+                continue
+            disjoint = xi.end < eta.start or eta.end < xi.start
+            nested = (xi.start < eta.start and eta.end < xi.end) or (
+                eta.start < xi.start and xi.end < eta.end)
+            if over and not (disjoint or nested):
+                continue
+            if xi.start <= sigma.start and sigma.end <= xi.end:
+                continue
+            configs.append(("5", [xi, eta], [_chord(ctx, xi), _chord(ctx, eta)]))
+
+    for xi in restricted:
+        xt = _chord(ctx, xi)
+        if not (xt.start <= sigma_p.start and sigma_p.end <= xt.end):
+            continue
+        if xt.start < sigma_p.start and sigma_p.end < xt.end:
+            continue
+        if over and not (xi.end <= sigma.start or sigma.end <= xi.start):
+            continue
+        join = _join_interval(xi, sigma)
+        if join is None:
+            continue
+        configs.append(("6", join, _pieces(xt, sigma_p)))
+    for xi_t in chords_tgt:
+        if slide.b1_new in (xi_t.start, xi_t.end):
+            continue
+        if ctx.tgt.pair_of(xi_t.start) == ctx.tgt.pair_of(xi_t.end):
+            continue
+        try:
+            xs = _chord_back(ctx, xi_t)
+        except KeyError:
+            continue
+        if not (xs.start <= sigma.start and sigma.end <= xs.end):
+            continue
+        if xs.start < sigma.start and sigma.end < xs.end:
+            continue
+        if over and not (xi_t.end <= sigma_p.start or sigma_p.end <= xi_t.start):
+            continue
+        join = _join_interval(xi_t, sigma_p)
+        if join is None:
+            continue
+        configs.append(("6", _pieces(xs, sigma), join))
+
+    if over:
+        span, span_t = ctx.c_span, ctx.c_span_target
+        for w in range(span.start + 1, span.end):
+            configs.append(("7", [Chord(span.start, w), Chord(w, span.end)], [span_t]))
+        for w in range(span_t.start + 1, span_t.end):
+            configs.append(("7", [span], [Chord(span_t.start, w), Chord(w, span_t.end)]))
+        for xi in restricted:
+            if {xi.start, xi.end} & {span.start, span.end}:
+                continue
+            disjoint = xi.end < span.start or span.end < xi.start
+            nested = span.start < xi.start and xi.end < span.end
+            around = xi.start < span.start and span.end < xi.end
+            if not (disjoint or nested or around):
+                continue
+            configs.append(("8", [span, xi], [span_t, _chord(ctx, xi)]))
+    return configs
+
+
+def test_near_chords_per_side_match_the_side_by_side_shapes(monkeypatch):
+    # kind drives the over-slide basic choice, so the rows are compared in
+    # order with kind and the indeterminate flag, not as (left, right) sets
+    import hfhat.slides as slides
+
+    circles = [pmc for start in (Z1, Z2, antipodal_pmc(1)) for pmc in _reachable_circles(start)]
+    assert len(circles) == 23
+    slides_seen = [s for pmc in circles for s in all_arcslides(pmc)]
+    for slide in slides_seen:
+        ctx = SlideContext(slide)
+        assert ctx.src_gap == _gap_map_by_count(ctx.n, slide.b1, ctx.sigma)
+        assert ctx.tgt_gap == _gap_map_by_count(ctx.n, slide.b1_new, ctx.sigma_p)
+    per_side = [_chord_rows(enumerate_near_chords(s)) for s in slides_seen]
+    monkeypatch.setattr(slides, "_moving_configs", _moving_configs_side_by_side)
+    assert [_chord_rows(enumerate_near_chords(s)) for s in slides_seen] == per_side
