@@ -20,7 +20,7 @@ from .pmc import (
     split_pmc,
 )
 from .algebra import StrandsGenerator, basis, chordset_element, idempotent
-from .homalg import TypeDStructure, cancel, mor_against_bimodule, mor_complex, tensor
+from .homalg import TypeDStructure, cancel, mor_against_bimodule, mor_complex, tensor, truncate
 from .slides import arcslide_dd, dd_identity, enumerate_near_chords
 from .manifolds import (
     ClosedResult,
@@ -70,4 +70,5 @@ __all__ = [
     "spinc_maslov",
     "split_pmc",
     "tensor",
+    "truncate",
 ]

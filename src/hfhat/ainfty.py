@@ -38,7 +38,7 @@ class DualIdentityBimodule:
         self.pmc = pmc
         self.rev = alg.reversal(pmc)[0]
         self.truncated = truncated
-        self.ddid = dd_identity(pmc, truncated)
+        self.ddid = dd_identity(pmc)
         basis = []
         for g in self.ddid.generators:
             left, right = self.ddid.idem[g]

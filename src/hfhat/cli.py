@@ -9,7 +9,7 @@ import sys
 
 from . import algebra as alg
 from .ainfty import DualIdentityBimodule, MinimalModel
-from .homalg import StructureError
+from .homalg import StructureError, truncate
 from .manifolds import (
     MappingWord,
     WordError,
@@ -91,6 +91,8 @@ def cmd_hfhat(args) -> int:
 
 
 def _dump_structure(args, module) -> int:
+    if args.truncated:
+        module = truncate(module)
     payload = {
         "generators": [repr(g) for g in module.sorted_generators()],
         "arrows": [
@@ -113,7 +115,7 @@ def _dump_structure(args, module) -> int:
 def cmd_ddslide(args) -> int:
     pmc = _load_pmc(args.pmc)
     slide = ArcSlide(pmc, args.b1, args.c1)
-    module = arcslide_dd(slide, truncated=args.truncated)
+    module = arcslide_dd(slide)
     near = enumerate_near_chords(slide)
     if args.output == "text":
         print(f"{slide.kind}-slide of {args.b1} over {args.c1}; "
@@ -124,7 +126,7 @@ def cmd_ddslide(args) -> int:
 
 def cmd_ddid(args) -> int:
     pmc = _load_pmc(args.pmc)
-    return _dump_structure(args, dd_identity(pmc, truncated=args.truncated))
+    return _dump_structure(args, dd_identity(pmc))
 
 
 def cmd_aaid(args) -> int:

@@ -207,9 +207,10 @@ class RelationLattice:
             out.append(GradingElement(self.lambda_torsion2, (0,) * self.length))
         return out
 
-    def _reduce(self, g: GradingElement):
+    def reduce(self, g: GradingElement):
         """j2 of g * h for some subgroup element h cancelling g's chain, or
-        None if g's chain is not in the lattice."""
+        None if g's chain is not in the lattice.  It is defined modulo the
+        lambda torsion."""
         row = [0, *g.chain, 0, g.j2]
         for col, b, supp in self._basis:
             if row[col]:
@@ -222,12 +223,12 @@ class RelationLattice:
         return row[-1]
 
     def contains_chain(self, g: GradingElement) -> bool:
-        return self._reduce(g) is not None
+        return self.reduce(g) is not None
 
     def lambda_degree(self, g: GradingElement):
         """If g = lambda^t * (element of the subgroup), return (t, modulus2);
         the degree is defined mod modulus2 / 2.  None if not in the orbit."""
-        diff2 = self._reduce(g)
+        diff2 = self.reduce(g)
         if diff2 is None or diff2 % 2:
             return None
         tor = self.lambda_torsion2
@@ -236,9 +237,6 @@ class RelationLattice:
                 return None
             return ((diff2 // 2) % (tor // 2) if tor != 2 else 0, tor)
         return (diff2 // 2, 0)
-
-    def is_lambda_free(self) -> bool:
-        return self.lambda_torsion2 == 0
 
 
 class Gradings:
@@ -262,18 +260,6 @@ class Gradings:
             self._lattice.append(RelationLattice(self.relations, self.sizes))
         return self._lattice[0]
 
-    def degree_difference(self, x, y):
-        """(degree of x) - (degree of y) with its modulus, or None."""
-        h = self.reps[y].inverse() * self.reps[x]
-        return self.lattice.lambda_degree(h)
-
-    def same_orbit(self, x, y) -> bool:
-        h = self.reps[y].inverse() * self.reps[x]
-        return self.lattice.contains_chain(h)
-
-    def is_lambda_free(self) -> bool:
-        return self.lattice.is_lambda_free()
-
     def with_reps(self, reps: dict) -> "Gradings":
         """The same relations and lattice over new representatives."""
         out = copy(self)
@@ -294,18 +280,6 @@ class Gradings:
     def has_pure_lambda_relation(self) -> bool:
         """Whether some relation is a nonzero power of lambda alone."""
         return any(r.j2 and not any(r.chain) for r in self.relations)
-
-    def orbit_partition(self, keys):
-        """Group keys into lambda orbits, preserving input order."""
-        orbits: list[list] = []
-        for k in keys:
-            for orbit in orbits:
-                if self.same_orbit(k, orbit[0]):
-                    orbit.append(k)
-                    break
-            else:
-                orbits.append([k])
-        return orbits
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import product
 
 from . import algebra as alg
 from .grading import (
@@ -191,6 +192,28 @@ class TypeDStructure:
         return self.gradings
 
 
+def truncate(M: TypeDStructure) -> TypeDStructure:
+    """The image of M over the truncated algebras: the same generators,
+    and the arrows whose every coefficient entry is kept.
+
+    Diagrams of local multiplicity at least two span a dg ideal (supports
+    add under products, and the differential keeps them), so the quotient
+    map is a dg map and the image is again a structure.  Every kept arrow
+    is an arrow of M, so M's grading set grades the image; d^2 = 0 is
+    checked on it.
+    """
+    out = TypeDStructure([AlgebraFactor(f.pmc, True) for f in M.factors], M.name)
+    out.generators = list(M.generators)
+    out.idem = dict(M.idem)
+    for x, row in M.delta.items():
+        kept = {y: frozenset(c for c in coefs if all(a.kept for a in c))
+                for y, coefs in row.items()}
+        out.delta[x] = {y: coefs for y, coefs in kept.items() if coefs}
+    out.gradings = M.gradings
+    out.require_d_squared()
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Tensor product over F2 (external: disjoint factor lists)
 
@@ -287,7 +310,7 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
                                    N.factors[k].truncated)
                 for k, i in enumerate(consumed)
             ]
-            per_pair[(x, y)] = _product_tuples(choices)
+            per_pair[(x, y)] = list(product(*choices))
             for coef in per_pair[(x, y)]:
                 out.add_generator((x, coef, y), idem)
 
@@ -317,13 +340,6 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
                         if p is not None:
                             out.add_arrow(src, (x0, p, y), kept_part)
     _mor_gradings(out, M, N, keep)
-    return out
-
-
-def _product_tuples(choices):
-    out = [()]
-    for pool in choices:
-        out = [t + (a,) for t in out for a in pool]
     return out
 
 

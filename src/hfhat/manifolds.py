@@ -9,6 +9,7 @@ split into lambda orbits with relative Maslov degrees.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from .homalg import (
     mor_against_bimodule,
     mor_complex,
     tensor,
+    truncate,
 )
 from .pmc import (
     ArcSlide,
@@ -38,21 +40,21 @@ from .slides import arcslide_dd, dd_identity
 # Building blocks
 
 
-def cfd_zero_framed_handlebody(genus: int, truncated: bool = False) -> TypeDStructure:
+def cfd_zero_framed_handlebody(genus: int) -> TypeDStructure:
     """One generator; one differential loop per handle, along its a-arc."""
-    return _handlebody(genus, 1, f"H0(g={genus})", truncated)
+    return _handlebody(genus, 1, f"H0(g={genus})")
 
 
-def cfd_zero_framed_handlebody_reversed(genus: int, truncated: bool = False) -> TypeDStructure:
+def cfd_zero_framed_handlebody_reversed(genus: int) -> TypeDStructure:
     """The zero-framed handlebody presented over the reversed circle."""
     # the split circle is its own reverse, but the b-feet take the arcs
-    return _handlebody(genus, 2, f"H0rev(g={genus})", truncated)
+    return _handlebody(genus, 2, f"H0rev(g={genus})")
 
 
-def _handlebody(genus: int, foot: int, name: str, truncated: bool) -> TypeDStructure:
+def _handlebody(genus: int, foot: int, name: str) -> TypeDStructure:
     """Handle i occupies pair(4i + foot) and loops along the chord from it."""
     pmc = split_pmc(genus)
-    out = TypeDStructure((AlgebraFactor(pmc, truncated),), name=name)
+    out = TypeDStructure((AlgebraFactor(pmc),), name=name)
     idem = frozenset(pmc.pair_of(4 * i + foot) for i in range(genus))
     out.add_generator("x", (idem,))
     for i in range(genus):
@@ -67,7 +69,7 @@ def self_gluing_circle(pmc: PointedMatchedCircle) -> PointedMatchedCircle:
     return connected_sum(reverse_pmc(pmc), pmc)
 
 
-def cfd_self_gluing(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeDStructure:
+def cfd_self_gluing(pmc: PointedMatchedCircle) -> TypeDStructure:
     """The handlebody whose boundary doubles the circle across a junction.
 
     The identity bimodule of the reversed circle, read inside the glued
@@ -76,8 +78,8 @@ def cfd_self_gluing(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeD
     """
     big = self_gluing_circle(pmc)
     n = pmc.n_points
-    ddid = dd_identity(reverse_pmc(pmc), truncated)
-    out = TypeDStructure((AlgebraFactor(big, truncated),), name=f"Hsg(g={pmc.genus})")
+    ddid = dd_identity(reverse_pmc(pmc))
+    out = TypeDStructure((AlgebraFactor(big),), name=f"Hsg(g={pmc.genus})")
 
     key_of = {}
     for g in ddid.generators:
@@ -117,21 +119,19 @@ def _fuse_pair(big, a_first: StrandsGenerator, a_second: StrandsGenerator,
     return StrandsGenerator(big, moving, sorted(horiz))
 
 
-def dd_elementary_cobordism(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeDStructure:
+def dd_elementary_cobordism(pmc: PointedMatchedCircle) -> TypeDStructure:
     """The handle-attaching cobordism with its split bordering.
 
     Built as the identity bimodule tensored with the genus-one handlebody,
     re-read inside the algebra of the summed circle at the handlebody's
     idempotent.  A bimodule over the enlarged circle and the reversed one.
     """
-    ddid = dd_identity(pmc, truncated)
+    ddid = dd_identity(pmc)
     torus = split_pmc(1)
     big = connected_sum(pmc, torus)
     n = pmc.n_points
-    out = TypeDStructure(
-        (AlgebraFactor(big, truncated), ddid.factors[1]),
-        name=f"Cob(g{pmc.genus}->g{pmc.genus + 1})",
-    )
+    out = TypeDStructure((AlgebraFactor(big), ddid.factors[1]),
+                         name=f"Cob(g{pmc.genus}->g{pmc.genus + 1})")
 
     # the torus block carries the reversed-handlebody framing so that the
     # orientation reversal at the next pairing lands on the zero-framed one
@@ -279,19 +279,21 @@ def apply_slides(module: TypeDStructure, slides, stats: list | None = None,
     A slide's bimodule consumes its source factor against the module and
     leaves a module over the slide's target circle; a ('cobordism',)
     marker pairs the elementary cobordism's second factor with it and
-    raises the boundary genus by one.  Bimodules are truncated as the
-    module's algebra is.  With ``check``, every stage must have d^2 = 0
-    and, once reduced, gradings that agree with each of its arrows.
+    raises the boundary genus by one.  Over a truncated module each
+    step's bimodule is projected with ``truncate``.  With ``check``, every
+    stage must have d^2 = 0 and, once reduced, gradings that agree with
+    each of its arrows.
     """
     current = module
-    truncated = module.factors[0].truncated
     for index, step in enumerate(slides, 1):
         if isinstance(step, ArcSlide):
-            bim, seam = arcslide_dd(step, truncated), 0
+            bim, seam = arcslide_dd(step), 0
             label = f"slide at {step.b1} over {step.c1}"
         else:
-            bim = dd_elementary_cobordism(reverse_pmc(current.factors[0].pmc), truncated)
+            bim = dd_elementary_cobordism(reverse_pmc(current.factors[0].pmc))
             seam, label = 1, "cobordism"
+        if module.factors[0].truncated:
+            bim = truncate(bim)
         if bim.factors[seam] != current.factors[0]:
             raise WordError(f"stage {index} ({label}) does not act on the module's circle")
         raw = mor_against_bimodule(bim, current, seam=seam).relabel()
@@ -339,33 +341,37 @@ class ClosedResult:
 
 
 def spinc_maslov(complex_: TypeDStructure) -> list[dict]:
-    """Split a reduced complex into lambda orbits with relative degrees."""
+    """Split a reduced complex into lambda orbits with relative degrees.
+
+    Each generator joins the first orbit whose base it shares a lambda
+    orbit with; the one lattice reduction per base tried also reads its
+    degree.  A degree that is not an integer raises.
+    """
     reduced = cancel(complex_)
-    gens = reduced.sorted_generators()
+    name = complex_.name or "complex"
     if reduced.gradings is None:
-        raise StructureError(f"{complex_.name or 'complex'} is ungraded; no spin-c split")
-    gradings = reduced.gradings
-    orbits = gradings.orbit_partition(gens)
+        raise StructureError(f"{name} is ungraded; no spin-c split")
+    reps, lattice = reduced.gradings.reps, reduced.gradings.lattice
+    tor = lattice.lambda_torsion2
+    orbits: list = []  # (inverse of the base's rep, degrees from the base)
+    for g in reduced.sorted_generators():
+        for base_inv, degrees in orbits:
+            diff2 = lattice.reduce(base_inv * reps[g])
+            if diff2 is not None:
+                break
+        else:
+            base_inv, degrees, diff2 = reps[g].inverse(), [], 0
+            orbits.append((base_inv, degrees))
+        if diff2 % 2 or tor % 2:
+            raise StructureError(f"{name}: the degree of {g!r} in its lambda orbit cannot be "
+                                 f"read (doubled difference {diff2}, torsion {tor})")
+        degrees.append(diff2 // 2)
+    modulus = tor // 2
     out = []
-    for orbit in orbits:
-        base = orbit[0]
-        degrees = []
-        modulus = 0
-        for g in orbit:
-            res = gradings.degree_difference(g, base)
-            if res is None:
-                degrees.append(None)
-                continue
-            deg, mod2 = res
-            modulus = mod2 // 2 if mod2 else 0
-            degrees.append(deg)
-        known = [d for d in degrees if d is not None]
-        floor = min(known) if known else 0
-        hist: dict = {}
-        for d in degrees:
-            key = "?" if d is None else str(d - floor if not modulus else d % modulus)
-            hist[key] = hist.get(key, 0) + 1
-        out.append({"rank": len(orbit), "maslov": hist, "modulus": modulus})
+    for _, degrees in orbits:
+        floor = min(degrees)
+        hist = Counter(str(d % modulus if modulus else d - floor) for d in degrees)
+        out.append({"rank": len(degrees), "maslov": dict(hist), "modulus": modulus})
     out.sort(key=lambda o: (-o["rank"], sorted(o["maslov"].items())))
     return out
 
@@ -384,17 +390,20 @@ def hf_hat_closed(word: MappingWord, truncated: bool = False, final: str = "hom"
     genus = word.genus
     slides = word.expand()
     stats: list = []
-    left = cfd_zero_framed_handlebody(genus, truncated)
+    left = cfd_zero_framed_handlebody(genus)
+    if truncated:
+        left = truncate(left)
     if final == "hom":
-        right = apply_slides(cfd_zero_framed_handlebody(genus, truncated), slides,
-                             stats, check=check)
+        right = apply_slides(left, slides, stats, check=check)
         if left.factors != right.factors:
             raise WordError("word does not return to the split circle")
         pairing = mor_complex(left, right)
     elif final == "identity":
-        right = apply_slides(cfd_zero_framed_handlebody_reversed(genus, truncated),
+        start = cfd_zero_framed_handlebody_reversed(genus)
+        right = apply_slides(truncate(start) if truncated else start,
                              [s.reflected() for s in slides], stats, check=check)
-        pairing = mor_complex(dd_identity(split_pmc(genus), truncated), tensor(left, right))
+        ddid = dd_identity(split_pmc(genus))
+        pairing = mor_complex(truncate(ddid) if truncated else ddid, tensor(left, right))
     else:
         raise ValueError(f"unknown final pairing {final!r}")
     result = _closed(pairing, stats, check)
@@ -440,7 +449,8 @@ def cfd_bordered(start_genus: int, steps, truncated: bool = False,
     with the split bordering.  Tokens refer to positions on the running
     underlying circle, which starts as the split circle of the given genus.
     """
-    return apply_slides(cfd_zero_framed_handlebody(start_genus, truncated),
+    start = cfd_zero_framed_handlebody(start_genus)
+    return apply_slides(truncate(start) if truncated else start,
                         expand_steps(split_pmc(start_genus), steps), stats)
 
 
@@ -464,7 +474,8 @@ def poincare_twist_tokens() -> list:
 def poincare_sphere(truncated: bool = False, check: bool = False) -> ClosedResult:
     """HF-hat of the Poincare sphere via self-gluing handlebodies."""
     stats: list = []
-    base = cancel(cfd_self_gluing(split_pmc(1), truncated))
+    glued = cfd_self_gluing(split_pmc(1))
+    base = cancel(truncate(glued) if truncated else glued)
     module = apply_slides(base, MappingWord(2, poincare_twist_tokens()).expand(),
                           stats, check=check)
     return _closed(mor_complex(base, module), stats, check)

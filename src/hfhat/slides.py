@@ -34,15 +34,11 @@ from .pmc import (
 # The identity bimodule
 
 
-def dd_identity(pmc: PointedMatchedCircle, truncated: bool = False) -> TypeDStructure:
+def dd_identity(pmc: PointedMatchedCircle) -> TypeDStructure:
     """The identity bimodule: complementary idempotent pairs, with one
-    differential term for every chord and every horizontal completion.
-    Each term is one strand, so truncation keeps every term."""
+    differential term for every chord and every horizontal completion."""
     rev, rpm = alg.reversal(pmc)
-    out = TypeDStructure(
-        (AlgebraFactor(pmc, truncated), AlgebraFactor(rev, truncated)),
-        name=f"DDid(g={pmc.genus})",
-    )
+    out = TypeDStructure((AlgebraFactor(pmc), AlgebraFactor(rev)), name=f"DDid(g={pmc.genus})")
     for size in range(pmc.n_pairs + 1):
         for left in combinations(range(pmc.n_pairs), size):
             right = [rpm[p] for p in range(pmc.n_pairs) if p not in left]
@@ -416,38 +412,32 @@ def slide_generators(ctx: SlideContext):
 _slide_dd_cache: dict = {}
 
 
-def arcslide_dd(slide: ArcSlide, truncated: bool = False,
-                basic_choice_side: str = "source") -> TypeDStructure:
+def arcslide_dd(slide: ArcSlide) -> TypeDStructure:
     """The bimodule of an arc-slide over its two boundary algebras.
 
     Under-slides take every near-chord as a differential term.  For
-    over-slides the indeterminate terms are pinned down by a basic choice
-    on the sigma-extended candidates and by solving the structural
-    equation over F2; the result is verified before returning.
+    over-slides the indeterminate terms are pinned down by the basic
+    choice on the source side and by solving the structural equation
+    over F2; the result is verified before returning.
     """
-    cache_key = (slide.source, slide.b1, slide.c1, truncated, basic_choice_side)
+    cache_key = (slide.source, slide.b1, slide.c1)
     if cache_key in _slide_dd_cache:
         return _slide_dd_cache[cache_key]
-    out = _arcslide_dd_uncached(slide, truncated, basic_choice_side)
+    out = _arcslide_dd_uncached(slide)
     _slide_dd_cache[cache_key] = out
     return out
 
 
-def _arcslide_dd_uncached(slide: ArcSlide, truncated: bool,
-                          basic_choice_side: str) -> TypeDStructure:
+def _arcslide_dd_uncached(slide: ArcSlide) -> TypeDStructure:
     ctx = SlideContext(slide)
-    out = TypeDStructure(
-        (AlgebraFactor(slide.source, truncated), AlgebraFactor(ctx.rev_tgt, truncated)),
-        name=f"DD(slide {slide.b1} over {slide.c1})",
-    )
+    out = TypeDStructure((AlgebraFactor(slide.source), AlgebraFactor(ctx.rev_tgt)),
+                         name=f"DD(slide {slide.b1} over {slide.c1})")
     for left, right in slide_generators(ctx):
         out.add_generator((tuple(sorted(left)), tuple(sorted(right))), (left, right))
 
     chords = enumerate_near_chords(slide)
-    if truncated:
-        chords = [nc for nc in chords if nc.left.kept and nc.right.kept]
     if slide.kind == "over":
-        chords = _over_slide_terms(ctx, out.factors, chords, basic_choice_side)
+        chords = _over_slide_terms(ctx, out.factors, chords)
 
     key_of = {idem: key for key, idem in out.idem.items()}
     for nc in chords:
@@ -462,25 +452,20 @@ def _arcslide_dd_uncached(slide: ArcSlide, truncated: bool,
     return out
 
 
-def _over_slide_terms(ctx, factors, chords, basic_choice_side):
+def _over_slide_terms(ctx, factors, chords):
     """The differential terms of an over-slide.
 
-    The sigma-extended indeterminates are set by the basic choice; the
-    rest are unknowns of the structural equation dA + A*A = 0.  A square
-    x*x is a linear term over F2, and a nonzero sum x_i*x_j + x_j*x_i of
-    two distinct unknowns raises, so the equation is linear; it must have
-    exactly one solution.
+    The basic choice takes the sigma-extended indeterminates that cover
+    the sliding interval on the source side; the rest are unknowns of the
+    structural equation dA + A*A = 0.  A square x*x is a linear term over
+    F2, and a nonzero sum x_i*x_j + x_j*x_i of two distinct unknowns
+    raises, so the equation is linear; it must have exactly one solution.
     """
     determinate = [nc for nc in chords if not nc.indeterminate]
     indet = [nc for nc in chords if nc.indeterminate]
     base = [(nc.left, nc.right) for nc in determinate]
-    chosen3 = []
-    for nc in indet:
-        if nc.kind == "3":
-            covers_sigma = nc.left.supp[ctx.sigma.start - 1] > 0
-            if covers_sigma == (basic_choice_side == "source"):
-                base.append((nc.left, nc.right))
-                chosen3.append(nc)
+    chosen3 = [nc for nc in indet if nc.kind == "3" and nc.left.supp[ctx.sigma.start - 1]]
+    base += [(nc.left, nc.right) for nc in chosen3]
     unknown_chords = [nc for nc in indet if nc.kind != "3"]
     unknowns = [(nc.left, nc.right) for nc in unknown_chords]
 

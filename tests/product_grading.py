@@ -70,7 +70,7 @@ class ProductLattice:
             out.append(GradingElement(self.lambda_torsion2, (0,) * self.length))
         return out
 
-    def _reduce(self, g):
+    def reduce(self, g):
         for col, b in self._basis:
             if g.chain[col]:
                 if g.chain[col] % b.chain[col]:
@@ -81,10 +81,10 @@ class ProductLattice:
         return g.j2
 
     def contains_chain(self, g):
-        return self._reduce(g) is not None
+        return self.reduce(g) is not None
 
     def lambda_degree(self, g):
-        diff2 = self._reduce(g)
+        diff2 = self.reduce(g)
         if diff2 is None or diff2 % 2:
             return None
         tor = self.lambda_torsion2

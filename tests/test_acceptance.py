@@ -6,6 +6,7 @@ exact; ranks and generator counts are integers compared with equality.
 
 import random
 import time
+from functools import partial
 from itertools import product
 
 import pytest
@@ -38,6 +39,7 @@ from algebra_sums import multiply
 from flat_grading import gr_generator
 from module_checks import homology_rank, modules_isomorphic
 from near_diagonal import dischords, grading_minus_one_scan, near_diagonal_grading
+from slide_oracles import over_slide_terms_all_pairs, slide_bimodule
 from product_grading import lambda_power
 
 Z1 = split_pmc(1)
@@ -184,9 +186,9 @@ def test_criterion_6_property_suites():
     # over-slide basic-choice gauge independence
     slide = ArcSlide(Z2, 5, 4)
     h2 = cfd_zero_framed_handlebody(2)
+    target_side = partial(over_slide_terms_all_pairs, basic_choice_side="target")
     gauge_ranks = set()
-    for side in ("source", "target"):
-        dd = arcslide_dd(slide, basic_choice_side=side)
+    for dd in (arcslide_dd(slide), slide_bimodule(slide, target_side)):
         module = cancel(mor_against_bimodule(dd, h2, seam=0).relabel())
         # a Mor stage keeps its target's blocks after its factor's, a layout
         # the source of a morphism complex cannot have; ranks need no grading

@@ -104,7 +104,9 @@ def test_hf_hat_check_exits_internal_on_a_stage_defect(twist_word_file, monkeypa
         return out
 
     monkeypatch.setattr(manifolds, "cancel", tampered_cancel)
-    assert main(["hf-hat", twist_word_file]) == 0  # unchecked, the defect passes
+    # unchecked, the defect reaches the spin-c split, whose degrees it spoils
+    assert main(["hf-hat", twist_word_file]) == EXIT_INTERNAL
+    assert "in its lambda orbit cannot be read" in capsys.readouterr().err
     reduced.clear()
     assert main(["hf-hat", twist_word_file, "--check"]) == EXIT_INTERNAL
     assert "stage 2" in capsys.readouterr().err
@@ -119,6 +121,28 @@ def test_hf_hat_check_exits_internal_when_the_orbits_miss_the_order_of_h1(
     assert main(["hf-hat", twist_word_file, "--check"]) == EXIT_INTERNAL
     assert "word [('twist', 1, 3)]: 3 orbit(s) of total rank 3, but |H_1| = 4" \
         in capsys.readouterr().err
+
+
+def test_a_degree_that_cannot_be_read_exits_internal(monkeypatch, capsys):
+    # S1 x S2 has one orbit of two survivors; moving one by half a lambda
+    # leaves it in the orbit with no integer degree from the orbit's base
+    def planted(structure):
+        out = cancel(structure)
+        if not out.factors:
+            x = out.sorted_generators()[-1]
+            rep = out.gradings.reps[x]
+            out.gradings = out.gradings.with_reps(
+                {**out.gradings.reps, x: GradingElement(rep.j2 + 1, rep.chain)})
+        return out
+
+    pairing = manifolds.mor_complex(manifolds.cfd_zero_framed_handlebody(1),
+                                    manifolds.cfd_zero_framed_handlebody(1))
+    assert [o["rank"] for o in manifolds.spinc_maslov(pairing)] == [2]
+    monkeypatch.setattr(manifolds, "cancel", planted)
+    with pytest.raises(StructureError, match="cannot be read"):
+        manifolds.spinc_maslov(pairing)
+    assert main(["hf-hat", "--preset", "s1xs2-g1"]) == EXIT_INTERNAL
+    assert "in its lambda orbit cannot be read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("preset", ["poincare", "self-gluing-g1", "s1xs2-g1", "s1xs2-g2"])
@@ -294,6 +318,20 @@ def test_aa_id_json_counts_cancelled_pairs(pmc_file, capsys):
     assert payload["dg_generators"] == 30
     assert len(payload["homology_generators"]) == 2
     assert payload["differential_pairs"] == 14
+
+
+@pytest.mark.parametrize("command, full, truncated", [
+    (["dd-slide", "5", "4"], "20 generators, 122 arrows", "20 generators, 120 arrows"),  # over
+    (["dd-slide", "3", "4"], "20 generators, 116 arrows", "20 generators, 108 arrows"),  # under
+    (["dd-id"], "16 generators, 96 arrows", "16 generators, 96 arrows"),
+], ids=["over-slide", "under-slide", "identity"])
+def test_truncated_dumps_on_the_genus_two_split_circle(genus2_file, capsys, command, full,
+                                                       truncated):
+    argv = [command[0], genus2_file, *command[1:]]
+    assert main(argv) == 0
+    assert full in capsys.readouterr().out.splitlines()
+    assert main(["--truncated", *argv]) == 0
+    assert truncated in capsys.readouterr().out.splitlines()
 
 
 def test_truncated_aa_id_on_the_genus_two_split_circle(genus2_file, capsys):

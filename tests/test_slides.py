@@ -1,9 +1,10 @@
 from collections import Counter
+from functools import partial
 
 import pytest
 
 import hfhat.algebra as alg
-from hfhat.homalg import cancel, mor_against_bimodule, mor_complex
+from hfhat.homalg import cancel, mor_against_bimodule, mor_complex, truncate
 from hfhat.manifolds import cfd_zero_framed_handlebody
 from hfhat.pmc import (ArcSlide, Chord, all_arcslides, all_chords, antipodal_pmc, reverse_pmc,
                        split_pmc)
@@ -23,6 +24,7 @@ from near_diagonal import (
     near_diagonal_pairs,
 )
 from shared_values import assert_one_object_per_value
+from slide_oracles import over_slide_terms_all_pairs, slide_bimodule
 from summand_maps import summand_restriction
 
 Z1 = split_pmc(1)
@@ -188,9 +190,9 @@ def test_over_slide_gauge_independence():
     # of the morphism complex against the genus-matched handlebody module
     slide = ArcSlide(Z2, 5, 4)
     h = cfd_zero_framed_handlebody(2)
+    target_side = partial(over_slide_terms_all_pairs, basic_choice_side="target")
     ranks = []
-    for side in ("source", "target"):
-        dd = arcslide_dd(slide, basic_choice_side=side)
+    for dd in (arcslide_dd(slide), slide_bimodule(slide, target_side)):
         module = cancel(mor_against_bimodule(dd, h, seam=0).relabel())
         # a Mor stage keeps its target's blocks after its factor's, a layout
         # the source of a morphism complex cannot have; ranks need no grading
@@ -273,7 +275,7 @@ def test_over_slide_without_a_lambda_free_solution_raises(monkeypatch):
     for slide, kind in ((ArcSlide(Z2, 1, 2), "over"), (ArcSlide(Z2, 2, 1), "under")):
         assert slide.kind == kind
         with pytest.raises(StructureError, match="pure lambda relation") as err:
-            _arcslide_dd_uncached(slide, False, "source")
+            _arcslide_dd_uncached(slide)
         assert repr(slide) in str(err.value)
 
 
@@ -298,7 +300,7 @@ def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
 
     monkeypatch.setattr(slides, "coef_multiply", one_cross_term)
     with pytest.raises(StructureError, match="nonzero cross term") as err:
-        _arcslide_dd_uncached(slide, False, "source")
+        _arcslide_dd_uncached(slide)
     assert repr(slide) in str(err.value)
     assert len(forced) == 1
 
@@ -313,7 +315,7 @@ def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
     ctx = SlideContext(slide)
     factors = (AlgebraFactor(slide.source), AlgebraFactor(ctx.rev_tgt))
     chords = enumerate_near_chords(slide)
-    expected = _over_slide_terms(ctx, factors, chords, "source")
+    expected = _over_slide_terms(ctx, factors, chords)
     unknowns = [(nc.left, nc.right) for nc in chords if nc.indeterminate and nc.kind != "3"]
 
     def starts(c):
@@ -335,7 +337,7 @@ def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
         return coef_multiply(factors, c1, c2)
 
     monkeypatch.setattr(slides, "coef_multiply", cancelling)
-    assert _over_slide_terms(ctx, factors, chords, "source") == expected
+    assert _over_slide_terms(ctx, factors, chords) == expected
     assert len(forced) == 2
 
 
@@ -362,10 +364,42 @@ def test_genus_three_over_slides_have_one_solution():
     over = [s for s in all_arcslides(split_pmc(3)) if s.kind == "over"]
     assert len(over) == 10
     for slide in over:
-        for truncated in (False, True):
-            dd = arcslide_dd(slide, truncated)
-            assert len(dd.generators) == 80  # 64 complementary + 16 Y-type
-            assert dd.arrow_count()
+        dd = arcslide_dd(slide)
+        for module in (dd, truncate(dd)):
+            assert len(module.generators) == 80  # 64 complementary + 16 Y-type
+            assert module.arrow_count()
+
+
+def _arrow_set(module):
+    return {(x, y, c) for x, row in module.delta.items() for y, coefs in row.items() for c in coefs}
+
+
+def _trivial(lattice, h):
+    return lattice.lambda_degree(h) == (0, lattice.lambda_torsion2)
+
+
+def test_truncated_slide_bimodules_are_projections_of_the_full_ones():
+    # the kept part of each full slide bimodule against the bimodule built
+    # over the truncated algebras: kept near-chords, the over-slide equation
+    # solved there, gradings propagated over its own arrows.  Reps and
+    # relation lists may differ element by element, so cosets are compared.
+    from hfhat.slides import _over_slide_terms
+
+    genus3_over = [s for s in all_arcslides(split_pmc(3)) if s.kind == "over"]
+    catalogue = [s for c in _reachable_circles(Z2) for s in all_arcslides(c)]
+    families = [list(all_arcslides(Z1)), catalogue, list(all_arcslides(A2)), genus3_over]
+    assert [len(f) for f in families] == [6, 294, 14, 10]
+    for slide in (s for family in families for s in family):
+        got = truncate(arcslide_dd(slide))
+        want = slide_bimodule(slide, _over_slide_terms, truncated=True)
+        assert (got.factors, got.generators, got.idem) == (want.factors, want.generators, want.idem)
+        assert _arrow_set(got) == _arrow_set(want)
+        mine, theirs = got.gradings, want.gradings
+        assert mine.lattice.lambda_torsion2 == theirs.lattice.lambda_torsion2
+        for a, b in ((mine, theirs), (theirs, mine)):
+            assert all(_trivial(b.lattice, r) for r in a.relations)
+        for x in got.generators:
+            assert _trivial(mine.lattice, theirs.reps[x].inverse() * mine.reps[x])
 
 
 # ---------------------------------------------------------------------------
@@ -411,133 +445,6 @@ def _complete_all_pairs(ctx, src_chords, tgt_chords):
                 yield aL, aR
 
 
-def _over_slide_terms_all_pairs(ctx, factors, chords, basic_choice_side):
-    """The over-slide equation with every product tried, composable or not,
-    and every solution enumerated; there must be exactly one."""
-    from hfhat.homalg import StructureError, coef_differential, coef_multiply
-
-    determinate = [nc for nc in chords if not nc.indeterminate]
-    indet = [nc for nc in chords if nc.indeterminate]
-    base = [(nc.left, nc.right) for nc in determinate]
-    chosen3 = []
-    for nc in indet:
-        if nc.kind == "3":
-            covers_sigma = nc.left.supp[ctx.sigma.start - 1] > 0
-            if covers_sigma == (basic_choice_side == "source"):
-                base.append((nc.left, nc.right))
-                chosen3.append(nc)
-    unknowns = [nc for nc in indet if nc.kind != "3"]
-
-    def mul(c1, c2):
-        if c1[0].right_pairs != c2[0].left_pairs or c1[1].right_pairs != c2[1].left_pairs:
-            return None
-        return coef_multiply(factors, c1, c2)
-
-    def toggle(acc, term):
-        acc[term] = acc.get(term, 0) ^ 1
-
-    const: dict = {}
-    for c in base:
-        for term in coef_differential(factors, c):
-            toggle(const, term)
-    for c1 in base:
-        for c2 in base:
-            p = mul(c1, c2)
-            if p is not None:
-                toggle(const, p)
-    lin = []
-    for nc in unknowns:
-        x = (nc.left, nc.right)
-        row: dict = {}
-        for term in coef_differential(factors, x):
-            toggle(row, term)
-        for c in base:
-            for p in (mul(c, x), mul(x, c)):
-                if p is not None:
-                    toggle(row, p)
-        p = mul(x, x)
-        if p is not None:
-            toggle(row, p)
-        lin.append({k: v for k, v in row.items() if v})
-    quad: dict = {}
-    for i in range(len(unknowns)):
-        for j in range(i + 1, len(unknowns)):
-            xi = (unknowns[i].left, unknowns[i].right)
-            xj = (unknowns[j].left, unknowns[j].right)
-            row = {}
-            for p in (mul(xi, xj), mul(xj, xi)):
-                if p is not None:
-                    toggle(row, p)
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                quad[(i, j)] = row
-
-    coupled = sorted({i for pair in quad for i in pair})
-    if len(coupled) > 20:
-        raise StructureError("over-slide equation has too many coupled unknowns")
-    solutions = []
-    for mask in range(1 << len(coupled)):
-        forced = {idx: bool(mask >> k & 1) for k, idx in enumerate(coupled)}
-        rhs = dict(const)
-        rows, cols = [], []
-        for i in range(len(unknowns)):
-            if i in forced:
-                if forced[i]:
-                    for term in lin[i]:
-                        toggle(rhs, term)
-            else:
-                rows.append(lin[i])
-                cols.append(i)
-        for (i, j), row in quad.items():
-            if forced[i] and forced[j]:
-                for term in row:
-                    toggle(rhs, term)
-        for values in _solve_f2_all(rows, {k for k, v in rhs.items() if v}):
-            solution = dict(forced)
-            solution.update({cols[k]: values[k] for k in range(len(cols))})
-            solutions.append(solution)
-    assert len(solutions) == 1, f"{len(solutions)} solutions for {ctx.slide!r}"
-    return determinate + chosen3 + [nc for i, nc in enumerate(unknowns) if solutions[0][i]]
-
-
-def _solve_f2_all(rows, target):
-    """All solutions of sum_i c_i * rows[i] = target over F2, sparse rows:
-    a particular solution shifted by every kernel combination."""
-    rows = [set(k for k, v in r.items() if v) for r in rows]
-    target = set(target)
-    n = len(rows)
-    combos = [{i} for i in range(n)]
-    pivots = []
-    for i in range(n):
-        if not rows[i]:
-            continue
-        piv = min(rows[i], key=repr)
-        for j in range(n):
-            if j != i and piv in rows[j]:
-                rows[j] ^= rows[i]
-                combos[j] ^= combos[i]
-        pivots.append((piv, i))
-    particular = [0] * n
-    for piv, i in pivots:
-        if piv in target:
-            target ^= rows[i]
-            for k in combos[i]:
-                particular[k] ^= 1
-    if target:
-        return
-    kernel = [combos[i] for i in range(n) if not rows[i]]
-    assert len(kernel) <= 6, f"{len(kernel)}-dimensional kernel"
-    for mask in range(1 << len(kernel)):
-        out = list(particular)
-        for k, combo in enumerate(kernel):
-            if mask >> k & 1:
-                for idx in combo:
-                    out[idx] ^= 1
-        yield out
-
-
-
-
 ORACLE_SLIDES = [(name, slide) for name, pmc in (("g1", Z1), ("split", Z2), ("antipodal", A2))
                  for slide in all_arcslides(pmc)]
 
@@ -567,7 +474,7 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
                 == list(_complete_all_pairs(ctx, src_chords, tgt_chords)))
     chords = enumerate_near_chords(slide)
     dis = dischords(slide)
-    built = {t: slides._arcslide_dd_uncached(slide, t, "source") for t in (False, True)}
+    built = slides._arcslide_dd_uncached(slide)
 
     # the equation multiplies exactly the composable pairs the oracle does
     multiplied = []
@@ -580,23 +487,20 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
     # the indexed equation multiplies through slides, the oracle through homalg
     monkeypatch.setattr(slides, "coef_multiply", recording_multiply)
     monkeypatch.setattr(homalg, "coef_multiply", recording_multiply)
-    factors = built[False].factors
-    for side in ("source", "target") if slide.kind == "over" else ():
-        multiplied.clear()
-        terms = slides._over_slide_terms(ctx, factors, chords, side)
+    source_side = partial(over_slide_terms_all_pairs, basic_choice_side="source")
+    if slide.kind == "over":
+        terms = slides._over_slide_terms(ctx, built.factors, chords)
         indexed_products = Counter(multiplied)
         multiplied.clear()
-        assert _over_slide_terms_all_pairs(ctx, factors, chords, side) == terms
+        assert source_side(ctx, built.factors, chords) == terms
         assert indexed_products == Counter(multiplied)
     monkeypatch.undo()
 
     monkeypatch.setattr(slides, "_complete", _complete_all_pairs)
-    monkeypatch.setattr(slides, "_over_slide_terms", _over_slide_terms_all_pairs)
+    monkeypatch.setattr(slides, "_over_slide_terms", source_side)
     assert _chord_rows(enumerate_near_chords(slide)) == _chord_rows(chords)
     assert dischords(slide) == dis
-    for truncated, module in built.items():
-        reference = slides._arcslide_dd_uncached(slide, truncated, "source")
-        assert _bimodule_rows(reference) == _bimodule_rows(module)
+    assert _bimodule_rows(slides._arcslide_dd_uncached(slide)) == _bimodule_rows(built)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +625,8 @@ def test_idempotent_rules_match_the_hand_built_oracles(rule, pmc, truncated):
     from hfhat.slides import slide_generators
 
     if rule == "self-gluing":
-        new, old = cfd_self_gluing(pmc, truncated), _hand_built_self_gluing(pmc, truncated)
+        new = cfd_self_gluing(pmc)
+        new, old = truncate(new) if truncated else new, _hand_built_self_gluing(pmc, truncated)
         assert (new.name, new.factors, new.generators) == (old.name, old.factors, old.generators)
         assert new.idem == old.idem
         for x in old.generators:
