@@ -152,12 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--truncated", action="store_true",
                         help="work in the local-multiplicity-one quotient algebra")
     parser.add_argument("--output", choices=["text", "json"], default="text")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="dump a weight summand of the strands algebra")
     p.add_argument("pmc", help="pointed matched circle JSON file")
     p.add_argument("--weight", type=int, default=0)
+    p.add_argument("--verbose", action="store_true", help="also draw every basis diagram")
     p.set_defaults(func=cmd_algebra)
 
     p = sub.add_parser("hf-hat", help="HF-hat of a closed manifold from a gluing word")

@@ -1,4 +1,4 @@
-"""Gradings: the big grading group, coset lattices, and the mod-2 action.
+"""Gradings: the big grading group, coset lattices, and a word's action on H_1.
 
 Group elements are pairs (j, alpha) with j a half-integer Maslov component
 and alpha a one-chain of interval multiplicities, one block of coordinates
@@ -222,21 +222,13 @@ class RelationLattice:
             return None
         return row[-1]
 
-    def contains_chain(self, g: GradingElement) -> bool:
-        return self.reduce(g) is not None
-
-    def lambda_degree(self, g: GradingElement):
-        """If g = lambda^t * (element of the subgroup), return (t, modulus2);
-        the degree is defined mod modulus2 / 2.  None if not in the orbit."""
-        diff2 = self.reduce(g)
-        if diff2 is None or diff2 % 2:
-            return None
+    def contains(self, g: GradingElement) -> bool:
+        """Whether g lies in the subgroup: its chain reduces away and the j2
+        left over is a lambda power of the subgroup, a multiple of the
+        torsion."""
+        j2 = self.reduce(g)
         tor = self.lambda_torsion2
-        if tor:
-            if tor % 2:
-                return None
-            return ((diff2 // 2) % (tor // 2) if tor != 2 else 0, tor)
-        return (diff2 // 2, 0)
+        return j2 is not None and (j2 % tor == 0 if tor else j2 == 0)
 
 
 class Gradings:
@@ -283,41 +275,7 @@ class Gradings:
 
 
 # ---------------------------------------------------------------------------
-# The mod-2 grading action of a slide word
-
-
-class Mod2GradingMap:
-    """The symplectic-with-parity action of a word of slides.
-
-    Tracks the integer matrix on the pair classes h(B_i) together with the
-    rule that a class a picks up the parity of |a|_1 + |psi(a)|_1 on the
-    Maslov bit.
-    """
-
-    def __init__(self, matrix: list[list[int]]):
-        self.matrix = [list(row) for row in matrix]  # columns = source pairs
-
-    @staticmethod
-    def identity(n_pairs: int) -> "Mod2GradingMap":
-        return Mod2GradingMap([[1 if i == j else 0 for j in range(n_pairs)] for i in range(n_pairs)])
-
-    def apply_chain(self, a: list[int]) -> list[int]:
-        n = len(self.matrix)
-        return [sum(self.matrix[i][j] * a[j] for j in range(n)) for i in range(n)]
-
-    def apply(self, m_bit: int, a: list[int]) -> tuple[int, list[int]]:
-        image = self.apply_chain(a)
-        norm = sum(abs(x) for x in a) + sum(abs(x) for x in image)
-        return ((m_bit + norm) % 2, image)
-
-    def compose(self, first: "Mod2GradingMap") -> "Mod2GradingMap":
-        """self after first."""
-        n = len(self.matrix)
-        out = [
-            [sum(self.matrix[i][k] * first.matrix[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        return Mod2GradingMap(out)
+# The integer action of a slide word on H_1
 
 
 def slide_homology_matrix(slide) -> list[list[int]]:
@@ -345,17 +303,21 @@ def slide_homology_matrix(slide) -> list[list[int]]:
     return mat
 
 
-def xi_word(slides, n_pairs: int | None = None) -> Mod2GradingMap:
-    """The mod-2 grading map of a composable word of slides."""
+def xi_word(slides, n_pairs: int | None = None) -> list[list[int]]:
+    """The integer matrix of a composable word of slides on the pair
+    classes, target basis by source basis: the last slide's matrix times
+    the earlier ones'."""
     slides = list(slides)
     for first, second in zip(slides, slides[1:]):
         if first.target != second.source:
             raise ValueError("slide word is not composable")
     if n_pairs is None:
         n_pairs = slides[0].source.n_pairs if slides else 0
-    out = Mod2GradingMap.identity(n_pairs)
+    out = [[int(i == j) for j in range(n_pairs)] for i in range(n_pairs)]
     for s in slides:
-        out = Mod2GradingMap(slide_homology_matrix(s)).compose(out)
+        m = slide_homology_matrix(s)
+        out = [[sum(m[i][k] * out[k][j] for k in range(n_pairs)) for j in range(n_pairs)]
+               for i in range(n_pairs)]
     return out
 
 
@@ -451,12 +413,11 @@ def arrow_defects(structure, gradings: Gradings) -> list[GradingElement]:
     lattice asked, once per distinct loop rather than once per arrow.
     """
     lattice = gradings.lattice
-    trivial = (0, lattice.lambda_torsion2)
     out = []
     for (j2, head, _), tail in dict(_arrow_loop_parts(structure, gradings)).items():
         if j2 or any(head) or any(tail):
             h = GradingElement(j2, head + tail)
-            if lattice.lambda_degree(h) != trivial:
+            if not lattice.contains(h):
                 out.append(h)
     return out
 

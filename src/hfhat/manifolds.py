@@ -429,7 +429,7 @@ def h1_order(slides, genus: int) -> int:
     It is |det| of the word's action on H_1 of the surface, rows at the
     odd pairs and columns at the even ones.
     """
-    m = xi_word(slides, 2 * genus).matrix
+    m = xi_word(slides, 2 * genus)
     return abs(_det([[m[2 * i + 1][2 * j] for j in range(genus)] for i in range(genus)]))
 
 

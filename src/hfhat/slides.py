@@ -3,9 +3,9 @@
 Both are type D structures over a pair of strands algebras, one for each
 boundary circle, with the second circle orientation-reversed.  The
 identity bimodule's differential is the sum of all matched chord pairs;
-an arc-slide bimodule's differential is assembled from near-chords, with
-the over-slide ambiguities fixed by a basic choice and the structural
-equation.
+an arc-slide bimodule's differential is the solution of its structural
+equation over the near-chords, the over-slide ambiguities fixed by a basic
+choice.
 """
 
 from __future__ import annotations
@@ -415,10 +415,11 @@ _slide_dd_cache: dict = {}
 def arcslide_dd(slide: ArcSlide) -> TypeDStructure:
     """The bimodule of an arc-slide over its two boundary algebras.
 
-    Under-slides take every near-chord as a differential term.  For
-    over-slides the indeterminate terms are pinned down by the basic
-    choice on the source side and by solving the structural equation
-    over F2; the result is verified before returning.
+    Its differential is the solution of the slide's structural equation
+    (``_slide_terms``), which is d^2 = 0 for the returned structure: an
+    under-slide has no unknowns, so the equation only checks it, and an
+    over-slide's indeterminate terms are pinned by the basic choice on the
+    source side and the equation's unique solution over F2.
     """
     cache_key = (slide.source, slide.b1, slide.c1)
     if cache_key in _slide_dd_cache:
@@ -435,16 +436,11 @@ def _arcslide_dd_uncached(slide: ArcSlide) -> TypeDStructure:
     for left, right in slide_generators(ctx):
         out.add_generator((tuple(sorted(left)), tuple(sorted(right))), (left, right))
 
-    chords = enumerate_near_chords(slide)
-    if slide.kind == "over":
-        chords = _over_slide_terms(ctx, out.factors, chords)
-
     key_of = {idem: key for key, idem in out.idem.items()}
-    for nc in chords:
+    for nc in _slide_terms(ctx, out.factors, enumerate_near_chords(slide)):
         src_key = key_of[nc.left.left_pairs, nc.right.left_pairs]
         tgt_key = key_of[nc.left.right_pairs, nc.right.right_pairs]
         out.add_arrow(src_key, tgt_key, (nc.left, nc.right))
-    out.require_d_squared()
     out.propagate_gradings()
     # no loop may reduce to a bare lambda power
     if out.gradings.has_pure_lambda_relation():
@@ -452,14 +448,18 @@ def _arcslide_dd_uncached(slide: ArcSlide) -> TypeDStructure:
     return out
 
 
-def _over_slide_terms(ctx, factors, chords):
-    """The differential terms of an over-slide.
+def _slide_terms(ctx, factors, chords):
+    """The differential terms of a slide: the one solution of its
+    structural equation dA + A*A = 0, which is d^2 = 0 of the bimodule.
 
-    The basic choice takes the sigma-extended indeterminates that cover
-    the sliding interval on the source side; the rest are unknowns of the
-    structural equation dA + A*A = 0.  A square x*x is a linear term over
-    F2, and a nonzero sum x_i*x_j + x_j*x_i of two distinct unknowns
-    raises, so the equation is linear; it must have exactly one solution.
+    The determinate near-chords and the basic choice (the sigma-extended
+    indeterminates that cover the sliding interval on the source side) are
+    the base B; the other indeterminates are the unknowns X_i.  Every term
+    of d^2 is collected: dB + B*B is the constant, dX + B*X + X*B + X*X is
+    X's row (a square is linear over F2), and each X_i*X_j + X_j*X_i must
+    vanish.  A coefficient's idempotents fix its generator pair, so terms
+    are keyed by coefficient.  An under-slide has no unknowns, so its
+    constant must be zero.
     """
     determinate = [nc for nc in chords if not nc.indeterminate]
     indet = [nc for nc in chords if nc.indeterminate]
@@ -519,7 +519,7 @@ def _over_slide_terms(ctx, factors, chords):
                        coef_multiply(factors, xi, unknowns[j]))
     if any(any(row.values()) for row in cross.values()):
         raise StructureError(
-            f"over-slide equation of {ctx.slide!r} has a nonzero cross term")
+            f"structural equation of {ctx.slide!r} has a nonzero cross term")
 
     values = _solve_f2(lin, {k for k, v in const.items() if v}, ctx.slide)
     return determinate + chosen3 + [nc for nc, bit in zip(unknown_chords, values) if bit]
@@ -551,8 +551,8 @@ def _solve_f2(rows: list[dict], target: set, slide: ArcSlide) -> list[int]:
             for k in combos[i]:
                 values[k] ^= 1
     if target:
-        raise StructureError(f"over-slide equation of {slide!r} is unsatisfiable")
+        raise StructureError(f"structural equation of {slide!r} is unsatisfiable")
     if len(pivots) < n:
-        raise StructureError(f"over-slide equation of {slide!r} has a "
+        raise StructureError(f"structural equation of {slide!r} has a "
                              f"{n - len(pivots)}-dimensional solution kernel")
     return values

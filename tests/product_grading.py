@@ -80,9 +80,6 @@ class ProductLattice:
             return None
         return g.j2
 
-    def contains_chain(self, g):
-        return self.reduce(g) is not None
-
     def lambda_degree(self, g):
         diff2 = self.reduce(g)
         if diff2 is None or diff2 % 2:
@@ -93,6 +90,11 @@ class ProductLattice:
                 return None
             return ((diff2 // 2) % (tor // 2) if tor != 2 else 0, tor)
         return (diff2 // 2, 0)
+
+
+def matrix_product(a, b):
+    """The integer matrix a times b: b's action followed by a's."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def product_arrow_loops(structure, gradings):

@@ -56,6 +56,19 @@ def test_algebra_truncated_dimension(pmc_file, capsys):
     assert payload["dimension"] == 8  # no genus-1 weight-0 multiplicity >= 2
 
 
+def test_verbose_is_an_option_of_the_algebra_command(pmc_file, monkeypatch, capsys):
+    assert main(["algebra", pmc_file]) == 0
+    plain = capsys.readouterr().out
+    assert main(["algebra", pmc_file, "--verbose"]) == 0
+    verbose = capsys.readouterr().out
+    drawings = [g.ascii() for g in hfhat.basis(split_pmc(1), 0)]
+    assert len(drawings) == 8 and all(d in verbose and d not in plain for d in drawings)
+    monkeypatch.setattr(cli, "hf_hat_closed", lambda *a, **k: pytest.fail("ran the word"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--verbose", "hf-hat", "--preset", "s1xs2-g1"])
+    assert exit_info.value.code == 2
+
+
 def test_invalid_pmc_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"points": 4, "matching": [[1, 2], [3, 4]]}))

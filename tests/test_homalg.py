@@ -602,7 +602,7 @@ def _old_mor_gradings(out, M, N, spectator):
                     g = lam * place_blocks(_block_coefficient(coef), sizes, result_pos)
                 extra.append((g * reps[y]).inverse() * reps[x])
     defects = [to_flat(h) for h in _block_dedupe(extra)
-               if grad.lattice.lambda_degree(to_flat(h)) != (0, grad.lattice.lambda_torsion2)]
+               if not grad.lattice.contains(to_flat(h))]
     if defects:
         grad = Gradings(sizes, flat_reps, grad.compact().relations + defects)
     out.gradings = grad.compact()
@@ -791,9 +791,8 @@ def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkey
 def _per_arrow_defects(structure, gradings):
     """Defects from one full-length loop per arrow, deduplicated as elements."""
     lattice = gradings.lattice
-    trivial = (0, lattice.lambda_torsion2)
     loops = dedupe_relations(arrow_loops(structure, gradings))
-    return [h for h in loops if lattice.lambda_degree(h) != trivial]
+    return [h for h in loops if not lattice.contains(h)]
 
 
 def _coefficient_scan_cancel(M):

@@ -309,13 +309,13 @@ def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
     import hfhat.homalg as homalg
     import hfhat.slides as slides
     from hfhat.homalg import AlgebraFactor
-    from hfhat.slides import SlideContext, _over_slide_terms
+    from hfhat.slides import SlideContext, _slide_terms
 
     slide = ArcSlide(Z2, 1, 2)
     ctx = SlideContext(slide)
     factors = (AlgebraFactor(slide.source), AlgebraFactor(ctx.rev_tgt))
     chords = enumerate_near_chords(slide)
-    expected = _over_slide_terms(ctx, factors, chords)
+    expected = _slide_terms(ctx, factors, chords)
     unknowns = [(nc.left, nc.right) for nc in chords if nc.indeterminate and nc.kind != "3"]
 
     def starts(c):
@@ -337,8 +337,40 @@ def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
         return coef_multiply(factors, c1, c2)
 
     monkeypatch.setattr(slides, "coef_multiply", cancelling)
-    assert _over_slide_terms(ctx, factors, chords) == expected
+    assert _slide_terms(ctx, factors, chords) == expected
     assert len(forced) == 2
+
+
+@pytest.mark.parametrize("b1, c1, kind, raised, same", [(3, 4, "under", 116, 0),
+                                                         (5, 4, "over", 122, 12)])
+def test_each_dropped_near_chord_fails_the_structural_equation(b1, c1, kind, raised, same,
+                                                               monkeypatch):
+    # the structural equation is the bimodule's one d^2 check: without a
+    # determinate near-chord it is unsatisfiable, and without an
+    # indeterminate one it fails or gives the same bimodule
+    import hfhat.slides as slides
+    from hfhat.homalg import StructureError
+    from hfhat.slides import _arcslide_dd_uncached
+
+    slide = ArcSlide(Z2, b1, c1)
+    assert slide.kind == kind
+    full = _arcslide_dd_uncached(slide).delta
+    chords = enumerate_near_chords(slide)
+    assert len(chords) == raised + same
+    outcomes = Counter()
+    for i, dropped in enumerate(chords):
+        monkeypatch.setattr(slides, "enumerate_near_chords",
+                            lambda s, i=i: chords[:i] + chords[i + 1:])
+        try:
+            delta = _arcslide_dd_uncached(slide).delta
+        except StructureError as err:
+            assert f"structural equation of {slide!r}" in str(err)
+            outcomes["raised"] += 1
+            continue
+        assert dropped.indeterminate and dropped.kind in "3478"
+        assert delta == full
+        outcomes["same"] += 1
+    assert outcomes == Counter(raised=raised, same=same)
 
 
 def test_solve_f2_returns_the_unique_solution_or_raises():
@@ -374,16 +406,12 @@ def _arrow_set(module):
     return {(x, y, c) for x, row in module.delta.items() for y, coefs in row.items() for c in coefs}
 
 
-def _trivial(lattice, h):
-    return lattice.lambda_degree(h) == (0, lattice.lambda_torsion2)
-
-
 def test_truncated_slide_bimodules_are_projections_of_the_full_ones():
     # the kept part of each full slide bimodule against the bimodule built
     # over the truncated algebras: kept near-chords, the over-slide equation
     # solved there, gradings propagated over its own arrows.  Reps and
     # relation lists may differ element by element, so cosets are compared.
-    from hfhat.slides import _over_slide_terms
+    from hfhat.slides import _slide_terms
 
     genus3_over = [s for s in all_arcslides(split_pmc(3)) if s.kind == "over"]
     catalogue = [s for c in _reachable_circles(Z2) for s in all_arcslides(c)]
@@ -391,15 +419,15 @@ def test_truncated_slide_bimodules_are_projections_of_the_full_ones():
     assert [len(f) for f in families] == [6, 294, 14, 10]
     for slide in (s for family in families for s in family):
         got = truncate(arcslide_dd(slide))
-        want = slide_bimodule(slide, _over_slide_terms, truncated=True)
+        want = slide_bimodule(slide, _slide_terms, truncated=True)
         assert (got.factors, got.generators, got.idem) == (want.factors, want.generators, want.idem)
         assert _arrow_set(got) == _arrow_set(want)
         mine, theirs = got.gradings, want.gradings
         assert mine.lattice.lambda_torsion2 == theirs.lattice.lambda_torsion2
         for a, b in ((mine, theirs), (theirs, mine)):
-            assert all(_trivial(b.lattice, r) for r in a.relations)
+            assert all(b.lattice.contains(r) for r in a.relations)
         for x in got.generators:
-            assert _trivial(mine.lattice, theirs.reps[x].inverse() * mine.reps[x])
+            assert mine.lattice.contains(theirs.reps[x].inverse() * mine.reps[x])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +517,7 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
     monkeypatch.setattr(homalg, "coef_multiply", recording_multiply)
     source_side = partial(over_slide_terms_all_pairs, basic_choice_side="source")
     if slide.kind == "over":
-        terms = slides._over_slide_terms(ctx, built.factors, chords)
+        terms = slides._slide_terms(ctx, built.factors, chords)
         indexed_products = Counter(multiplied)
         multiplied.clear()
         assert source_side(ctx, built.factors, chords) == terms
@@ -497,7 +525,7 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
     monkeypatch.undo()
 
     monkeypatch.setattr(slides, "_complete", _complete_all_pairs)
-    monkeypatch.setattr(slides, "_over_slide_terms", source_side)
+    monkeypatch.setattr(slides, "_slide_terms", source_side)
     assert _chord_rows(enumerate_near_chords(slide)) == _chord_rows(chords)
     assert dischords(slide) == dis
     assert _bimodule_rows(slides._arcslide_dd_uncached(slide)) == _bimodule_rows(built)
