@@ -116,8 +116,8 @@ def cmd_ddslide(args) -> int:
     pmc = _load_pmc(args.pmc)
     slide = ArcSlide(pmc, args.b1, args.c1)
     module = arcslide_dd(slide)
-    near = enumerate_near_chords(slide)
     if args.output == "text":
+        near = enumerate_near_chords(slide)
         print(f"{slide.kind}-slide of {args.b1} over {args.c1}; "
               f"{len(near)} near-chords "
               f"({sum(1 for n in near if n.indeterminate)} indeterminate)")

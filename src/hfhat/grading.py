@@ -9,7 +9,7 @@ An element holds its chain flat: all blocks end to end, with one 0 between
 adjacent blocks.  The twist and the parity count only ever pair adjacent
 coordinates, and every pair across a separator has a 0, so sums over the
 whole chain equal the sums block by block.  ``chain_length``,
-``stack_blocks``, ``split_blocks`` and ``place`` expose that layout, and
+``stack_blocks``, ``split_blocks`` and ``join`` expose that layout, and
 the separator split below says how chains cut at a separator recombine.
 
 The product is (j, a)(k, b) = (j + k + t(a, b), a + b), twisted by the
@@ -30,8 +30,10 @@ nonzero:
 * propagation loop: gr(src)^-1 g gr(tgt) with gr(src) = (ja, a),
   gr(tgt) = (jb, b) and m = g - a is (jb - ja + jg - t(a, g) + t(m, b), m + b);
 * separator split: for k the index of a block separator,
-  t(a, b) = t(a[:k], b[:k]) + t(a[k:], b[k:]), so products and loops are
-  computed on the heads and the tails apart and concatenated.
+  t(a, b) = t(a[:k], b[:k]) + t(a[k:], b[k:]), so elements on disjoint
+  blocks commute and multiply by concatenation.  ``tensor`` joins its two
+  sides' gradings this way, and ``Gradings.eliminate`` drops leading
+  blocks that every generator shares.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ from math import gcd
 from operator import add, mul, sub
 
 from .algebra import StrandsGenerator
+
+
+class StructureError(RuntimeError):
+    """An internal invariant (such as d squared = 0) failed."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,12 +126,10 @@ def split_blocks(chain, sizes) -> list[tuple[int, ...]]:
     return out
 
 
-def place(g: GradingElement, length: int, offset: int) -> GradingElement:
-    """g with its chain at ``offset`` inside a zero chain of ``length``."""
-    tail = length - offset - len(g.chain)
-    if tail < 0:
-        raise ValueError("grading element does not fit at that offset")
-    return GradingElement(g.j2, (0,) * offset + g.chain + (0,) * tail)
+def join(g: GradingElement, h: GradingElement) -> GradingElement:
+    """g on the leading blocks times h on the blocks after them: by the
+    separator split, their chains concatenate across one separator."""
+    return GradingElement(g.j2 + h.j2, stack_blocks(c for c in (g.chain, h.chain) if c))
 
 
 def gr_coefficient(coef: tuple[StrandsGenerator, ...], sizes: tuple[int, ...]) -> GradingElement:
@@ -258,16 +262,49 @@ class Gradings:
         out.reps = dict(reps)
         return out
 
-    def compact(self) -> "Gradings":
-        """Equivalent grading data with at most basis-many relations.
+    def eliminate(self, count: int) -> "Gradings":
+        """The same grading set over the blocks after the first ``count``.
 
-        Long relation lists accumulate along a pipeline; an echelon basis
-        of the chain lattice plus one pure lambda power carrying the
-        torsion generates the same subgroup, so the lattice is kept.
+        The lattice's basis rows that pivot in those blocks reduce each rep
+        there, by floor division, to a residue.  Generators with one
+        residue lie in one orbit of the kept blocks' group, which commutes
+        with the eliminated blocks (the separator split), so the kept parts
+        of the reduced reps, over the basis rows that vanish on the
+        eliminated blocks and the lambda torsion, grade the same set.  A
+        reduction depends on the rep's eliminated part alone and is worked
+        out once per part, as a subgroup element multiplying the rep.
+        ``eliminate(0)`` shortens the relations to the lattice's generators.
         """
-        out = self.with_reps(self.reps)
-        out.relations = self.lattice.generators()
-        return out
+        lattice = self.lattice
+        length, cut = chain_length(self.sizes), chain_length(self.sizes[:count])
+        start = cut + 1 if count else 0
+        pivots = [(col, b, supp) for col, b, supp in lattice._basis if col <= cut]
+        multipliers: dict = {}  # eliminated part -> the subgroup element reducing it
+        reps = {}
+        for x, g in self.reps.items():
+            head = g.chain[:cut]
+            h = multipliers.get(head)
+            if h is None:
+                padded = head + (0,) * (length - cut)
+                row = [0, *padded, 0, 0]
+                for col, b, supp in pivots:
+                    if row[col]:
+                        _row_op(row, supp, b.j2, -(row[col] // b.chain[col - 1]))
+                residue = tuple(row[1:cut + 1])
+                if not multipliers:
+                    first = (x, residue)
+                elif residue != first[1]:
+                    raise StructureError(f"generators {first[0]!r} and {x!r} reduce to different "
+                                         f"residues on the first {count} block(s)")
+                h = multipliers[head] = (GradingElement(0, padded).inverse()
+                                         * GradingElement(row[-1], tuple(row[1:-2])))
+            r = g * h
+            reps[x] = GradingElement(r.j2, r.chain[start:])
+        relations = [GradingElement(b.j2, b.chain[start:])
+                     for col, b, _ in lattice._basis if col > cut]
+        if lattice.lambda_torsion2:
+            relations.append(GradingElement(lattice.lambda_torsion2, (0,) * (length - start)))
+        return Gradings(self.sizes[count:], reps, relations)
 
     def has_pure_lambda_relation(self) -> bool:
         """Whether some relation is a nonzero power of lambda alone."""
@@ -400,13 +437,8 @@ def _coef_key(coef):
     return tuple(g.sort_key() for g in coef)
 
 
-def dedupe_relations(relations):
-    """Distinct non-identity relations, in first-seen order."""
-    return [r for r in dict.fromkeys(relations) if not r.is_identity]
-
-
 def arrow_defects(structure, gradings: Gradings) -> list[GradingElement]:
-    """The distinct ``arrow_loops`` that are not the identity modulo the
+    """The distinct arrow loops that are not the identity modulo the
     relations, in first-seen order.
 
     Loops are told apart by their keys, so an element is built, and the
@@ -414,64 +446,40 @@ def arrow_defects(structure, gradings: Gradings) -> list[GradingElement]:
     """
     lattice = gradings.lattice
     out = []
-    for (j2, head, _), tail in dict(_arrow_loop_parts(structure, gradings)).items():
-        if j2 or any(head) or any(tail):
-            h = GradingElement(j2, head + tail)
+    for j2, chain in dict.fromkeys(_arrow_loop_parts(structure, gradings)):
+        if j2 or any(chain):
+            h = GradingElement(j2, chain)
             if not lattice.contains(h):
                 out.append(h)
     return out
 
 
-def arrow_loops(structure, gradings: Gradings):
-    """The loop h = gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src) of each
-    arrow, in delta order."""
-    for (j2, head, _), tail in _arrow_loop_parts(structure, gradings):
-        yield GradingElement(j2, head + tail)
-
-
 def _arrow_loop_parts(structure, gradings: Gradings):
-    """Each arrow's loop, in delta order, as ((j2, head, tail id), tail), by
-    the loop expansion of the module docstring.
+    """The loop h = gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src) of each
+    arrow, in delta order, as its key (j2, chain), by the loop expansion of
+    the module docstring.
 
-    The structure's factor blocks lead the grading's; its retired blocks
-    follow, and coefficients are placed at the front.  Reps are split at
-    the separator after one more block (the separator split of the module
-    docstring): each pair of distinct tails is worked out once, and only
-    the heads per arrow.  Equal tail differences share an id, so two loops
-    are equal exactly when their keys are.
+    The structure's factor blocks end the grading's (a Mor stage is graded
+    with the blocks it consumes in front of its factor's), so coefficients
+    are placed on the trailing blocks.
     """
     sizes = structure.factor_sizes()
-    if gradings.sizes[:len(sizes)] != sizes:
-        raise ValueError("grading blocks do not start with the factor sizes")
-    k = chain_length(gradings.sizes[:len(sizes) + 1])
-    tail_ids: dict = {}  # distinct tail -> its index
-    heads = {}  # x -> (jx, head, D head, tail index)
+    if gradings.sizes[len(gradings.sizes) - len(sizes):] != sizes:
+        raise ValueError("grading blocks do not end with the factor sizes")
+    length = chain_length(gradings.sizes)
+    reps = {x: (g.j2, g.chain, _boundary(g.chain)) for x, g in gradings.reps.items()}
+    coef_terms: dict = {}  # coef -> (jc + 2, c placed on the trailing blocks, Dc)
     for x in structure.generators:
-        g = gradings.reps[x]
-        head = g.chain[:k]
-        heads[x] = (g.j2, head, _boundary(head), tail_ids.setdefault(g.chain[k:], len(tail_ids)))
-    tails = list(tail_ids)
-    diff_ids: dict = {}  # distinct tail difference -> its id
-    tail_terms: dict = {}  # (tail x, tail y) -> (t(sy, sx), id of sx - sy, sx - sy)
-    coef_terms: dict = {}  # coef -> (jc + 2, c padded to the head, Dc)
-    for x in structure.generators:
-        jx, rx, d_rx, ix = heads[x]
+        jx, rx, d_rx = reps[x]
         for y, coefs in structure.delta[x].items():
-            jy, ry, _, iy = heads[y]
-            terms = tail_terms.get((ix, iy))
-            if terms is None:
-                sx, sy = tails[ix], tails[iy]
-                d_tail = tuple(map(sub, sx, sy))
-                terms = tail_terms[ix, iy] = (
-                    _twist2(sy, sx), diff_ids.setdefault(d_tail, len(diff_ids)), d_tail)
-            t_tail, d_id, d_tail = terms
-            j_xy = jx - jy - sum(map(mul, ry, d_rx)) - t_tail
+            jy, ry, _ = reps[y]
+            j_xy = jx - jy - sum(map(mul, ry, d_rx))
             for coef in coefs:
                 terms = coef_terms.get(coef)
                 if terms is None:
                     g = gr_coefficient(coef, sizes)
-                    terms = coef_terms[coef] = (g.j2 + 2, g.chain + (0,) * (k - len(g.chain)),
-                                                _boundary(g.chain))
+                    c = (0,) * (length - len(g.chain)) + g.chain
+                    terms = coef_terms[coef] = (g.j2 + 2, c, _boundary(c))
                 jc, c, d_c = terms
                 j2 = j_xy - jc + sum(map(mul, map(add, rx, ry), d_c))
-                yield (j2, tuple(map(sub, map(sub, rx, ry), c)), d_id), d_tail
+                yield j2, tuple(map(sub, map(sub, rx, ry), c))

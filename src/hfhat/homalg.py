@@ -17,20 +17,16 @@ from . import algebra as alg
 from .grading import (
     GradingElement,
     Gradings,
+    StructureError,
     arrow_defects,
     chain_length,
-    dedupe_relations,
     gr_coefficient,
-    place,
+    join,
     propagate_gradings,
     split_blocks,
     stack_blocks,
 )
 from .pmc import PointedMatchedCircle
-
-
-class StructureError(RuntimeError):
-    """An internal invariant (such as d squared = 0) failed."""
 
 
 @dataclass(frozen=True)
@@ -234,18 +230,12 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
                 for c in coefs:
                     out.add_arrow((u, v), (u, v2), m_pad[u] + c)
     if M.gradings is not None and N.gradings is not None:
-        sizes = M.gradings.sizes + N.gradings.sizes
-        length = chain_length(sizes)
-        n_at = length - chain_length(N.gradings.sizes)
         m_reps, n_reps = M.gradings.reps, N.gradings.reps
-        # blocks on either side of a separator: the product concatenates
-        sep = (0,) * (n_at - chain_length(M.gradings.sizes))
-        reps = {(u, v): GradingElement(m_reps[u].j2 + n_reps[v].j2,
-                                       m_reps[u].chain + sep + n_reps[v].chain)
-                for u in M.generators for v in N.generators}
-        rels = [place(r, length, 0) for r in M.gradings.relations]
-        rels += [place(r, length, n_at) for r in N.gradings.relations]
-        out.gradings = Gradings(sizes, reps, rels)
+        m_one, n_one = (GradingElement(0, (0,) * chain_length(S.gradings.sizes)) for S in (M, N))
+        reps = {(u, v): join(m_reps[u], n_reps[v]) for u in M.generators for v in N.generators}
+        rels = [join(r, n_one) for r in M.gradings.relations]
+        rels += [join(m_one, r) for r in N.gradings.relations]
+        out.gradings = Gradings(M.gradings.sizes + N.gradings.sizes, reps, rels)
     return out
 
 
@@ -346,57 +336,49 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
 def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, keep):
     """Gradings of a morphism complex: the coset of gr(x)^-1 gr'(a) gr(y).
 
-    The consumed blocks of M are identified with N's live blocks; N's
-    retired blocks ride along.  The kept factor's block, if any, is moved
-    to the front so the result again has its live blocks first.  Reps are
-    multiplied out on the chain up to the separator that ends N's live
-    blocks, and N's retired part is appended (the separator split of the
-    ``grading`` module docstring).
+    The set is laid out on M's consumed blocks, which are N's blocks, and
+    then the kept factor's block, if any, so N's reps and the coefficient
+    gradings sit at offset 0.  The arrow loops are checked on that layout.
+    A stage then eliminates the consumed blocks, leaving exactly its
+    factor's block; a final pairing keeps them, since there the residues
+    are its spin-c structures.
     """
     if M.gradings is None or N.gradings is None:
         return
     m_sizes = M.gradings.sizes
-    n_sizes = N.gradings.sizes
-    if m_sizes != M.factor_sizes() or n_sizes[: len(N.factors)] != N.factor_sizes():
-        raise StructureError(f"{out.name}: cannot grade from blocks {m_sizes} into {n_sizes}; "
-                             f"the source needs exactly its factor blocks, the target its own first")
-
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(m_sizes)) if i != keep]
-    sizes = tuple(m_sizes[i] for i in kept + consumed) + n_sizes[len(N.factors):]
-    length = chain_length(sizes)
-    n_at = length - chain_length(n_sizes)
-    live = chain_length(N.factor_sizes())
+    sizes = tuple(m_sizes[i] for i in consumed + kept)
+    kept_one = GradingElement(0, (0,) * chain_length([m_sizes[i] for i in kept]))
 
     def transport(g: GradingElement) -> GradingElement:
         # a kept action is a right action read over the reversed circle,
         # whose grading group is the opposite one: its block is reversed
         blocks = split_blocks(g.chain, m_sizes)
-        head = [tuple(reversed(blocks[i])) for i in kept]
-        return GradingElement(g.j2, stack_blocks(head + [blocks[i] for i in consumed]))
+        tail = [tuple(reversed(blocks[i])) for i in kept]
+        return GradingElement(g.j2, stack_blocks([blocks[i] for i in consumed] + tail))
 
     x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}
-    y_split = {y: (GradingElement(g.j2, (0,) * n_at + g.chain[:live]), g.chain[live:])
-               for y, g in N.gradings.reps.items()}
+    y_rep = {y: join(g, kept_one) for y, g in N.gradings.reps.items()}
     consumed_sizes = [m_sizes[i] for i in consumed]
     x_coef: dict = {}  # (x, coef) -> gr(x)^-1 gr'(coef), shared by every y
     reps = {}
     for key in out.generators:
         x, coef, y = key
-        y_head, y_tail = y_split[y]
         xa = x_coef.get((x, coef))
         if xa is None:
-            ga = place(gr_coefficient(coef, consumed_sizes), n_at + live, n_at)
-            xa = x_coef[x, coef] = x_inv[x] * ga
-        head = xa * y_head
-        reps[key] = GradingElement(head.j2, head.chain + y_tail)
-    rels = [place(transport(r), length, 0) for r in M.gradings.relations]
-    rels += [place(r, length, n_at) for r in N.gradings.relations]
-    grad = Gradings(sizes, reps, dedupe_relations(rels))
+            xa = x_coef[x, coef] = x_inv[x] * join(gr_coefficient(coef, consumed_sizes), kept_one)
+        reps[key] = xa * y_rep[y]
+    rels = [transport(r) for r in M.gradings.relations]
+    rels += [join(r, kept_one) for r in N.gradings.relations]
+    grad = Gradings(sizes, reps, rels)
     defects = arrow_defects(out, grad)
     if defects:
-        grad = Gradings(sizes, reps, grad.compact().relations + defects)
-    out.gradings = grad.compact()
+        grad = Gradings(sizes, reps, grad.lattice.generators() + defects)
+    try:
+        out.gradings = grad.eliminate(len(consumed) if kept else 0)
+    except StructureError as err:
+        raise StructureError(f"{out.name}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,35 @@
 These are the earlier forms of ``hfhat.grading.RelationLattice`` and
 ``hfhat.grading.arrow_defects``: every row operation and every arrow loop is
 a full-length ``GradingElement`` product.  The sparse forms in the package
-must give the same elements, in the same order.
+must give the same elements, in the same order.  ``arrow_loops`` is the
+package's loop formula one element per arrow, and ``place`` and
+``dedupe_relations`` are the helpers the oracles share.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from hfhat.grading import (
-    GradingElement,
-    chain_length,
-    dedupe_relations,
-    gr_coefficient,
-    place,
-)
+from hfhat.grading import GradingElement, _arrow_loop_parts, chain_length, gr_coefficient
+
+
+def place(g: GradingElement, length: int, offset: int) -> GradingElement:
+    """g with its chain at ``offset`` inside a zero chain of ``length``."""
+    tail = length - offset - len(g.chain)
+    assert tail >= 0, "grading element does not fit at that offset"
+    return GradingElement(g.j2, (0,) * offset + g.chain + (0,) * tail)
+
+
+def dedupe_relations(relations):
+    """Distinct non-identity relations, in first-seen order."""
+    return [r for r in dict.fromkeys(relations) if not r.is_identity]
+
+
+def arrow_loops(structure, gradings):
+    """The loop h = gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src) of each
+    arrow, in delta order, by the package's loop formula."""
+    for j2, chain in _arrow_loop_parts(structure, gradings):
+        yield GradingElement(j2, chain)
 
 
 def lambda_power(sizes, n=1):
@@ -98,9 +113,10 @@ def matrix_product(a, b):
 
 
 def product_arrow_loops(structure, gradings):
-    """gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src) per arrow, by two products."""
+    """gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src) per arrow, by two
+    products; coefficients sit on the trailing blocks."""
     sizes = structure.factor_sizes()
-    assert gradings.sizes[:len(sizes)] == sizes
+    assert gradings.sizes[len(gradings.sizes) - len(sizes):] == sizes
     length = chain_length(gradings.sizes)
     lam = lambda_power(gradings.sizes)
     reps = gradings.reps
@@ -111,7 +127,8 @@ def product_arrow_loops(structure, gradings):
         for y, coefs in structure.delta[x].items():
             for coef in coefs:
                 if coef not in coef_inverse:
-                    g = lam * place(gr_coefficient(coef, sizes), length, 0)
+                    c = gr_coefficient(coef, sizes)
+                    g = lam * place(c, length, length - len(c.chain))
                     coef_inverse[coef] = g.inverse()
                 loops.append(rep_inverse[y] * coef_inverse[coef] * reps[x])
     return loops

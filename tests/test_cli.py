@@ -298,6 +298,21 @@ def test_dd_slide_counts_the_near_chords_of_a_genus_two_over_slide(genus2_file, 
     assert first == "over-slide of 5 over 4; 134 near-chords (20 indeterminate)"
 
 
+def test_dd_slide_enumerates_near_chords_only_for_its_text_line(genus2_file, monkeypatch, capsys):
+    calls, enumerate_near_chords = [], cli.enumerate_near_chords
+
+    def counted(slide):
+        calls.append(slide)
+        return enumerate_near_chords(slide)
+
+    monkeypatch.setattr(cli, "enumerate_near_chords", counted)
+    assert main(["--output", "json", "dd-slide", genus2_file, "5", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["arrows"] and not calls
+    assert main(["dd-slide", genus2_file, "5", "4"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "over-slide of 5 over 4; 134 near-chords (20 indeterminate)" and len(calls) == 1
+
+
 def test_a_closed_stdout_exits_quietly(genus2_file):
     # the reader is gone before the first write, as with `| head -1` on a
     # long dump, so every write fails with EPIPE

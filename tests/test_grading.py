@@ -11,7 +11,6 @@ from hfhat.grading import (
     GradingElement,
     Gradings,
     RelationLattice,
-    dedupe_relations,
     gr_coefficient,
     propagate_gradings,
     slide_homology_matrix,
@@ -25,7 +24,7 @@ from hfhat.slides import arcslide_dd, dd_identity
 from algebra_sums import all_idempotents
 from block_grading import BlockElement, block_congruence, block_identity, to_blocks, to_flat
 from flat_grading import check_congruence, gr_generator
-from product_grading import ProductLattice, lambda_power, matrix_product
+from product_grading import ProductLattice, dedupe_relations, lambda_power, matrix_product
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -303,13 +302,15 @@ def test_lattice_matches_combination_reference():
             assert lat.reduce(to_flat(g)) == product.reduce(to_flat(g))
 
 
-def test_compact_answers_the_same_queries():
+def test_eliminating_no_block_answers_the_same_queries():
+    """eliminate(0) shortens the relations to the lattice's generators."""
     rng = random.Random(8)
     for trial in range(120):
         pmcs = CIRCLE_STACKS[trial % len(CIRCLE_STACKS)]
         sizes, base, rels = _random_relations(pmcs, rng)
         ref = ReferenceLattice(rels, sizes)
-        compact = Gradings(sizes, {}, [to_flat(r) for r in rels]).compact()
+        compact = Gradings(sizes, {}, [to_flat(r) for r in rels]).eliminate(0)
+        assert compact.sizes == sizes
         rebuilt = RelationLattice(compact.relations, sizes)
         assert len(compact.relations) <= sum(sizes) + 1
         assert rebuilt.lambda_torsion2 == ref.lambda_torsion2

@@ -11,13 +11,7 @@ import hfhat.homalg as homalg
 import hfhat.manifolds as manifolds
 from hfhat.algebra import StrandsGenerator, idempotent
 from hfhat.cli import main
-from hfhat.grading import (
-    Gradings,
-    RelationLattice,
-    arrow_defects,
-    arrow_loops,
-    dedupe_relations,
-)
+from hfhat.grading import Gradings, RelationLattice, arrow_defects
 from hfhat.homalg import (
     AlgebraFactor,
     StructureError,
@@ -45,7 +39,14 @@ from hfhat.pmc import ArcSlide
 from algebra_sums import all_idempotents
 from block_grading import BlockElement, block_identity, place_blocks, to_blocks, to_flat
 from module_checks import homology_rank, modules_isomorphic
-from product_grading import ProductLattice, product_arrow_defects, product_arrow_loops
+from product_grading import (
+    ProductLattice,
+    arrow_loops,
+    dedupe_relations,
+    place,
+    product_arrow_defects,
+    product_arrow_loops,
+)
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -258,23 +259,22 @@ def test_tensor_structure():
 def test_mor_preserves_homology_through_cancellation():
     h2 = cfd_zero_framed_handlebody(2)
     s = ArcSlide(Z2, 2, 1)
-    raw = mor_against_bimodule(arcslide_dd(s), h2, seam=0)
+    raw = mor_against_bimodule(arcslide_dd(s), h2, seam=0).relabel()
     red = cancel(raw)
-    probe = cfd_zero_framed_handlebody_reversed(2)
+    # a stage carries exactly its factor's block, so it grades a morphism
+    # complex against itself, before and after reduction alike
+    before, after = mor_complex(raw, raw), mor_complex(red, red)
+    assert before.gradings is not None and after.gradings is not None
+    assert homology_rank(before) == homology_rank(after)
 
-    def ungraded(S):
-        # a Mor stage keeps its target's blocks after its factor's, a layout
-        # the source of a morphism complex cannot have, so compare ungraded
-        out = S.relabel()
-        out.gradings = None
-        return out
 
-    # pairing against a fixed test module before and after reduction
-    before = homology_rank(mor_complex(ungraded(raw), ungraded(raw)))
-    after = homology_rank(mor_complex(ungraded(red), ungraded(red)))
-    assert before == after
-    with pytest.raises(StructureError, match="source needs exactly its factor blocks"):
-        mor_complex(raw.relabel(), raw.relabel())
+@pytest.mark.parametrize("b1, c1", [(2, 1), (5, 4), (3, 4)])
+def test_a_reduced_stage_grades_its_own_endomorphisms(b1, c1):
+    stage = cancel(mor_against_bimodule(arcslide_dd(ArcSlide(Z2, b1, c1)),
+                                        cfd_zero_framed_handlebody(2), seam=0).relabel())
+    assert stage.gradings.sizes == stage.factor_sizes()
+    orbits = manifolds.spinc_maslov(mor_complex(stage, stage))
+    assert [orbit["rank"] for orbit in orbits] == [4]
 
 
 def test_relabel_keeps_structure():
@@ -549,28 +549,24 @@ def _block_dedupe(elements):
 
 
 def _old_mor_gradings(out, M, N, spectator):
-    """The earlier grading pass in block form; only the lattice sees flat chains."""
+    """The earlier grading pass in block form; only the lattice sees flat
+    chains.  It stops where the package's pass calls ``eliminate``: the
+    consumed blocks lead, the kept block trails."""
     if M.gradings is None or N.gradings is None:
         return
     m_sizes = M.gradings.sizes
     n_sizes = N.gradings.sizes
-    if m_sizes != M.factor_sizes() or n_sizes[: len(N.factors)] != N.factor_sizes():
-        return
-    n_old = n_sizes[len(N.factors):]
     if spectator is None:
-        sizes = m_sizes + n_old
-        m_pos = list(range(len(m_sizes)))
-        n_pos = m_pos + list(range(len(m_sizes), len(sizes)))
-        coef_pos = m_pos
+        sizes = m_sizes
+        m_pos = n_pos = coef_pos = list(range(len(m_sizes)))
 
         def transport(g):
             return to_blocks(g, m_sizes)
     else:
         keep, seam = spectator, 1 - spectator
-        sizes = (m_sizes[keep], m_sizes[seam]) + n_old
-        m_pos = [0, 1] if keep == 0 else [1, 0]
-        n_pos = [1] + list(range(2, len(sizes)))
-        coef_pos = [1]
+        sizes = (m_sizes[seam], m_sizes[keep])
+        m_pos = [1, 0] if keep == 0 else [0, 1]
+        n_pos = coef_pos = [0]
 
         def transport(g):
             alphas = list(to_blocks(g, m_sizes).alphas)
@@ -590,10 +586,10 @@ def _old_mor_gradings(out, M, N, spectator):
     rels = [place_blocks(transport(r), sizes, m_pos) for r in M.gradings.relations]
     rels += [from_n(r) for r in N.gradings.relations]
     flat_reps = {key: to_flat(g) for key, g in reps.items()}
-    grad = Gradings(sizes, flat_reps, [to_flat(r) for r in _block_dedupe(rels)])
+    grad = Gradings(sizes, flat_reps, [to_flat(r) for r in rels])
     lam = block_identity(sizes, 2)
     extra = []
-    result_pos = [0] if spectator is not None else []
+    result_pos = [1] if spectator is not None else []
     for x in out.generators:
         for y, coefs in out.delta[x].items():
             for coef in coefs:
@@ -604,12 +600,26 @@ def _old_mor_gradings(out, M, N, spectator):
     defects = [to_flat(h) for h in _block_dedupe(extra)
                if not grad.lattice.contains(to_flat(h))]
     if defects:
-        grad = Gradings(sizes, flat_reps, grad.compact().relations + defects)
-    out.gradings = grad.compact()
+        grad = Gradings(sizes, flat_reps, grad.lattice.generators() + defects)
+    out.gradings = grad
 
 
-def _assert_same_mor(new, old, wrap, ordered_rows):
-    """Equal complexes once the old keys (x, a, y) are mapped by ``wrap``.
+def _eliminate_inputs(monkeypatch):
+    """The grading sets ``Gradings.eliminate`` is called on, in call order."""
+    inputs = []
+    eliminate = Gradings.eliminate
+
+    def recorded(self, count):
+        inputs.append(self)
+        return eliminate(self, count)
+
+    monkeypatch.setattr(Gradings, "eliminate", recorded)
+    return inputs
+
+
+def _assert_same_mor(new, graded, old, wrap, ordered_rows):
+    """Equal complexes once the old keys (x, a, y) are mapped by ``wrap``;
+    ``graded`` is the grading set the new builder eliminated from.
 
     The old pairing took a coefficient's differential terms in set order,
     the old slide stage (and the new builder) factor by factor, so only a
@@ -629,24 +639,26 @@ def _assert_same_mor(new, old, wrap, ordered_rows):
         assert [list(row) for row in new.delta.values()] == [list(row) for row in old_delta.values()]
     assert (new.gradings is None) == (old.gradings is None)
     if new.gradings is not None:
-        assert new.gradings.sizes == old.gradings.sizes
-        assert new.gradings.reps == {key(g): rep for g, rep in old.gradings.reps.items()}
-        assert new.gradings.relations == old.gradings.relations
-        assert new.gradings.lattice.lambda_torsion2 == old.gradings.lattice.lambda_torsion2
+        assert graded.sizes == old.gradings.sizes
+        assert graded.reps == {key(g): rep for g, rep in old.gradings.reps.items()}
+        assert graded.relations == old.gradings.relations
+        assert graded.lattice.lambda_torsion2 == old.gradings.lattice.lambda_torsion2
     return new
 
 
-def _check_stage(B, N, seam):
-    new = mor_against_bimodule(B, N, seam=seam)
-    _assert_same_mor(new, _old_mor_against_bimodule(B, N, seam), lambda a: (a,), True)
-    return cancel(new.relabel())
+def test_mor_builder_matches_the_two_earlier_builders(monkeypatch):
+    inputs = _eliminate_inputs(monkeypatch)
 
+    def check_stage(B, N, seam):
+        new = mor_against_bimodule(B, N, seam=seam)
+        _assert_same_mor(new, inputs[-1], _old_mor_against_bimodule(B, N, seam),
+                         lambda a: (a,), True)
+        return cancel(new.relabel())
 
-def _check_pairing(M, N):
-    return _assert_same_mor(mor_complex(M, N), _old_mor_complex(M, N), lambda a: a, False)
+    def check_pairing(M, N):
+        new = mor_complex(M, N)
+        return _assert_same_mor(new, inputs[-1], _old_mor_complex(M, N), lambda a: a, False)
 
-
-def test_mor_builder_matches_the_two_earlier_builders():
     for truncated in (False, True):
         def over(structure):
             return truncate(structure) if truncated else structure
@@ -659,22 +671,22 @@ def test_mor_builder_matches_the_two_earlier_builders():
 
         module = h(1)
         for s in dehn_twist_expand(Z1, 1, 2) + dehn_twist_expand(Z1, 0, -1):
-            module = _check_stage(dd(s), module, 0)
-        _check_pairing(h(1), module)
-        stage = _check_stage(dd(ArcSlide(Z2, 2, 1)), h(2), 0)
-        _check_stage(dd(ArcSlide(Z2, 3, 4)), stage, 0)
+            module = check_stage(dd(s), module, 0)
+        check_pairing(h(1), module)
+        stage = check_stage(dd(ArcSlide(Z2, 2, 1)), h(2), 0)
+        check_stage(dd(ArcSlide(Z2, 3, 4)), stage, 0)
 
         cob = over(dd_elementary_cobordism(reverse_pmc(Z1)))
-        capped = _check_stage(cob, module, 1)
-        _check_pairing(h(2), capped)
+        capped = check_stage(cob, module, 1)
+        check_pairing(h(2), capped)
 
-        _check_pairing(h(2), h(2))
+        check_pairing(h(2), h(2))
         hr = over(cfd_zero_framed_handlebody_reversed(1))
-        _check_pairing(over(dd_identity(Z1)), tensor(h(1), hr))
+        check_pairing(over(dd_identity(Z1)), tensor(h(1), hr))
 
         left = cancel(over(cfd_self_gluing(Z1)))
-        glued = _check_stage(dd(ArcSlide(Z2, 3, 4)), left, 0)
-        assert _check_pairing(left, glued).gradings is not None
+        glued = check_stage(dd(ArcSlide(Z2, 3, 4)), left, 0)
+        assert check_pairing(left, glued).gradings is not None
 
 
 class _CheckedLattice(RelationLattice):
@@ -726,34 +738,34 @@ def test_arrow_loops_and_lattices_match_the_product_path(preset, truncated, monk
 
 
 def _product_mor_reps(out, M, N, keep):
-    """Mor reps as two full-length products, x_inv[x] * ga * y_rep[y]."""
-    m_sizes, n_sizes = M.gradings.sizes, N.gradings.sizes
+    """Mor reps as two full-length products, x_inv[x] * ga * y_rep[y], on
+    the consumed blocks followed by the kept one."""
+    m_sizes = M.gradings.sizes
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(m_sizes)) if i != keep]
-    sizes = tuple(m_sizes[i] for i in kept + consumed) + n_sizes[len(N.factors):]
-    length = grading.chain_length(sizes)
-    n_at = length - grading.chain_length(n_sizes)
+    length = grading.chain_length([m_sizes[i] for i in consumed + kept])
 
     def transport(g):
         blocks = grading.split_blocks(g.chain, m_sizes)
-        front = [tuple(reversed(blocks[i])) for i in kept]
-        chain = grading.stack_blocks(front + [blocks[i] for i in consumed])
-        return grading.place(grading.GradingElement(g.j2, chain), length, 0)
+        back = [tuple(reversed(blocks[i])) for i in kept]
+        chain = grading.stack_blocks([blocks[i] for i in consumed] + back)
+        return place(grading.GradingElement(g.j2, chain), length, 0)
 
     x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}
-    y_rep = {y: grading.place(g, length, n_at) for y, g in N.gradings.reps.items()}
+    y_rep = {y: place(g, length, 0) for y, g in N.gradings.reps.items()}
     consumed_sizes = [m_sizes[i] for i in consumed]
     return {(x, coef, y): x_inv[x]
-            * grading.place(grading.gr_coefficient(coef, consumed_sizes), length, n_at)
+            * place(grading.gr_coefficient(coef, consumed_sizes), length, 0)
             * y_rep[y]
             for x, coef, y in out.generators}
 
 
 def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkeypatch):
-    """The seeded genus-2 word of 20 slides (21 grading blocks) under check
-    mode: every Mor stage's reps equal the full-length products, every
-    arrow loop the product-based loop, and every defect pass and cancel
-    the per-arrow pass and the coefficient scan."""
+    """The seeded genus-2 word of 20 slides under check mode: every Mor
+    stage's reps, before its consumed block is eliminated, equal the
+    full-length products, every arrow loop the product-based loop, and
+    every defect pass and cancel the per-arrow pass and the coefficient
+    scan.  Every stage is graded on two blocks and leaves one."""
     rng = random.Random(3)
     slides, cur = [], Z2
     for _ in range(20):
@@ -767,20 +779,22 @@ def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkey
         return _compared_defects(structure, gradings)
 
     mor_gradings = homalg._mor_gradings
+    inputs = _eliminate_inputs(monkeypatch)
 
     def compared_mor_gradings(out, M, N, keep):
         mor_gradings(out, M, N, keep)
-        assert out.gradings.reps == _product_mor_reps(out, M, N, keep)
-        stages.append(len(out.gradings.sizes))
+        assert inputs[-1].reps == _product_mor_reps(out, M, N, keep)
+        stages.append(len(inputs[-1].sizes))
+        assert out.gradings.sizes == out.factor_sizes()
 
     monkeypatch.setattr(homalg, "arrow_defects", compared_defects)
     monkeypatch.setattr(manifolds, "arrow_defects", compared_defects)
     monkeypatch.setattr(homalg, "_mor_gradings", compared_mor_gradings)
     monkeypatch.setattr(manifolds, "cancel", _compared_cancel)
     module = manifolds.apply_slides(cfd_zero_framed_handlebody(2), slides, check=True)
-    assert stages == list(range(2, 22))
-    assert len(loop_checks) == 40 and max(loop_checks) == 21
-    assert module.gradings.sizes == (7,) * 21
+    assert stages == [2] * 20
+    assert len(loop_checks) == 40 and max(loop_checks) == 2
+    assert module.gradings.sizes == (7,)
 
 
 # The defect pass that keys loops before building them, and the pivot test
@@ -931,10 +945,10 @@ def test_keyed_defects_and_identity_pivots_match_the_scans(preset, truncated, mo
 
 
 def test_arrow_loops_split_exactly_at_every_separator():
-    """arrow_loops splits at the separator after the first block past the
-    structure's factors.  With one factor per leading block of a random
-    layout, each separator is the split point once, and the loops equal
-    the product-based ones.  Products split the same way."""
+    """arrow_loops places coefficients on the trailing blocks.  With one
+    factor per trailing block of a random layout, for every count of
+    factors, the loops equal the product-based ones.  Products split
+    exactly at every separator, as ``join`` and ``eliminate`` rely on."""
     rng = random.Random(15)
     circles = {pmc.n_points - 1: pmc for pmc in (Z1, Z2)}
     for _ in range(30):
@@ -945,7 +959,7 @@ def test_arrow_loops_split_exactly_at_every_separator():
             return grading.GradingElement(rng.randint(-9, 9), grading.stack_blocks(blocks))
 
         for n_factors in range(len(sizes) + 1):
-            pmcs = [circles[s] for s in sizes[:n_factors]]
+            pmcs = [circles[s] for s in sizes[len(sizes) - n_factors:]]
             S = TypeDStructure([AlgebraFactor(pmc) for pmc in pmcs])
             for g in range(5):
                 S.add_generator(g, [{pmc.pair_of(1)} for pmc in pmcs])
@@ -1014,3 +1028,90 @@ def test_basics_between_matches_a_full_basis_scan():
                 found += len(scan)
         assert found == len([a for a in alg.full_basis(Z2)
                              if not truncated or all(m <= 1 for m in a.supp)])
+
+
+# Gradings.eliminate against the grading set it starts from
+
+
+def _check_elimination(full, new, count):
+    """``new`` grades the orbit of ``full`` under the group of the blocks
+    after the first ``count``: the same lambda torsion; for a base b and
+    every generator x, new(x) new(b)^-1, padded with zeros on the
+    eliminated blocks, carries b to x in ``full``; and every relation of
+    ``new``, conjugated by new(b), lies in the stabiliser of b in ``full``."""
+    assert new.sizes == full.sizes[count:]
+    lattice = full.lattice
+    assert new.lattice.lambda_torsion2 == lattice.lambda_torsion2
+    pad = (0,) * (grading.chain_length(full.sizes) - grading.chain_length(new.sizes))
+
+    def padded(g):
+        return grading.GradingElement(g.j2, pad + g.chain)
+
+    if not new.reps:
+        return
+    b = next(iter(full.reps))
+    base, base_inv = new.reps[b], new.reps[b].inverse()
+    assert new.reps.keys() == full.reps.keys()
+    for x, g in new.reps.items():
+        assert lattice.contains(full.reps[x].inverse() * padded(g * base_inv) * full.reps[b]), x
+    for s in new.relations:
+        assert lattice.contains(full.reps[b].inverse() * padded(base * s * base_inv)
+                                * full.reps[b]), s
+
+
+def test_eliminated_blocks_leave_the_same_grading_set(monkeypatch, capsys):
+    """Every eliminate call of the presets, plain and truncated, the lens
+    spaces L(p,1) for p up to 5, T1^2 T3^3, the 20-slide word (3,4) (2,3)
+    ten times and seeded genus-1 twist words."""
+    counts = []
+    eliminate = Gradings.eliminate
+
+    def checked(self, count):
+        new = eliminate(self, count)
+        _check_elimination(self, new, count)
+        counts.append(count)
+        return new
+
+    monkeypatch.setattr(Gradings, "eliminate", checked)
+    stages = 0
+    for preset in ("poincare", "s1xs2-g1", "s1xs2-g2", "self-gluing-g1"):
+        for truncated in (False, True):
+            argv = ["--truncated"] * truncated + ["--output", "json", "hf-hat", "--preset", preset]
+            assert main(argv) == 0
+            stages += len(json.loads(capsys.readouterr().out)["stages"])
+    words = [manifolds.MappingWord(1, [("twist", 1, p)]) for p in range(1, 6)]
+    words.append(manifolds.MappingWord(2, [("twist", 1, 2), ("twist", 3, 3)]))
+    words.append(manifolds.MappingWord(2, [("slide", b, c) for _ in range(10)
+                                           for b, c in ((3, 4), (2, 3))]))
+    rng = random.Random(11)
+    for _ in range(20):
+        words.append(manifolds.MappingWord(1, [("twist", rng.randrange(2),
+                                                rng.choice([-3, -2, -1, 1, 2, 3]))
+                                               for _ in range(rng.randint(1, 4))]))
+    for word in words:
+        stages += len(manifolds.hf_hat_closed(word).stages)
+    # every stage eliminates its consumed block; every final pairing none
+    assert counts.count(0) == 8 + len(words)
+    assert counts.count(1) == stages and set(counts) == {0, 1}
+
+
+def test_a_stage_whose_residues_differ_raises_naming_it():
+    """Two copies of H0(1), one shifted by a chain outside its lattice, lie
+    in two orbits; the stage against them cannot eliminate its consumed
+    block."""
+    h = cfd_zero_framed_handlebody(1)
+    N = TypeDStructure(h.factors, "H0+H0")
+    for copy in (0, 1):
+        for g in h.generators:
+            N.add_generator((copy, g), h.idem[g])
+        for x, row in h.delta.items():
+            for y, coefs in row.items():
+                N.delta[copy, x][copy, y] = coefs
+    shift = grading.GradingElement(0, (1, 0, 0))
+    N.gradings = Gradings(h.gradings.sizes, {(copy, g): shift * r if copy else r
+                                             for copy in (0, 1)
+                                             for g, r in h.gradings.reps.items()},
+                          h.gradings.relations)
+    with pytest.raises(StructureError, match=r"^Mor\(DD\(slide 2 over 1\),H0\+H0\): generators "
+                                             r".*\(0, 'x'\)\) and .*\(1, 'x'\)\) reduce"):
+        mor_against_bimodule(arcslide_dd(ArcSlide(Z1, 2, 1)), N, seam=0)
