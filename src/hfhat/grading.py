@@ -24,6 +24,16 @@ nonzero:
 * arrow loop: for an arrow x -> y with coefficient c and representatives
   (jx, rx), (jy, ry), the loop gr(y)^-1 (lambda gr(c))^-1 gr(x) has chain
   rx - ry - c and j2 = jx - jy - jc - 2 - t(ry, rx) + t(rx + ry, c);
+* Mor arrow loops from the factors' arrows: a generator (x, a, y) of
+  Mor(M, N) has rep X gr(a) gr(y), X the transported gr(x)^-1, and each
+  of its arrows comes from one factor arrow.  A coefficient-differential
+  arrow has the identity loop, since gr(da) = lambda^-1 gr(a); an arrow
+  from N's y -> y2 has N's own loop, whatever x and a are; an arrow from
+  M's x0 -> x, whose coefficient is e_c on the consumed blocks and k on
+  the kept one, has the loop g^-1 h g with g = gr(a) gr(y) and the core
+  h = gr(e_c)^-1 X0^-1 gr(k)^-1 lambda^-1 X, one per M-arrow;
+* conjugation: g^-1 h g = (j_h + 2 t(h, g), h), so a Mor arrow's loop
+  costs one dot product against its core;
 * propagation step: with (jg, g) = lambda gr(c), the rep g^-1 (jx, rx)
   across an arrow walked forward is (jx - jg - t(g, rx), rx - g), and
   g (jx, rx) walked backward is (jx + jg + t(g, rx), rx + g);
@@ -38,8 +48,10 @@ nonzero:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from copy import copy
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 from operator import add, mul, sub
 
@@ -235,6 +247,48 @@ class RelationLattice:
         return j2 is not None and (j2 % tor == 0 if tor else j2 == 0)
 
 
+class ProductReps(Mapping):
+    """Representatives held as products of factor elements, each multiplied
+    out when it is first read and cut to its chain from index ``start`` on.
+
+    A Mor stage has a rep for every generator, but ``cancel`` keeps few of
+    them, so only the reps that are read are built.  A product's chain is
+    the sum of its factors' chains, so a rep's chain is known unbuilt.
+    """
+
+    def __init__(self, products: dict, start: int = 0):
+        self.products = products  # key -> its factor elements, multiplied left to right
+        self.start = start
+        self._built: dict = {}
+
+    @staticmethod
+    def of(reps: Mapping) -> "ProductReps":
+        """``reps`` itself if it holds uncut products, else one factor per rep."""
+        if isinstance(reps, ProductReps) and not reps.start:
+            return reps
+        return ProductReps({x: (g,) for x, g in reps.items()})
+
+    def __getitem__(self, x) -> GradingElement:
+        rep = self._built.get(x)
+        if rep is None:
+            rep = self._built[x] = self._build(self.products[x])
+        return rep
+
+    def _build(self, factors) -> GradingElement:
+        g = reduce(mul, factors)
+        return GradingElement(g.j2, g.chain[self.start:]) if self.start else g
+
+    def __iter__(self):
+        return iter(self.products)
+
+    def __len__(self) -> int:
+        return len(self.products)
+
+    def renamed(self, names: dict) -> "ProductReps":
+        """The same reps with each key x called names[x]; none is built."""
+        return ProductReps({names[x]: f for x, f in self.products.items()}, self.start)
+
+
 class Gradings:
     """A grading set by representatives and relations.
 
@@ -242,11 +296,12 @@ class Gradings:
     generators are in the same lambda orbit when the chain parts of their
     representatives differ by the relation lattice; the relative Maslov
     degree is then the lambda power, modulo the lattice's lambda torsion.
+    The reps are a dict or, for a Mor stage, ``ProductReps`` built on read.
     """
 
-    def __init__(self, sizes, reps: dict, relations: list[GradingElement]):
+    def __init__(self, sizes, reps: Mapping, relations: list[GradingElement]):
         self.sizes = tuple(sizes)
-        self.reps = dict(reps)
+        self.reps = _own(reps)
         self.relations = list(relations)
         self._lattice: list[RelationLattice] = []  # built on first use; with_reps copies share it
 
@@ -256,11 +311,18 @@ class Gradings:
             self._lattice.append(RelationLattice(self.relations, self.sizes))
         return self._lattice[0]
 
-    def with_reps(self, reps: dict) -> "Gradings":
+    def with_reps(self, reps: Mapping) -> "Gradings":
         """The same relations and lattice over new representatives."""
         out = copy(self)
-        out.reps = dict(reps)
+        out.reps = _own(reps)
         return out
+
+    def renamed(self, names: dict) -> "Gradings":
+        """The same grading set with each generator x called names[x]."""
+        reps = self.reps
+        if isinstance(reps, ProductReps):
+            return self.with_reps(reps.renamed(names))
+        return self.with_reps({names[x]: g for x, g in reps.items()})
 
     def eliminate(self, count: int) -> "Gradings":
         """The same grading set over the blocks after the first ``count``.
@@ -274,15 +336,21 @@ class Gradings:
         reduction depends on the rep's eliminated part alone and is worked
         out once per part, as a subgroup element multiplying the rep.
         ``eliminate(0)`` shortens the relations to the lattice's generators.
+
+        Every generator's residue is checked, from the chain sum of its
+        rep's factors; its reduced rep is one more factor on its product,
+        multiplied out when first read.
         """
         lattice = self.lattice
         length, cut = chain_length(self.sizes), chain_length(self.sizes[:count])
         start = cut + 1 if count else 0
         pivots = [(col, b, supp) for col, b, supp in lattice._basis if col <= cut]
         multipliers: dict = {}  # eliminated part -> the subgroup element reducing it
-        reps = {}
-        for x, g in self.reps.items():
-            head = g.chain[:cut]
+        products = {}
+        for x, factors in ProductReps.of(self.reps).products.items():
+            head = factors[0].chain[:cut]
+            for f in factors[1:]:
+                head = tuple(map(add, head, f.chain[:cut]))
             h = multipliers.get(head)
             if h is None:
                 padded = head + (0,) * (length - cut)
@@ -298,17 +366,22 @@ class Gradings:
                                          f"residues on the first {count} block(s)")
                 h = multipliers[head] = (GradingElement(0, padded).inverse()
                                          * GradingElement(row[-1], tuple(row[1:-2])))
-            r = g * h
-            reps[x] = GradingElement(r.j2, r.chain[start:])
+            products[x] = factors if h.is_identity else (*factors, h)
         relations = [GradingElement(b.j2, b.chain[start:])
                      for col, b, _ in lattice._basis if col > cut]
         if lattice.lambda_torsion2:
             relations.append(GradingElement(lattice.lambda_torsion2, (0,) * (length - start)))
-        return Gradings(self.sizes[count:], reps, relations)
+        return Gradings(self.sizes[count:], ProductReps(products, start), relations)
 
     def has_pure_lambda_relation(self) -> bool:
         """Whether some relation is a nonzero power of lambda alone."""
         return any(r.j2 and not any(r.chain) for r in self.relations)
+
+
+def _own(reps: Mapping) -> Mapping:
+    """A grading set's own copy of ``reps``: ``ProductReps`` are never
+    changed after construction, so they are shared unbuilt."""
+    return reps if isinstance(reps, ProductReps) else dict(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +517,15 @@ def arrow_defects(structure, gradings: Gradings) -> list[GradingElement]:
     Loops are told apart by their keys, so an element is built, and the
     lattice asked, once per distinct loop rather than once per arrow.
     """
+    return loop_defects(dict.fromkeys(_arrow_loop_parts(structure, gradings)), gradings)
+
+
+def loop_defects(loops, gradings: Gradings) -> list[GradingElement]:
+    """The loops, distinct (j2, chain) keys, that are not the identity
+    modulo the relations, in their order."""
     lattice = gradings.lattice
     out = []
-    for j2, chain in dict.fromkeys(_arrow_loop_parts(structure, gradings)):
+    for j2, chain in loops:
         if j2 or any(chain):
             h = GradingElement(j2, chain)
             if not lattice.contains(h):

@@ -10,18 +10,22 @@ operate uniformly on this representation.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import add, mul, sub
 
 from . import algebra as alg
 from .grading import (
     GradingElement,
     Gradings,
+    ProductReps,
     StructureError,
-    arrow_defects,
+    _boundary,
     chain_length,
     gr_coefficient,
     join,
+    loop_defects,
     propagate_gradings,
     split_blocks,
     stack_blocks,
@@ -96,7 +100,9 @@ class TypeDStructure:
         self.idem[key] = idem
         self.delta[key] = {}
 
-    def add_arrow(self, src, tgt, coef) -> None:
+    def add_arrow(self, src, tgt, coef) -> bool:
+        """Toggle the coefficient on the arrow src -> tgt over F2; whether
+        it is now there."""
         coef = tuple(coef)
         for i, a in enumerate(coef):
             if a.left_pairs != self.idem[src][i] or a.right_pairs != self.idem[tgt][i]:
@@ -107,6 +113,7 @@ class TypeDStructure:
             self.delta[src][tgt] = entry
         else:
             del self.delta[src][tgt]
+        return coef in entry
 
     def idempotent_coef(self, src):
         return identity_coef(self.factors, self.idem[src])
@@ -144,8 +151,7 @@ class TypeDStructure:
             for y, coefs in row.items():
                 out.delta[order[x]][order[y]] = coefs
         if self.gradings is not None:
-            out.gradings = self.gradings.with_reps(
-                {order[g]: rep for g, rep in self.gradings.reps.items()})
+            out.gradings = self.gradings.renamed(order)
         return out
 
     # -- structural equation ----------------------------------------------
@@ -279,7 +285,9 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
     Generators are (x, coef, y) with one basic element of each consumed
     factor in coef.  The kept factor of M, if any, survives as a left
     action over its reversed circle, its coefficients carried through the
-    orientation-reversing map.
+    orientation-reversing map.  When both sides are graded, each arrow's
+    loop is tallied under the factor arrow that produced it
+    (``_MorGrading``).
     """
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(M.factors)) if i != keep]
@@ -288,6 +296,10 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
         [AlgebraFactor(rev, M.factors[i].truncated) for (rev, _), i in zip(reversals, kept)],
         name=f"Mor({M.name},{N.name})",
     )
+    graded = M.gradings is not None and N.gradings is not None
+    stage = _MorGrading(M, N, keep) if graded else None
+    tally = stage.tally if stage else Counter()  # unread when ungraded
+
     per_pair: dict = {}
     ident: dict = {}  # x -> the identity coefficient of every generator (x, coef, y)
     for x in M.generators:
@@ -304,79 +316,176 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
             for coef in per_pair[(x, y)]:
                 out.add_generator((x, coef, y), idem)
 
-    # arrows into each x of M, split once into consumed and (opposite) kept parts
+    # arrows out of each y of N, with the key of their loop
+    outgoing = {y: [(y2, e, stage.n_loop(y, y2, e) if stage else None)
+                    for y2, coefs in N.delta[y].items() for e in coefs]
+                for y in N.generators}
+    # arrows into each x of M, split once into consumed and (opposite) kept
+    # parts, with the core of their loops
     incoming: dict = {}
     for x0 in M.generators:
         for x1, coefs in M.delta[x0].items():
-            incoming.setdefault(x1, []).append((x0, [
-                (tuple(e[i] for i in consumed), tuple(alg.opposite_basic(e[i]) for i in kept))
-                for e in coefs
-            ]))
+            parts = []
+            for e in coefs:
+                e_c = tuple(e[i] for i in consumed)
+                k = tuple(alg.opposite_basic(e[i]) for i in kept)
+                parts.append((e_c, k, stage.core(x0, x1, e_c, k) if stage else (0, 0, ())))
+            incoming.setdefault(x1, []).append((x0, parts))
 
     for x in M.generators:
+        into = incoming.get(x, ())
         for y in N.generators:
             for coef in per_pair[(x, y)]:
                 src = (x, coef, y)
                 for term in coef_differential(N.factors, coef):
-                    out.add_arrow(src, (x, term, y), ident[x])
-                for y2, coefs in N.delta[y].items():
-                    for e in coefs:
-                        p = coef_multiply(N.factors, coef, e)
-                        if p is not None:
-                            out.add_arrow(src, (x, p, y2), ident[x])
-                for x0, parts in incoming.get(x, []):
-                    for e, kept_part in parts:
+                    added = out.add_arrow(src, (x, term, y), ident[x])
+                    tally[_IDENTITY_LOOP] += 1 if added else -1
+                for y2, e, loop in outgoing[y]:
+                    p = coef_multiply(N.factors, coef, e)
+                    if p is not None:
+                        tally[loop] += 1 if out.add_arrow(src, (x, p, y2), ident[x]) else -1
+                g = stage.g_chain(coef, y) if stage and into else ()
+                for x0, parts in into:
+                    for e, kept_part, (j2, chain, d_h) in parts:
                         p = coef_multiply(N.factors, e, coef)
                         if p is not None:
-                            out.add_arrow(src, (x0, p, y), kept_part)
-    _mor_gradings(out, M, N, keep)
+                            # g^-1 h g for the core h: one dot product
+                            loop = (j2 - 2 * sum(map(mul, g, d_h)), chain)
+                            tally[loop] += 1 if out.add_arrow(src, (x0, p, y), kept_part) else -1
+    if stage is not None:
+        _mor_gradings(out, stage)
     return out
 
 
-def _mor_gradings(out: TypeDStructure, M: TypeDStructure, N: TypeDStructure, keep):
+_IDENTITY_LOOP = (0, 0)  # the identity loop's key in every ``_MorGrading``
+
+
+class _MorGrading:
+    """The grading pieces of Mor(M, N) and the tally of its arrow loops.
+
+    The layout is M's consumed blocks, which are N's blocks, and then the
+    kept factor's block, if any, so N's reps and the consumed coefficients
+    sit at offset 0.  A generator (x, a, y) has the rep X gr(a) gr(y), X
+    the transported gr(x)^-1.
+
+    Each arrow's loop is read from the factor arrow that produced it (the
+    Mor loops of the ``grading`` module docstring) and keyed (j2, chain
+    index), chains numbered by value in ``chain_ids``.  ``tally`` counts a
+    loop +1 for every coefficient ``add_arrow`` adds and -1 for every one
+    it toggles away, so the loops with a positive count are exactly the
+    loops of the complex's arrows.
+    """
+
+    def __init__(self, M: TypeDStructure, N: TypeDStructure, keep):
+        m_sizes = M.gradings.sizes
+        kept = [] if keep is None else [keep]
+        consumed = [i for i in range(len(m_sizes)) if i != keep]
+        self.sizes = tuple(m_sizes[i] for i in consumed + kept)
+        self.eliminated = len(consumed) if kept else 0  # a final pairing keeps its blocks
+        self.consumed_sizes = [m_sizes[i] for i in consumed]
+        self.kept_sizes = [m_sizes[i] for i in kept]
+        self.cut = chain_length(self.consumed_sizes)
+        self.kept_blocks = [(0,) * size for size in self.kept_sizes]
+        self.kept_one = GradingElement(0, (0,) * chain_length(self.kept_sizes))
+        self.consumed_one = GradingElement(0, (0,) * self.cut)
+
+        def transport(g: GradingElement) -> GradingElement:
+            # a kept action is a right action read over the reversed circle,
+            # whose grading group is the opposite one: its block is reversed
+            blocks = split_blocks(g.chain, m_sizes)
+            tail = [tuple(reversed(blocks[i])) for i in kept]
+            return GradingElement(g.j2, stack_blocks([blocks[i] for i in consumed] + tail))
+
+        self.x_rep = {x: transport(g) for x, g in M.gradings.reps.items()}
+        self.x_inv = {x: g.inverse() for x, g in self.x_rep.items()}
+        self.x_boundary = {x: _boundary(g.chain) for x, g in self.x_rep.items()}
+        self.y_rep = {y: join(g, self.kept_one) for y, g in N.gradings.reps.items()}
+        self.relations = [transport(r) for r in M.gradings.relations]
+        self.relations += [join(r, self.kept_one) for r in N.gradings.relations]
+        self.coefs: dict = {}  # consumed coefficient -> its grading on the layout
+        self.kept_terms: dict = {}  # kept coefficient k -> (j2, chain, boundary) of gr(k)
+        self.chain_ids = {(0,) * chain_length(self.sizes): 0}  # _IDENTITY_LOOP's chain
+        self.tally: Counter = Counter()
+
+    def coef(self, coef) -> GradingElement:
+        """gr(coef) of a consumed coefficient, its kept block zero."""
+        g = self.coefs.get(coef)
+        if g is None:
+            if [len(a.supp) for a in coef] != self.consumed_sizes:
+                raise ValueError("coefficient does not match the factor sizes")
+            chain = stack_blocks([*(a.supp for a in coef), *self.kept_blocks])
+            g = self.coefs[coef] = GradingElement(sum(a.iota2 for a in coef), chain)
+        return g
+
+    def _chain_id(self, chain) -> int:
+        return self.chain_ids.setdefault(chain, len(self.chain_ids))
+
+    def n_loop(self, y, y2, e) -> tuple:
+        """The key of N's loop gr(y2)^-1 (lambda gr(e))^-1 gr(y)."""
+        a = self.coef(e)
+        lam_a_inv = GradingElement(-a.j2 - 2, tuple(-v for v in a.chain))
+        loop = self.y_rep[y2].inverse() * lam_a_inv * self.y_rep[y]
+        return (loop.j2, self._chain_id(loop.chain))
+
+    def core(self, x0, x, e_c, k) -> tuple:
+        """(j2, chain index, boundary of the chain[:cut]) of the core
+        h = gr(e_c)^-1 X0^-1 (lambda gr(k))^-1 X of an arrow x0 -> x of M
+        with consumed part e_c and kept part k.
+
+        h is the arrow loop, in the closed form of the ``grading`` module
+        docstring, of an arrow with coefficient k from the rep X to the rep
+        X0 gr(e_c).  With c0 and r the transported gr(x0) and gr(x), and
+        u = c0 - k - e_c, it is (j_c0 - j_r - j_k - j_e - 2 - t(c0, k)
+        - t(u, r) + t(c0, e_c), u - r): t(e_c, k) = 0, as the two lie on
+        disjoint blocks.
+        """
+        terms = self.kept_terms.get(k)
+        if terms is None:
+            g = join(self.consumed_one, gr_coefficient(k, self.kept_sizes))
+            terms = self.kept_terms[k] = (g.j2, g.chain, _boundary(g.chain))
+        jk, c_k, d_k = terms
+        a, g0, g1 = self.coef(e_c), self.x_rep[x0], self.x_rep[x]
+        u = tuple(map(sub, map(sub, g0.chain, c_k), a.chain))
+        j2 = (g0.j2 - g1.j2 - jk - a.j2 - 2 - sum(map(mul, g0.chain, d_k))
+              - sum(map(mul, u, self.x_boundary[x])) - sum(map(mul, a.chain, self.x_boundary[x0])))
+        chain = tuple(map(sub, u, g1.chain))
+        return (j2, self._chain_id(chain), _boundary(chain)[:self.cut])
+
+    def g_chain(self, coef, y) -> tuple:
+        """The chain of g = gr(a) gr(y) on the consumed blocks, where it lives."""
+        return tuple(map(add, self.coef(coef).chain[:self.cut], self.y_rep[y].chain[:self.cut]))
+
+    def loops(self) -> list:
+        """The distinct loops (j2, chain) with a positive count, in
+        first-seen order."""
+        chains = list(self.chain_ids)
+        return [(j2, chains[c]) for (j2, c), n in self.tally.items() if n > 0]
+
+    def gradings(self, out: TypeDStructure) -> Gradings:
+        """The grading set on the layout, each rep a product built on read."""
+        x_inv, y_rep, coef = self.x_inv, self.y_rep, self.coef
+        reps = ProductReps({key: (x_inv[key[0]], coef(key[1]), y_rep[key[2]])
+                            for key in out.generators})
+        return Gradings(self.sizes, reps, self.relations)
+
+
+def _mor_gradings(out: TypeDStructure, stage: _MorGrading) -> None:
     """Gradings of a morphism complex: the coset of gr(x)^-1 gr'(a) gr(y).
 
-    The set is laid out on M's consumed blocks, which are N's blocks, and
-    then the kept factor's block, if any, so N's reps and the coefficient
-    gradings sit at offset 0.  The arrow loops are checked on that layout.
-    A stage then eliminates the consumed blocks, leaving exactly its
-    factor's block; a final pairing keeps them, since there the residues
-    are its spin-c structures.
+    The set is laid out as ``_MorGrading`` says.  The loops that ``_mor``
+    tallied, one per distinct loop of an arrow, are checked on that
+    layout.  A stage then eliminates the consumed blocks, leaving exactly
+    its factor's block; a final pairing keeps them, since there the
+    residues are its spin-c structures.  Every generator's residue is
+    checked, but its rep is built only when it is first read, so a stage
+    builds the reps of the generators that ``cancel`` keeps.
     """
-    if M.gradings is None or N.gradings is None:
-        return
-    m_sizes = M.gradings.sizes
-    kept = [] if keep is None else [keep]
-    consumed = [i for i in range(len(m_sizes)) if i != keep]
-    sizes = tuple(m_sizes[i] for i in consumed + kept)
-    kept_one = GradingElement(0, (0,) * chain_length([m_sizes[i] for i in kept]))
-
-    def transport(g: GradingElement) -> GradingElement:
-        # a kept action is a right action read over the reversed circle,
-        # whose grading group is the opposite one: its block is reversed
-        blocks = split_blocks(g.chain, m_sizes)
-        tail = [tuple(reversed(blocks[i])) for i in kept]
-        return GradingElement(g.j2, stack_blocks([blocks[i] for i in consumed] + tail))
-
-    x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}
-    y_rep = {y: join(g, kept_one) for y, g in N.gradings.reps.items()}
-    consumed_sizes = [m_sizes[i] for i in consumed]
-    x_coef: dict = {}  # (x, coef) -> gr(x)^-1 gr'(coef), shared by every y
-    reps = {}
-    for key in out.generators:
-        x, coef, y = key
-        xa = x_coef.get((x, coef))
-        if xa is None:
-            xa = x_coef[x, coef] = x_inv[x] * join(gr_coefficient(coef, consumed_sizes), kept_one)
-        reps[key] = xa * y_rep[y]
-    rels = [transport(r) for r in M.gradings.relations]
-    rels += [join(r, kept_one) for r in N.gradings.relations]
-    grad = Gradings(sizes, reps, rels)
-    defects = arrow_defects(out, grad)
+    grad = stage.gradings(out)
+    defects = loop_defects(stage.loops(), grad)
     if defects:
-        grad = Gradings(sizes, reps, grad.lattice.generators() + defects)
+        grad = Gradings(grad.sizes, grad.reps, grad.lattice.generators() + defects)
     try:
-        out.gradings = grad.eliminate(len(consumed) if kept else 0)
+        out.gradings = grad.eliminate(stage.eliminated)
     except StructureError as err:
         raise StructureError(f"{out.name}: {err}") from None
 

@@ -282,26 +282,30 @@ def apply_slides(module: TypeDStructure, slides, stats: list | None = None,
     raises the boundary genus by one.  Over a truncated module each
     step's bimodule is projected with ``truncate``.  With ``check``, every
     stage must have d^2 = 0 and, once reduced, gradings that agree with
-    each of its arrows.
+    each of its arrows.  A ``StructureError`` raised while a stage is
+    built, graded or reduced names the stage.
     """
     current = module
     for index, step in enumerate(slides, 1):
-        if isinstance(step, ArcSlide):
-            bim, seam = arcslide_dd(step), 0
-            label = f"slide at {step.b1} over {step.c1}"
-        else:
-            bim = dd_elementary_cobordism(reverse_pmc(current.factors[0].pmc))
-            seam, label = 1, "cobordism"
-        if module.factors[0].truncated:
-            bim = truncate(bim)
-        if bim.factors[seam] != current.factors[0]:
-            raise WordError(f"stage {index} ({label}) does not act on the module's circle")
-        raw = mor_against_bimodule(bim, current, seam=seam).relabel()
-        if check:
-            raw.require_d_squared()
-        reduced = cancel(raw)
-        if check and (reduced.gradings is None or arrow_defects(reduced, reduced.gradings)):
-            raise StructureError(f"stage {index} ({label}): gradings disagree with its arrows")
+        slide = isinstance(step, ArcSlide)
+        label = f"slide at {step.b1} over {step.c1}" if slide else "cobordism"
+        try:
+            if slide:
+                bim, seam = arcslide_dd(step), 0
+            else:
+                bim, seam = dd_elementary_cobordism(reverse_pmc(current.factors[0].pmc)), 1
+            if module.factors[0].truncated:
+                bim = truncate(bim)
+            if bim.factors[seam] != current.factors[0]:
+                raise WordError(f"stage {index} ({label}) does not act on the module's circle")
+            raw = mor_against_bimodule(bim, current, seam=seam).relabel()
+            if check:
+                raw.require_d_squared()
+            reduced = cancel(raw)
+            if check and (reduced.gradings is None or arrow_defects(reduced, reduced.gradings)):
+                raise StructureError("gradings disagree with its arrows")
+        except StructureError as err:
+            raise StructureError(f"stage {index} ({label}): {err}") from None
         if stats is not None:
             stats.append((len(raw.generators), len(reduced.generators)))
         current = reduced

@@ -41,7 +41,7 @@ class PointedMatchedCircle:
     and hashable; all operations return new circles.
     """
 
-    __slots__ = ("pairs", "n_points", "genus", "_pair_of")
+    __slots__ = ("pairs", "n_points", "genus", "_pair_of", "_hash")
 
     def __init__(self, pairs):
         canon = tuple(sorted(tuple(sorted(p)) for p in pairs))
@@ -52,6 +52,7 @@ class PointedMatchedCircle:
         if len(canon) % 2 != 0:
             raise InvalidCircleError("need an even number of matched pairs (4k points)")
         self.pairs = canon
+        self._hash = hash(canon)  # every strands diagram hashes its circle
         self.n_points = n
         self.genus = n // 4
         self._pair_of = {}
@@ -92,7 +93,7 @@ class PointedMatchedCircle:
         return isinstance(other, PointedMatchedCircle) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash(self.pairs)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"PointedMatchedCircle({list(self.pairs)})"

@@ -380,10 +380,11 @@ def _support_jump_points(ctx: SlideContext, restricted):
     return jumps
 
 
-def enumerate_near_chords(slide: ArcSlide) -> list[NearChord]:
+def enumerate_near_chords(slide: ArcSlide | SlideContext) -> list[NearChord]:
     """The syntactic near-chord list for the slide, deduplicated, each
-    flagged determinate or indeterminate."""
-    ctx = SlideContext(slide)
+    flagged determinate or indeterminate.  Given the slide's context, it
+    uses that one instead of building another."""
+    ctx = slide if isinstance(slide, SlideContext) else SlideContext(slide)
     seen: dict = {}
     for kind, src_chords, tgt_chords in _moving_configs(ctx):
         if src_chords is None or tgt_chords is None:
@@ -437,7 +438,7 @@ def _arcslide_dd_uncached(slide: ArcSlide) -> TypeDStructure:
         out.add_generator((tuple(sorted(left)), tuple(sorted(right))), (left, right))
 
     key_of = {idem: key for key, idem in out.idem.items()}
-    for nc in _slide_terms(ctx, out.factors, enumerate_near_chords(slide)):
+    for nc in _slide_terms(ctx, out.factors, enumerate_near_chords(ctx)):
         src_key = key_of[nc.left.left_pairs, nc.right.left_pairs]
         tgt_key = key_of[nc.left.right_pairs, nc.right.right_pairs]
         out.add_arrow(src_key, tgt_key, (nc.left, nc.right))

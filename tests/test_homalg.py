@@ -11,7 +11,7 @@ import hfhat.homalg as homalg
 import hfhat.manifolds as manifolds
 from hfhat.algebra import StrandsGenerator, idempotent
 from hfhat.cli import main
-from hfhat.grading import Gradings, RelationLattice, arrow_defects
+from hfhat.grading import Gradings, RelationLattice, arrow_defects, loop_defects
 from hfhat.homalg import (
     AlgebraFactor,
     StructureError,
@@ -720,21 +720,41 @@ def test_arrow_loops_and_lattices_match_the_product_path(preset, truncated, monk
         checked.append(structure)
         return defects
 
-    mor_gradings = homalg._mor_gradings
-
-    def counted_mor_gradings(out, *args):
-        before = len(checked)
-        mor_gradings(out, *args)
-        assert len(checked) == before + 1
-
     monkeypatch.setattr(grading, "RelationLattice", _CheckedLattice)
-    monkeypatch.setattr(homalg, "arrow_defects", compared_defects)
+    mor_stages = _route_mor_defects(monkeypatch, compared_defects)
     monkeypatch.setattr(manifolds, "arrow_defects", compared_defects)
-    monkeypatch.setattr(homalg, "_mor_gradings", counted_mor_gradings)
     argv = ["--truncated"] * truncated + ["--output", "json", "hf-hat", "--preset", preset, "--check"]
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["orbits"]
-    assert checked
+    result = json.loads(capsys.readouterr().out)
+    assert result["orbits"]
+    # each Mor complex once, and each reduced stage once under check mode
+    assert len(checked) == len(mor_stages) + len(result["stages"])
+
+
+def _route_mor_defects(monkeypatch, compare):
+    """Send every Mor complex's defect pass, which reads the loops ``_mor``
+    tallied from the factors' arrows, through ``compare(structure,
+    gradings)`` as well, a pass over every arrow of the complex on its
+    full-layout reps: the tallied loops must be the arrows' distinct
+    loops, and the two defect lists equal, order included.  Returns the
+    Mor complexes in build order."""
+    built = []
+    mor_gradings = homalg._mor_gradings
+
+    def recorded(out, stage):
+        built.append(out)
+        mor_gradings(out, stage)
+
+    def compared(loops, gradings):
+        assert len(set(loops)) == len(loops)
+        assert set(loops) == set(grading._arrow_loop_parts(built[-1], gradings))
+        defects = loop_defects(loops, gradings)
+        assert compare(built[-1], gradings) == defects
+        return defects
+
+    monkeypatch.setattr(homalg, "_mor_gradings", recorded)
+    monkeypatch.setattr(homalg, "loop_defects", compared)
+    return built
 
 
 def _product_mor_reps(out, M, N, keep):
@@ -778,18 +798,19 @@ def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkey
         loop_checks.append(len(gradings.sizes))
         return _compared_defects(structure, gradings)
 
-    mor_gradings = homalg._mor_gradings
+    mor = homalg._mor
     inputs = _eliminate_inputs(monkeypatch)
 
-    def compared_mor_gradings(out, M, N, keep):
-        mor_gradings(out, M, N, keep)
+    def compared_mor(M, N, keep):
+        out = mor(M, N, keep)
         assert inputs[-1].reps == _product_mor_reps(out, M, N, keep)
         stages.append(len(inputs[-1].sizes))
         assert out.gradings.sizes == out.factor_sizes()
+        return out
 
-    monkeypatch.setattr(homalg, "arrow_defects", compared_defects)
+    _route_mor_defects(monkeypatch, compared_defects)
     monkeypatch.setattr(manifolds, "arrow_defects", compared_defects)
-    monkeypatch.setattr(homalg, "_mor_gradings", compared_mor_gradings)
+    monkeypatch.setattr(homalg, "_mor", compared_mor)
     monkeypatch.setattr(manifolds, "cancel", _compared_cancel)
     module = manifolds.apply_slides(cfd_zero_framed_handlebody(2), slides, check=True)
     assert stages == [2] * 20
@@ -923,7 +944,7 @@ def _install_stage_oracles(monkeypatch):
         seen["cancel"] += 1
         return _compared_cancel(M)
 
-    monkeypatch.setattr(homalg, "arrow_defects", defects)
+    _route_mor_defects(monkeypatch, defects)
     monkeypatch.setattr(manifolds, "arrow_defects", defects)
     monkeypatch.setattr(manifolds, "cancel", reduced)
     return seen
@@ -1115,3 +1136,147 @@ def test_a_stage_whose_residues_differ_raises_naming_it():
     with pytest.raises(StructureError, match=r"^Mor\(DD\(slide 2 over 1\),H0\+H0\): generators "
                                              r".*\(0, 'x'\)\) and .*\(1, 'x'\)\) reduce"):
         mor_against_bimodule(arcslide_dd(ArcSlide(Z1, 2, 1)), N, seam=0)
+
+
+def test_a_stage_error_in_a_word_names_the_stage_once():
+    """The two-orbit module of the test above, run through apply_slides:
+    the error names the stage and its slide, then the Mor complex."""
+    h = cfd_zero_framed_handlebody(1)
+    N = TypeDStructure(h.factors, "H0+H0")
+    for copy in (0, 1):
+        for g in h.generators:
+            N.add_generator((copy, g), h.idem[g])
+        for x, row in h.delta.items():
+            for y, coefs in row.items():
+                N.delta[copy, x][copy, y] = coefs
+    shift = grading.GradingElement(0, (1, 0, 0))
+    N.gradings = Gradings(h.gradings.sizes, {(copy, g): shift * r if copy else r
+                                             for copy in (0, 1)
+                                             for g, r in h.gradings.reps.items()},
+                          h.gradings.relations)
+    with pytest.raises(StructureError, match=r"^stage 1 \(slide at 2 over 1\): Mor\(DD\(slide 2 "
+                                             r"over 1\),H0\+H0\): generators .* reduce") as err:
+        manifolds.apply_slides(N, [ArcSlide(Z1, 2, 1)])
+    assert str(err.value).count("stage") == 1
+
+
+# Arrow loops read from the factors' arrows, and reps built when first read
+
+
+def test_factor_keyed_loops_match_the_per_arrow_pass_on_every_stage(monkeypatch, capsys):
+    """Every Mor complex of the presets, plain and truncated, of L(p,1) for
+    p up to 5 with either final pairing, T1^2 T3^3, the 20-slide word
+    (3,4) (2,3) ten times, 20 seeded genus-1 and 12 seeded genus-2 twist
+    words: the loops ``_mor`` tallies from the factors' arrows are the
+    distinct loops of the complex's arrows, and their defects are those of
+    the per-arrow pass, in the same order."""
+    defective = []
+
+    def per_arrow(structure, gradings):
+        defects = arrow_defects(structure, gradings)
+        defective.append(bool(defects))
+        return defects
+
+    built = _route_mor_defects(monkeypatch, per_arrow)
+    for preset in ("poincare", "s1xs2-g1", "s1xs2-g2", "self-gluing-g1"):
+        for truncated in (False, True):
+            argv = ["--truncated"] * truncated + ["--output", "json", "hf-hat", "--preset", preset]
+            assert main(argv) == 0
+    capsys.readouterr()
+    words = [(manifolds.MappingWord(1, [("twist", 1, p)]), final)
+             for p in range(1, 6) for final in ("hom", "identity")]
+    words.append((manifolds.MappingWord(2, [("twist", 1, 2), ("twist", 3, 3)]), "hom"))
+    words.append((manifolds.MappingWord(2, [("slide", b, c) for _ in range(10)
+                                            for b, c in ((3, 4), (2, 3))]), "hom"))
+    rng = random.Random(11)
+    for _ in range(20):
+        words.append((manifolds.MappingWord(1, [("twist", rng.randrange(2),
+                                                 rng.choice([-3, -2, -1, 1, 2, 3]))
+                                                for _ in range(rng.randint(1, 4))]), "hom"))
+    rng = random.Random(5)
+    for _ in range(12):
+        words.append((manifolds.MappingWord(2, [("twist", rng.randrange(4),
+                                                 rng.choice([-3, -2, -1, 1, 2, 3]))
+                                                for _ in range(rng.randint(1, 3))]), "hom"))
+    for word, final in words:
+        manifolds.hf_hat_closed(word, final=final)
+    assert len(built) == len(defective) == 291
+    # the lens-space stages carry defect relations, so non-empty lists are compared too
+    assert sum(defective) == 33
+
+
+def _eager_eliminate(full, count):
+    """``Gradings.eliminate`` as it stood when it reduced every rep at once:
+    the oracle for reps built when first read."""
+    lattice = full.lattice
+    length, cut = grading.chain_length(full.sizes), grading.chain_length(full.sizes[:count])
+    start = cut + 1 if count else 0
+    pivots = [(col, b, supp) for col, b, supp in lattice._basis if col <= cut]
+    multipliers, reps = {}, {}
+    for x, g in full.reps.items():
+        head = g.chain[:cut]
+        if head not in multipliers:
+            padded = head + (0,) * (length - cut)
+            row = [0, *padded, 0, 0]
+            for col, b, supp in pivots:
+                if row[col]:
+                    grading._row_op(row, supp, b.j2, -(row[col] // b.chain[col - 1]))
+            multipliers[head] = (grading.GradingElement(0, padded).inverse()
+                                 * grading.GradingElement(row[-1], tuple(row[1:-2])))
+        r = g * multipliers[head]
+        reps[x] = grading.GradingElement(r.j2, r.chain[start:])
+    relations = [grading.GradingElement(b.j2, b.chain[start:])
+                 for col, b, _ in lattice._basis if col > cut]
+    if lattice.lambda_torsion2:
+        relations.append(grading.GradingElement(lattice.lambda_torsion2, (0,) * (length - start)))
+    return Gradings(full.sizes[count:], reps, relations)
+
+
+def test_reps_built_on_read_equal_the_products_and_the_eager_elimination(monkeypatch):
+    """Every rep of every Mor complex of L(3,1), with either final
+    pairing, and of the seeded genus-2 word of 20 slides, read in full:
+    before elimination each equals the two full-length products, and after
+    it the rep and relations of the eager elimination."""
+    mor = homalg._mor
+    inputs = _eliminate_inputs(monkeypatch)
+    checked = []
+
+    def compared(M, N, keep):
+        out = mor(M, N, keep)
+        full = inputs[-1]
+        assert dict(full.reps) == _product_mor_reps(out, M, N, keep)
+        eager = _eager_eliminate(full, len(full.sizes) - len(out.factors) if out.factors else 0)
+        assert dict(out.gradings.reps) == eager.reps
+        assert out.gradings.relations == eager.relations
+        checked.append(len(out.generators))
+        return out
+
+    monkeypatch.setattr(homalg, "_mor", compared)
+    for final in ("hom", "identity"):
+        manifolds.hf_hat_closed(manifolds.MappingWord(1, [("twist", 1, 3)]), final=final)
+    rng = random.Random(3)
+    slides, cur = [], Z2
+    for _ in range(20):
+        slides.append(rng.choice(sorted(all_arcslides(cur), key=lambda s: (s.b1, s.c1))))
+        cur = slides[-1].target
+    manifolds.apply_slides(cfd_zero_framed_handlebody(2), slides)
+    # three slides and a final pairing per final model, then 20 stages
+    assert len(checked) == 2 * (3 + 1) + 20 and sum(checked) > 1000
+
+
+def test_a_poincare_run_builds_only_the_reps_it_reads(monkeypatch, capsys):
+    """cancel reads the reps of the generators it keeps, so a Poincare run
+    builds about one rep per survivor, not one per Mor generator (4620)."""
+    built = []
+    build = grading.ProductReps._build
+
+    def counted(self, factors):
+        built.append(factors)
+        return build(self, factors)
+
+    monkeypatch.setattr(grading.ProductReps, "_build", counted)
+    assert main(["--output", "json", "hf-hat", "--preset", "poincare"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    survivors = sum(stage["after"] for stage in result["stages"])
+    assert survivors + 1 <= len(built) <= 120
+    assert sum(stage["before"] for stage in result["stages"]) + result["mor_generators"] == 4620

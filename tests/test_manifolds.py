@@ -251,8 +251,9 @@ def test_check_mode_checks_each_reduced_stage_grading(monkeypatch):
         return out
 
     monkeypatch.setattr(manifolds, "cancel", tampered_cancel)
-    with pytest.raises(StructureError, match=rf"stage 2 \(slide at {slides[1].b1} over"):
+    with pytest.raises(StructureError, match=rf"stage 2 \(slide at {slides[1].b1} over") as err:
         apply_slides(cfd_zero_framed_handlebody(1), slides, check=True)
+    assert str(err.value).count("stage") == 1
 
 
 def _stepwise_cfd_bordered(start_genus, steps, stats):

@@ -146,3 +146,12 @@ def test_generated_circles_validate():
 def test_json_round_trip():
     pmc = antipodal_pmc(2)
     assert PointedMatchedCircle.from_json(pmc.to_json()) == pmc
+
+
+def test_a_circle_hashes_as_its_pairs_and_equal_circles_agree():
+    # the hash is taken once, when the circle is made
+    a = PointedMatchedCircle([(2, 4), (1, 3)])
+    b = split_pmc(1)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash(b.pairs)
+    assert len({a, b, split_pmc(2)}) == 2

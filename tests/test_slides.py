@@ -171,10 +171,21 @@ def test_catalogue_bimodules_share_pair_sets_supports_and_products(monkeypatch):
         return multiply(a, b)
 
     monkeypatch.setattr(alg, "multiply_basic", recording)
+    contexts = []  # the slide of each SlideContext built
+
+    class CountedContext(SlideContext):
+        def __init__(self, slide):
+            contexts.append(slide)
+            super().__init__(slide)
+
+    monkeypatch.setattr("hfhat.slides.SlideContext", CountedContext)
     modules = [dd_identity(Z1), dd_identity(Z2)]
     for start in (Z1, Z2):
+        contexts.clear()
         modules += [arcslide_dd(s) for pmc in _reachable_circles(start) for s in all_arcslides(pmc)]
     assert len(modules) == 2 + 6 + 294
+    # one context per slide: the near-chord enumeration reads the bimodule's
+    assert len(contexts) == len({(s.source, s.b1, s.c1) for s in contexts}) == 294
     diagrams, idempotents = [], []
     for dd in modules:
         for x in dd.generators:
