@@ -140,8 +140,9 @@ def split_blocks(chain, sizes) -> list[tuple[int, ...]]:
 
 def join(g: GradingElement, h: GradingElement) -> GradingElement:
     """g on the leading blocks times h on the blocks after them: by the
-    separator split, their chains concatenate across one separator."""
-    return GradingElement(g.j2 + h.j2, stack_blocks(c for c in (g.chain, h.chain) if c))
+    separator split, their chains concatenate across one separator, which
+    stays when a side is one block of size 0.  Both sides need blocks."""
+    return GradingElement(g.j2 + h.j2, (*g.chain, 0, *h.chain))
 
 
 def gr_coefficient(coef: tuple[StrandsGenerator, ...], sizes: tuple[int, ...]) -> GradingElement:

@@ -386,8 +386,12 @@ class _MorGrading:
         self.kept_sizes = [m_sizes[i] for i in kept]
         self.cut = chain_length(self.consumed_sizes)
         self.kept_blocks = [(0,) * size for size in self.kept_sizes]
-        self.kept_one = GradingElement(0, (0,) * chain_length(self.kept_sizes))
         self.consumed_one = GradingElement(0, (0,) * self.cut)
+        kept_one = GradingElement(0, (0,) * chain_length(self.kept_sizes))
+
+        def padded(g: GradingElement) -> GradingElement:
+            # an element of N on the layout: the kept block, if any, is 0
+            return join(g, kept_one) if kept else g
 
         def transport(g: GradingElement) -> GradingElement:
             # a kept action is a right action read over the reversed circle,
@@ -399,9 +403,9 @@ class _MorGrading:
         self.x_rep = {x: transport(g) for x, g in M.gradings.reps.items()}
         self.x_inv = {x: g.inverse() for x, g in self.x_rep.items()}
         self.x_boundary = {x: _boundary(g.chain) for x, g in self.x_rep.items()}
-        self.y_rep = {y: join(g, self.kept_one) for y, g in N.gradings.reps.items()}
+        self.y_rep = {y: padded(g) for y, g in N.gradings.reps.items()}
         self.relations = [transport(r) for r in M.gradings.relations]
-        self.relations += [join(r, self.kept_one) for r in N.gradings.relations]
+        self.relations += [padded(r) for r in N.gradings.relations]
         self.coefs: dict = {}  # consumed coefficient -> its grading on the layout
         self.kept_terms: dict = {}  # kept coefficient k -> (j2, chain, boundary) of gr(k)
         self.chain_ids = {(0,) * chain_length(self.sizes): 0}  # _IDENTITY_LOOP's chain
@@ -441,7 +445,9 @@ class _MorGrading:
         """
         terms = self.kept_terms.get(k)
         if terms is None:
-            g = join(self.consumed_one, gr_coefficient(k, self.kept_sizes))
+            g = self.consumed_one  # a final pairing has no kept block
+            if k:
+                g = join(g, gr_coefficient(k, self.kept_sizes))
             terms = self.kept_terms[k] = (g.j2, g.chain, _boundary(g.chain))
         jk, c_k, d_k = terms
         a, g0, g1 = self.coef(e_c), self.x_rep[x0], self.x_rep[x]

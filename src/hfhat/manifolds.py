@@ -387,21 +387,21 @@ def hf_hat_closed(word: MappingWord, truncated: bool = False, final: str = "hom"
     ``final`` picks the pairing model for the last step: ``hom`` maps one
     handlebody module into the other, ``identity`` maps the identity
     bimodule into the tensor of the two sides.  Both give the same
-    homology; the identity model is the larger complex.  With ``check``,
+    homology; the identity model is the larger complex.  A word that does
+    not return to the split circle raises ``WordError``.  With ``check``,
     the rank must be at least |H_1| and, when H_1 is finite, there must be
     one orbit per spin-c structure, |H_1| in all.
     """
     genus = word.genus
     slides = word.expand()
+    if slides and slides[-1].target != split_pmc(genus):
+        raise WordError("word does not return to the split circle")
     stats: list = []
     left = cfd_zero_framed_handlebody(genus)
     if truncated:
         left = truncate(left)
     if final == "hom":
-        right = apply_slides(left, slides, stats, check=check)
-        if left.factors != right.factors:
-            raise WordError("word does not return to the split circle")
-        pairing = mor_complex(left, right)
+        pairing = mor_complex(left, apply_slides(left, slides, stats, check=check))
     elif final == "identity":
         start = cfd_zero_framed_handlebody_reversed(genus)
         right = apply_slides(truncate(start) if truncated else start,

@@ -145,17 +145,13 @@ def _restricted(supp: tuple[int, ...], gap: dict) -> tuple[int, ...]:
 # Near-chord enumeration
 
 
-class NearChord:
+class NearChord(NamedTuple):
     """A basic differential candidate for an arc-slide bimodule."""
 
-    __slots__ = ("left", "right", "kind", "indeterminate")
-
-    def __init__(self, left: StrandsGenerator, right: StrandsGenerator,
-                 kind: str, indeterminate: bool):
-        self.left = left
-        self.right = right
-        self.kind = kind
-        self.indeterminate = indeterminate
+    left: StrandsGenerator
+    right: StrandsGenerator
+    kind: str
+    indeterminate: bool
 
     def __repr__(self) -> str:
         flag = "?" if self.indeterminate else ""
@@ -172,22 +168,22 @@ def _pieces(chord: Chord, cut: Chord) -> list[Chord]:
     return out
 
 
-def _join_interval(chord: Chord, s: Chord) -> list[tuple[int, int]] | None:
+def _join_interval(chord: Chord, s: Chord) -> list[Chord] | None:
     """Moving set carrying the chord's support plus one copy of s.
 
     Adjacent intervals concatenate; disjoint ones stay separate strands; a
     strictly interior s doubles up as a nested strand of its own.
     """
     if chord.end == s.start:
-        return [(chord.start, s.end)]
+        return [Chord(chord.start, s.end)]
     if s.end == chord.start:
-        return [(s.start, chord.end)]
+        return [Chord(s.start, chord.end)]
     if chord.end < s.start or s.end < chord.start:
-        return [(chord.start, chord.end), (s.start, s.end)]
+        return [chord, s]
     if chord.start <= s.start and s.end <= chord.end:
         if chord.start == s.start or chord.end == s.end:
             return None  # shared endpoint: no valid strand pair
-        return [(chord.start, chord.end), (s.start, s.end)]
+        return [chord, s]
     return None
 
 
@@ -315,12 +311,9 @@ def _complete(ctx: SlideContext, src_chords, tgt_chords):
     """All horizontal completions with near-complementary ends, by left
     completion and then right completion."""
     src, rev = ctx.src, ctx.rev_tgt
-    moving_l = [(c.start, c.end) if isinstance(c, Chord) else c for c in src_chords]
-    moving_r = [
-        (reverse_point(ctx.tgt, c.end if isinstance(c, Chord) else c[1]),
-         reverse_point(ctx.tgt, c.start if isinstance(c, Chord) else c[0]))
-        for c in tgt_chords
-    ]
+    moving_l = [(c.start, c.end) for c in src_chords]
+    moving_r = [(reverse_point(ctx.tgt, c.end), reverse_point(ctx.tgt, c.start))
+                for c in tgt_chords]
     try:
         bare_l = StrandsGenerator(src, moving_l, ())
         bare_r = StrandsGenerator(rev, moving_r, ())
@@ -348,7 +341,7 @@ def _complete(ctx: SlideContext, src_chords, tgt_chords):
                     yield aL, StrandsGenerator(rev, moving_r, hr)
 
 
-def _is_indeterminate(ctx: SlideContext, kind: str, aL, aR) -> bool:
+def _is_indeterminate(ctx: SlideContext, kind: str, aL) -> bool:
     if ctx.slide.kind == "under":
         return False
     if kind in ("7", "8"):
@@ -360,40 +353,29 @@ def _is_indeterminate(ctx: SlideContext, kind: str, aL, aR) -> bool:
     covered = {g for g, m in enumerate(rl) if m}
     if kind == "3":
         return covered == span_gaps
-    if kind == "4":
-        if not span_gaps <= covered:
-            return False
-        jumps = _support_jump_points(ctx, rl)
-        return ctx.slide.c1 in jumps or ctx.slide.c2 in jumps
+    if kind == "4" and span_gaps <= covered:
+        # the restricted multiplicity jumps at c1 or c2: the gaps on either
+        # side of a source point p != b1 are padded[k] and padded[k + 1]
+        padded, b1 = (0, *rl, 0), ctx.slide.b1
+        return any(padded[k] != padded[k + 1]
+                   for k in (p - 1 - (b1 < p) for p in (ctx.slide.c1, ctx.slide.c2)))
     return False
 
 
-def _support_jump_points(ctx: SlideContext, restricted):
-    """Source points where the restricted support multiplicity jumps."""
-    points = [p for p in range(1, ctx.n + 1) if p != ctx.slide.b1]
-    jumps = set()
-    for k, p in enumerate(points):
-        below = restricted[k - 1] if k > 0 else 0
-        above = restricted[k] if k < len(restricted) else 0
-        if below != above:
-            jumps.add(p)
-    return jumps
-
-
 def enumerate_near_chords(slide: ArcSlide | SlideContext) -> list[NearChord]:
-    """The syntactic near-chord list for the slide, deduplicated, each
-    flagged determinate or indeterminate.  Given the slide's context, it
-    uses that one instead of building another."""
+    """The syntactic near-chord list for the slide, each flagged
+    determinate or indeterminate.  A near-chord that two configurations
+    reach raises, naming the slide and both kinds.  Given the slide's
+    context, it uses that one instead of building another."""
     ctx = slide if isinstance(slide, SlideContext) else SlideContext(slide)
     seen: dict = {}
     for kind, src_chords, tgt_chords in _moving_configs(ctx):
-        if src_chords is None or tgt_chords is None:
-            continue
         for aL, aR in _complete(ctx, src_chords, tgt_chords):
-            key = (aL, aR)
-            if key in seen:
-                continue
-            seen[key] = NearChord(aL, aR, kind, _is_indeterminate(ctx, kind, aL, aR))
+            first = seen.get((aL, aR))
+            if first is not None:
+                raise StructureError(f"near-chord ({aL},{aR}) of {ctx.slide!r} is reached "
+                                     f"as kind {first.kind} and as kind {kind}")
+            seen[aL, aR] = NearChord(aL, aR, kind, _is_indeterminate(ctx, kind, aL))
     return sorted(seen.values(), key=lambda nc: (nc.left.sort_key(), nc.right.sort_key()))
 
 
@@ -455,75 +437,41 @@ def _slide_terms(ctx, factors, chords):
 
     The determinate near-chords and the basic choice (the sigma-extended
     indeterminates that cover the sliding interval on the source side) are
-    the base B; the other indeterminates are the unknowns X_i.  Every term
-    of d^2 is collected: dB + B*B is the constant, dX + B*X + X*B + X*X is
-    X's row (a square is linear over F2), and each X_i*X_j + X_j*X_i must
-    vanish.  A coefficient's idempotents fix its generator pair, so terms
-    are keyed by coefficient.  An under-slide has no unknowns, so its
-    constant must be zero.
+    the base B, each labelled (); the other indeterminates are the unknowns
+    X_i, labelled (i,).  One pass expands d(B + sum X) + (B + sum X)^2:
+    the terms of dc, and of each product c1*c2 that survives (c1 ends where
+    c2 starts), are toggled into the bucket named by the union of their
+    labels.  Bucket () is the constant dB + B*B; bucket (i,) is X_i's row,
+    X_i*X_i included, as x_i^2 = x_i over F2; bucket (i, j) is the cross
+    term X_i*X_j + X_j*X_i, which must come out empty.  A coefficient's
+    idempotents fix its generator pair, so terms are keyed by coefficient.
+    An under-slide has no unknowns, so its constant must be empty.
     """
     determinate = [nc for nc in chords if not nc.indeterminate]
-    indet = [nc for nc in chords if nc.indeterminate]
-    base = [(nc.left, nc.right) for nc in determinate]
-    chosen3 = [nc for nc in indet if nc.kind == "3" and nc.left.supp[ctx.sigma.start - 1]]
-    base += [(nc.left, nc.right) for nc in chosen3]
-    unknown_chords = [nc for nc in indet if nc.kind != "3"]
-    unknowns = [(nc.left, nc.right) for nc in unknown_chords]
+    chosen3 = [nc for nc in chords
+               if nc.indeterminate and nc.kind == "3" and nc.left.supp[ctx.sigma.start - 1]]
+    unknowns = [nc for nc in chords if nc.indeterminate and nc.kind != "3"]
+    labelled = [((nc.left, nc.right), ()) for nc in determinate + chosen3]
+    labelled += [((nc.left, nc.right), (i,)) for i, nc in enumerate(unknowns)]
+    starting: dict = {}
+    for c, label in labelled:
+        starting.setdefault((c[0].left_pairs, c[1].left_pairs), []).append((c, label))
 
-    def starts(c):
-        return (c[0].left_pairs, c[1].left_pairs)
-
-    def ends(c):
-        return (c[0].right_pairs, c[1].right_pairs)
-
-    # products c1 * c2 survive only when c1 ends where c2 starts
-    base_from: dict = {}
-    base_into: dict = {}
-    unknowns_from: dict = {}
-    for c in base:
-        base_from.setdefault(starts(c), []).append(c)
-        base_into.setdefault(ends(c), []).append(c)
-    for i, x in enumerate(unknowns):
-        unknowns_from.setdefault(starts(x), []).append(i)
-
-    def toggle(acc, term):
-        if term is not None:
-            acc[term] = acc.get(term, 0) ^ 1
-
-    const: dict = {}
-    for c in base:
-        for term in coef_differential(factors, c):
-            toggle(const, term)
-    for c1 in base:
-        for c2 in base_from.get(ends(c1), ()):
-            toggle(const, coef_multiply(factors, c1, c2))
-
-    lin: list[dict] = []
-    for x in unknowns:
-        row: dict = {}
-        for term in coef_differential(factors, x):
-            toggle(row, term)
-        for c in base_into.get(starts(x), ()):
-            toggle(row, coef_multiply(factors, c, x))
-        for c in base_from.get(ends(x), ()):
-            toggle(row, coef_multiply(factors, x, c))
-        if starts(x) == ends(x):
-            toggle(row, coef_multiply(factors, x, x))
-        lin.append({k: v for k, v in row.items() if v})
-
-    # the equation is linear: x_i*x_j + x_j*x_i vanishes for each i != j
-    cross: dict = {}
-    for i, xi in enumerate(unknowns):
-        for j in unknowns_from.get(ends(xi), ()):
-            if j != i:
-                toggle(cross.setdefault((min(i, j), max(i, j)), {}),
-                       coef_multiply(factors, xi, unknowns[j]))
-    if any(any(row.values()) for row in cross.values()):
+    buckets: dict = {}  # label -> the terms toggled into it an odd number of times
+    for c1, l1 in labelled:
+        # the terms of dc are distinct, so one update toggles each
+        buckets.setdefault(l1, set()).symmetric_difference_update(coef_differential(factors, c1))
+        for c2, l2 in starting.get((c1[0].right_pairs, c1[1].right_pairs), ()):
+            term = coef_multiply(factors, c1, c2)
+            if term is not None:
+                label = l1 if l1 == l2 else l1 + l2 if l1 < l2 else l2 + l1  # sorted union
+                buckets.setdefault(label, set()).symmetric_difference_update((term,))
+    if any(len(label) == 2 and terms for label, terms in buckets.items()):
         raise StructureError(
             f"structural equation of {ctx.slide!r} has a nonzero cross term")
-
-    values = _solve_f2(lin, {k for k, v in const.items() if v}, ctx.slide)
-    return determinate + chosen3 + [nc for nc, bit in zip(unknown_chords, values) if bit]
+    rows = [dict.fromkeys(buckets.get((i,), ()), 1) for i in range(len(unknowns))]
+    values = _solve_f2(rows, buckets.get((), set()), ctx.slide)
+    return determinate + chosen3 + [nc for nc, bit in zip(unknowns, values) if bit]
 
 
 def _solve_f2(rows: list[dict], target: set, slide: ArcSlide) -> list[int]:

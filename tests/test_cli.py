@@ -215,6 +215,17 @@ def test_hf_hat_malformed_word(tmp_path, capsys):
     assert main(["hf-hat", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("final", ["hom", "identity"])
+def test_a_word_off_the_split_circle_is_an_input_error_for_both_pairings(final, tmp_path,
+                                                                        capsys):
+    # slide 4 over 5 leaves the genus-2 split circle; both pairings refuse
+    # it before a stage is built
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps({"genus": 2, "steps": [{"slide": {"b1": 4, "c1": 5}}]}))
+    assert main(["hf-hat", str(word), "--final", final]) == 2
+    assert capsys.readouterr().err == "input error: word does not return to the split circle\n"
+
+
 SLIDE = {"slide": {"b1": 2, "c1": 1}}
 
 

@@ -210,6 +210,21 @@ def test_cobordism_capped_gives_connected_sum_rank():
     assert rank == 4  # two S1xS2 summands
 
 
+def test_cobordism_on_genus_zero_caps_to_s1xs2_rank():
+    # the genus-0 case: the consumed block of the cobordism stage has size 0
+    module = cfd_bordered(0, [("cobordism",)])
+    assert homology_rank(mor_complex(cfd_zero_framed_handlebody(1), module)) == 2
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_genus_zero_identity_pairing_gives_one_orbit_of_rank_one(truncated):
+    # S^3: the identity pairing tensors two sides of one size-0 block each
+    for final in ("hom", "identity"):
+        result = hf_hat_closed(MappingWord(genus=0), truncated=truncated, final=final,
+                               check=True)
+        assert [o["rank"] for o in result.orbits] == [1]
+
+
 def test_cobordism_then_word_cross_check():
     module = cfd_bordered(1, [("slide", 2, 1), ("slide", 2, 1), ("cobordism",)])
     cap = cfd_zero_framed_handlebody(2)

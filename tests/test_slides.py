@@ -849,3 +849,56 @@ def test_near_chords_per_side_match_the_side_by_side_shapes(monkeypatch):
     per_side = [_chord_rows(enumerate_near_chords(s)) for s in slides_seen]
     monkeypatch.setattr(slides, "_moving_configs", _moving_configs_side_by_side)
     assert [_chord_rows(enumerate_near_chords(s)) for s in slides_seen] == per_side
+
+
+def test_a_near_chord_reached_twice_raises_naming_the_slide_and_both_kinds(monkeypatch):
+    import hfhat.slides as slides
+    from hfhat.homalg import StructureError
+
+    slide = ArcSlide(Z2, 5, 4)
+    ctx = SlideContext(slide)
+    configs = slides._moving_configs(ctx)
+    kind, src_chords, tgt_chords = next(c for c in configs if any(slides._complete(ctx, *c[1:])))
+    again = "7" if kind != "7" else "8"
+    monkeypatch.setattr(slides, "_moving_configs",
+                        lambda ctx: [*configs, (again, src_chords, tgt_chords)])
+    with pytest.raises(StructureError) as err:
+        enumerate_near_chords(slide)
+    message = str(err.value)
+    assert repr(slide) in message
+    assert f"kind {kind} and as kind {again}" in message
+
+
+def _support_jump_points(ctx, restricted):
+    """Source points where the restricted support multiplicity jumps, by a
+    scan over every source point but b1."""
+    points = [p for p in range(1, ctx.n + 1) if p != ctx.slide.b1]
+    jumps = set()
+    for k, p in enumerate(points):
+        below = restricted[k - 1] if k > 0 else 0
+        above = restricted[k] if k < len(restricted) else 0
+        if below != above:
+            jumps.add(p)
+    return jumps
+
+
+def test_kind_four_flags_match_the_support_jump_scan():
+    # a kind-4 near-chord of an over-slide is indeterminate when it covers
+    # the C-span and its restricted support jumps at c1 or c2
+    genus3_over = [s for s in all_arcslides(split_pmc(3)) if s.kind == "over"]
+    catalogue = [s for c in _reachable_circles(Z2) for s in all_arcslides(c)]
+    flags = Counter()
+    for slide in catalogue + genus3_over:
+        ctx = SlideContext(slide)
+        span = ctx.c_span
+        span_gaps = {ctx.src_gap[i] for i in range(span.start, span.end)} - {None}
+        for nc in enumerate_near_chords(ctx):
+            if nc.kind != "4":
+                continue
+            rl = ctx.restricted_left(nc.left)
+            jumps = _support_jump_points(ctx, rl)
+            want = (slide.kind == "over" and span_gaps <= {g for g, m in enumerate(rl) if m}
+                    and (slide.c1 in jumps or slide.c2 in jumps))
+            assert nc.indeterminate == want
+            flags[want] += 1
+    assert flags[True] and flags[False]
