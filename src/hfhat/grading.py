@@ -23,7 +23,8 @@ nonzero:
   k*(j_b + sum over j in supp b of b_j (h_{j-1} - h_{j+1})) to its j2;
 * arrow loop: for an arrow x -> y with coefficient c and representatives
   (jx, rx), (jy, ry), the loop gr(y)^-1 (lambda gr(c))^-1 gr(x) has chain
-  rx - ry - c and j2 = jx - jy - jc - 2 - t(ry, rx) + t(rx + ry, c);
+  rx - ry - c and j2 = jx - jy - jc - 2 - t(ry, rx) + t(rx + ry, c), which
+  is jx - jy - jc - 2 + t(rx + ry, ry + c) as t(ry, ry) = 0;
 * Mor arrow loops from the factors' arrows: a generator (x, a, y) of
   Mor(M, N) has rep X gr(a) gr(y), X the transported gr(x)^-1, and each
   of its arrows comes from one factor arrow.  A coefficient-differential
@@ -31,14 +32,19 @@ nonzero:
   from N's y -> y2 has N's own loop, whatever x and a are; an arrow from
   M's x0 -> x, whose coefficient is e_c on the consumed blocks and k on
   the kept one, has the loop g^-1 h g with g = gr(a) gr(y) and the core
-  h = gr(e_c)^-1 X0^-1 gr(k)^-1 lambda^-1 X, one per M-arrow;
+  h = gr(e_c)^-1 X0^-1 gr(k)^-1 lambda^-1 X, one per M-arrow: the arrow
+  loop of k from X to X0 gr(e_c).  ``arrow_loop`` evaluates every arrow
+  loop, of a structure's own arrows, of N's and of these cores;
 * conjugation: g^-1 h g = (j_h + 2 t(h, g), h), so a Mor arrow's loop
   costs one dot product against its core;
 * propagation step: with (jg, g) = lambda gr(c), the rep g^-1 (jx, rx)
   across an arrow walked forward is (jx - jg - t(g, rx), rx - g), and
   g (jx, rx) walked backward is (jx + jg + t(g, rx), rx + g);
 * propagation loop: gr(src)^-1 g gr(tgt) with gr(src) = (ja, a),
-  gr(tgt) = (jb, b) and m = g - a is (jb - ja + jg - t(a, g) + t(m, b), m + b);
+  gr(tgt) = (jb, b) and m = g - a is (jb - ja + jg - t(a, g) + t(m, b), m + b),
+  the inverse of the arrow loop.  Propagation keeps this form on its
+  (j2, chain) pairs: through ``arrow_loop`` (elements built, the loop
+  negated) it grades the 294 genus-2 catalogue bimodules 10-20% slower;
 * separator split: for k the index of a block separator,
   t(a, b) = t(a[:k], b[:k]) + t(a[k:], b[k:]), so elements on disjoint
   blocks commute and multiply by concatenation.  ``tensor`` joins its two
@@ -534,10 +540,17 @@ def loop_defects(loops, gradings: Gradings) -> list[GradingElement]:
     return out
 
 
+def arrow_loop(src: GradingElement, tgt: GradingElement, lam_c: GradingElement) -> tuple:
+    """The key (j2, chain) of the loop gr(tgt)^-1 lam_c^-1 gr(src) of an
+    arrow src -> tgt whose coefficient c has lam_c = lambda gr(c), by the
+    arrow loop of the module docstring."""
+    rx, ry = src.chain, tgt.chain
+    u = tuple(map(add, ry, lam_c.chain))
+    return src.j2 - tgt.j2 - lam_c.j2 + _twist2(tuple(map(add, rx, ry)), u), tuple(map(sub, rx, u))
+
+
 def _arrow_loop_parts(structure, gradings: Gradings):
-    """The loop h = gr(tgt)^-1 * (lambda*gr(coef))^-1 * gr(src) of each
-    arrow, in delta order, as its key (j2, chain), by the loop expansion of
-    the module docstring.
+    """The ``arrow_loop`` key of each arrow of the structure, in delta order.
 
     The structure's factor blocks end the grading's (a Mor stage is graded
     with the blocks it consumes in front of its factor's), so coefficients
@@ -547,19 +560,14 @@ def _arrow_loop_parts(structure, gradings: Gradings):
     if gradings.sizes[len(gradings.sizes) - len(sizes):] != sizes:
         raise ValueError("grading blocks do not end with the factor sizes")
     length = chain_length(gradings.sizes)
-    reps = {x: (g.j2, g.chain, _boundary(g.chain)) for x, g in gradings.reps.items()}
-    coef_terms: dict = {}  # coef -> (jc + 2, c placed on the trailing blocks, Dc)
+    reps = gradings.reps
+    lam_coefs: dict = {}  # coef -> lambda gr(coef), placed on the trailing blocks
     for x in structure.generators:
-        jx, rx, d_rx = reps[x]
         for y, coefs in structure.delta[x].items():
-            jy, ry, _ = reps[y]
-            j_xy = jx - jy - sum(map(mul, ry, d_rx))
             for coef in coefs:
-                terms = coef_terms.get(coef)
-                if terms is None:
+                lam_c = lam_coefs.get(coef)
+                if lam_c is None:
                     g = gr_coefficient(coef, sizes)
-                    c = (0,) * (length - len(g.chain)) + g.chain
-                    terms = coef_terms[coef] = (g.j2 + 2, c, _boundary(c))
-                jc, c, d_c = terms
-                j2 = j_xy - jc + sum(map(mul, map(add, rx, ry), d_c))
-                yield j2, tuple(map(sub, map(sub, rx, ry), c))
+                    lam_c = lam_coefs[coef] = GradingElement(
+                        g.j2 + 2, (0,) * (length - len(g.chain)) + g.chain)
+                yield arrow_loop(reps[x], reps[y], lam_c)

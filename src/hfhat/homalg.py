@@ -13,7 +13,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from operator import add, mul, sub
+from operator import add, mul
 
 from . import algebra as alg
 from .grading import (
@@ -22,6 +22,7 @@ from .grading import (
     ProductReps,
     StructureError,
     _boundary,
+    arrow_loop,
     chain_length,
     gr_coefficient,
     join,
@@ -221,6 +222,9 @@ def truncate(M: TypeDStructure) -> TypeDStructure:
 
 
 def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
+    """M x N over the union of their factor lists, graded by joining the
+    two grading sets; both structures must be graded."""
+    _require_gradings(M, N)
     out = TypeDStructure(M.factors + N.factors, name=f"({M.name})x({N.name})")
     for u in M.generators:
         for v in N.generators:
@@ -235,14 +239,19 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
             for v2, coefs in N.delta[v].items():
                 for c in coefs:
                     out.add_arrow((u, v), (u, v2), m_pad[u] + c)
-    if M.gradings is not None and N.gradings is not None:
-        m_reps, n_reps = M.gradings.reps, N.gradings.reps
-        m_one, n_one = (GradingElement(0, (0,) * chain_length(S.gradings.sizes)) for S in (M, N))
-        reps = {(u, v): join(m_reps[u], n_reps[v]) for u in M.generators for v in N.generators}
-        rels = [join(r, n_one) for r in M.gradings.relations]
-        rels += [join(m_one, r) for r in N.gradings.relations]
-        out.gradings = Gradings(M.gradings.sizes + N.gradings.sizes, reps, rels)
+    m_reps, n_reps = M.gradings.reps, N.gradings.reps
+    m_one, n_one = (GradingElement(0, (0,) * chain_length(S.gradings.sizes)) for S in (M, N))
+    reps = {(u, v): join(m_reps[u], n_reps[v]) for u in M.generators for v in N.generators}
+    rels = [join(r, n_one) for r in M.gradings.relations]
+    rels += [join(m_one, r) for r in N.gradings.relations]
+    out.gradings = Gradings(M.gradings.sizes + N.gradings.sizes, reps, rels)
     return out
+
+
+def _require_gradings(*structures: TypeDStructure) -> None:
+    for S in structures:
+        if S.gradings is None:
+            raise ValueError(f"{S.name or 'structure'} is ungraded; grade it before pairing")
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +294,11 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
     Generators are (x, coef, y) with one basic element of each consumed
     factor in coef.  The kept factor of M, if any, survives as a left
     action over its reversed circle, its coefficients carried through the
-    orientation-reversing map.  When both sides are graded, each arrow's
+    orientation-reversing map.  Both sides must be graded; each arrow's
     loop is tallied under the factor arrow that produced it
     (``_MorGrading``).
     """
+    _require_gradings(M, N)
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(M.factors)) if i != keep]
     reversals = [alg.reversal(M.factors[i].pmc) for i in kept]
@@ -296,9 +306,8 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
         [AlgebraFactor(rev, M.factors[i].truncated) for (rev, _), i in zip(reversals, kept)],
         name=f"Mor({M.name},{N.name})",
     )
-    graded = M.gradings is not None and N.gradings is not None
-    stage = _MorGrading(M, N, keep) if graded else None
-    tally = stage.tally if stage else Counter()  # unread when ungraded
+    stage = _MorGrading(M, N, keep)
+    tally = stage.tally
 
     per_pair: dict = {}
     ident: dict = {}  # x -> the identity coefficient of every generator (x, coef, y)
@@ -317,7 +326,7 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
                 out.add_generator((x, coef, y), idem)
 
     # arrows out of each y of N, with the key of their loop
-    outgoing = {y: [(y2, e, stage.n_loop(y, y2, e) if stage else None)
+    outgoing = {y: [(y2, e, stage.n_loop(y, y2, e))
                     for y2, coefs in N.delta[y].items() for e in coefs]
                 for y in N.generators}
     # arrows into each x of M, split once into consumed and (opposite) kept
@@ -329,7 +338,7 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
             for e in coefs:
                 e_c = tuple(e[i] for i in consumed)
                 k = tuple(alg.opposite_basic(e[i]) for i in kept)
-                parts.append((e_c, k, stage.core(x0, x1, e_c, k) if stage else (0, 0, ())))
+                parts.append((e_c, k, stage.core(x0, x1, e_c, k)))
             incoming.setdefault(x1, []).append((x0, parts))
 
     for x in M.generators:
@@ -344,7 +353,7 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
                     p = coef_multiply(N.factors, coef, e)
                     if p is not None:
                         tally[loop] += 1 if out.add_arrow(src, (x, p, y2), ident[x]) else -1
-                g = stage.g_chain(coef, y) if stage and into else ()
+                g = stage.g_chain(coef, y) if into else ()
                 for x0, parts in into:
                     for e, kept_part, (j2, chain, d_h) in parts:
                         p = coef_multiply(N.factors, e, coef)
@@ -352,8 +361,7 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
                             # g^-1 h g for the core h: one dot product
                             loop = (j2 - 2 * sum(map(mul, g, d_h)), chain)
                             tally[loop] += 1 if out.add_arrow(src, (x0, p, y), kept_part) else -1
-    if stage is not None:
-        _mor_gradings(out, stage)
+    _mor_gradings(out, stage)
     return out
 
 
@@ -382,16 +390,11 @@ class _MorGrading:
         consumed = [i for i in range(len(m_sizes)) if i != keep]
         self.sizes = tuple(m_sizes[i] for i in consumed + kept)
         self.eliminated = len(consumed) if kept else 0  # a final pairing keeps its blocks
-        self.consumed_sizes = [m_sizes[i] for i in consumed]
-        self.kept_sizes = [m_sizes[i] for i in kept]
+        self.consumed_sizes = tuple(m_sizes[i] for i in consumed)
+        self.kept_sizes = tuple(m_sizes[i] for i in kept)
         self.cut = chain_length(self.consumed_sizes)
-        self.kept_blocks = [(0,) * size for size in self.kept_sizes]
-        self.consumed_one = GradingElement(0, (0,) * self.cut)
-        kept_one = GradingElement(0, (0,) * chain_length(self.kept_sizes))
-
-        def padded(g: GradingElement) -> GradingElement:
-            # an element of N on the layout: the kept block, if any, is 0
-            return join(g, kept_one) if kept else g
+        self.length = chain_length(self.sizes)
+        self.pad = (0,) * (self.length - self.cut)  # the kept block and its separator, if any
 
         def transport(g: GradingElement) -> GradingElement:
             # a kept action is a right action read over the reversed circle,
@@ -400,25 +403,24 @@ class _MorGrading:
             tail = [tuple(reversed(blocks[i])) for i in kept]
             return GradingElement(g.j2, stack_blocks([blocks[i] for i in consumed] + tail))
 
-        self.x_rep = {x: transport(g) for x, g in M.gradings.reps.items()}
-        self.x_inv = {x: g.inverse() for x, g in self.x_rep.items()}
-        self.x_boundary = {x: _boundary(g.chain) for x, g in self.x_rep.items()}
-        self.y_rep = {y: padded(g) for y, g in N.gradings.reps.items()}
+        self.x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}
+        self.y_rep = {y: self.padded(g) for y, g in N.gradings.reps.items()}
         self.relations = [transport(r) for r in M.gradings.relations]
-        self.relations += [padded(r) for r in N.gradings.relations]
+        self.relations += [self.padded(r) for r in N.gradings.relations]
         self.coefs: dict = {}  # consumed coefficient -> its grading on the layout
-        self.kept_terms: dict = {}  # kept coefficient k -> (j2, chain, boundary) of gr(k)
-        self.chain_ids = {(0,) * chain_length(self.sizes): 0}  # _IDENTITY_LOOP's chain
+        self.kept_coefs: dict = {}  # kept coefficient k -> lambda gr(k) on the layout
+        self.chain_ids = {(0,) * self.length: 0}  # _IDENTITY_LOOP's chain
         self.tally: Counter = Counter()
 
+    def padded(self, g: GradingElement) -> GradingElement:
+        """An element of N on the layout: the kept block, if any, is 0."""
+        return GradingElement(g.j2, g.chain + self.pad)
+
     def coef(self, coef) -> GradingElement:
-        """gr(coef) of a consumed coefficient, its kept block zero."""
+        """gr(coef) of a consumed coefficient on the layout."""
         g = self.coefs.get(coef)
         if g is None:
-            if [len(a.supp) for a in coef] != self.consumed_sizes:
-                raise ValueError("coefficient does not match the factor sizes")
-            chain = stack_blocks([*(a.supp for a in coef), *self.kept_blocks])
-            g = self.coefs[coef] = GradingElement(sum(a.iota2 for a in coef), chain)
+            g = self.coefs[coef] = self.padded(gr_coefficient(coef, self.consumed_sizes))
         return g
 
     def _chain_id(self, chain) -> int:
@@ -427,34 +429,20 @@ class _MorGrading:
     def n_loop(self, y, y2, e) -> tuple:
         """The key of N's loop gr(y2)^-1 (lambda gr(e))^-1 gr(y)."""
         a = self.coef(e)
-        lam_a_inv = GradingElement(-a.j2 - 2, tuple(-v for v in a.chain))
-        loop = self.y_rep[y2].inverse() * lam_a_inv * self.y_rep[y]
-        return (loop.j2, self._chain_id(loop.chain))
+        j2, chain = arrow_loop(self.y_rep[y], self.y_rep[y2], GradingElement(a.j2 + 2, a.chain))
+        return (j2, self._chain_id(chain))
 
     def core(self, x0, x, e_c, k) -> tuple:
         """(j2, chain index, boundary of the chain[:cut]) of the core
         h = gr(e_c)^-1 X0^-1 (lambda gr(k))^-1 X of an arrow x0 -> x of M
-        with consumed part e_c and kept part k.
-
-        h is the arrow loop, in the closed form of the ``grading`` module
-        docstring, of an arrow with coefficient k from the rep X to the rep
-        X0 gr(e_c).  With c0 and r the transported gr(x0) and gr(x), and
-        u = c0 - k - e_c, it is (j_c0 - j_r - j_k - j_e - 2 - t(c0, k)
-        - t(u, r) + t(c0, e_c), u - r): t(e_c, k) = 0, as the two lie on
-        disjoint blocks.
-        """
-        terms = self.kept_terms.get(k)
-        if terms is None:
-            g = self.consumed_one  # a final pairing has no kept block
-            if k:
-                g = join(g, gr_coefficient(k, self.kept_sizes))
-            terms = self.kept_terms[k] = (g.j2, g.chain, _boundary(g.chain))
-        jk, c_k, d_k = terms
-        a, g0, g1 = self.coef(e_c), self.x_rep[x0], self.x_rep[x]
-        u = tuple(map(sub, map(sub, g0.chain, c_k), a.chain))
-        j2 = (g0.j2 - g1.j2 - jk - a.j2 - 2 - sum(map(mul, g0.chain, d_k))
-              - sum(map(mul, u, self.x_boundary[x])) - sum(map(mul, a.chain, self.x_boundary[x0])))
-        chain = tuple(map(sub, u, g1.chain))
+        with consumed part e_c and kept part k: the arrow loop of k from X
+        to X0 gr(e_c)."""
+        lam_k = self.kept_coefs.get(k)
+        if lam_k is None:
+            g = gr_coefficient(k, self.kept_sizes)  # k = () in a final pairing
+            lam_k = self.kept_coefs[k] = GradingElement(
+                g.j2 + 2, (0,) * (self.length - len(g.chain)) + g.chain)
+        j2, chain = arrow_loop(self.x_inv[x], self.x_inv[x0] * self.coef(e_c), lam_k)
         return (j2, self._chain_id(chain), _boundary(chain)[:self.cut])
 
     def g_chain(self, coef, y) -> tuple:

@@ -302,7 +302,7 @@ def apply_slides(module: TypeDStructure, slides, stats: list | None = None,
             if check:
                 raw.require_d_squared()
             reduced = cancel(raw)
-            if check and (reduced.gradings is None or arrow_defects(reduced, reduced.gradings)):
+            if check and arrow_defects(reduced, reduced.gradings):
                 raise StructureError("gradings disagree with its arrows")
         except StructureError as err:
             raise StructureError(f"stage {index} ({label}): {err}") from None

@@ -469,17 +469,18 @@ def _slide_terms(ctx, factors, chords):
     if any(len(label) == 2 and terms for label, terms in buckets.items()):
         raise StructureError(
             f"structural equation of {ctx.slide!r} has a nonzero cross term")
-    rows = [dict.fromkeys(buckets.get((i,), ()), 1) for i in range(len(unknowns))]
+    rows = [buckets.get((i,), set()) for i in range(len(unknowns))]
     values = _solve_f2(rows, buckets.get((), set()), ctx.slide)
     return determinate + chosen3 + [nc for nc, bit in zip(unknowns, values) if bit]
 
 
-def _solve_f2(rows: list[dict], target: set, slide: ArcSlide) -> list[int]:
-    """The solution of sum_i c_i * rows[i] = target over F2, sparse rows.
+def _solve_f2(rows: list[set], target: set, slide: ArcSlide) -> list[int]:
+    """The solution of sum_i c_i * rows[i] = target over F2, each row the
+    set of its nonzero entries.
 
     Raises, naming the slide, unless the solution exists and is unique.
     """
-    rows = [set(k for k, v in r.items() if v) for r in rows]
+    rows = [set(r) for r in rows]
     target = set(target)
     n = len(rows)
     combos = [{i} for i in range(n)]

@@ -293,6 +293,23 @@ def test_cancel_and_relabel_keep_the_lattice():
     assert stage.relabel().gradings.lattice is stage.gradings.lattice
 
 
+@pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("pairing", ["mor_complex", "mor_against_bimodule", "tensor"])
+def test_pairing_an_ungraded_structure_raises_naming_it(pairing, side):
+    h = cfd_zero_framed_handlebody(1)
+    fn, args = {
+        "mor_complex": (mor_complex, [h, h]),
+        "mor_against_bimodule": (lambda B, N: mor_against_bimodule(B, N, seam=0),
+                                 [arcslide_dd(ArcSlide(Z1, 2, 1)), h]),
+        "tensor": (tensor, [h, cfd_zero_framed_handlebody_reversed(1)]),
+    }[pairing]
+    bare = args[side].copy()  # arcslide_dd's bimodule is cached, so strip a copy
+    bare.name, bare.gradings = "bare-input", None
+    args[side] = bare
+    with pytest.raises(ValueError, match="bare-input is ungraded"):
+        fn(*args)
+
+
 def test_modules_isomorphic_detects_relabelling():
     dd = dd_identity(Z1)
     assert modules_isomorphic(dd, dd.relabel())

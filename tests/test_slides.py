@@ -386,12 +386,12 @@ def test_solve_f2_returns_the_unique_solution_or_raises():
     from hfhat.slides import _solve_f2
 
     slide = ArcSlide(Z2, 1, 2)
-    rows = [{"a": 1, "b": 1}, {"b": 1}, {"c": 1, "a": 0}]
+    rows = [{"a", "b"}, {"b"}, {"c"}]
     assert _solve_f2(rows, {"a", "c"}, slide) == [1, 1, 1]
     assert _solve_f2(rows, {"b"}, slide) == [0, 1, 0]
     assert _solve_f2(rows, set(), slide) == [0, 0, 0]
     with pytest.raises(StructureError, match="1-dimensional solution kernel") as err:
-        _solve_f2(rows + [{"a": 1}], {"a"}, slide)
+        _solve_f2(rows + [{"a"}], {"a"}, slide)
     assert repr(slide) in str(err.value)
     with pytest.raises(StructureError, match="unsatisfiable") as err:
         _solve_f2(rows, {"d"}, slide)
