@@ -33,7 +33,7 @@ from .manifolds import (
     poincare_sphere,
     spinc_maslov,
 )
-from .ainfty import DualIdentityBimodule, MinimalModel, box_closed_dg
+from .ainfty import DualIdentityBimodule, MinimalModel
 
 __all__ = [
     "ArcSlide",
@@ -51,7 +51,6 @@ __all__ = [
     "antipodal_pmc",
     "arcslide_dd",
     "basis",
-    "box_closed_dg",
     "cancel",
     "cfd_self_gluing",
     "cfd_zero_framed_handlebody",

@@ -315,11 +315,7 @@ def full_basis(pmc: PointedMatchedCircle) -> list[StrandsGenerator]:
             if len({pmc.pair_of(s) for s in starts}) != num_moving:
                 continue
             for moving in _assignments(pmc, starts):
-                used = {pmc.pair_of(p) for m in moving for p in m}
-                free = [h for h in range(pmc.n_pairs) if h not in used]
-                for size in range(len(free) + 1):
-                    for hs in combinations(free, size):
-                        out.append(StrandsGenerator(pmc, moving, hs))
+                out.extend(completions(pmc, moving))
     out.sort(key=StrandsGenerator.sort_key)
     table.basis = out
     return out
@@ -362,6 +358,17 @@ def _assignments(pmc, starts, chosen=()):
         yield from _assignments(pmc, starts[1:], chosen + ((s, e),))
 
 
+def completions(pmc: PointedMatchedCircle, moving):
+    """Every diagram with the moving strands ``moving``: one for each set of
+    the pairs they leave free as horizontals, by size and then in
+    ``combinations`` order."""
+    used = {pmc.pair_of(p) for m in moving for p in m}
+    free = [h for h in range(pmc.n_pairs) if h not in used]
+    for size in range(len(free) + 1):
+        for hs in combinations(free, size):
+            yield StrandsGenerator(pmc, moving, hs)
+
+
 def chordset_element(pmc: PointedMatchedCircle, chords, weight: int | None = None) -> frozenset:
     """Sum over all valid horizontal completions of several moving strands.
 
@@ -374,15 +381,7 @@ def chordset_element(pmc: PointedMatchedCircle, chords, weight: int | None = Non
         StrandsGenerator(pmc, moving, ())
     except ValueError:
         return frozenset()
-    used = {pmc.pair_of(p) for m in moving for p in m}
-    free = [h for h in range(pmc.n_pairs) if h not in used]
-    out = set()
-    for size in range(len(free) + 1):
-        if weight is not None and len(moving) + size - pmc.genus != weight:
-            continue
-        for hs in combinations(free, size):
-            out.add(StrandsGenerator(pmc, moving, hs))
-    return frozenset(out)
+    return frozenset(a for a in completions(pmc, moving) if weight is None or a.weight == weight)
 
 
 def opposite_basic(a: StrandsGenerator) -> StrandsGenerator:

@@ -33,10 +33,10 @@ nonzero:
   M's x0 -> x, whose coefficient is e_c on the consumed blocks and k on
   the kept one, has the loop g^-1 h g with g = gr(a) gr(y) and the core
   h = gr(e_c)^-1 X0^-1 gr(k)^-1 lambda^-1 X, one per M-arrow: the arrow
-  loop of k from X to X0 gr(e_c).  ``arrow_loop`` evaluates every arrow
-  loop, of a structure's own arrows, of N's and of these cores;
-* conjugation: g^-1 h g = (j_h + 2 t(h, g), h), so a Mor arrow's loop
-  costs one dot product against its core;
+  loop of k from X to X0 gr(e_c).  ``MorGrading`` keys N's loops and the
+  cores through ``arrow_loop``, the one evaluation of every arrow loop;
+* conjugation: g^-1 h g = (j_h + 2 t(h, g), h), so ``MorGrading`` keys a
+  Mor arrow's loop by one dot product of g against its core;
 * propagation step: with (jg, g) = lambda gr(c), the rep g^-1 (jx, rx)
   across an arrow walked forward is (jx - jg - t(g, rx), rx - g), and
   g (jx, rx) walked backward is (jx + jg + t(g, rx), rx + g);
@@ -47,13 +47,14 @@ nonzero:
   negated) it grades the 294 genus-2 catalogue bimodules 10-20% slower;
 * separator split: for k the index of a block separator,
   t(a, b) = t(a[:k], b[:k]) + t(a[k:], b[k:]), so elements on disjoint
-  blocks commute and multiply by concatenation.  ``tensor`` joins its two
-  sides' gradings this way, and ``Gradings.eliminate`` drops leading
-  blocks that every generator shares.
+  blocks commute and multiply by concatenation.  ``join_gradings`` joins
+  a tensor product's two sides' gradings this way, and
+  ``Gradings.eliminate`` drops leading blocks that every generator shares.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from copy import copy
 from dataclasses import dataclass
@@ -149,6 +150,15 @@ def join(g: GradingElement, h: GradingElement) -> GradingElement:
     separator split, their chains concatenate across one separator, which
     stays when a side is one block of size 0.  Both sides need blocks."""
     return GradingElement(g.j2 + h.j2, (*g.chain, 0, *h.chain))
+
+
+def join_gradings(m: Gradings, n: Gradings, generators) -> Gradings:
+    """A tensor product's grading set on its generators (u, v): m's blocks
+    then n's, each side's reps and relations joined with the other's."""
+    m_one, n_one = (GradingElement(0, (0,) * chain_length(g.sizes)) for g in (m, n))
+    reps = {(u, v): join(m.reps[u], n.reps[v]) for u, v in generators}
+    relations = [join(r, n_one) for r in m.relations] + [join(m_one, r) for r in n.relations]
+    return Gradings(m.sizes + n.sizes, reps, relations)
 
 
 def gr_coefficient(coef: tuple[StrandsGenerator, ...], sizes: tuple[int, ...]) -> GradingElement:
@@ -571,3 +581,106 @@ def _arrow_loop_parts(structure, gradings: Gradings):
                     lam_c = lam_coefs[coef] = GradingElement(
                         g.j2 + 2, (0,) * (length - len(g.chain)) + g.chain)
                 yield arrow_loop(reps[x], reps[y], lam_c)
+
+
+# ---------------------------------------------------------------------------
+# Morphism-complex gradings
+
+
+class MorGrading:
+    """The grading pieces of Mor(M, N) and the tally of its arrow loops.
+
+    The layout is M's ``consumed`` blocks, which are N's blocks, and then
+    the ``kept`` factor's block reversed, if any, so N's reps and the
+    consumed coefficients sit at offset 0.  A generator (x, a, y) has the rep
+    X gr(a) gr(y), X the transported gr(x)^-1.
+
+    Each arrow's loop is read from the factor arrow that produced it (the
+    Mor loops of the module docstring) and keyed (j2, chain index), chains
+    numbered by value in ``chain_ids``.  ``tally`` counts a loop +1 for
+    every coefficient the complex gains and -1 for every one it toggles
+    away, so the loops with a positive count are exactly the loops of the
+    complex's arrows.
+    """
+
+    IDENTITY_LOOP = (0, 0)  # the key of a coefficient-differential arrow's loop
+
+    def __init__(self, m: Gradings, n: Gradings, consumed: list, kept: list):
+        self.sizes = tuple(m.sizes[i] for i in consumed + kept)
+        self.eliminated = len(consumed) if kept else 0  # a final pairing keeps its blocks
+        self.consumed_sizes = tuple(m.sizes[i] for i in consumed)
+        self.kept_sizes = tuple(m.sizes[i] for i in kept)
+        self.cut = chain_length(self.consumed_sizes)
+        self.length = chain_length(self.sizes)
+        self.pad = (0,) * (self.length - self.cut)  # the kept block and its separator, if any
+
+        def transport(g: GradingElement) -> GradingElement:
+            # a kept action is a right action read over the reversed circle,
+            # whose grading group is the opposite one: its block is reversed
+            blocks = split_blocks(g.chain, m.sizes)
+            tail = [tuple(reversed(blocks[i])) for i in kept]
+            return GradingElement(g.j2, stack_blocks([blocks[i] for i in consumed] + tail))
+
+        self.x_inv = {x: transport(g).inverse() for x, g in m.reps.items()}
+        self.y_rep = {y: self.padded(g) for y, g in n.reps.items()}
+        self.relations = [transport(r) for r in m.relations]
+        self.relations += [self.padded(r) for r in n.relations]
+        self.coefs: dict = {}  # consumed coefficient -> its grading on the layout
+        self.chain_ids = {(0,) * self.length: 0}  # IDENTITY_LOOP's chain
+        self.tally: Counter = Counter()
+
+    def padded(self, g: GradingElement) -> GradingElement:
+        """An element of N on the layout: the kept block, if any, is 0."""
+        return GradingElement(g.j2, g.chain + self.pad)
+
+    def coef(self, coef) -> GradingElement:
+        """gr(coef) of a consumed coefficient on the layout."""
+        g = self.coefs.get(coef)
+        if g is None:
+            g = self.coefs[coef] = self.padded(gr_coefficient(coef, self.consumed_sizes))
+        return g
+
+    def _chain_id(self, chain) -> int:
+        return self.chain_ids.setdefault(chain, len(self.chain_ids))
+
+    def n_loop(self, y, y2, e) -> tuple:
+        """The key of N's loop gr(y2)^-1 (lambda gr(e))^-1 gr(y)."""
+        a = self.coef(e)
+        j2, chain = arrow_loop(self.y_rep[y], self.y_rep[y2], GradingElement(a.j2 + 2, a.chain))
+        return (j2, self._chain_id(chain))
+
+    def core(self, x0, x, e_c, k) -> tuple:
+        """(j2, chain index, boundary of the chain[:cut]) of the core
+        h = gr(e_c)^-1 X0^-1 (lambda gr(k))^-1 X of an arrow x0 -> x of M
+        with consumed part e_c and kept part k: the arrow loop of k from X
+        to X0 gr(e_c)."""
+        g = gr_coefficient(k, self.kept_sizes)  # k = () in a final pairing
+        lam_k = GradingElement(g.j2 + 2, (0,) * (self.length - len(g.chain)) + g.chain)
+        j2, chain = arrow_loop(self.x_inv[x], self.x_inv[x0] * self.coef(e_c), lam_k)
+        return (j2, self._chain_id(chain), _boundary(chain)[:self.cut])
+
+    def conjugator(self, coef, y) -> tuple:
+        """The chain of g = gr(coef) gr(y) on the consumed blocks, where it
+        lives: what conjugates the cores of the arrows out of (x, coef, y)."""
+        return tuple(map(add, self.coef(coef).chain[:self.cut], self.y_rep[y].chain[:self.cut]))
+
+    @staticmethod
+    def m_loop(core, g) -> tuple:
+        """The key of the loop g^-1 h g of an M-arrow with core h and
+        conjugator g: one dot product against the core's boundary."""
+        j2, chain, d_h = core
+        return (j2 - 2 * sum(map(mul, g, d_h)), chain)
+
+    def loops(self) -> list:
+        """The distinct loops (j2, chain) with a positive count, in
+        first-seen order."""
+        chains = list(self.chain_ids)
+        return [(j2, chains[c]) for (j2, c), n in self.tally.items() if n > 0]
+
+    def gradings(self, generators) -> Gradings:
+        """The grading set of the generators (x, a, y) on the layout, each
+        rep a product built on read."""
+        x_inv, y_rep, coef = self.x_inv, self.y_rep, self.coef
+        reps = ProductReps({key: (x_inv[key[0]], coef(key[1]), y_rep[key[2]])
+                            for key in generators})
+        return Gradings(self.sizes, reps, self.relations)

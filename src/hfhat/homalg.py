@@ -3,33 +3,25 @@
 A structure holds generators with one idempotent per algebra factor and a
 sparse delta whose coefficients are tuples of basic strands generators, one
 per factor.  An F2 chain complex is the degenerate case with no factors.
-The morphism complexes, tensor products, and arrow cancellation all
-operate uniformly on this representation.
+This module builds, pairs (morphism complexes, tensor products) and
+reduces (arrow cancellation) structures; ``grading`` lays out and grades
+what they produce (``MorGrading``, ``join_gradings``).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from operator import add, mul
 
 from . import algebra as alg
 from .grading import (
-    GradingElement,
     Gradings,
-    ProductReps,
+    MorGrading,
     StructureError,
-    _boundary,
-    arrow_loop,
-    chain_length,
-    gr_coefficient,
-    join,
+    join_gradings,
     loop_defects,
     propagate_gradings,
-    split_blocks,
-    stack_blocks,
 )
 from .pmc import PointedMatchedCircle
 
@@ -239,12 +231,7 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
             for v2, coefs in N.delta[v].items():
                 for c in coefs:
                     out.add_arrow((u, v), (u, v2), m_pad[u] + c)
-    m_reps, n_reps = M.gradings.reps, N.gradings.reps
-    m_one, n_one = (GradingElement(0, (0,) * chain_length(S.gradings.sizes)) for S in (M, N))
-    reps = {(u, v): join(m_reps[u], n_reps[v]) for u in M.generators for v in N.generators}
-    rels = [join(r, n_one) for r in M.gradings.relations]
-    rels += [join(m_one, r) for r in N.gradings.relations]
-    out.gradings = Gradings(M.gradings.sizes + N.gradings.sizes, reps, rels)
+    out.gradings = join_gradings(M.gradings, N.gradings, out.generators)
     return out
 
 
@@ -294,9 +281,10 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
     Generators are (x, coef, y) with one basic element of each consumed
     factor in coef.  The kept factor of M, if any, survives as a left
     action over its reversed circle, its coefficients carried through the
-    orientation-reversing map.  Both sides must be graded; each arrow's
-    loop is tallied under the factor arrow that produced it
-    (``_MorGrading``).
+    orientation-reversing map.  Both sides must be graded.  Each arrow's
+    loop is tallied under the key that ``MorGrading`` gives the factor
+    arrow that produced it: an N-arrow's key as is, an M-arrow's core
+    conjugated by the source's ``conjugator``.
     """
     _require_gradings(M, N)
     kept = [] if keep is None else [keep]
@@ -306,7 +294,7 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
         [AlgebraFactor(rev, M.factors[i].truncated) for (rev, _), i in zip(reversals, kept)],
         name=f"Mor({M.name},{N.name})",
     )
-    stage = _MorGrading(M, N, keep)
+    stage = MorGrading(M.gradings, N.gradings, consumed, kept)
     tally = stage.tally
 
     per_pair: dict = {}
@@ -348,125 +336,26 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
                 src = (x, coef, y)
                 for term in coef_differential(N.factors, coef):
                     added = out.add_arrow(src, (x, term, y), ident[x])
-                    tally[_IDENTITY_LOOP] += 1 if added else -1
+                    tally[stage.IDENTITY_LOOP] += 1 if added else -1
                 for y2, e, loop in outgoing[y]:
                     p = coef_multiply(N.factors, coef, e)
                     if p is not None:
                         tally[loop] += 1 if out.add_arrow(src, (x, p, y2), ident[x]) else -1
-                g = stage.g_chain(coef, y) if into else ()
+                g = stage.conjugator(coef, y) if into else ()
                 for x0, parts in into:
-                    for e, kept_part, (j2, chain, d_h) in parts:
+                    for e, kept_part, core in parts:
                         p = coef_multiply(N.factors, e, coef)
                         if p is not None:
-                            # g^-1 h g for the core h: one dot product
-                            loop = (j2 - 2 * sum(map(mul, g, d_h)), chain)
-                            tally[loop] += 1 if out.add_arrow(src, (x0, p, y), kept_part) else -1
+                            added = out.add_arrow(src, (x0, p, y), kept_part)
+                            tally[stage.m_loop(core, g)] += 1 if added else -1
     _mor_gradings(out, stage)
     return out
 
 
-_IDENTITY_LOOP = (0, 0)  # the identity loop's key in every ``_MorGrading``
-
-
-class _MorGrading:
-    """The grading pieces of Mor(M, N) and the tally of its arrow loops.
-
-    The layout is M's consumed blocks, which are N's blocks, and then the
-    kept factor's block, if any, so N's reps and the consumed coefficients
-    sit at offset 0.  A generator (x, a, y) has the rep X gr(a) gr(y), X
-    the transported gr(x)^-1.
-
-    Each arrow's loop is read from the factor arrow that produced it (the
-    Mor loops of the ``grading`` module docstring) and keyed (j2, chain
-    index), chains numbered by value in ``chain_ids``.  ``tally`` counts a
-    loop +1 for every coefficient ``add_arrow`` adds and -1 for every one
-    it toggles away, so the loops with a positive count are exactly the
-    loops of the complex's arrows.
-    """
-
-    def __init__(self, M: TypeDStructure, N: TypeDStructure, keep):
-        m_sizes = M.gradings.sizes
-        kept = [] if keep is None else [keep]
-        consumed = [i for i in range(len(m_sizes)) if i != keep]
-        self.sizes = tuple(m_sizes[i] for i in consumed + kept)
-        self.eliminated = len(consumed) if kept else 0  # a final pairing keeps its blocks
-        self.consumed_sizes = tuple(m_sizes[i] for i in consumed)
-        self.kept_sizes = tuple(m_sizes[i] for i in kept)
-        self.cut = chain_length(self.consumed_sizes)
-        self.length = chain_length(self.sizes)
-        self.pad = (0,) * (self.length - self.cut)  # the kept block and its separator, if any
-
-        def transport(g: GradingElement) -> GradingElement:
-            # a kept action is a right action read over the reversed circle,
-            # whose grading group is the opposite one: its block is reversed
-            blocks = split_blocks(g.chain, m_sizes)
-            tail = [tuple(reversed(blocks[i])) for i in kept]
-            return GradingElement(g.j2, stack_blocks([blocks[i] for i in consumed] + tail))
-
-        self.x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}
-        self.y_rep = {y: self.padded(g) for y, g in N.gradings.reps.items()}
-        self.relations = [transport(r) for r in M.gradings.relations]
-        self.relations += [self.padded(r) for r in N.gradings.relations]
-        self.coefs: dict = {}  # consumed coefficient -> its grading on the layout
-        self.kept_coefs: dict = {}  # kept coefficient k -> lambda gr(k) on the layout
-        self.chain_ids = {(0,) * self.length: 0}  # _IDENTITY_LOOP's chain
-        self.tally: Counter = Counter()
-
-    def padded(self, g: GradingElement) -> GradingElement:
-        """An element of N on the layout: the kept block, if any, is 0."""
-        return GradingElement(g.j2, g.chain + self.pad)
-
-    def coef(self, coef) -> GradingElement:
-        """gr(coef) of a consumed coefficient on the layout."""
-        g = self.coefs.get(coef)
-        if g is None:
-            g = self.coefs[coef] = self.padded(gr_coefficient(coef, self.consumed_sizes))
-        return g
-
-    def _chain_id(self, chain) -> int:
-        return self.chain_ids.setdefault(chain, len(self.chain_ids))
-
-    def n_loop(self, y, y2, e) -> tuple:
-        """The key of N's loop gr(y2)^-1 (lambda gr(e))^-1 gr(y)."""
-        a = self.coef(e)
-        j2, chain = arrow_loop(self.y_rep[y], self.y_rep[y2], GradingElement(a.j2 + 2, a.chain))
-        return (j2, self._chain_id(chain))
-
-    def core(self, x0, x, e_c, k) -> tuple:
-        """(j2, chain index, boundary of the chain[:cut]) of the core
-        h = gr(e_c)^-1 X0^-1 (lambda gr(k))^-1 X of an arrow x0 -> x of M
-        with consumed part e_c and kept part k: the arrow loop of k from X
-        to X0 gr(e_c)."""
-        lam_k = self.kept_coefs.get(k)
-        if lam_k is None:
-            g = gr_coefficient(k, self.kept_sizes)  # k = () in a final pairing
-            lam_k = self.kept_coefs[k] = GradingElement(
-                g.j2 + 2, (0,) * (self.length - len(g.chain)) + g.chain)
-        j2, chain = arrow_loop(self.x_inv[x], self.x_inv[x0] * self.coef(e_c), lam_k)
-        return (j2, self._chain_id(chain), _boundary(chain)[:self.cut])
-
-    def g_chain(self, coef, y) -> tuple:
-        """The chain of g = gr(a) gr(y) on the consumed blocks, where it lives."""
-        return tuple(map(add, self.coef(coef).chain[:self.cut], self.y_rep[y].chain[:self.cut]))
-
-    def loops(self) -> list:
-        """The distinct loops (j2, chain) with a positive count, in
-        first-seen order."""
-        chains = list(self.chain_ids)
-        return [(j2, chains[c]) for (j2, c), n in self.tally.items() if n > 0]
-
-    def gradings(self, out: TypeDStructure) -> Gradings:
-        """The grading set on the layout, each rep a product built on read."""
-        x_inv, y_rep, coef = self.x_inv, self.y_rep, self.coef
-        reps = ProductReps({key: (x_inv[key[0]], coef(key[1]), y_rep[key[2]])
-                            for key in out.generators})
-        return Gradings(self.sizes, reps, self.relations)
-
-
-def _mor_gradings(out: TypeDStructure, stage: _MorGrading) -> None:
+def _mor_gradings(out: TypeDStructure, stage: MorGrading) -> None:
     """Gradings of a morphism complex: the coset of gr(x)^-1 gr'(a) gr(y).
 
-    The set is laid out as ``_MorGrading`` says.  The loops that ``_mor``
+    The set is laid out as ``MorGrading`` says.  The loops that ``_mor``
     tallied, one per distinct loop of an arrow, are checked on that
     layout.  A stage then eliminates the consumed blocks, leaving exactly
     its factor's block; a final pairing keeps them, since there the
@@ -474,7 +363,7 @@ def _mor_gradings(out: TypeDStructure, stage: _MorGrading) -> None:
     checked, but its rep is built only when it is first read, so a stage
     builds the reps of the generators that ``cancel`` keeps.
     """
-    grad = stage.gradings(out)
+    grad = stage.gradings(out.generators)
     defects = loop_defects(stage.loops(), grad)
     if defects:
         grad = Gradings(grad.sizes, grad.reps, grad.lattice.generators() + defects)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import algebra as alg
 from .algebra import StrandsGenerator
@@ -96,17 +95,13 @@ def cfd_self_gluing(pmc: PointedMatchedCircle) -> TypeDStructure:
         s, t = n - radius, n + radius + 1
         if s < 1 or t > big.n_points:
             continue
-        ps, pt = big.pair_of(s), big.pair_of(t)
-        if ps == pt:
+        if big.pair_of(s) == big.pair_of(t):
             continue
-        free = [h for h in range(big.n_pairs) if h not in (ps, pt)]
-        for size in range(len(free) + 1):
-            for hs in combinations(free, size):
-                a = StrandsGenerator(big, [(s, t)], hs)
-                src = tuple(sorted(a.left_pairs))
-                tgt = tuple(sorted(a.right_pairs))
-                if src in out.idem and tgt in out.idem:
-                    out.add_arrow(src, tgt, (a,))
+        for a in alg.completions(big, [(s, t)]):
+            src = tuple(sorted(a.left_pairs))
+            tgt = tuple(sorted(a.right_pairs))
+            if src in out.idem and tgt in out.idem:
+                out.add_arrow(src, tgt, (a,))
     out.propagate_gradings()
     return out
 

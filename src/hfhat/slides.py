@@ -57,15 +57,12 @@ def matched_chord_terms(pmc, rev, rpm, chord: Chord):
     ps, pt = pmc.pair_of(s), pmc.pair_of(t)
     if ps == pt:
         return
-    free = [h for h in range(pmc.n_pairs) if h not in (ps, pt)]
     ro_s, ro_t = reverse_point(pmc, t), reverse_point(pmc, s)
-    for size in range(len(free) + 1):
-        for hs in combinations(free, size):
-            aL = StrandsGenerator(pmc, [(s, t)], hs)
-            comp = [p for p in range(pmc.n_pairs) if p not in aL.left_pairs]
-            horiz_o = [rpm[p] for p in comp if p != pt]
-            aR = StrandsGenerator(rev, [(ro_s, ro_t)], horiz_o)
-            yield aL, aR
+    for aL in alg.completions(pmc, [(s, t)]):
+        comp = [p for p in range(pmc.n_pairs) if p not in aL.left_pairs]
+        horiz_o = [rpm[p] for p in comp if p != pt]
+        aR = StrandsGenerator(rev, [(ro_s, ro_t)], horiz_o)
+        yield aL, aR
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Comparisons of type D structures that the tests make.
 
 The pipeline reduces structures and reads their gradings; the tests also
-compare reduced models up to relabelling, and count the homology of bare
-complexes.
+compare reduced models up to relabelling, count the homology of bare
+complexes, and close the dg identity bimodule's two strict actions by the
+box tensor product, a second route to a closed manifold's rank.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+from hfhat.ainfty import DualIdentityBimodule
 from hfhat.homalg import TypeDStructure, cancel
 
 
@@ -61,3 +63,39 @@ def homology_rank(C: TypeDStructure) -> int:
     if C.factors:
         raise ValueError("homology is for bare complexes; cancel modules first")
     return len(cancel(C).generators)
+
+
+def box_closed_dg(module: DualIdentityBimodule, N_lambda: TypeDStructure,
+                  N_rho: TypeDStructure) -> TypeDStructure:
+    """Close both strict actions of the dg identity bimodule.
+
+    With only a differential and two strict actions, the box differential
+    needs single delta steps and no homotopy trees, so no boundedness
+    hypotheses enter.
+    """
+    out = TypeDStructure((), name="box(dg)")
+    triples = [
+        (b, u, v)
+        for b in module.basis
+        for u in N_lambda.generators
+        if b[1].left_pairs == N_lambda.idem[u][0]
+        for v in N_rho.generators
+        if b[2].right_pairs == N_rho.idem[v][0]
+    ]
+    for key in triples:
+        out.add_generator(key, ())
+    for b, u, v in triples:
+        for b2 in module.differential(b):
+            if (b2, u, v) in out.idem:
+                out.add_arrow((b, u, v), (b2, u, v), ())
+        for u2, cs in N_lambda.delta[u].items():
+            for c in cs:
+                for b2 in module.act(frozenset({b}), "lambda", c[0]):
+                    if (b2, u2, v) in out.idem:
+                        out.add_arrow((b, u, v), (b2, u2, v), ())
+        for v2, cs in N_rho.delta[v].items():
+            for c in cs:
+                for b2 in module.act(frozenset({b}), "rho", c[0]):
+                    if (b2, u, v2) in out.idem:
+                        out.add_arrow((b, u, v), (b2, u, v2), ())
+    return out

@@ -231,7 +231,7 @@ def test_criterion_6_property_suites():
 
 
 def test_criterion_7_cross_path_ranks():
-    from hfhat.ainfty import box_closed_dg
+    from module_checks import box_closed_dg
     from hfhat.manifolds import cfd_zero_framed_handlebody_reversed
 
     rng = random.Random(41)

@@ -165,7 +165,7 @@ def test_ainfty_relations_exhaustive_short_inputs():
 def test_cross_path_ranks_on_random_words():
     import random
 
-    from hfhat.ainfty import box_closed_dg
+    from module_checks import box_closed_dg
     from hfhat.manifolds import cfd_zero_framed_handlebody_reversed
 
     rng = random.Random(23)

@@ -42,3 +42,28 @@ def test_the_unused_import_scan_sees_a_stray_import():
     source = "from __future__ import annotations\nfrom operator import add, sub\n\nx = add\n"
     assert _unused_imports(source) == ["sub (line 2)"]
     assert _unused_imports("import os.path\n__all__ = ['os']\n") == []
+
+
+def _private_imports(source: str) -> list[str]:
+    """The underscore-prefixed names a module imports from a module of the
+    package, by a relative import or by the package's name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "hfhat"):
+            out += [f"{alias.name} (line {node.lineno})"
+                    for alias in node.names if alias.name.startswith("_")]
+    return out
+
+
+def test_no_module_imports_a_private_name_from_another():
+    src = Path(hfhat.__file__).parent
+    private = {path.name: _private_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: names for name, names in private.items() if names} == {}
+
+
+def test_the_private_import_scan_sees_a_private_name():
+    source = ("from .grading import _boundary, join\nfrom hfhat.algebra import _strands\n"
+              "from os import _exit\nfrom . import _cache, pmc\n")
+    assert _private_imports(source) == ["_boundary (line 1)", "_strands (line 2)",
+                                        "_cache (line 4)"]
