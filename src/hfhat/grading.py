@@ -33,8 +33,8 @@ nonzero:
   M's x0 -> x, whose coefficient is e_c on the consumed blocks and k on
   the kept one, has the loop g^-1 h g with g = gr(a) gr(y) and the core
   h = gr(e_c)^-1 X0^-1 gr(k)^-1 lambda^-1 X, one per M-arrow: the arrow
-  loop of k from X to X0 gr(e_c).  ``MorGrading`` keys N's loops and the
-  cores through ``arrow_loop``, the one evaluation of every arrow loop;
+  loop of k from X to X0 gr(e_c).  ``MorGrading`` and ``MorPlan`` key these
+  loops through ``arrow_loop``, the one evaluation of every arrow loop;
 * conjugation: g^-1 h g = (j_h + 2 t(h, g), h), so ``MorGrading`` keys a
   Mor arrow's loop by one dot product of g against its core;
 * propagation step: with (jg, g) = lambda gr(c), the rep g^-1 (jx, rx)
@@ -587,25 +587,15 @@ def _arrow_loop_parts(structure, gradings: Gradings):
 # Morphism-complex gradings
 
 
-class MorGrading:
-    """The grading pieces of Mor(M, N) and the tally of its arrow loops.
-
-    The layout is M's ``consumed`` blocks, which are N's blocks, and then
-    the ``kept`` factor's block reversed, if any, so N's reps and the
-    consumed coefficients sit at offset 0.  A generator (x, a, y) has the rep
-    X gr(a) gr(y), X the transported gr(x)^-1.
-
-    Each arrow's loop is read from the factor arrow that produced it (the
-    Mor loops of the module docstring) and keyed (j2, chain index), chains
-    numbered by value in ``chain_ids``.  ``tally`` counts a loop +1 for
-    every coefficient the complex gains and -1 for every one it toggles
-    away, so the loops with a positive count are exactly the loops of the
-    complex's arrows.
+class MorPlan:
+    """What the grading of Mor(M, N) takes from M alone: the layout (M's
+    ``consumed`` blocks, which are N's, then the ``kept`` factor's block
+    reversed, if any), M's reps and relations on it, the cores of M's
+    arrows with the table numbering their chains, and a memo of
+    coefficient gradings, the one part that grows once the plan is built.
     """
 
-    IDENTITY_LOOP = (0, 0)  # the key of a coefficient-differential arrow's loop
-
-    def __init__(self, m: Gradings, n: Gradings, consumed: list, kept: list):
+    def __init__(self, m: Gradings, consumed: list, kept: list):
         self.sizes = tuple(m.sizes[i] for i in consumed + kept)
         self.eliminated = len(consumed) if kept else 0  # a final pairing keeps its blocks
         self.consumed_sizes = tuple(m.sizes[i] for i in consumed)
@@ -622,12 +612,9 @@ class MorGrading:
             return GradingElement(g.j2, stack_blocks([blocks[i] for i in consumed] + tail))
 
         self.x_inv = {x: transport(g).inverse() for x, g in m.reps.items()}
-        self.y_rep = {y: self.padded(g) for y, g in n.reps.items()}
         self.relations = [transport(r) for r in m.relations]
-        self.relations += [self.padded(r) for r in n.relations]
         self.coefs: dict = {}  # consumed coefficient -> its grading on the layout
-        self.chain_ids = {(0,) * self.length: 0}  # IDENTITY_LOOP's chain
-        self.tally: Counter = Counter()
+        self.chain_ids = {(0,) * self.length: 0}  # chain -> its id; 0 is IDENTITY_LOOP's
 
     def padded(self, g: GradingElement) -> GradingElement:
         """An element of N on the layout: the kept block, if any, is 0."""
@@ -640,15 +627,6 @@ class MorGrading:
             g = self.coefs[coef] = self.padded(gr_coefficient(coef, self.consumed_sizes))
         return g
 
-    def _chain_id(self, chain) -> int:
-        return self.chain_ids.setdefault(chain, len(self.chain_ids))
-
-    def n_loop(self, y, y2, e) -> tuple:
-        """The key of N's loop gr(y2)^-1 (lambda gr(e))^-1 gr(y)."""
-        a = self.coef(e)
-        j2, chain = arrow_loop(self.y_rep[y], self.y_rep[y2], GradingElement(a.j2 + 2, a.chain))
-        return (j2, self._chain_id(chain))
-
     def core(self, x0, x, e_c, k) -> tuple:
         """(j2, chain index, boundary of the chain[:cut]) of the core
         h = gr(e_c)^-1 X0^-1 (lambda gr(k))^-1 X of an arrow x0 -> x of M
@@ -657,12 +635,41 @@ class MorGrading:
         g = gr_coefficient(k, self.kept_sizes)  # k = () in a final pairing
         lam_k = GradingElement(g.j2 + 2, (0,) * (self.length - len(g.chain)) + g.chain)
         j2, chain = arrow_loop(self.x_inv[x], self.x_inv[x0] * self.coef(e_c), lam_k)
-        return (j2, self._chain_id(chain), _boundary(chain)[:self.cut])
+        chain_id = self.chain_ids.setdefault(chain, len(self.chain_ids))
+        return (j2, chain_id, _boundary(chain)[:self.cut])
+
+
+class MorGrading:
+    """The grading of one Mor(M, N) over M's ``plan``: generator i is
+    ``names[i]`` = (x, a, y), with the rep X gr(a) gr(y), X the transported
+    gr(x)^-1.  Each arrow's loop is read from the factor arrow that
+    produced it (the Mor loops of the module docstring) and keyed (j2,
+    chain index), chains numbered in ``chain_ids``, which extends the
+    plan's.  ``tally`` counts a loop +1 for every coefficient the complex
+    gains and -1 for every one it toggles away, so the loops with a
+    positive count are exactly the loops of the complex's arrows.
+    """
+
+    IDENTITY_LOOP = (0, 0)  # the key of a coefficient-differential arrow's loop
+
+    def __init__(self, plan: MorPlan, n: Gradings):
+        self.plan = plan
+        self.y_rep = {y: plan.padded(g) for y, g in n.reps.items()}
+        self.relations = plan.relations + [plan.padded(r) for r in n.relations]
+        self.chain_ids = dict(plan.chain_ids)
+        self.tally, self.names = Counter(), []  # names: set by the builder
+
+    def n_loop(self, y, y2, e) -> tuple:
+        """The key of N's loop gr(y2)^-1 (lambda gr(e))^-1 gr(y)."""
+        a = self.plan.coef(e)
+        j2, chain = arrow_loop(self.y_rep[y], self.y_rep[y2], GradingElement(a.j2 + 2, a.chain))
+        return (j2, self.chain_ids.setdefault(chain, len(self.chain_ids)))
 
     def conjugator(self, coef, y) -> tuple:
         """The chain of g = gr(coef) gr(y) on the consumed blocks, where it
         lives: what conjugates the cores of the arrows out of (x, coef, y)."""
-        return tuple(map(add, self.coef(coef).chain[:self.cut], self.y_rep[y].chain[:self.cut]))
+        cut = self.plan.cut
+        return tuple(map(add, self.plan.coef(coef).chain[:cut], self.y_rep[y].chain[:cut]))
 
     @staticmethod
     def m_loop(core, g) -> tuple:
@@ -678,9 +685,8 @@ class MorGrading:
         return [(j2, chains[c]) for (j2, c), n in self.tally.items() if n > 0]
 
     def gradings(self, generators) -> Gradings:
-        """The grading set of the generators (x, a, y) on the layout, each
+        """The grading set of the numbered generators on the layout, each
         rep a product built on read."""
-        x_inv, y_rep, coef = self.x_inv, self.y_rep, self.coef
-        reps = ProductReps({key: (x_inv[key[0]], coef(key[1]), y_rep[key[2]])
-                            for key in generators})
-        return Gradings(self.sizes, reps, self.relations)
+        x_inv, y_rep, coef = self.plan.x_inv, self.y_rep, self.plan.coef
+        reps = {i: (x_inv[x], coef(a), y_rep[y]) for i in generators for x, a, y in [self.names[i]]}
+        return Gradings(self.plan.sizes, ProductReps(reps), self.relations)

@@ -275,12 +275,14 @@ def apply_slides(module: TypeDStructure, slides, stats: list | None = None,
     leaves a module over the slide's target circle; a ('cobordism',)
     marker pairs the elementary cobordism's second factor with it and
     raises the boundary genus by one.  Over a truncated module each
-    step's bimodule is projected with ``truncate``.  With ``check``, every
-    stage must have d^2 = 0 and, once reduced, gradings that agree with
-    each of its arrows.  A ``StructureError`` raised while a stage is
-    built, graded or reduced names the stage.
+    distinct bimodule is projected with ``truncate`` once.  Stages come
+    numbered.  With ``check``, every stage must have d^2 = 0 and, once
+    reduced, gradings that agree with each of its arrows.  A
+    ``StructureError`` raised while a stage is built, graded or reduced
+    names the stage.
     """
     current = module
+    projected: dict = {}  # bimodule -> its image over the truncated algebras
     for index, step in enumerate(slides, 1):
         slide = isinstance(step, ArcSlide)
         label = f"slide at {step.b1} over {step.c1}" if slide else "cobordism"
@@ -290,10 +292,12 @@ def apply_slides(module: TypeDStructure, slides, stats: list | None = None,
             else:
                 bim, seam = dd_elementary_cobordism(reverse_pmc(current.factors[0].pmc)), 1
             if module.factors[0].truncated:
-                bim = truncate(bim)
+                if bim not in projected:
+                    projected[bim] = truncate(bim)
+                bim = projected[bim]
             if bim.factors[seam] != current.factors[0]:
                 raise WordError(f"stage {index} ({label}) does not act on the module's circle")
-            raw = mor_against_bimodule(bim, current, seam=seam).relabel()
+            raw = mor_against_bimodule(bim, current, seam=seam)
             if check:
                 raw.require_d_squared()
             reduced = cancel(raw)

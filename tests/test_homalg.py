@@ -1,3 +1,4 @@
+import gc
 import heapq
 import json
 import random
@@ -230,13 +231,29 @@ def test_mor_complex_boundary_squared_zero():
     assert C.verify_d_squared()
 
 
-def test_mor_self_contains_identity_cycle():
+def _stage_names(monkeypatch):
+    """The names (x, coef, y) of each Mor complex's generators, by number,
+    in build order, read where ``_mor`` hands the complex to its grading."""
+    names = []
+    mor_gradings = homalg._mor_gradings
+
+    def recorded(out, stage):
+        names.append(stage.names)
+        mor_gradings(out, stage)
+
+    monkeypatch.setattr(homalg, "_mor_gradings", recorded)
+    return names
+
+
+def test_mor_self_contains_identity_cycle(monkeypatch):
+    names = _stage_names(monkeypatch)
     h = cfd_zero_framed_handlebody(2)
     C = mor_complex(h, h)
     ident = ("x", tuple(idempotent(Z2, sorted(h.idem["x"][0])) for _ in range(1)), "x")
-    assert ident in set(C.generators)
+    assert ident in set(names[-1])
+    assert names[-1].index(ident) in set(C.generators)
     # the identity morphism is a cycle
-    assert not C.delta[ident]
+    assert not C.delta[names[-1].index(ident)]
 
 
 def test_identity_pairing_rank_two():
@@ -634,9 +651,10 @@ def _eliminate_inputs(monkeypatch):
     return inputs
 
 
-def _assert_same_mor(new, graded, old, wrap, ordered_rows):
-    """Equal complexes once the old keys (x, a, y) are mapped by ``wrap``;
-    ``graded`` is the grading set the new builder eliminated from.
+def _assert_same_mor(new, graded, names, old, wrap, ordered_rows):
+    """Equal complexes once the old keys (x, a, y) are mapped by ``wrap``
+    and numbered by ``relabel``; ``names`` are the new builder's names by
+    number, and ``graded`` is the grading set it eliminated from.
 
     The old pairing took a coefficient's differential terms in set order,
     the old slide stage (and the new builder) factor by factor, so only a
@@ -646,18 +664,18 @@ def _assert_same_mor(new, graded, old, wrap, ordered_rows):
         x, a, y = g
         return (x, wrap(a), y)
 
+    assert names == [key(g) for g in old.sorted_generators()]
+    old = old.relabel()
     assert new.factors == old.factors
-    assert new.generators == [key(g) for g in old.generators]
-    assert new.idem == {key(g): idem for g, idem in old.idem.items()}
-    old_delta = {key(x): {key(y): coefs for y, coefs in row.items()}
-                 for x, row in old.delta.items()}
-    assert new.delta == old_delta
+    assert new.generators == old.generators
+    assert new.idem == old.idem
+    assert new.delta == old.delta
     if ordered_rows:
-        assert [list(row) for row in new.delta.values()] == [list(row) for row in old_delta.values()]
+        assert [list(row) for row in new.delta.values()] == [list(row) for row in old.delta.values()]
     assert (new.gradings is None) == (old.gradings is None)
     if new.gradings is not None:
         assert graded.sizes == old.gradings.sizes
-        assert graded.reps == {key(g): rep for g, rep in old.gradings.reps.items()}
+        assert graded.reps == old.gradings.reps
         assert graded.relations == old.gradings.relations
         assert graded.lattice.lambda_torsion2 == old.gradings.lattice.lambda_torsion2
     return new
@@ -665,16 +683,18 @@ def _assert_same_mor(new, graded, old, wrap, ordered_rows):
 
 def test_mor_builder_matches_the_two_earlier_builders(monkeypatch):
     inputs = _eliminate_inputs(monkeypatch)
+    names = _stage_names(monkeypatch)
 
     def check_stage(B, N, seam):
         new = mor_against_bimodule(B, N, seam=seam)
-        _assert_same_mor(new, inputs[-1], _old_mor_against_bimodule(B, N, seam),
+        _assert_same_mor(new, inputs[-1], names[-1], _old_mor_against_bimodule(B, N, seam),
                          lambda a: (a,), True)
-        return cancel(new.relabel())
+        return cancel(new)
 
     def check_pairing(M, N):
         new = mor_complex(M, N)
-        return _assert_same_mor(new, inputs[-1], _old_mor_complex(M, N), lambda a: a, False)
+        return _assert_same_mor(new, inputs[-1], names[-1], _old_mor_complex(M, N),
+                                lambda a: a, False)
 
     for truncated in (False, True):
         def over(structure):
@@ -774,9 +794,10 @@ def _route_mor_defects(monkeypatch, compare):
     return built
 
 
-def _product_mor_reps(out, M, N, keep):
+def _product_mor_reps(out, names, M, N, keep):
     """Mor reps as two full-length products, x_inv[x] * ga * y_rep[y], on
-    the consumed blocks followed by the kept one."""
+    the consumed blocks followed by the kept one; generator i is named
+    names[i] = (x, coef, y)."""
     m_sizes = M.gradings.sizes
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(m_sizes)) if i != keep]
@@ -791,10 +812,10 @@ def _product_mor_reps(out, M, N, keep):
     x_inv = {x: transport(g).inverse() for x, g in M.gradings.reps.items()}
     y_rep = {y: place(g, length, 0) for y, g in N.gradings.reps.items()}
     consumed_sizes = [m_sizes[i] for i in consumed]
-    return {(x, coef, y): x_inv[x]
+    return {i: x_inv[x]
             * place(grading.gr_coefficient(coef, consumed_sizes), length, 0)
             * y_rep[y]
-            for x, coef, y in out.generators}
+            for i in out.generators for x, coef, y in [names[i]]}
 
 
 def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkeypatch):
@@ -817,10 +838,11 @@ def test_split_reps_and_loops_match_full_length_products_on_a_seeded_word(monkey
 
     mor = homalg._mor
     inputs = _eliminate_inputs(monkeypatch)
+    names = _stage_names(monkeypatch)
 
     def compared_mor(M, N, keep):
         out = mor(M, N, keep)
-        assert inputs[-1].reps == _product_mor_reps(out, M, N, keep)
+        assert inputs[-1].reps == _product_mor_reps(out, names[-1], M, N, keep)
         stages.append(len(inputs[-1].sizes))
         assert out.gradings.sizes == out.factor_sizes()
         return out
@@ -1256,12 +1278,13 @@ def test_reps_built_on_read_equal_the_products_and_the_eager_elimination(monkeyp
     it the rep and relations of the eager elimination."""
     mor = homalg._mor
     inputs = _eliminate_inputs(monkeypatch)
+    names = _stage_names(monkeypatch)
     checked = []
 
     def compared(M, N, keep):
         out = mor(M, N, keep)
         full = inputs[-1]
-        assert dict(full.reps) == _product_mor_reps(out, M, N, keep)
+        assert dict(full.reps) == _product_mor_reps(out, names[-1], M, N, keep)
         eager = _eager_eliminate(full, len(full.sizes) - len(out.factors) if out.factors else 0)
         assert dict(out.gradings.reps) == eager.reps
         assert out.gradings.relations == eager.relations
@@ -1297,3 +1320,156 @@ def test_a_poincare_run_builds_only_the_reps_it_reads(monkeypatch, capsys):
     survivors = sum(stage["after"] for stage in result["stages"])
     assert survivors + 1 <= len(built) <= 120
     assert sum(stage["before"] for stage in result["stages"]) + result["mor_generators"] == 4620
+
+
+# Mor stages numbered as they are built, and the per-bimodule plan
+
+
+def _tuple_keyed_mor(M, N, keep):
+    """``_mor`` as it stood before it numbered its generators: keys
+    (x, coef, y) added one by one, arrows through ``add_arrow``, on a
+    plan of its own.  It is graded on those keys."""
+    kept = [] if keep is None else [keep]
+    consumed = [i for i in range(len(M.factors)) if i != keep]
+    reversals = [alg.reversal(M.factors[i].pmc) for i in kept]
+    out = TypeDStructure(
+        [AlgebraFactor(rev, M.factors[i].truncated) for (rev, _), i in zip(reversals, kept)],
+        name=f"Mor({M.name},{N.name})",
+    )
+    plan = grading.MorPlan(M.gradings, consumed, kept)
+    incoming = {}
+    for x0 in M.generators:
+        for x1, coefs in M.delta[x0].items():
+            parts = []
+            for e in coefs:
+                e_c = tuple(e[i] for i in consumed)
+                k = tuple(alg.opposite_basic(e[i]) for i in kept)
+                parts.append((e_c, k, plan.core(x0, x1, e_c, k)))
+            incoming.setdefault(x1, []).append((x0, parts))
+    stage = grading.MorGrading(plan, N.gradings)
+    tally = stage.tally
+    per_pair, ident = {}, {}
+    for x in M.generators:
+        idem = tuple(alg.pair_set(rev, (rpm[p] for p in M.idem[x][i]))
+                     for (rev, rpm), i in zip(reversals, kept))
+        ident[x] = homalg.identity_coef(out.factors, idem)
+        for y in N.generators:
+            choices = [alg.basics_between(N.factors[k].pmc, M.idem[x][i], N.idem[y][k],
+                                          N.factors[k].truncated)
+                       for k, i in enumerate(consumed)]
+            per_pair[x, y] = list(product(*choices))
+            for coef in per_pair[x, y]:
+                out.add_generator((x, coef, y), idem)
+    outgoing = {y: [(y2, e, stage.n_loop(y, y2, e))
+                    for y2, coefs in N.delta[y].items() for e in coefs]
+                for y in N.generators}
+    for x in M.generators:
+        into = incoming.get(x, ())
+        for y in N.generators:
+            for coef in per_pair[x, y]:
+                src = (x, coef, y)
+                for term in coef_differential(N.factors, coef):
+                    added = out.add_arrow(src, (x, term, y), ident[x])
+                    tally[stage.IDENTITY_LOOP] += 1 if added else -1
+                for y2, e, loop in outgoing[y]:
+                    p = coef_multiply(N.factors, coef, e)
+                    if p is not None:
+                        tally[loop] += 1 if out.add_arrow(src, (x, p, y2), ident[x]) else -1
+                g = stage.conjugator(coef, y) if into else ()
+                for x0, parts in into:
+                    for e, kept_part, core in parts:
+                        p = coef_multiply(N.factors, e, coef)
+                        if p is not None:
+                            added = out.add_arrow(src, (x0, p, y), kept_part)
+                            tally[stage.m_loop(core, g)] += 1 if added else -1
+    stage.names = {g: g for g in out.generators}
+    homalg._mor_gradings(out, stage)
+    return out
+
+
+def _assert_same_stage(new, old):
+    """The same structure, generator order, row order, reps and relations."""
+    assert new.factors == old.factors and new.name == old.name
+    assert new.generators == old.generators
+    assert list(new.idem.items()) == list(old.idem.items())
+    assert list(new.delta) == list(old.delta)
+    for x in new.generators:
+        assert list(new.delta[x].items()) == list(old.delta[x].items())
+    assert new.gradings.sizes == old.gradings.sizes
+    assert list(new.gradings.reps) == list(old.gradings.reps)
+    assert dict(new.gradings.reps) == dict(old.gradings.reps)
+    assert new.gradings.relations == old.gradings.relations
+
+
+def test_stages_are_numbered_as_relabel_numbers_the_tuple_keyed_build(monkeypatch, capsys):
+    """Every Mor complex of the presets, plain and truncated, of L(3,1)
+    with either final pairing and of the 20-slide word (3,4) (2,3) ten
+    times: name i is the i-th name in repr order, and the complex is the
+    tuple-keyed build renamed by ``relabel``."""
+    names = _stage_names(monkeypatch)
+    mor = homalg._mor
+    checked = []
+
+    def compared(M, N, keep):
+        new = mor(M, N, keep)
+        new_names = names[-1]
+        assert new_names == sorted(new_names, key=repr)
+        old = _tuple_keyed_mor(M, N, keep)
+        assert new_names == old.sorted_generators()
+        _assert_same_stage(new, old.relabel())
+        checked.append(len(new.generators))
+        return new
+
+    monkeypatch.setattr(homalg, "_mor", compared)
+    for preset in ("poincare", "s1xs2-g1", "s1xs2-g2", "self-gluing-g1"):
+        for truncated in (False, True):
+            argv = ["--truncated"] * truncated + ["--output", "json", "hf-hat", "--preset", preset]
+            assert main(argv) == 0
+    capsys.readouterr()
+    for final in ("hom", "identity"):
+        manifolds.hf_hat_closed(manifolds.MappingWord(1, [("twist", 1, 3)]), final=final)
+    twenty = manifolds.MappingWord(2, [("slide", b, c) for _ in range(10)
+                                       for b, c in ((3, 4), (2, 3))])
+    for truncated in (False, True):
+        manifolds.hf_hat_closed(twenty, truncated=truncated)
+    # stages and a final pairing: 2 * (11 + 1 + 1 + 9) for the presets,
+    # 2 * 4 for L(3,1) and 2 * 21 for the word
+    assert len(checked) == 44 + 8 + 42 and sum(checked) > 10000
+
+
+def _snapshot(S):
+    """Every container of a structure, copied down to its immutable values."""
+    g = S.gradings
+    return (list(S.generators), dict(S.idem), {x: dict(row) for x, row in S.delta.items()},
+            g, g.sizes, dict(g.reps), list(g.relations))
+
+
+def test_a_warm_plan_builds_the_stage_a_cold_one_does_and_writes_no_bimodule():
+    """A stage against a bimodule whose plan was built by earlier stages
+    equals one against a fresh copy of it, along a word that repeats two
+    slides, and a copy's plan goes with the copy; a full Poincare run,
+    which reuses the plans of the cached bimodules, leaves every cached
+    bimodule as it was."""
+    slides = manifolds.MappingWord(2, manifolds.poincare_twist_tokens()).expand()
+    module = cancel(cfd_self_gluing(Z1))
+    for s in slides:
+        bim = arcslide_dd(s)
+        warm = mor_against_bimodule(bim, module, seam=0)
+        cold_bim = bim.copy()
+        assert cold_bim not in homalg._plans
+        cold = mor_against_bimodule(cold_bim, module, seam=0)
+        assert homalg._plans[bim][1] is not homalg._plans[cold_bim][1]
+        _assert_same_stage(warm, cold)
+        module = cancel(warm)
+        plans = len(homalg._plans)
+        del cold_bim
+        gc.collect()
+        assert len(homalg._plans) == plans - 1
+    cached = [arcslide_dd(s) for s in slides]
+    assert len({id(b) for b in cached}) == 2
+    before = [_snapshot(b) for b in cached]
+    manifolds.poincare_sphere()
+    after = [_snapshot(b) for b in cached]
+    for old, new in zip(before, after):
+        assert new[3] is old[3]
+        assert new == old

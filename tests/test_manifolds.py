@@ -279,7 +279,7 @@ def _stepwise_cfd_bordered(start_genus, steps, stats):
     for step in steps:
         if step[0] == "cobordism":
             base = reverse_pmc(cur)
-            raw = mor_against_bimodule(dd_elementary_cobordism(base), module, seam=1).relabel()
+            raw = mor_against_bimodule(dd_elementary_cobordism(base), module, seam=1)
             module = cancel(raw)
             stats.append((len(raw.generators), len(module.generators)))
             cur = reverse_pmc(connected_sum(base, split_pmc(1)))
@@ -289,7 +289,7 @@ def _stepwise_cfd_bordered(start_genus, steps, stats):
         else:
             batch = [ArcSlide(cur, step[1], step[2])]
         for s in batch:
-            raw = mor_against_bimodule(arcslide_dd(s), module, seam=0).relabel()
+            raw = mor_against_bimodule(arcslide_dd(s), module, seam=0)
             module = cancel(raw)
             stats.append((len(raw.generators), len(module.generators)))
         if batch:
@@ -382,3 +382,30 @@ def test_seeded_genus_two_twist_words_pass_the_checked_run():
         orders.append(h1_order(word.expand(), 2))
     # two rational homology spheres among them, with 2 and 6 spin-c structures
     assert sorted(o for o in orders if o) == [2, 6]
+
+
+def test_a_truncated_run_projects_each_distinct_bimodule_once(monkeypatch):
+    """The truncated Poincare run pairs against 2 distinct slide
+    bimodules over 10 stages; each is projected once, and the run gives
+    what pairing each stage against its own projection gives."""
+    base = cancel(manifolds.truncate(cfd_self_gluing(Z1)))
+    module, stages = base, []
+    for s in MappingWord(2, manifolds.poincare_twist_tokens()).expand():
+        raw = mor_against_bimodule(manifolds.truncate(arcslide_dd(s)), module, seam=0)
+        module = cancel(raw)
+        stages.append((len(raw.generators), len(module.generators)))
+    pairing = mor_complex(base, module)
+    projected = []
+    truncate = manifolds.truncate
+
+    def counted(structure):
+        if len(structure.factors) == 2:
+            projected.append(structure)
+        return truncate(structure)
+
+    monkeypatch.setattr(manifolds, "truncate", counted)
+    result = manifolds.poincare_sphere(truncated=True)
+    assert len(projected) == len({id(b) for b in projected}) == 2
+    assert result.stages == stages
+    assert result.orbits == spinc_maslov(pairing)
+    assert result.mor_rank == len(pairing.generators)
