@@ -577,10 +577,15 @@ def _arrow_loop_parts(structure, gradings: Gradings):
             for coef in coefs:
                 lam_c = lam_coefs.get(coef)
                 if lam_c is None:
-                    g = gr_coefficient(coef, sizes)
-                    lam_c = lam_coefs[coef] = GradingElement(
-                        g.j2 + 2, (0,) * (length - len(g.chain)) + g.chain)
+                    lam_c = lam_coefs[coef] = _lambda_gr(coef, sizes, length)
                 yield arrow_loop(reps[x], reps[y], lam_c)
+
+
+def _lambda_gr(coef, sizes, length: int) -> GradingElement:
+    """lambda gr(coef) on the trailing blocks of a chain of ``length``; an
+    empty coefficient over no blocks gives lambda alone."""
+    g = gr_coefficient(coef, sizes)
+    return GradingElement(g.j2 + 2, (0,) * (length - len(g.chain)) + g.chain)
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +637,7 @@ class MorPlan:
         h = gr(e_c)^-1 X0^-1 (lambda gr(k))^-1 X of an arrow x0 -> x of M
         with consumed part e_c and kept part k: the arrow loop of k from X
         to X0 gr(e_c)."""
-        g = gr_coefficient(k, self.kept_sizes)  # k = () in a final pairing
-        lam_k = GradingElement(g.j2 + 2, (0,) * (self.length - len(g.chain)) + g.chain)
+        lam_k = _lambda_gr(k, self.kept_sizes, self.length)  # k = () in a final pairing
         j2, chain = arrow_loop(self.x_inv[x], self.x_inv[x0] * self.coef(e_c), lam_k)
         chain_id = self.chain_ids.setdefault(chain, len(self.chain_ids))
         return (j2, chain_id, _boundary(chain)[:self.cut])
@@ -641,13 +645,14 @@ class MorPlan:
 
 class MorGrading:
     """The grading of one Mor(M, N) over M's ``plan``: generator i is
-    ``names[i]`` = (x, a, y), with the rep X gr(a) gr(y), X the transported
-    gr(x)^-1.  Each arrow's loop is read from the factor arrow that
-    produced it (the Mor loops of the module docstring) and keyed (j2,
-    chain index), chains numbered in ``chain_ids``, which extends the
-    plan's.  ``tally`` counts a loop +1 for every coefficient the complex
-    gains and -1 for every one it toggles away, so the loops with a
-    positive count are exactly the loops of the complex's arrows.
+    ``names[i]`` = (x, a, y), the i-th triple built, with the rep
+    X gr(a) gr(y), X the transported gr(x)^-1.  Each arrow's loop is read
+    from the factor arrow that produced it (the Mor loops of the module
+    docstring) and keyed (j2, chain index), chains numbered in
+    ``chain_ids``, which extends the plan's.  ``tally`` counts a loop +1
+    for every coefficient the complex gains and -1 for every one it
+    toggles away, so the loops with a positive count are exactly the loops
+    of the complex's arrows.
     """
 
     IDENTITY_LOOP = (0, 0)  # the key of a coefficient-differential arrow's loop
@@ -657,7 +662,7 @@ class MorGrading:
         self.y_rep = {y: plan.padded(g) for y, g in n.reps.items()}
         self.relations = plan.relations + [plan.padded(r) for r in n.relations]
         self.chain_ids = dict(plan.chain_ids)
-        self.tally, self.names = Counter(), []  # names: set by the builder
+        self.tally, self.names = Counter(), []  # names: appended by the builder
 
     def n_loop(self, y, y2, e) -> tuple:
         """The key of N's loop gr(y2)^-1 (lambda gr(e))^-1 gr(y)."""
@@ -684,9 +689,9 @@ class MorGrading:
         chains = list(self.chain_ids)
         return [(j2, chains[c]) for (j2, c), n in self.tally.items() if n > 0]
 
-    def gradings(self, generators) -> Gradings:
-        """The grading set of the numbered generators on the layout, each
-        rep a product built on read."""
+    def gradings(self) -> Gradings:
+        """The grading set of the generators 0, 1, ... named by ``names``
+        on the layout, each rep a product built on read."""
         x_inv, y_rep, coef = self.plan.x_inv, self.y_rep, self.plan.coef
-        reps = {i: (x_inv[x], coef(a), y_rep[y]) for i in generators for x, a, y in [self.names[i]]}
+        reps = {i: (x_inv[x], coef(a), y_rep[y]) for i, (x, a, y) in enumerate(self.names)}
         return Gradings(self.plan.sizes, ProductReps(reps), self.relations)

@@ -126,8 +126,8 @@ class TypeDStructure:
 
     def relabel(self) -> "TypeDStructure":
         """Rename each generator to its place in ``sorted_generators()``,
-        keeping their order.  Mor stages come numbered so (``_mor``), so the
-        pipeline never calls this; tests and perfbench's trace still do."""
+        keeping their order.  The pipeline never calls this; tests and
+        perfbench's trace still do."""
         order = {g: i for i, g in enumerate(self.sorted_generators())}
         out = TypeDStructure(self.factors, self.name)
         for g in self.generators:
@@ -313,53 +313,48 @@ def _mor_plan(M: TypeDStructure, keep) -> tuple:
                 parts.append((e_c, k, grading.core(x0, x1, e_c, k)))
             incoming.setdefault(x1, []).append((x0, parts))
     plans[keep] = (consumed, factors, idem, {x: identity_coef(factors, i) for x, i in idem.items()},
-                   incoming, {x: r for r, x in enumerate(sorted(M.generators, key=repr))}, grading)
+                   incoming, grading)
     return plans[keep]
 
 
 def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
     """Mor(M, N) with every factor of M but ``keep`` consumed against N's.
 
-    Generator i is the i-th in repr order of the triples (x, coef, y), one
-    basic element of each consumed factor in coef, as ``relabel`` would
-    number it; ``MorGrading.names`` keeps the triples.  Each part's repr
-    is an int or closes its brackets, so that order is by the parts'
-    ranks.  The kept factor of M, if any, survives as a left action over
+    Generator i is the i-th triple (x, coef, y) built, one basic element
+    of each consumed factor in coef; ``MorGrading.names`` keeps the
+    triples.  The kept factor of M, if any, survives as a left action over
     its reversed circle, its coefficients carried through the
     orientation-reversing map.  Both sides must be graded.  M's plan holds
     what depends on M alone.  Each arrow's loop is tallied under the key
     that ``MorGrading`` gives the factor arrow that produced it.
     """
     _require_gradings(M, N)
-    consumed, factors, idem, ident, incoming, rank, plan = _mor_plan(M, keep)
+    consumed, factors, idem, ident, incoming, plan = _mor_plan(M, keep)
     out = TypeDStructure(factors, name=f"Mor({M.name},{N.name})")
     stage = MorGrading(plan, N.gradings)
-    # (x, y, the coefficients of its generators), in build order
-    blocks = [(x, y, list(product(*[
-        alg.basics_between(f.pmc, M.idem[x][i], N.idem[y][k], f.truncated)
-        for k, (i, f) in enumerate(zip(consumed, N.factors))])))
-        for x in M.generators for y in N.generators]
-    coef_rank = {c: r for r, c in enumerate(sorted({c for b in blocks for c in b[2]}, key=repr))}
-    y_rank = {y: r for r, y in enumerate(sorted(N.generators, key=repr))}
-    built = [(x, c, y) for x, y, coefs in blocks for c in coefs]
-    keys = [(rank[x], coef_rank[c], y_rank[y]) for x, c, y in built]
-    order = sorted(range(len(built)), key=keys.__getitem__)
-    stage.names = [built[p] for p in order]
-    out.generators = sorted(range(len(order)), key=order.__getitem__)
-    numbers = iter(out.generators)
-    index = {(x, y): {c: next(numbers) for c in coefs} for x, y, coefs in blocks}
+    names = stage.names
+    index: dict = {}  # (x, y) -> {coef: the number of (x, coef, y)}, in build order
+    for x in M.generators:
+        for y in N.generators:
+            index[x, y] = here = {}
+            for coef in product(*[
+                    alg.basics_between(f.pmc, M.idem[x][i], N.idem[y][k], f.truncated)
+                    for k, (i, f) in enumerate(zip(consumed, N.factors))]):
+                here[coef] = len(names)
+                names.append((x, coef, y))
+    out.generators = list(range(len(names)))
 
     # arrows out of each y of N, with the key of their loop
     outgoing = {y: [(y2, e, stage.n_loop(y, y2, e))
                     for y2, coefs in N.delta[y].items() for e in coefs]
                 for y in N.generators}
-    for x, y, coefs in blocks:
-        here, idem_x, unit = index[x, y], idem[x], ident[x]
+    for (x, y), here in index.items():
+        idem_x, unit = idem[x], ident[x]
         ahead = [(index[x, y2], e, loop) for y2, e, loop in outgoing[y]]
         behind = [(index[x0, y], parts) for x0, parts in incoming.get(x, ())]
-        for coef in coefs:
-            out.idem[here[coef]] = idem_x
-            row = out.delta[here[coef]] = {}
+        for coef, i in here.items():
+            out.idem[i] = idem_x
+            row = out.delta[i] = {}
             for term in coef_differential(N.factors, coef):
                 stage.tally[stage.IDENTITY_LOOP] += 1 if _toggle(row, here[term], unit) else -1
             for there, e, loop in ahead:
@@ -388,7 +383,7 @@ def _mor_gradings(out: TypeDStructure, stage: MorGrading) -> None:
     checked, but its rep is built only when it is first read, so a stage
     builds the reps of the generators that ``cancel`` keeps.
     """
-    grad = stage.gradings(out.generators)
+    grad = stage.gradings()
     defects = loop_defects(stage.loops(), grad)
     if defects:
         grad = Gradings(grad.sizes, grad.reps, grad.lattice.generators() + defects)
@@ -430,11 +425,11 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
     splices the remaining arrows through its inverse.  The pivot is the
     arrow x -> y of least Markowitz cost (|back(y)| - 1) * (|delta(x)| - 1),
     which keeps fill-in small; ties go to the least (rank x, rank y), where
-    rank is the position in ``sorted_generators()`` and a nonzero
-    ``order_seed`` rotates it.  A heap holds the candidate arrows; after a
-    splice only arrows at the generators it touched are pushed again, and
-    entries that no longer match the structure are dropped when popped.
-    Gradings of surviving generators carry over unchanged.
+    rank is the position in M's generators and a nonzero ``order_seed``
+    rotates it.  A heap holds the candidate arrows; after a splice only
+    arrows at the generators it touched are pushed again, and entries
+    that no longer match the structure are dropped when popped.  Gradings
+    of surviving generators carry over unchanged.
 
     For a bare complex, a ``retract`` dict is filled with the strong
     deformation retract the pivots compose to: "f" sends each survivor to
@@ -450,8 +445,7 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
     for x in out.generators:
         for y in delta[x]:
             back[y].add(x)
-    order = out.sorted_generators()
-    rank = {g: (i - order_seed) % len(order) for i, g in enumerate(order)}
+    rank = {g: (i - order_seed) % len(out.generators) for i, g in enumerate(out.generators)}
     heap: list = []  # (cost, rank x, rank y, x, y); the ranks make entries unique
     # the one idempotent coefficient an arrow out of x can carry
     identity = {x: out.idempotent_coef(x) for x in out.generators}
@@ -513,12 +507,9 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
                             p = coef_multiply(out.factors, left, cz)
                             if p is None:
                                 continue
-                            entry = delta[w].setdefault(z, frozenset()) ^ {p}
-                            if entry:
-                                delta[w][z] = entry
+                            if _toggle(delta[w], z, p):
                                 back[z].add(w)
-                            else:
-                                del delta[w][z]
+                            elif z not in delta[w]:
                                 back[z].discard(w)
         # only arrows out of these rows or into these columns change cost or appear
         sources = (back[x] | back[y]) - {x, y}

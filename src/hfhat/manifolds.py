@@ -346,9 +346,10 @@ class ClosedResult:
 def spinc_maslov(complex_: TypeDStructure) -> list[dict]:
     """Split a reduced complex into lambda orbits with relative degrees.
 
-    Each generator joins the first orbit whose base it shares a lambda
-    orbit with; the one lattice reduction per base tried also reads its
-    degree.  A degree that is not an integer raises.
+    Each generator, in the reduced complex's order, joins the first orbit
+    whose base it shares a lambda orbit with; the one lattice reduction
+    per base tried also reads its degree.  A degree that is not an
+    integer raises.
     """
     reduced = cancel(complex_)
     name = complex_.name or "complex"
@@ -357,7 +358,7 @@ def spinc_maslov(complex_: TypeDStructure) -> list[dict]:
     reps, lattice = reduced.gradings.reps, reduced.gradings.lattice
     tor = lattice.lambda_torsion2
     orbits: list = []  # (inverse of the base's rep, degrees from the base)
-    for g in reduced.sorted_generators():
+    for g in reduced.generators:
         for base_inv, degrees in orbits:
             diff2 = lattice.reduce(base_inv * reps[g])
             if diff2 is not None:

@@ -475,7 +475,8 @@ def _solve_f2(rows: list[set], target: set, slide: ArcSlide) -> list[int]:
     """The solution of sum_i c_i * rows[i] = target over F2, each row the
     set of its nonzero entries.
 
-    Raises, naming the slide, unless the solution exists and is unique.
+    Raises, naming the slide, unless the solution exists and is unique;
+    so any entry of a row can be its pivot.
     """
     rows = [set(r) for r in rows]
     target = set(target)
@@ -485,7 +486,7 @@ def _solve_f2(rows: list[set], target: set, slide: ArcSlide) -> list[int]:
     for i in range(n):
         if not rows[i]:
             continue
-        piv = min(rows[i], key=repr)
+        piv = next(iter(rows[i]))
         for j in range(n):
             if j != i and piv in rows[j]:
                 rows[j] ^= rows[i]

@@ -344,9 +344,11 @@ def test_json_dump_of_sparse_complex():
 
 
 def _pool_scan_cancel(M):
-    """The earlier cancel, kept as an oracle: rescan and sort the pool each step."""
+    """The earlier cancel, kept as an oracle: rescan and sort the pool each
+    step, ties going to the least positions in M's generators."""
     out = M.copy()
     delta = out.delta
+    position = {g: i for i, g in enumerate(out.generators)}
     back = {x: set() for x in out.generators}
     for x in out.generators:
         for y in delta[x]:
@@ -366,7 +368,7 @@ def _pool_scan_cancel(M):
     while True:
         best = None
         best_cost = None
-        for x, y, c in sorted(candidates(), key=lambda t: (repr(t[0]), repr(t[1]))):
+        for x, y, c in sorted(candidates(), key=lambda t: (position[t[0]], position[t[1]])):
             cost = (len(back[y]) - 1) * (len(delta[x]) - 1)
             if best_cost is None or cost < best_cost:
                 best, best_cost = (x, y, c), cost
@@ -651,10 +653,24 @@ def _eliminate_inputs(monkeypatch):
     return inputs
 
 
+def _numbered(S):
+    """S with each generator renamed to its position in ``S.generators``."""
+    number = {g: i for i, g in enumerate(S.generators)}
+    out = TypeDStructure(S.factors, S.name)
+    for g in S.generators:
+        out.add_generator(number[g], S.idem[g])
+    for x, row in S.delta.items():
+        for y, coefs in row.items():
+            out.delta[number[x]][number[y]] = coefs
+    if S.gradings is not None:
+        out.gradings = S.gradings.renamed(number)
+    return out
+
+
 def _assert_same_mor(new, graded, names, old, wrap, ordered_rows):
     """Equal complexes once the old keys (x, a, y) are mapped by ``wrap``
-    and numbered by ``relabel``; ``names`` are the new builder's names by
-    number, and ``graded`` is the grading set it eliminated from.
+    and numbered by build position; ``names`` are the new builder's names
+    by number, and ``graded`` is the grading set it eliminated from.
 
     The old pairing took a coefficient's differential terms in set order,
     the old slide stage (and the new builder) factor by factor, so only a
@@ -664,8 +680,8 @@ def _assert_same_mor(new, graded, names, old, wrap, ordered_rows):
         x, a, y = g
         return (x, wrap(a), y)
 
-    assert names == [key(g) for g in old.sorted_generators()]
-    old = old.relabel()
+    assert names == [key(g) for g in old.generators]
+    old = _numbered(old)
     assert new.factors == old.factors
     assert new.generators == old.generators
     assert new.idem == old.idem
@@ -878,8 +894,7 @@ def _coefficient_scan_cancel(M):
     for x in out.generators:
         for y in delta[x]:
             back[y].add(x)
-    order = out.sorted_generators()
-    rank = {g: i for i, g in enumerate(order)}
+    rank = {g: i for i, g in enumerate(out.generators)}
     heap = []
 
     def ident_of(x, y):
@@ -1328,7 +1343,8 @@ def test_a_poincare_run_builds_only_the_reps_it_reads(monkeypatch, capsys):
 def _tuple_keyed_mor(M, N, keep):
     """``_mor`` as it stood before it numbered its generators: keys
     (x, coef, y) added one by one, arrows through ``add_arrow``, on a
-    plan of its own.  It is graded on those keys."""
+    plan of its own.  It is numbered by build position and then graded;
+    returns it and its keys by number."""
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(M.factors)) if i != keep]
     reversals = [alg.reversal(M.factors[i].pmc) for i in kept]
@@ -1382,9 +1398,10 @@ def _tuple_keyed_mor(M, N, keep):
                         if p is not None:
                             added = out.add_arrow(src, (x0, p, y), kept_part)
                             tally[stage.m_loop(core, g)] += 1 if added else -1
-    stage.names = {g: g for g in out.generators}
+    stage.names = list(out.generators)
+    out = _numbered(out)
     homalg._mor_gradings(out, stage)
-    return out
+    return out, stage.names
 
 
 def _assert_same_stage(new, old):
@@ -1401,22 +1418,20 @@ def _assert_same_stage(new, old):
     assert new.gradings.relations == old.gradings.relations
 
 
-def test_stages_are_numbered_as_relabel_numbers_the_tuple_keyed_build(monkeypatch, capsys):
+def test_stages_are_numbered_in_build_order_of_the_tuple_keyed_build(monkeypatch, capsys):
     """Every Mor complex of the presets, plain and truncated, of L(3,1)
     with either final pairing and of the 20-slide word (3,4) (2,3) ten
-    times: name i is the i-th name in repr order, and the complex is the
-    tuple-keyed build renamed by ``relabel``."""
+    times: name i is the i-th triple built, and the complex is the
+    tuple-keyed build renamed through those names by build position."""
     names = _stage_names(monkeypatch)
     mor = homalg._mor
     checked = []
 
     def compared(M, N, keep):
         new = mor(M, N, keep)
-        new_names = names[-1]
-        assert new_names == sorted(new_names, key=repr)
-        old = _tuple_keyed_mor(M, N, keep)
-        assert new_names == old.sorted_generators()
-        _assert_same_stage(new, old.relabel())
+        old, old_names = _tuple_keyed_mor(M, N, keep)
+        assert names[-1] == old_names
+        _assert_same_stage(new, old)
         checked.append(len(new.generators))
         return new
 
