@@ -8,7 +8,7 @@ difference.
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import combinations, count, product
 
 from .pmc import PointedMatchedCircle, reverse_pmc, reverse_point, reversed_pair_map
 
@@ -23,19 +23,19 @@ class _Strands:
     ``values`` holds one object per distinct pair set and support tuple, each
     keyed by itself: diagrams and generator idempotents take theirs from it
     (``pair_set``), so a circle keeps at most 2^(2g) pair sets however many
-    diagrams it has.  The basis, its index by idempotents and the reversed
+    diagrams it has.  ``blocks`` holds one ``Block`` per (left pairs, right
+    pairs, truncated), each made on first use.  The basis and the reversed
     circle are filled in on first use.
     """
 
-    __slots__ = ("diagrams", "identities", "values", "basis", "between", "reverse")
+    __slots__ = ("diagrams", "identities", "values", "blocks", "basis", "reverse")
 
     def __init__(self):
         self.diagrams: dict = {}
         self.identities: dict = {}
         self.values: dict = {}
+        self.blocks: dict = {}
         self.basis: list | None = None
-        # (left pairs, right pairs, truncated) -> basis elements, in basis order
-        self.between: dict | None = None
         # (-Z, pair index of Z -> pair index of -Z); points map by reverse_point
         self.reverse: tuple | None = None
 
@@ -321,19 +321,110 @@ def full_basis(pmc: PointedMatchedCircle) -> list[StrandsGenerator]:
     return out
 
 
+class Block:
+    """The basics of a circle's algebra from the idempotent ``left`` to
+    ``right``, as positions: only those that survive truncation if
+    ``truncated``.
+
+    ``basics`` are enumerated directly (see ``_enumerate_block``) in basis
+    order, and ``position`` numbers them.  ``d[i]`` lists the positions of
+    the terms of the differential of basic i, in the order of
+    ``differential_basic``, without the terms truncation drops.
+    ``left_by(e)`` and ``right_by(e)`` give, for each position, the
+    position of e times the basic or the basic times e in its own block,
+    or -1 where the product dies or truncation drops it; they are cached
+    by e's id.
+    """
+
+    __slots__ = ("pmc", "left", "right", "truncated", "basics", "position", "d",
+                 "_left_by", "_right_by")
+
+    def __init__(self, pmc: PointedMatchedCircle, left: frozenset, right: frozenset,
+                 truncated: bool):
+        self.pmc, self.left, self.right, self.truncated = pmc, left, right, truncated
+        basics = _enumerate_block(pmc, left, right)
+        if truncated:
+            basics = [a for a in basics if a.kept]
+        self.basics = basics
+        self.position = position = {a: i for i, a in enumerate(basics)}
+        self.d = [tuple(position[t] for t in differential_basic(a) if t.kept or not truncated)
+                  for a in basics]
+        self._left_by: dict = {}
+        self._right_by: dict = {}
+
+    def _positions(self, products, target: "Block") -> list[int]:
+        position, truncated = target.position, self.truncated
+        return [-1 if p is None or (truncated and not p.kept) else position[p] for p in products]
+
+    def left_by(self, e: StrandsGenerator) -> list[int]:
+        """Positions of e * a in block(e.left, right), a running over the basics."""
+        out = self._left_by.get(e.id)
+        if out is None:
+            target = block(self.pmc, e.left_pairs, self.right, self.truncated)
+            out = self._left_by[e.id] = self._positions(
+                [multiply_basic(e, a) for a in self.basics], target)
+        return out
+
+    def right_by(self, e: StrandsGenerator) -> list[int]:
+        """Positions of a * e in block(left, e.right), a running over the basics."""
+        out = self._right_by.get(e.id)
+        if out is None:
+            target = block(self.pmc, self.left, e.right_pairs, self.truncated)
+            out = self._right_by[e.id] = self._positions(
+                [multiply_basic(a, e) for a in self.basics], target)
+        return out
+
+
+def block(pmc: PointedMatchedCircle, left: frozenset, right: frozenset,
+          truncated: bool = False) -> Block:
+    """The circle's one ``Block`` from ``left`` to ``right``."""
+    blocks = _strands(pmc).blocks
+    key = (left, right, truncated)
+    out = blocks.get(key)
+    if out is None:
+        out = blocks[key] = Block(pmc, left, right, truncated)
+    return out
+
+
 def basics_between(pmc: PointedMatchedCircle, left: frozenset, right: frozenset,
                    truncated: bool = False) -> list[StrandsGenerator]:
     """Basis elements from the idempotent ``left`` to ``right``, in basis
-    order; only those that survive truncation if ``truncated``."""
-    table = _strands(pmc)
-    if table.between is None:
-        index: dict = {}
-        for a in full_basis(pmc):
-            index.setdefault((a.left_pairs, a.right_pairs, False), []).append(a)
-            if a.kept:
-                index.setdefault((a.left_pairs, a.right_pairs, True), []).append(a)
-        table.between = index
-    return table.between.get((left, right, truncated), [])
+    order; only those that survive truncation if ``truncated``.  They are
+    the basics of the circle's block, so the full basis is never built."""
+    return block(pmc, left, right, truncated).basics
+
+
+def _enumerate_block(pmc, left, right) -> list[StrandsGenerator]:
+    """Every diagram from the idempotent ``left`` to ``right``, in basis
+    order: horizontals H on pairs of both, and moving strands from one
+    foot of each pair of left - H up to one foot of each pair of right - H,
+    in every upward matching."""
+    out = []
+    if len(left) != len(right):
+        return out
+    pairs = pmc.pairs
+    shared = sorted(left & right)
+    for size in range(len(shared) + 1):
+        for hs in combinations(shared, size):
+            ends = [pairs[q] for q in sorted(right.difference(hs))]
+            for starts in product(*(pairs[p] for p in sorted(left.difference(hs)))):
+                for moving in _matchings(starts, ends):
+                    out.append(StrandsGenerator(pmc, tuple(sorted(moving)), hs))
+    out.sort(key=StrandsGenerator.sort_key)
+    return out
+
+
+def _matchings(starts, ends, chosen=()):
+    """Every way to send each start up to a foot of its own pair of ``ends``."""
+    if not starts:
+        yield chosen
+        return
+    s = starts[0]
+    for i, feet in enumerate(ends):
+        rest = ends[:i] + ends[i + 1:]
+        for e in feet:
+            if e > s:
+                yield from _matchings(starts[1:], rest, chosen + ((s, e),))
 
 
 def reversal(pmc: PointedMatchedCircle) -> tuple[PointedMatchedCircle, list[int]]:

@@ -35,8 +35,11 @@ nonzero:
   h = gr(e_c)^-1 X0^-1 gr(k)^-1 lambda^-1 X, one per M-arrow: the arrow
   loop of k from X to X0 gr(e_c).  ``MorGrading`` and ``MorPlan`` key these
   loops through ``arrow_loop``, the one evaluation of every arrow loop;
-* conjugation: g^-1 h g = (j_h + 2 t(h, g), h), so ``MorGrading`` keys a
-  Mor arrow's loop by one dot product of g against its core;
+* conjugation: g^-1 h g = (j_h + 2 t(h, g), h), so a Mor arrow's loop is
+  keyed by one dot product of g against its core's boundary.  g's chain
+  is gr(a)'s plus gr(y)'s, so the key's j2 splits into a part per (y,
+  core) (``MorGrading.m_loop_part``) less a part per (core, a)
+  (``MorPlan.coef_shifts``), each computed once;
 * propagation step: with (jg, g) = lambda gr(c), the rep g^-1 (jx, rx)
   across an arrow walked forward is (jx - jg - t(g, rx), rx - g), and
   g (jx, rx) walked backward is (jx + jg + t(g, rx), rx + g);
@@ -632,6 +635,14 @@ class MorPlan:
             g = self.coefs[coef] = self.padded(gr_coefficient(coef, self.consumed_sizes))
         return g
 
+    def coef_shifts(self, core, coefs) -> list[int]:
+        """The part 2 gr(a) . Dh of the loop of an M-arrow with core h
+        that its coefficient a decides, for each a in ``coefs``: the
+        conjugation's dot product is linear in g = gr(a) gr(y), whose chain
+        is a's plus y's (see ``MorGrading.m_loop_part``)."""
+        cut, d_h = self.cut, core[2]
+        return [2 * sum(map(mul, self.coef(a).chain[:cut], d_h)) for a in coefs]
+
     def core(self, x0, x, e_c, k) -> tuple:
         """(j2, chain index, boundary of the chain[:cut]) of the core
         h = gr(e_c)^-1 X0^-1 (lambda gr(k))^-1 X of an arrow x0 -> x of M
@@ -670,18 +681,14 @@ class MorGrading:
         j2, chain = arrow_loop(self.y_rep[y], self.y_rep[y2], GradingElement(a.j2 + 2, a.chain))
         return (j2, self.chain_ids.setdefault(chain, len(self.chain_ids)))
 
-    def conjugator(self, coef, y) -> tuple:
-        """The chain of g = gr(coef) gr(y) on the consumed blocks, where it
-        lives: what conjugates the cores of the arrows out of (x, coef, y)."""
-        cut = self.plan.cut
-        return tuple(map(add, self.plan.coef(coef).chain[:cut], self.y_rep[y].chain[:cut]))
-
-    @staticmethod
-    def m_loop(core, g) -> tuple:
-        """The key of the loop g^-1 h g of an M-arrow with core h and
-        conjugator g: one dot product against the core's boundary."""
+    def m_loop_part(self, core, y) -> tuple:
+        """The part of the loop g^-1 h g of an M-arrow with core h into
+        (x, a, y) that y decides, g = gr(a) gr(y): (j2, chain index) with
+        j2 = j_h - 2 gr(y) . Dh on the consumed blocks, where g lives.
+        The loop's key is (j2 - s, chain index) for s the coefficient part
+        of a from ``MorPlan.coef_shifts``."""
         j2, chain, d_h = core
-        return (j2 - 2 * sum(map(mul, g, d_h)), chain)
+        return (j2 - 2 * sum(map(mul, self.y_rep[y].chain[:self.plan.cut], d_h)), chain)
 
     def loops(self) -> list:
         """The distinct loops (j2, chain) with a positive count, in

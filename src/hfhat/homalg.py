@@ -14,6 +14,7 @@ import heapq
 import weakref
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from . import algebra as alg
 from .grading import (
@@ -100,7 +101,7 @@ class TypeDStructure:
         it is now there."""
         coef = tuple(coef)
         _check_idempotents(coef, self.idem[src], self.idem[tgt])
-        return _toggle(self.delta[src], tgt, coef)
+        return _toggle(self.delta[src], tgt, frozenset((coef,)))
 
     def idempotent_coef(self, src):
         return identity_coef(self.factors, self.idem[src])
@@ -185,13 +186,21 @@ def _check_idempotents(coef, src_idem, tgt_idem) -> None:
             raise ValueError(f"coefficient {coef!r} incompatible with idempotents")
 
 
-def _toggle(row: dict, tgt, coef) -> bool:
-    """Toggle coef on the arrow to tgt of a delta row; whether it is now there."""
-    old = row.get(tgt, frozenset())
-    entry = row[tgt] = old ^ {coef}
-    if not entry:
-        del row[tgt]
-    return len(entry) > len(old)
+def _toggle(row: dict, tgt, single: frozenset) -> bool:
+    """Toggle the one coefficient in ``single`` on the arrow to tgt of a
+    delta row; whether it is now there.  An absent entry becomes
+    ``single`` itself, so entries may be shared: they are replaced, never
+    changed."""
+    old = row.get(tgt)
+    if old is None:
+        row[tgt] = single
+        return True
+    entry = old ^ single
+    if entry:
+        row[tgt] = entry
+        return len(entry) > len(old)
+    del row[tgt]
+    return False
 
 
 def truncate(M: TypeDStructure) -> TypeDStructure:
@@ -288,7 +297,12 @@ _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # M -> {keep: i
 def _mor_plan(M: TypeDStructure, keep) -> tuple:
     """What Mor(M, -) with M's factor ``keep`` kept takes from M alone,
     built on M's first such pairing and dropped with M; M must not change
-    once paired."""
+    once paired.
+
+    Delta entries of one coefficient are the plan's one frozenset of it
+    (``single``), shared by every stage; entries are replaced, never
+    changed, so sharing is safe.
+    """
     plans = _plans.setdefault(M, {})
     if keep in plans:
         return plans[keep]
@@ -298,23 +312,103 @@ def _mor_plan(M: TypeDStructure, keep) -> tuple:
     factors = tuple(AlgebraFactor(rev, M.factors[i].truncated)
                     for (rev, _), i in zip(reversals, kept))
     grading = MorPlan(M.gradings, consumed, kept)
-    idem = {x: tuple(alg.pair_set(rev, (rpm[p] for p in M.idem[x][i]))
-                     for (rev, rpm), i in zip(reversals, kept)) for x in M.generators}
-    # arrows into each x, split into consumed and (opposite) kept parts,
-    # the kept part checked against its ends, with the core of their loops
-    incoming: dict = {}
+    singles: dict = {}  # coefficient -> its one-element frozenset
+
+    def single(coef) -> frozenset:
+        return singles.setdefault(coef, frozenset((coef,)))
+
+    number = {x: i for i, x in enumerate(M.generators)}
+    left = [tuple(M.idem[x][i] for i in consumed) for x in M.generators]
+    idem = [tuple(alg.pair_set(rev, (rpm[p] for p in M.idem[x][i]))
+                  for (rev, rpm), i in zip(reversals, kept)) for x in M.generators]
+    # arrows into each x, by number: the number of their source, and their
+    # coefficients split into consumed and (opposite) kept parts, the kept
+    # part checked against its ends, with the core of their loops and a
+    # memo of the cores' coefficient parts by block
+    incoming: list = [[] for _ in M.generators]
     for x0 in M.generators:
         for x1, coefs in M.delta[x0].items():
             parts = []
             for e in coefs:
                 e_c = tuple(e[i] for i in consumed)
                 k = tuple(alg.opposite_basic(e[i]) for i in kept)
-                _check_idempotents(k, idem[x1], idem[x0])
-                parts.append((e_c, k, grading.core(x0, x1, e_c, k)))
-            incoming.setdefault(x1, []).append((x0, parts))
-    plans[keep] = (consumed, factors, idem, {x: identity_coef(factors, i) for x, i in idem.items()},
-                   incoming, grading)
+                _check_idempotents(k, idem[number[x1]], idem[number[x0]])
+                parts.append((e_c, single(k), grading.core(x0, x1, e_c, k), {}))
+            incoming[number[x1]].append((number[x0], parts))
+    units = [single(identity_coef(factors, i)) for i in idem]
+    plans[keep] = (left, factors, idem, units, incoming, grading)
     return plans[keep]
+
+
+def _strides(sizes) -> list[int]:
+    """Place values of mixed-radix positions with digits below ``sizes``."""
+    out, step = [], 1
+    for size in reversed(sizes):
+        out.append(step)
+        step *= size
+    return out[::-1]
+
+
+class CoefBlock:
+    """The coefficient tuples from the idempotents ``left`` to ``right`` of
+    some factors, one basic per factor: the product of the factors'
+    ``algebra.Block``s, numbered in ``itertools.product`` order.  No
+    factors give the one coefficient ().
+
+    ``d`` and the maps ``left_by(e)`` and ``right_by(e)``, for e a
+    coefficient tuple, are the factor blocks' taken factor by factor, as
+    ``coef_differential`` and ``coef_multiply`` take them; a product is -1
+    where some factor's dies.
+    """
+
+    __slots__ = ("blocks", "coefs", "d", "_maps")
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.coefs = list(product(*(b.basics for b in blocks)))
+        strides = _strides([len(b.basics) for b in blocks])
+        self.d = [tuple(pos + (t - i) * stride
+                        for b, i, stride in zip(blocks, digits, strides) for t in b.d[i])
+                  for pos, digits in enumerate(product(*(range(len(b.basics)) for b in blocks)))]
+        self._maps: dict = {}
+
+    def left_by(self, e) -> list[int]:
+        """Positions of e * c, c running over ``coefs``, in the block from
+        e's left idempotents."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].left_by(e[0])
+        return self._map(e, [alg.block(b.pmc, a.left_pairs, b.right, b.truncated)
+                             for b, a in zip(self.blocks, e)], alg.Block.left_by)
+
+    def right_by(self, e) -> list[int]:
+        """Positions of c * e, c running over ``coefs``, in the block to
+        e's right idempotents."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].right_by(e[0])
+        return self._map(e, [alg.block(b.pmc, b.left, a.right_pairs, b.truncated)
+                             for b, a in zip(self.blocks, e)], alg.Block.right_by)
+
+    def _map(self, e, targets, factor_map) -> list[int]:
+        key = (factor_map, e)
+        out = self._maps.get(key)
+        if out is None:
+            strides = _strides([len(t.basics) for t in targets])
+            out = self._maps[key] = [
+                -1 if any(p < 0 for p in ps) else sum(map(mul, ps, strides))
+                for ps in product(*(factor_map(b, a) for b, a in zip(self.blocks, e)))]
+        return out
+
+
+_coef_blocks: dict = {}  # factor blocks -> their CoefBlock
+
+
+def coef_block(factors, left, right) -> CoefBlock:
+    """The one ``CoefBlock`` of ``factors`` from ``left`` to ``right``."""
+    blocks = tuple(alg.block(f.pmc, i, j, f.truncated) for f, i, j in zip(factors, left, right))
+    out = _coef_blocks.get(blocks)
+    if out is None:
+        out = _coef_blocks[blocks] = CoefBlock(blocks)
+    return out
 
 
 def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
@@ -322,52 +416,80 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
 
     Generator i is the i-th triple (x, coef, y) built, one basic element
     of each consumed factor in coef; ``MorGrading.names`` keeps the
-    triples.  The kept factor of M, if any, survives as a left action over
-    its reversed circle, its coefficients carried through the
-    orientation-reversing map.  Both sides must be graded.  M's plan holds
-    what depends on M alone.  Each arrow's loop is tallied under the key
-    that ``MorGrading`` gives the factor arrow that produced it.
+    triples.  The triples of one (x, y) are the positions of one
+    ``CoefBlock``, numbered on from ``first[x][y]``, and each row is read off
+    the block maps: the coefficient's differential, then N's arrows out of
+    y, then M's arrows into x.  The kept factor of M, if any, survives as
+    a left action over its reversed circle, its coefficients carried
+    through the orientation-reversing map.  Both sides must be graded.
+    M's plan holds what depends on M alone.  Each arrow's loop is tallied
+    under the key that ``MorGrading`` gives the factor arrow that produced
+    it.
     """
     _require_gradings(M, N)
-    consumed, factors, idem, ident, incoming, plan = _mor_plan(M, keep)
+    left, factors, idem, units, incoming, plan = _mor_plan(M, keep)
     out = TypeDStructure(factors, name=f"Mor({M.name},{N.name})")
     stage = MorGrading(plan, N.gradings)
     names = stage.names
-    index: dict = {}  # (x, y) -> {coef: the number of (x, coef, y)}, in build order
-    for x in M.generators:
-        for y in N.generators:
-            index[x, y] = here = {}
-            for coef in product(*[
-                    alg.basics_between(f.pmc, M.idem[x][i], N.idem[y][k], f.truncated)
-                    for k, (i, f) in enumerate(zip(consumed, N.factors))]):
-                here[coef] = len(names)
-                names.append((x, coef, y))
+    ys = N.generators
+    blocks: dict = {}  # (x's consumed idempotents, y's) -> their CoefBlock
+    first, block_of = [], []  # [x][y]: the number of the first triple of (x, y), its block
+    for x, lx in zip(M.generators, left):
+        starts, row_blocks = [], []
+        for y in ys:
+            key = (lx, N.idem[y])
+            blk = blocks.get(key)
+            if blk is None:
+                blk = blocks[key] = coef_block(N.factors, *key)
+            starts.append(len(names))
+            row_blocks.append(blk)
+            names.extend([(x, coef, y) for coef in blk.coefs])
+        first.append(starts)
+        block_of.append(row_blocks)
     out.generators = list(range(len(names)))
 
-    # arrows out of each y of N, with the key of their loop
-    outgoing = {y: [(y2, e, stage.n_loop(y, y2, e))
-                    for y2, coefs in N.delta[y].items() for e in coefs]
-                for y in N.generators}
-    for (x, y), here in index.items():
-        idem_x, unit = idem[x], ident[x]
-        ahead = [(index[x, y2], e, loop) for y2, e, loop in outgoing[y]]
-        behind = [(index[x0, y], parts) for x0, parts in incoming.get(x, ())]
-        for coef, i in here.items():
-            out.idem[i] = idem_x
-            row = out.delta[i] = {}
-            for term in coef_differential(N.factors, coef):
-                stage.tally[stage.IDENTITY_LOOP] += 1 if _toggle(row, here[term], unit) else -1
-            for there, e, loop in ahead:
-                p = coef_multiply(N.factors, coef, e)
-                if p is not None:
-                    stage.tally[loop] += 1 if _toggle(row, there[p], unit) else -1
-            g = stage.conjugator(coef, y) if behind else ()
-            for there, parts in behind:
-                for e, kept_part, core in parts:
-                    p = coef_multiply(N.factors, e, coef)
-                    if p is not None:
-                        added = _toggle(row, there[p], kept_part)
-                        stage.tally[stage.m_loop(core, g)] += 1 if added else -1
+    # arrows out of each y of N: the number of their target, with the key
+    # of their loop
+    number = {y: j for j, y in enumerate(ys)}
+    outgoing = [[(number[y2], e, stage.n_loop(y, y2, e))
+                 for y2, coefs in N.delta[y].items() for e in coefs] for y in ys]
+    tally, delta, out_idem = stage.tally, out.delta, out.idem
+    differential_arrows = 0
+    for i, (starts, row_blocks) in enumerate(zip(first, block_of)):
+        unit, idem_x = units[i], idem[i]
+        for j, (b, blk) in enumerate(zip(starts, row_blocks)):
+            if not blk.coefs:
+                continue
+            ahead = []
+            for k, e, loop in outgoing[j]:
+                products = blk.right_by(e)
+                if max(products) >= 0:
+                    ahead.append((starts[k], products, loop))
+            behind = []
+            for i0, parts in incoming[i]:
+                for e_c, kept_part, core, memo in parts:
+                    products = blk.left_by(e_c)
+                    if max(products) >= 0:
+                        shifts = memo.get(blk)
+                        if shifts is None:
+                            shifts = memo[blk] = plan.coef_shifts(core, blk.coefs)
+                        behind.append((first[i0][j], products, kept_part, shifts,
+                                       *stage.m_loop_part(core, ys[j])))
+            out_idem.update(dict.fromkeys(range(b, b + len(blk.d)), idem_x))
+            for pos, terms in enumerate(blk.d):
+                # the terms of one differential are distinct, so none cancel
+                row = delta[b + pos] = {b + t: unit for t in terms}
+                differential_arrows += len(terms)
+                for there, products, loop in ahead:
+                    p = products[pos]
+                    if p >= 0:
+                        tally[loop] += 1 if _toggle(row, there + p, unit) else -1
+                for there, products, kept_part, shifts, j2, chain in behind:
+                    p = products[pos]
+                    if p >= 0:
+                        added = _toggle(row, there + p, kept_part)
+                        tally[j2 - shifts[pos], chain] += 1 if added else -1
+    tally[stage.IDENTITY_LOOP] += differential_arrows
     _mor_gradings(out, stage)
     return out
 
@@ -428,8 +550,11 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
     rank is the position in M's generators and a nonzero ``order_seed``
     rotates it.  A heap holds the candidate arrows; after a splice only
     arrows at the generators it touched are pushed again, and entries
-    that no longer match the structure are dropped when popped.  Gradings
-    of surviving generators carry over unchanged.
+    that no longer match the structure are dropped when popped.  A pivot
+    of cost 0 has no arrow into y but x's or none out of x but to y, so
+    it is dropped without the inverse or a splice.  Each idempotent's
+    identity coefficient is made once.  Gradings of surviving generators
+    carry over unchanged.
 
     For a bare complex, a ``retract`` dict is filled with the strong
     deformation retract the pivots compose to: "f" sends each survivor to
@@ -447,17 +572,16 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
             back[y].add(x)
     rank = {g: (i - order_seed) % len(out.generators) for i, g in enumerate(out.generators)}
     heap: list = []  # (cost, rank x, rank y, x, y); the ranks make entries unique
-    # the one idempotent coefficient an arrow out of x can carry
-    identity = {x: out.idempotent_coef(x) for x in out.generators}
-
-    def push(x, y):
-        if x != y and identity[x] in delta[x].get(y, ()):
-            cost = (len(back[y]) - 1) * (len(delta[x]) - 1)
-            heapq.heappush(heap, (cost, rank[x], rank[y], x, y))
-
+    # the one idempotent coefficient an arrow out of x can carry, as a
+    # one-element set made once per idempotent: a disjointness test reads
+    # the hashes the sets store, where a membership test hashes the tuple
+    units = {i: frozenset((identity_coef(out.factors, i),)) for i in set(out.idem.values())}
+    identity = {x: units[i] for x, i in out.idem.items()}
     for x in out.generators:
-        for y in delta[x]:
-            push(x, y)
+        unit, rx, fan_out = identity[x], rank[x], len(delta[x]) - 1
+        for y, coefs in delta[x].items():
+            if x != y and not unit.isdisjoint(coefs):
+                heapq.heappush(heap, ((len(back[y]) - 1) * fan_out, rx, rank[y], x, y))
 
     if retract is not None:
         f = {b: {b} for b in out.generators}
@@ -469,8 +593,8 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
         cost, _, _, x, y = heapq.heappop(heap)
         if x not in delta or y not in delta:
             continue
-        ident = identity[x]
-        if ident not in delta[x].get(y, ()) or cost != (len(back[y]) - 1) * (len(delta[x]) - 1):
+        if (cost != (len(back[y]) - 1) * (len(delta[x]) - 1)
+                or identity[x].isdisjoint(delta[x].get(y, ()))):
             continue
         if retract is not None:
             # compose with the elementary retract of the pair x -> y: f(w) += f(x)
@@ -493,24 +617,26 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
                         g_into[v].add(b)
             for b in g_into.pop(x):
                 g[b].discard(x)
-        inv = _coef_inverse(out.factors, delta[x][y], ident)
-        outgoing = [(z, coefs) for z, coefs in delta[x].items() if z not in (x, y)]
-        entering = [(w, delta[w][y]) for w in back[y] if w not in (x, y)]
-        for w, wcoefs in entering:
-            for z, zcoefs in outgoing:
-                for cw in wcoefs:
-                    for ci in inv:
-                        left = coef_multiply(out.factors, cw, ci)
-                        if left is None:
-                            continue
-                        for cz in zcoefs:
-                            p = coef_multiply(out.factors, left, cz)
-                            if p is None:
+        if cost:  # else no arrow enters y or none leaves x but x -> y
+            (ident,) = identity[x]
+            inv = _coef_inverse(out.factors, delta[x][y], ident)
+            outgoing = [(z, coefs) for z, coefs in delta[x].items() if z not in (x, y)]
+            entering = [(w, delta[w][y]) for w in back[y] if w not in (x, y)]
+            for w, wcoefs in entering:
+                for z, zcoefs in outgoing:
+                    for cw in wcoefs:
+                        for ci in inv:
+                            left = coef_multiply(out.factors, cw, ci)
+                            if left is None:
                                 continue
-                            if _toggle(delta[w], z, p):
-                                back[z].add(w)
-                            elif z not in delta[w]:
-                                back[z].discard(w)
+                            for cz in zcoefs:
+                                p = coef_multiply(out.factors, left, cz)
+                                if p is None:
+                                    continue
+                                if _toggle(delta[w], z, frozenset((p,))):
+                                    back[z].add(w)
+                                elif z not in delta[w]:
+                                    back[z].discard(w)
         # only arrows out of these rows or into these columns change cost or appear
         sources = (back[x] | back[y]) - {x, y}
         targets = (set(delta[x]) | set(delta[y])) - {x, y}
@@ -521,11 +647,16 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
                 if w in delta and dead in delta[w]:
                     del delta[w][dead]
         for w in sources:
-            for z in delta[w]:
-                push(w, z)
+            unit, rw, fan_out = identity[w], rank[w], len(delta[w]) - 1
+            for z, coefs in delta[w].items():
+                if w != z and not unit.isdisjoint(coefs):
+                    heapq.heappush(heap, ((len(back[z]) - 1) * fan_out, rw, rank[z], w, z))
         for z in targets:
+            rz, fan_in = rank[z], len(back[z]) - 1
             for w in back[z]:
-                push(w, z)
+                row = delta[w]
+                if w != z and not identity[w].isdisjoint(row[z]):
+                    heapq.heappush(heap, (fan_in * (len(row) - 1), rank[w], rz, w, z))
 
     out.generators = [g for g in out.generators if g in delta]
     out.idem = {g: out.idem[g] for g in out.generators}

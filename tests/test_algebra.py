@@ -453,3 +453,25 @@ def test_the_product_cache_holds_one_packed_key_per_distinct_pair(monkeypatch):
 def test_vanishing_differentials_are_one_object():
     empty = [d for a in alg.full_basis(A2) if not (d := alg.differential_basic(a))]
     assert empty and all(d is empty[0] for d in empty)
+
+
+@pytest.mark.parametrize("pmc", [Z1, Z2, A2], ids=["split-1", "split-2", "antipodal-2"])
+def test_blocks_enumerate_the_full_basis_filter_in_order(pmc):
+    """Every idempotent pair's block, plain and truncated, holds exactly
+    the full basis's elements between them, in basis order, numbered by
+    ``position``."""
+    ids = [i.left_pairs for i in all_idempotents(pmc)]
+    for truncated in (False, True):
+        total = 0
+        for left in ids:
+            for right in ids:
+                block = alg.block(pmc, left, right, truncated)
+                scan = [a for a in alg.full_basis(pmc)
+                        if a.left_pairs == left and a.right_pairs == right
+                        and (a.kept or not truncated)]
+                assert block.basics == scan
+                assert block.position == {a: i for i, a in enumerate(scan)}
+                assert alg.basics_between(pmc, left, right, truncated) is block.basics
+                assert alg.block(pmc, left, right, truncated) is block
+                total += len(scan)
+        assert total == sum(a.kept or not truncated for a in alg.full_basis(pmc))

@@ -3,6 +3,7 @@ import heapq
 import json
 import random
 from itertools import product
+from operator import add, mul
 
 import pytest
 
@@ -1105,6 +1106,80 @@ def test_basics_between_matches_a_full_basis_scan():
                              if not truncated or all(m <= 1 for m in a.supp)])
 
 
+def _assert_block_maps(factors, block, left_es, right_es):
+    """A ``CoefBlock``'s differential and maps by the coefficients in
+    ``left_es`` and ``right_es`` against ``coef_differential`` and
+    ``coef_multiply``, position by position."""
+    coefs = block.coefs
+    for i, coef in enumerate(coefs):
+        assert [coefs[t] for t in block.d[i]] == list(coef_differential(factors, coef))
+    lefts = tuple(b.left for b in block.blocks)
+    rights = tuple(b.right for b in block.blocks)
+
+    def check(positions, wants, target):
+        assert len(positions) == len(coefs)
+        for p, want in zip(positions, wants):
+            assert (p < 0) == (want is None)
+            if want is not None:
+                assert target.coefs[p] == want
+
+    for e in left_es:
+        check(block.left_by(e), [coef_multiply(factors, e, c) for c in coefs],
+              homalg.coef_block(factors, tuple(a.left_pairs for a in e), rights))
+    for e in right_es:
+        check(block.right_by(e), [coef_multiply(factors, c, e) for c in coefs],
+              homalg.coef_block(factors, lefts, tuple(a.right_pairs for a in e)))
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_block_differentials_and_products_match_the_coefficient_functions(genus):
+    """Every block of the split circle, plain and truncated, with every
+    basic acting on either side."""
+    pmc = split_pmc(genus)
+    ids = [i.left_pairs for i in all_idempotents(pmc)]
+    basis = alg.full_basis(pmc)
+    for truncated in (False, True):
+        factors = (AlgebraFactor(pmc, truncated),)
+        for left in ids:
+            for right in ids:
+                block = homalg.coef_block(factors, (left,), (right,))
+                assert block.coefs == [(a,) for a in alg.basics_between(pmc, left, right,
+                                                                          truncated)]
+                _assert_block_maps(factors, block,
+                                   [(e,) for e in basis if e.right_pairs == left],
+                                   [(e,) for e in basis if e.left_pairs == right])
+
+
+def test_a_two_factor_block_is_the_product_of_its_factor_blocks():
+    """The blocks of the identity pairing: the identity bimodule of the
+    genus-2 circle against the two handlebodies, with its arrows on the
+    left and the tensor product's on the right.  Some blocks have
+    differentials in both factors."""
+    for truncated in (False, True):
+        def over(structure):
+            return truncate(structure) if truncated else structure
+
+        M = over(dd_identity(Z2))
+        N = tensor(over(cfd_zero_framed_handlebody(2)),
+                   over(cfd_zero_framed_handlebody_reversed(2)))
+        assert M.factors == N.factors and len(M.factors) == 2
+        into = {}
+        for x0 in M.generators:
+            for x1, coefs in M.delta[x0].items():
+                into.setdefault(x1, []).extend(coefs)
+        differentiated = set()  # factors whose basics have differential terms
+        for x in M.generators:
+            for y in N.generators:
+                block = homalg.coef_block(M.factors, M.idem[x], N.idem[y])
+                assert block.coefs == list(product(*(
+                    alg.basics_between(f.pmc, i, j, f.truncated)
+                    for f, i, j in zip(M.factors, M.idem[x], N.idem[y]))))
+                differentiated.update(k for k, b in enumerate(block.blocks) if any(b.d))
+                _assert_block_maps(M.factors, block, into.get(x, []),
+                                   [e for coefs in N.delta[y].values() for e in coefs])
+        assert differentiated == {0, 1}
+
+
 # Gradings.eliminate against the grading set it starts from
 
 
@@ -1340,6 +1415,20 @@ def test_a_poincare_run_builds_only_the_reps_it_reads(monkeypatch, capsys):
 # Mor stages numbered as they are built, and the per-bimodule plan
 
 
+def _conjugator(stage, coef, y):
+    """The chain of g = gr(coef) gr(y) on the consumed blocks, where it
+    lives: what conjugates the cores of the arrows out of (x, coef, y)."""
+    cut = stage.plan.cut
+    return tuple(map(add, stage.plan.coef(coef).chain[:cut], stage.y_rep[y].chain[:cut]))
+
+
+def _m_loop(core, g):
+    """The key of the loop g^-1 h g of an M-arrow with core h and
+    conjugator g: one dot product against the core's boundary."""
+    j2, chain, d_h = core
+    return (j2 - 2 * sum(map(mul, g, d_h)), chain)
+
+
 def _tuple_keyed_mor(M, N, keep):
     """``_mor`` as it stood before it numbered its generators: keys
     (x, coef, y) added one by one, arrows through ``add_arrow``, on a
@@ -1391,13 +1480,13 @@ def _tuple_keyed_mor(M, N, keep):
                     p = coef_multiply(N.factors, coef, e)
                     if p is not None:
                         tally[loop] += 1 if out.add_arrow(src, (x, p, y2), ident[x]) else -1
-                g = stage.conjugator(coef, y) if into else ()
+                g = _conjugator(stage, coef, y) if into else ()
                 for x0, parts in into:
                     for e, kept_part, core in parts:
                         p = coef_multiply(N.factors, e, coef)
                         if p is not None:
                             added = out.add_arrow(src, (x0, p, y), kept_part)
-                            tally[stage.m_loop(core, g)] += 1 if added else -1
+                            tally[_m_loop(core, g)] += 1 if added else -1
     stage.names = list(out.generators)
     out = _numbered(out)
     homalg._mor_gradings(out, stage)
@@ -1488,3 +1577,22 @@ def test_a_warm_plan_builds_the_stage_a_cold_one_does_and_writes_no_bimodule():
     for old, new in zip(before, after):
         assert new[3] is old[3]
         assert new == old
+
+
+def test_cancel_leaves_the_shared_entries_of_a_raw_stage_as_they_were(monkeypatch):
+    """A Mor stage's one-coefficient entries are frozensets shared through
+    its bimodule's plan: the glued module, every raw Poincare stage and
+    the final pairing keep their delta and idempotents while cancel
+    reduces them."""
+    checked = []
+
+    def snapshotted(M, *args, **kwargs):
+        before = _snapshot(M)
+        out = cancel(M, *args, **kwargs)
+        assert _snapshot(M) == before
+        checked.append(len(M.generators))
+        return out
+
+    monkeypatch.setattr(manifolds, "cancel", snapshotted)
+    manifolds.poincare_sphere()
+    assert len(checked) == 12 and sum(checked[1:]) == 4620

@@ -437,3 +437,25 @@ def test_results_do_not_depend_on_the_pivot_tie_break(monkeypatch):
 
     assert results(7) == results(0)
     assert survivors[7] != survivors[0]  # the rotation does pick other pivots
+
+
+def test_the_pipeline_never_builds_the_full_basis(monkeypatch):
+    """The Poincare sphere and the genus-3 word T1^2, plain and truncated,
+    read every basic they use from the per-idempotent blocks: with
+    ``full_basis`` refused and every block made afresh, both still run."""
+    import hfhat.algebra as alg
+    import hfhat.homalg as homalg
+
+    def refused(pmc):
+        raise AssertionError(f"full_basis built for {pmc}")
+
+    monkeypatch.setattr(alg, "full_basis", refused)
+    monkeypatch.setattr(homalg, "_coef_blocks", {})
+    for table in list(alg._tables.values()):
+        monkeypatch.setattr(table, "blocks", {})
+    word = MappingWord(3, [("twist", 1, 2)])
+    for truncated in (False, True):
+        assert manifolds.poincare_sphere(truncated=truncated).total_rank == 1
+        result = hf_hat_closed(word, truncated=truncated)
+        assert [o["rank"] for o in result.orbits] == [4, 4]
+        assert result.stages == ([(148, 2), (387, 3)] if truncated else [(252, 2), (679, 3)])
