@@ -39,16 +39,16 @@ class DualIdentityBimodule:
         self.rev = alg.reversal(pmc)[0]
         self.truncated = truncated
         self.ddid = dd_identity(pmc)
+        # weight 0: a and c lie between idempotents on genus-many pairs
+        ids = [i for i in alg.idempotents(pmc) if len(i) == pmc.genus]
+        rev_ids = [i for i in alg.idempotents(self.rev) if len(i) == pmc.genus]
         basis = []
         for g in self.ddid.generators:
             left, right = self.ddid.idem[g]
-            for a in alg.full_basis(self.rev):
-                if a.right_pairs != right or a.weight != 0 or not self._kept(a):
-                    continue
-                for c in alg.full_basis(pmc):
-                    if c.left_pairs != left or c.weight != 0 or not self._kept(c):
-                        continue
-                    basis.append((g, a, c))
+            decorations = [a for i in rev_ids
+                           for a in alg.basics_between(self.rev, i, right, truncated)]
+            values = [c for i in ids for c in alg.basics_between(pmc, left, i, truncated)]
+            basis += [(g, a, c) for a in decorations for c in values]
         self.basis = sorted(basis, key=lambda t: (repr(t[0]), t[1].sort_key(), t[2].sort_key()))
         self._differential = {b: self._compute_differential(b) for b in self.basis}
 

@@ -24,18 +24,17 @@ class _Strands:
     keyed by itself: diagrams and generator idempotents take theirs from it
     (``pair_set``), so a circle keeps at most 2^(2g) pair sets however many
     diagrams it has.  ``blocks`` holds one ``Block`` per (left pairs, right
-    pairs, truncated), each made on first use.  The basis and the reversed
-    circle are filled in on first use.
+    pairs, truncated), each made on first use; together they are the
+    circle's basis.  The reversed circle is filled in on first use.
     """
 
-    __slots__ = ("diagrams", "identities", "values", "blocks", "basis", "reverse")
+    __slots__ = ("diagrams", "identities", "values", "blocks", "reverse")
 
     def __init__(self):
         self.diagrams: dict = {}
         self.identities: dict = {}
         self.values: dict = {}
         self.blocks: dict = {}
-        self.basis: list | None = None
         # (-Z, pair index of Z -> pair index of -Z); points map by reverse_point
         self.reverse: tuple | None = None
 
@@ -296,29 +295,19 @@ def differential(x: frozenset) -> frozenset:
     return frozenset(out)
 
 
+def idempotents(pmc: PointedMatchedCircle) -> list[frozenset]:
+    """The circle's pair sets, one per idempotent: by size, then in
+    ``combinations`` order."""
+    n = pmc.n_pairs
+    return [pair_set(pmc, pairs) for size in range(n + 1) for pairs in combinations(range(n), size)]
+
+
 def basis(pmc: PointedMatchedCircle, weight: int) -> list[StrandsGenerator]:
-    """All basic generators of the given weight, lexicographically ordered."""
-    if abs(weight) > pmc.genus:
-        return []
-    return [g for g in full_basis(pmc) if g.weight == weight]
-
-
-def full_basis(pmc: PointedMatchedCircle) -> list[StrandsGenerator]:
-    """All basic generators of every weight."""
-    table = _strands(pmc)
-    if table.basis is not None:
-        return table.basis
-    points = range(1, pmc.n_points + 1)
-    out = []
-    for num_moving in range(pmc.n_pairs + 1):
-        for starts in combinations(points, num_moving):
-            if len({pmc.pair_of(s) for s in starts}) != num_moving:
-                continue
-            for moving in _assignments(pmc, starts):
-                out.extend(completions(pmc, moving))
-    out.sort(key=StrandsGenerator.sort_key)
-    table.basis = out
-    return out
+    """All basic generators of the given weight, lexicographically ordered:
+    the blocks between idempotents on genus + weight pairs."""
+    ids = [i for i in idempotents(pmc) if len(i) == pmc.genus + weight]
+    return sorted((a for left in ids for right in ids for a in basics_between(pmc, left, right)),
+                  key=StrandsGenerator.sort_key)
 
 
 class Block:
@@ -326,10 +315,12 @@ class Block:
     ``right``, as positions: only those that survive truncation if
     ``truncated``.
 
-    ``basics`` are enumerated directly (see ``_enumerate_block``) in basis
-    order, and ``position`` numbers them.  ``d[i]`` lists the positions of
-    the terms of the differential of basic i, in the order of
-    ``differential_basic``, without the terms truncation drops.
+    The blocks are the one enumeration of the circle's diagrams: ``basis``
+    is their union.  ``basics`` are enumerated directly (see
+    ``_enumerate_block``) in basis order, and ``position`` numbers them.
+    ``d[i]`` lists the positions of the terms of the differential of basic
+    i, in the order of ``differential_basic``, without the terms
+    truncation drops.
     ``left_by(e)`` and ``right_by(e)`` give, for each position, the
     position of e times the basic or the basic times e in its own block,
     or -1 where the product dies or truncation drops it; they are cached
@@ -389,8 +380,8 @@ def block(pmc: PointedMatchedCircle, left: frozenset, right: frozenset,
 def basics_between(pmc: PointedMatchedCircle, left: frozenset, right: frozenset,
                    truncated: bool = False) -> list[StrandsGenerator]:
     """Basis elements from the idempotent ``left`` to ``right``, in basis
-    order; only those that survive truncation if ``truncated``.  They are
-    the basics of the circle's block, so the full basis is never built."""
+    order; only those that survive truncation if ``truncated``: the basics
+    of the circle's one block between them."""
     return block(pmc, left, right, truncated).basics
 
 
@@ -434,19 +425,6 @@ def reversal(pmc: PointedMatchedCircle) -> tuple[PointedMatchedCircle, list[int]
     if table.reverse is None:
         table.reverse = (reverse_pmc(pmc), reversed_pair_map(pmc))
     return table.reverse
-
-
-def _assignments(pmc, starts, chosen=()):
-    if not starts:
-        yield chosen
-        return
-    s = starts[0]
-    taken_ends = {e for _, e in chosen}
-    taken_pairs = {pmc.pair_of(e) for _, e in chosen}
-    for e in range(s + 1, pmc.n_points + 1):
-        if e in taken_ends or pmc.pair_of(e) in taken_pairs:
-            continue
-        yield from _assignments(pmc, starts[1:], chosen + ((s, e),))
 
 
 def completions(pmc: PointedMatchedCircle, moving):

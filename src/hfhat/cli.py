@@ -41,15 +41,12 @@ def cmd_algebra(args) -> int:
     gens = alg.basis(pmc, args.weight)
     if args.truncated:
         gens = [g for g in gens if g.kept]
-    products = 0
-    leibniz_ok = True
-    for a in gens:
-        if alg.differential(alg.differential_basic(a)):
-            leibniz_ok = False
-    for a in gens:
-        for b in gens:
-            if alg.multiply_basic(a, b) is not None:
-                products += 1
+    leibniz_ok = not any(alg.differential(alg.differential_basic(a)) for a in gens)
+    # a times each block out of its right idempotent; -1 where the product
+    # dies or truncation drops it
+    rights = [i for i in alg.idempotents(pmc) if len(i) == pmc.genus + args.weight]
+    products = sum(p >= 0 for a in gens for right in rights
+                   for p in alg.block(pmc, a.right_pairs, right, args.truncated).left_by(a))
     payload = {
         "basis": [g.to_json() for g in gens],
         "dimension": len(gens),

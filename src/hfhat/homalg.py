@@ -103,9 +103,6 @@ class TypeDStructure:
         _check_idempotents(coef, self.idem[src], self.idem[tgt])
         return _toggle(self.delta[src], tgt, frozenset((coef,)))
 
-    def idempotent_coef(self, src):
-        return identity_coef(self.factors, self.idem[src])
-
     # -- bookkeeping -------------------------------------------------------
 
     def factor_sizes(self) -> tuple[int, ...]:
@@ -237,8 +234,8 @@ def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
     for u in M.generators:
         for v in N.generators:
             out.add_generator((u, v), M.idem[u] + N.idem[v])
-    m_pad = {u: M.idempotent_coef(u) for u in M.generators}
-    n_pad = {v: N.idempotent_coef(v) for v in N.generators}
+    m_pad = {u: identity_coef(M.factors, M.idem[u]) for u in M.generators}
+    n_pad = {v: identity_coef(N.factors, N.idem[v]) for v in N.generators}
     for u in M.generators:
         for v in N.generators:
             for u2, coefs in M.delta[u].items():

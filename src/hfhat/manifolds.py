@@ -20,6 +20,7 @@ from .homalg import (
     StructureError,
     TypeDStructure,
     cancel,
+    identity_coef,
     mor_against_bimodule,
     mor_complex,
     tensor,
@@ -82,7 +83,7 @@ def cfd_self_gluing(pmc: PointedMatchedCircle) -> TypeDStructure:
 
     key_of = {}
     for g in ddid.generators:
-        idem = _fuse_pair(big, *ddid.idempotent_coef(g), shift=n).left_pairs
+        idem = _fuse_pair(big, *identity_coef(ddid.factors, ddid.idem[g]), shift=n).left_pairs
         key_of[g] = tuple(sorted(idem))
         out.add_generator(key_of[g], (idem,))
     for g in ddid.generators:
@@ -134,13 +135,13 @@ def dd_elementary_cobordism(pmc: PointedMatchedCircle) -> TypeDStructure:
     h_loop = StrandsGenerator(torus, [(2, 4)], ())
 
     for g in ddid.generators:
-        i_left = ddid.idempotent_coef(g)[0]
+        i_left = identity_coef(ddid.factors, ddid.idem[g])[0]
         out.add_generator(g, (_fuse_pair(big, i_left, h_idem, n).left_pairs, ddid.idem[g][1]))
     for g in ddid.generators:
         for g2, coefs in ddid.delta[g].items():
             for aL, aR in coefs:
                 out.add_arrow(g, g2, (_fuse_pair(big, aL, h_idem, n), aR))
-        i_left, i_right = ddid.idempotent_coef(g)
+        i_left, i_right = identity_coef(ddid.factors, ddid.idem[g])
         out.add_arrow(g, g, (_fuse_pair(big, i_left, h_loop, n), i_right))
     out.propagate_gradings()
     return out

@@ -39,10 +39,9 @@ def dd_identity(pmc: PointedMatchedCircle) -> TypeDStructure:
     differential term for every chord and every horizontal completion."""
     rev, rpm = alg.reversal(pmc)
     out = TypeDStructure((AlgebraFactor(pmc), AlgebraFactor(rev)), name=f"DDid(g={pmc.genus})")
-    for size in range(pmc.n_pairs + 1):
-        for left in combinations(range(pmc.n_pairs), size):
-            right = [rpm[p] for p in range(pmc.n_pairs) if p not in left]
-            out.add_generator(left, (alg.pair_set(pmc, left), alg.pair_set(rev, right)))
+    for left in alg.idempotents(pmc):
+        right = [rpm[p] for p in range(pmc.n_pairs) if p not in left]
+        out.add_generator(tuple(sorted(left)), (left, alg.pair_set(rev, right)))
     for chord in all_chords(pmc):
         for aL, aR in matched_chord_terms(pmc, rev, rpm, chord):
             out.add_arrow(tuple(sorted(aL.left_pairs)), tuple(sorted(aL.right_pairs)), (aL, aR))
@@ -382,9 +381,7 @@ def enumerate_near_chords(slide: ArcSlide | SlideContext) -> list[NearChord]:
 
 def slide_generators(ctx: SlideContext):
     """All near-complementary idempotent pairs: every X type, then every Y."""
-    n = ctx.src.n_pairs
-    lefts = [alg.pair_set(ctx.src, left)
-             for size in range(n + 1) for left in combinations(range(n), size)]
+    lefts = alg.idempotents(ctx.src)
     return ([(left, ctx.partners(left)[0]) for left in lefts]
             + [(left, right) for left in lefts for right in ctx.partners(left)[1:]])
 

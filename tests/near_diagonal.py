@@ -13,6 +13,8 @@ from hfhat.algebra import StrandsGenerator
 from hfhat.pmc import ArcSlide
 from hfhat.slides import SlideContext, _complete
 
+from algebra_sums import full_basis
+
 
 def idem_type(ctx: SlideContext, left: frozenset, right_rev: frozenset) -> str | None:
     """'CX', 'XC', or 'Y'; None when not near-complementary."""
@@ -33,9 +35,9 @@ def near_diagonal_pairs(slide: ArcSlide):
     idempotents at both ends."""
     ctx = SlideContext(slide)
     by_supp: dict = {}
-    for aR in alg.full_basis(ctx.rev_tgt):
+    for aR in full_basis(ctx.rev_tgt):
         by_supp.setdefault(ctx.restricted_right(aR), []).append(aR)
-    for aL in alg.full_basis(ctx.src):
+    for aL in full_basis(ctx.src):
         for aR in by_supp.get(ctx.restricted_left(aL), ()):  # matching supports
             if idem_type(ctx, aL.left_pairs, aR.left_pairs) is None:
                 continue

@@ -35,7 +35,7 @@ from hfhat.slides import (
     enumerate_near_chords,
 )
 
-from algebra_sums import multiply
+from algebra_sums import full_basis, multiply
 from flat_grading import gr_generator
 from module_checks import homology_rank, modules_isomorphic
 from near_diagonal import dischords, grading_minus_one_scan, near_diagonal_grading
@@ -131,7 +131,7 @@ def test_criterion_6_property_suites():
     lam = lambda_power((7,))
     for pmc in (Z2, A2):
         weight0 = alg.basis(pmc, 0)
-        for a in alg.full_basis(pmc):
+        for a in full_basis(pmc):
             assert not alg.differential(alg.differential_basic(a))
             ga = gr_generator(a)
             for t in alg.differential_basic(a):
@@ -164,7 +164,7 @@ def test_criterion_6_property_suites():
         return count
 
     for pmc in (Z1, Z2, A2):
-        for a in alg.full_basis(pmc):
+        for a in full_basis(pmc):
             if not a.is_idempotent:
                 assert a.iota2 <= -runs(a.supp)
 

@@ -6,8 +6,9 @@ import pytest
 import hfhat.algebra as alg
 from hfhat.algebra import StrandsGenerator, idempotent
 from hfhat.pmc import Chord, antipodal_pmc, reverse_pmc, split_pmc
+from hfhat.slides import dd_identity
 
-from algebra_sums import all_idempotents, multiply
+from algebra_sums import all_idempotents, full_basis, multiply
 from shared_values import assert_one_object_per_value
 from summand_maps import quotient_map, truncate_element
 
@@ -92,7 +93,7 @@ def test_crossing_resolution_example():
 
 def test_d_squared_zero_exhaustive_genus_two():
     for pmc in (Z2, A2):
-        for g in alg.full_basis(pmc):
+        for g in full_basis(pmc):
             assert not alg.differential(alg.differential_basic(g))
 
 
@@ -154,7 +155,7 @@ def test_chord_element_minimal_weight_is_bare():
 
 def test_chordset_singleton_matches_chord_element():
     for chord in (Chord(1, 2), Chord(2, 4)):
-        completions = {a for a in alg.full_basis(Z2) if a.moving == ((chord.start, chord.end),)}
+        completions = {a for a in full_basis(Z2) if a.moving == ((chord.start, chord.end),)}
         assert alg.chordset_element(Z2, [chord]) == completions
 
 
@@ -207,7 +208,7 @@ def test_truncation_drops_high_multiplicity():
 
 
 def test_truncation_commutes_with_differential_genus_two():
-    for g in alg.full_basis(Z2):
+    for g in full_basis(Z2):
         lhs = truncate_element(alg.differential_basic(g))
         rhs = alg.differential(truncate_element(frozenset({g})))
         assert lhs == rhs  # the support is preserved by resolutions
@@ -233,7 +234,7 @@ def test_quotient_map_is_algebra_map_on_samples():
     total = split_pmc(2)
     part = split_pmc(1)
     base = frozenset({total.pair_of(5)})
-    basis = alg.full_basis(total)
+    basis = full_basis(total)
     for _ in range(300):
         a, b = random.choice(basis), random.choice(basis)
         ab = alg.multiply_basic(a, b)
@@ -271,7 +272,7 @@ def test_naming_a_diagram_twice_gives_the_same_object(monkeypatch):
     # an equal circle built separately shares the table
     assert StrandsGenerator(split_pmc(3), [(9, 12), (1, 4)], [3, 2]) is a
     assert len(built) == 1
-    for b in alg.full_basis(Z2):
+    for b in full_basis(Z2):
         assert StrandsGenerator(Z2, list(b.moving), list(b.horizontals)) is b
 
 
@@ -294,7 +295,7 @@ def test_invalid_diagrams_raise_and_are_not_stored(monkeypatch):
 
 
 def test_ids_name_diagrams_across_circles():
-    basis = {a for pmc in SPLIT_AND_ANTIPODAL for a in alg.full_basis(pmc)}
+    basis = {a for pmc in SPLIT_AND_ANTIPODAL for a in full_basis(pmc)}
     assert len({a.id for a in basis}) == len(basis)
 
 
@@ -323,13 +324,13 @@ def test_equal_circles_built_separately_share_products():
 
 def test_hash_is_the_value_hash():
     for pmc in SPLIT_AND_ANTIPODAL:
-        for a in alg.full_basis(pmc):
+        for a in full_basis(pmc):
             assert hash(a) == hash((pmc, a.moving, a.horizontals))
 
 
 def test_kept_flag_is_multiplicity_at_most_one():
     for pmc in SPLIT_AND_ANTIPODAL:
-        basis = alg.full_basis(pmc)
+        basis = full_basis(pmc)
         assert any(a.kept for a in basis) and not all(a.kept for a in basis)
         for a in basis:
             assert a.kept == all(m <= 1 for m in a.supp)
@@ -345,7 +346,7 @@ def test_opposite_is_an_interned_involution(monkeypatch):
     monkeypatch.setattr(alg, "reverse_pmc", no_circle)
     monkeypatch.setattr(alg, "reversed_pair_map", no_circle)
     for pmc in SPLIT_AND_ANTIPODAL:
-        for a in alg.full_basis(pmc):
+        for a in full_basis(pmc):
             b = alg.opposite_basic(a)
             assert b.pmc == reverse_pmc(pmc)
             assert alg.opposite_basic(b) is a
@@ -408,7 +409,7 @@ def _multiply_reference(a, b):
 
 
 def _composable_pairs(pmc):
-    basis = alg.full_basis(pmc)
+    basis = full_basis(pmc)
     by_left: dict = {}
     for b in basis:
         by_left.setdefault(b.left_pairs, []).append(b)
@@ -420,7 +421,7 @@ def test_one_pass_product_matches_the_strand_list_product():
     pairs = _composable_pairs(Z1) + _composable_pairs(Z2)
     pairs += rng.sample(_composable_pairs(A2), 20000)
     for pmc in (Z2, A2):  # mostly idempotent mismatches
-        basis = alg.full_basis(pmc)
+        basis = full_basis(pmc)
         pairs += [(rng.choice(basis), rng.choice(basis)) for _ in range(5000)]
     vanished = 0
     for a, b in pairs:
@@ -433,7 +434,7 @@ def test_one_pass_product_matches_the_strand_list_product():
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_a_split_basis_keeps_one_object_per_pair_set_and_support(genus):
     pmc = split_pmc(genus)
-    basis = alg.full_basis(pmc)
+    basis = full_basis(pmc)
     assert_one_object_per_value(basis, [(pmc, a.left_pairs) for a in basis])
     assert len({id(a.left_pairs) for a in basis}) == 4 ** genus
 
@@ -442,7 +443,7 @@ def test_the_product_cache_holds_one_packed_key_per_distinct_pair(monkeypatch):
     monkeypatch.setattr(alg, "_mul_cache", {})
     rng = random.Random(7)
     pairs = rng.sample(_composable_pairs(Z2), 2000)
-    basis = alg.full_basis(A2)
+    basis = full_basis(A2)
     pairs += [(rng.choice(basis), rng.choice(basis)) for _ in range(2000)]
     for a, b in pairs + pairs[::3]:  # a third of the pairs twice
         alg.multiply_basic(a, b)
@@ -451,8 +452,20 @@ def test_the_product_cache_holds_one_packed_key_per_distinct_pair(monkeypatch):
 
 
 def test_vanishing_differentials_are_one_object():
-    empty = [d for a in alg.full_basis(A2) if not (d := alg.differential_basic(a))]
+    empty = [d for a in full_basis(A2) if not (d := alg.differential_basic(a))]
     assert empty and all(d is empty[0] for d in empty)
+
+
+@pytest.mark.parametrize("pmc", [Z1, Z2, A2, split_pmc(3)],
+                         ids=["split-1", "split-2", "antipodal-2", "split-3"])
+def test_idempotents_come_by_size_then_in_combinations_order(pmc):
+    """``idempotents`` lists ``all_idempotents``' pair sets in their order,
+    each the circle's one object, and the identity bimodule's generators
+    follow that order."""
+    ids = alg.idempotents(pmc)
+    assert ids == [i.left_pairs for i in all_idempotents(pmc)]
+    assert all(alg.pair_set(pmc, i) is i for i in ids)
+    assert dd_identity(pmc).generators == [tuple(sorted(i)) for i in ids]
 
 
 @pytest.mark.parametrize("pmc", [Z1, Z2, A2], ids=["split-1", "split-2", "antipodal-2"])
@@ -466,7 +479,7 @@ def test_blocks_enumerate_the_full_basis_filter_in_order(pmc):
         for left in ids:
             for right in ids:
                 block = alg.block(pmc, left, right, truncated)
-                scan = [a for a in alg.full_basis(pmc)
+                scan = [a for a in full_basis(pmc)
                         if a.left_pairs == left and a.right_pairs == right
                         and (a.kept or not truncated)]
                 assert block.basics == scan
@@ -474,4 +487,4 @@ def test_blocks_enumerate_the_full_basis_filter_in_order(pmc):
                 assert alg.basics_between(pmc, left, right, truncated) is block.basics
                 assert alg.block(pmc, left, right, truncated) is block
                 total += len(scan)
-        assert total == sum(a.kept or not truncated for a in alg.full_basis(pmc))
+        assert total == sum(a.kept or not truncated for a in full_basis(pmc))

@@ -8,10 +8,13 @@ import pytest
 
 import hfhat
 from hfhat import cli, manifolds
+from hfhat.algebra import multiply_basic
 from hfhat.cli import EXIT_INTERNAL, main
 from hfhat.grading import GradingElement
 from hfhat.homalg import StructureError, cancel
-from hfhat.pmc import split_pmc
+from hfhat.pmc import antipodal_pmc, split_pmc
+
+from algebra_sums import full_basis
 
 
 @pytest.fixture()
@@ -54,6 +57,27 @@ def test_algebra_truncated_dimension(pmc_file, capsys):
     assert main(["--truncated", "--output", "json", "algebra", pmc_file]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["dimension"] == 8  # no genus-1 weight-0 multiplicity >= 2
+
+
+@pytest.mark.parametrize("circle, genus, weight, expected", [
+    (split_pmc, 1, 1, 9), (split_pmc, 2, 0, 858), (split_pmc, 2, 1, 970),
+    (antipodal_pmc, 2, 0, 750), (antipodal_pmc, 2, 1, 826),
+], ids=["split-1-w1", "split-2-w0", "split-2-w1", "antipodal-2-w0", "antipodal-2-w1"])
+def test_truncated_algebra_counts_only_kept_products(circle, genus, weight, expected, tmp_path,
+                                                     capsys):
+    """Over the truncated algebra a product of kept basics that truncation
+    kills is zero, so it is not among the nonzero products."""
+    pmc = circle(genus)
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(pmc.to_json()))
+    assert main(["--truncated", "--output", "json", "algebra", str(path),
+                 "--weight", str(weight)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    kept = [a for a in full_basis(pmc) if a.weight == weight and a.kept]
+    assert payload["dimension"] == len(kept)
+    oracle = sum(1 for a in kept for b in kept if a.right_pairs == b.left_pairs
+                 and (p := multiply_basic(a, b)) is not None and p.kept)
+    assert payload["nonzero_products"] == oracle == expected
 
 
 def test_verbose_is_an_option_of_the_algebra_command(pmc_file, monkeypatch, capsys):

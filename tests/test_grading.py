@@ -21,7 +21,7 @@ from hfhat.manifolds import cfd_zero_framed_handlebody, poincare_sphere
 from hfhat.pmc import ArcSlide, all_arcslides, antipodal_pmc, reversed_pair_map, split_pmc
 from hfhat.slides import arcslide_dd, dd_identity
 
-from algebra_sums import all_idempotents
+from algebra_sums import all_idempotents, full_basis
 from block_grading import BlockElement, block_congruence, block_identity, to_blocks, to_flat
 from flat_grading import check_congruence, gr_generator
 from product_grading import ProductLattice, dedupe_relations, lambda_power, matrix_product
@@ -33,7 +33,7 @@ A2 = antipodal_pmc(2)
 
 def random_elements(pmc, count, seed):
     rng = random.Random(seed)
-    basis = alg.full_basis(pmc)
+    basis = full_basis(pmc)
     return [gr_generator(rng.choice(basis)) for _ in range(count)]
 
 
@@ -66,7 +66,7 @@ def test_noncommutativity_witness():
 
 def test_congruence_of_generator_gradings():
     for pmc in (Z2, A2):
-        for g in alg.full_basis(pmc):
+        for g in full_basis(pmc):
             assert check_congruence(gr_generator(g))
 
 
@@ -89,7 +89,7 @@ def test_negative_maslov_bound_exhaustive():
         return count
 
     for pmc in (Z1, Z2, A2):
-        for g in alg.full_basis(pmc):
+        for g in full_basis(pmc):
             if not g.is_idempotent:
                 assert g.iota2 <= -runs(g.supp)
 
@@ -236,7 +236,7 @@ class ReferenceLattice:
 
 def _random_stacked(pmcs, rng):
     """One generator grading per circle, stacked as blocks."""
-    parts = [gr_generator(rng.choice(alg.full_basis(pmc))) for pmc in pmcs]
+    parts = [gr_generator(rng.choice(full_basis(pmc))) for pmc in pmcs]
     return BlockElement(sum(p.j2 for p in parts), tuple(p.chain for p in parts))
 
 
@@ -521,7 +521,7 @@ def _iota2_reference(a):
 
 def test_interned_iota2_matches_the_diagram():
     for pmc in (Z1, antipodal_pmc(1), Z2, A2):
-        for a in alg.full_basis(pmc):
+        for a in full_basis(pmc):
             assert a.iota2 == _iota2_reference(a)
 
 

