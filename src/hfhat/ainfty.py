@@ -18,7 +18,7 @@ from .slides import dd_identity
 
 
 class RetractError(ValueError):
-    """Proposed perturbation data fails the retract identities."""
+    """Proposed perturbation data fails the retract equations."""
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +46,8 @@ class DualIdentityBimodule:
         for g in self.ddid.generators:
             left, right = self.ddid.idem[g]
             decorations = [a for i in rev_ids
-                           for a in alg.basics_between(self.rev, i, right, truncated)]
-            values = [c for i in ids for c in alg.basics_between(pmc, left, i, truncated)]
+                           for a in alg.block(self.rev, i, right, truncated).basics]
+            values = [c for i in ids for c in alg.block(pmc, left, i, truncated).basics]
             basis += [(g, a, c) for a in decorations for c in values]
         self.basis = sorted(basis, key=lambda t: (repr(t[0]), t[1].sort_key(), t[2].sort_key()))
         self._differential = {b: self._compute_differential(b) for b in self.basis}
@@ -57,7 +57,7 @@ class DualIdentityBimodule:
         out: set = set()
         for c2 in alg.differential_basic(c):
             out ^= {(g, a, c2)}
-        for b in alg.basics_between(self.rev, a.left_pairs, a.right_pairs):
+        for b in alg.block(self.rev, a.left_pairs, a.right_pairs).basics:
             if a in alg.differential_basic(b):
                 out ^= {(g, b, c)}
         for g2 in self.ddid.generators:
@@ -68,7 +68,7 @@ class DualIdentityBimodule:
                     pc = alg.multiply_basic(p, c)
                     if pc is None or not self._kept(pc):
                         continue
-                    for b in alg.basics_between(self.rev, a.left_pairs, self.ddid.idem[g2][1]):
+                    for b in alg.block(self.rev, a.left_pairs, self.ddid.idem[g2][1]).basics:
                         if alg.multiply_basic(b, q) == a:
                             out ^= {(g2, b, pc)}
         return frozenset(out)
@@ -98,7 +98,7 @@ class DualIdentityBimodule:
                 if cs is not None and self._kept(cs):
                     out ^= {(g, a, cs)}
             elif side == "lambda":
-                for b in alg.basics_between(self.rev, r.right_pairs, a.right_pairs):
+                for b in alg.block(self.rev, r.right_pairs, a.right_pairs).basics:
                     if alg.multiply_basic(r, b) == a:
                         out ^= {(g, b, c)}
             else:
@@ -111,10 +111,11 @@ class MinimalModel:
 
     Operations are evaluated lazily: feed the inclusion through
     alternating action/homotopy steps and project.  Bimodule operations
-    sum over all interleavings of the two input sequences.
+    sum over all interleavings of the two input sequences.  ``cancel``'s
+    pivots, and so the generators, follow the order of ``module.basis``.
     """
 
-    def __init__(self, module: DualIdentityBimodule, seed: int = 0):
+    def __init__(self, module: DualIdentityBimodule):
         self.module = module
         bare = TypeDStructure((), name="dual identity")
         for b in module.basis:
@@ -123,7 +124,7 @@ class MinimalModel:
             for b2 in module.differential(b):
                 bare.add_arrow(b, b2, ())
         retract: dict = {}
-        reduced = cancel(bare, order_seed=seed, retract=retract)
+        reduced = cancel(bare, retract=retract)
         if reduced.arrow_count():
             raise RetractError("reduced differential is nonzero")
         self.generators = reduced.generators

@@ -16,23 +16,22 @@ from .pmc import PointedMatchedCircle, reverse_pmc, reverse_point, reversed_pair
 class _Strands:
     """The strands algebra's view of one circle.
 
-    ``diagrams`` interns every valid diagram: the key is (moving,
-    horizontals) both as normalised and as first spelled by a caller, so a
-    diagram is validated once however often it is named.  ``identities``
-    holds each idempotent's identity diagram by the frozenset of its pairs.
-    ``values`` holds one object per distinct pair set and support tuple, each
-    keyed by itself: diagrams and generator idempotents take theirs from it
-    (``pair_set``), so a circle keeps at most 2^(2g) pair sets however many
-    diagrams it has.  ``blocks`` holds one ``Block`` per (left pairs, right
-    pairs, truncated), each made on first use; together they are the
-    circle's basis.  The reversed circle is filled in on first use.
+    ``diagrams`` interns every valid diagram, identity diagrams included
+    (``idempotent``): the key is (moving, horizontals) both as normalised
+    and as first spelled by a caller, so a diagram is validated once
+    however often it is named.  ``values`` holds one object per distinct
+    pair set and support tuple, each keyed by itself: diagrams and
+    generator idempotents take theirs from it (``pair_set``), so a circle
+    keeps at most 2^(2g) pair sets however many diagrams it has.
+    ``blocks`` holds one ``Block`` per (left pairs, right pairs,
+    truncated), each made on first use; together they are the circle's
+    basis.  The reversed circle is filled in on first use.
     """
 
-    __slots__ = ("diagrams", "identities", "values", "blocks", "reverse")
+    __slots__ = ("diagrams", "values", "blocks", "reverse")
 
     def __init__(self):
         self.diagrams: dict = {}
-        self.identities: dict = {}
         self.values: dict = {}
         self.blocks: dict = {}
         # (-Z, pair index of Z -> pair index of -Z); points map by reverse_point
@@ -172,13 +171,8 @@ class StrandsGenerator:
 
 
 def idempotent(pmc: PointedMatchedCircle, pairs) -> StrandsGenerator:
-    """The identity diagram of the idempotent on ``pairs``."""
-    identities = _strands(pmc).identities
-    pairs = frozenset(pairs)
-    out = identities.get(pairs)
-    if out is None:
-        out = identities[pairs] = StrandsGenerator(pmc, (), tuple(sorted(pairs)))
-    return out
+    """The interned identity diagram of the idempotent on ``pairs``."""
+    return StrandsGenerator(pmc, (), tuple(sorted(pairs)))
 
 
 _mul_cache: dict = {}
@@ -306,7 +300,7 @@ def basis(pmc: PointedMatchedCircle, weight: int) -> list[StrandsGenerator]:
     """All basic generators of the given weight, lexicographically ordered:
     the blocks between idempotents on genus + weight pairs."""
     ids = [i for i in idempotents(pmc) if len(i) == pmc.genus + weight]
-    return sorted((a for left in ids for right in ids for a in basics_between(pmc, left, right)),
+    return sorted((a for left in ids for right in ids for a in block(pmc, left, right).basics),
                   key=StrandsGenerator.sort_key)
 
 
@@ -375,14 +369,6 @@ def block(pmc: PointedMatchedCircle, left: frozenset, right: frozenset,
     if out is None:
         out = blocks[key] = Block(pmc, left, right, truncated)
     return out
-
-
-def basics_between(pmc: PointedMatchedCircle, left: frozenset, right: frozenset,
-                   truncated: bool = False) -> list[StrandsGenerator]:
-    """Basis elements from the idempotent ``left`` to ``right``, in basis
-    order; only those that survive truncation if ``truncated``: the basics
-    of the circle's one block between them."""
-    return block(pmc, left, right, truncated).basics
 
 
 def _enumerate_block(pmc, left, right) -> list[StrandsGenerator]:

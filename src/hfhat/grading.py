@@ -433,16 +433,14 @@ def slide_homology_matrix(slide) -> list[list[int]]:
     return mat
 
 
-def xi_word(slides, n_pairs: int | None = None) -> list[list[int]]:
-    """The integer matrix of a composable word of slides on the pair
-    classes, target basis by source basis: the last slide's matrix times
-    the earlier ones'."""
+def xi_word(slides, n_pairs: int) -> list[list[int]]:
+    """The integer matrix of a composable word of slides on the
+    ``n_pairs`` pair classes, target basis by source basis: the last
+    slide's matrix times the earlier ones'."""
     slides = list(slides)
     for first, second in zip(slides, slides[1:]):
         if first.target != second.source:
             raise ValueError("slide word is not composable")
-    if n_pairs is None:
-        n_pairs = slides[0].source.n_pairs if slides else 0
     out = [[int(i == j) for j in range(n_pairs)] for i in range(n_pairs)]
     for s in slides:
         m = slide_homology_matrix(s)

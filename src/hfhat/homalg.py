@@ -11,7 +11,6 @@ what they produce (``MorGrading``, ``join_gradings``).
 from __future__ import annotations
 
 import heapq
-import weakref
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
@@ -83,6 +82,7 @@ class TypeDStructure:
         self.idem: dict = {}
         self.delta: dict = {}
         self.gradings: Gradings | None = None
+        self.plans: dict = {}  # kept factor -> its Mor plan (``_mor_plan``)
 
     # -- construction -----------------------------------------------------
 
@@ -288,21 +288,18 @@ def mor_against_bimodule(B: TypeDStructure, N: TypeDStructure, seam: int) -> Typ
     return _mor(B, N, 1 - seam)
 
 
-_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # M -> {keep: its plan}
-
-
 def _mor_plan(M: TypeDStructure, keep) -> tuple:
     """What Mor(M, -) with M's factor ``keep`` kept takes from M alone,
-    built on M's first such pairing and dropped with M; M must not change
-    once paired.
+    built on M's first such pairing and kept in ``M.plans``, so it goes
+    with M; M must not change once paired.
 
     Delta entries of one coefficient are the plan's one frozenset of it
     (``single``), shared by every stage; entries are replaced, never
     changed, so sharing is safe.
     """
-    plans = _plans.setdefault(M, {})
-    if keep in plans:
-        return plans[keep]
+    plan = M.plans.get(keep)
+    if plan is not None:
+        return plan
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(M.factors)) if i != keep]
     reversals = [alg.reversal(M.factors[i].pmc) for i in kept]
@@ -333,8 +330,8 @@ def _mor_plan(M: TypeDStructure, keep) -> tuple:
                 parts.append((e_c, single(k), grading.core(x0, x1, e_c, k), {}))
             incoming[number[x1]].append((number[x0], parts))
     units = [single(identity_coef(factors, i)) for i in idem]
-    plans[keep] = (left, factors, idem, units, incoming, grading)
-    return plans[keep]
+    plan = M.plans[keep] = (left, factors, idem, units, incoming, grading)
+    return plan
 
 
 def _strides(sizes) -> list[int]:
@@ -537,21 +534,20 @@ def _coef_inverse(factors, entry, ident):
     return frozenset(total)
 
 
-def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) -> TypeDStructure:
+def cancel(M: TypeDStructure, retract: dict | None = None) -> TypeDStructure:
     """Remove all idempotent-coefficient arrows by zig-zag elimination.
 
     Each step drops a pair of generators joined by an invertible arrow and
     splices the remaining arrows through its inverse.  The pivot is the
     arrow x -> y of least Markowitz cost (|back(y)| - 1) * (|delta(x)| - 1),
     which keeps fill-in small; ties go to the least (rank x, rank y), where
-    rank is the position in M's generators and a nonzero ``order_seed``
-    rotates it.  A heap holds the candidate arrows; after a splice only
-    arrows at the generators it touched are pushed again, and entries
-    that no longer match the structure are dropped when popped.  A pivot
-    of cost 0 has no arrow into y but x's or none out of x but to y, so
-    it is dropped without the inverse or a splice.  Each idempotent's
-    identity coefficient is made once.  Gradings of surviving generators
-    carry over unchanged.
+    rank is the position in M's generators.  A heap holds the candidate
+    arrows; after a splice only the arrows out of the rows and into the
+    columns it touched are pushed again, and entries that no longer match
+    the structure are dropped when popped.  A pivot of cost 0 has no arrow
+    into y but x's or none out of x but to y, so it is dropped without the
+    inverse or a splice.  Each idempotent's identity coefficient is made
+    once.  Gradings of surviving generators carry over unchanged.
 
     For a bare complex, a ``retract`` dict is filled with the strong
     deformation retract the pivots compose to: "f" sends each survivor to
@@ -567,18 +563,23 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
     for x in out.generators:
         for y in delta[x]:
             back[y].add(x)
-    rank = {g: (i - order_seed) % len(out.generators) for i, g in enumerate(out.generators)}
+    rank = {g: i for i, g in enumerate(out.generators)}
     heap: list = []  # (cost, rank x, rank y, x, y); the ranks make entries unique
     # the one idempotent coefficient an arrow out of x can carry, as a
     # one-element set made once per idempotent: a disjointness test reads
     # the hashes the sets store, where a membership test hashes the tuple
     units = {i: frozenset((identity_coef(out.factors, i),)) for i in set(out.idem.values())}
     identity = {x: units[i] for x, i in out.idem.items()}
+
+    def push_row(w) -> None:
+        """Push every invertible arrow out of w at its current cost."""
+        unit, rw, fan_out = identity[w], rank[w], len(delta[w]) - 1
+        for z, coefs in delta[w].items():
+            if w != z and not unit.isdisjoint(coefs):
+                heapq.heappush(heap, ((len(back[z]) - 1) * fan_out, rw, rank[z], w, z))
+
     for x in out.generators:
-        unit, rx, fan_out = identity[x], rank[x], len(delta[x]) - 1
-        for y, coefs in delta[x].items():
-            if x != y and not unit.isdisjoint(coefs):
-                heapq.heappush(heap, ((len(back[y]) - 1) * fan_out, rx, rank[y], x, y))
+        push_row(x)
 
     if retract is not None:
         f = {b: {b} for b in out.generators}
@@ -605,13 +606,9 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
             for b in g_into.pop(y):
                 T[b] ^= fx
                 g[b].discard(y)
+                g[b] ^= rest
                 for v in rest:
-                    if v in g[b]:
-                        g[b].discard(v)
-                        g_into[v].discard(b)
-                    else:
-                        g[b].add(v)
-                        g_into[v].add(b)
+                    g_into[v] ^= {b}
             for b in g_into.pop(x):
                 g[b].discard(x)
         if cost:  # else no arrow enters y or none leaves x but x -> y
@@ -644,10 +641,7 @@ def cancel(M: TypeDStructure, order_seed: int = 0, retract: dict | None = None) 
                 if w in delta and dead in delta[w]:
                     del delta[w][dead]
         for w in sources:
-            unit, rw, fan_out = identity[w], rank[w], len(delta[w]) - 1
-            for z, coefs in delta[w].items():
-                if w != z and not unit.isdisjoint(coefs):
-                    heapq.heappush(heap, ((len(back[z]) - 1) * fan_out, rw, rank[z], w, z))
+            push_row(w)
         for z in targets:
             rz, fan_in = rank[z], len(back[z]) - 1
             for w in back[z]:

@@ -408,13 +408,19 @@ def arcslide_dd(slide: ArcSlide) -> TypeDStructure:
 
 def _arcslide_dd_uncached(slide: ArcSlide) -> TypeDStructure:
     ctx = SlideContext(slide)
+    return arcslide_dd_on(ctx, enumerate_near_chords(ctx))
+
+
+def arcslide_dd_on(ctx: SlideContext, chords) -> TypeDStructure:
+    """The slide's bimodule on its near-chords ``chords``, uncached."""
+    slide = ctx.slide
     out = TypeDStructure((AlgebraFactor(slide.source), AlgebraFactor(ctx.rev_tgt)),
                          name=f"DD(slide {slide.b1} over {slide.c1})")
     for left, right in slide_generators(ctx):
         out.add_generator((tuple(sorted(left)), tuple(sorted(right))), (left, right))
 
     key_of = {idem: key for key, idem in out.idem.items()}
-    for nc in _slide_terms(ctx, out.factors, enumerate_near_chords(ctx)):
+    for nc in _slide_terms(ctx, out.factors, chords):
         src_key = key_of[nc.left.left_pairs, nc.right.left_pairs]
         tgt_key = key_of[nc.left.right_pairs, nc.right.right_pairs]
         out.add_arrow(src_key, tgt_key, (nc.left, nc.right))

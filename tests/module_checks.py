@@ -58,6 +58,16 @@ def modules_isomorphic(M: TypeDStructure, N: TypeDStructure) -> bool:
     return False
 
 
+def rotated(M: TypeDStructure, shift: int) -> TypeDStructure:
+    """A copy of M whose generator list starts at position ``shift``,
+    taken mod its length: ``cancel`` breaks pivot ties by position, so a
+    rotation is how a test makes it pick other pivots."""
+    out = M.copy()
+    k = shift % len(M.generators) if M.generators else 0
+    out.generators = M.generators[k:] + M.generators[:k]
+    return out
+
+
 def homology_rank(C: TypeDStructure) -> int:
     """Rank of the homology of an F2 complex (no algebra factors)."""
     if C.factors:

@@ -484,7 +484,6 @@ def test_blocks_enumerate_the_full_basis_filter_in_order(pmc):
                         and (a.kept or not truncated)]
                 assert block.basics == scan
                 assert block.position == {a: i for i, a in enumerate(scan)}
-                assert alg.basics_between(pmc, left, right, truncated) is block.basics
                 assert alg.block(pmc, left, right, truncated) is block
                 total += len(scan)
         assert total == sum(a.kept or not truncated for a in full_basis(pmc))

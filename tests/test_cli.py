@@ -348,6 +348,24 @@ def test_dd_slide_enumerates_near_chords_only_for_its_text_line(genus2_file, mon
     assert first == "over-slide of 5 over 4; 134 near-chords (20 indeterminate)" and len(calls) == 1
 
 
+def test_dd_slide_text_dump_enumerates_near_chords_once(genus2_file, monkeypatch, capsys):
+    # the bimodule is built on the near-chords the header counts, however
+    # the enumeration is looked up; the slide cache starts cold
+    from hfhat import slides
+
+    calls = []
+    for module in (slides, cli):
+        def counted(slide, inner=module.enumerate_near_chords):
+            calls.append(slide)
+            return inner(slide)
+
+        monkeypatch.setattr(module, "enumerate_near_chords", counted)
+    monkeypatch.setattr(slides, "_slide_dd_cache", {})
+    assert main(["dd-slide", genus2_file, "5", "4"]) == 0
+    assert capsys.readouterr().out.startswith("over-slide of 5 over 4; 134 near-chords")
+    assert len(calls) == 1
+
+
 def test_a_closed_stdout_exits_quietly(genus2_file):
     # the reader is gone before the first write, as with `| head -1` on a
     # long dump, so every write fails with EPIPE

@@ -418,14 +418,15 @@ def test_functoriality_on_random_words():
             slides.append(s)
             cur = s.target
         cut = rng.randint(1, len(slides) - 1)
-        assert matrix_product(xi_word(slides[cut:]), xi_word(slides[:cut])) == xi_word(slides)
+        n, whole = Z2.n_pairs, xi_word(slides, Z2.n_pairs)
+        assert matrix_product(xi_word(slides[cut:], n), xi_word(slides[:cut], n)) == whole
 
 
 def test_mod2_functor_respects_application_order():
     s1 = ArcSlide(Z2, 5, 4)
     s2 = next(s for s in all_arcslides(s1.target))
-    assert xi_word([s1, s2]) == matrix_product(slide_homology_matrix(s2),
-                                                slide_homology_matrix(s1))
+    assert xi_word([s1, s2], Z2.n_pairs) == matrix_product(slide_homology_matrix(s2),
+                                                           slide_homology_matrix(s1))
 
 
 def _slide_case(slide) -> str:

@@ -29,7 +29,7 @@ from hfhat.manifolds import (
 from hfhat.pmc import ArcSlide, all_arcslides, connected_sum, reverse_pmc, split_pmc
 from hfhat.slides import arcslide_dd
 
-from module_checks import homology_rank, modules_isomorphic
+from module_checks import homology_rank, modules_isomorphic, rotated
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -426,13 +426,13 @@ def test_results_do_not_depend_on_the_pivot_tie_break(monkeypatch):
 
     survivors: dict = {0: [], 7: []}
 
-    def results(seed):
-        def seeded(M):
-            out = cancel(M, order_seed=seed)
-            survivors[seed].append(out.generators)
+    def results(shift):
+        def rotating(M):
+            out = cancel(rotated(M, shift))
+            survivors[shift].append(set(out.generators))
             return out
 
-        monkeypatch.setattr(manifolds, "cancel", seeded)
+        monkeypatch.setattr(manifolds, "cancel", rotating)
         return [run(truncated=t, **kw).to_json() for run, kw in runs for t in (False, True)]
 
     assert results(7) == results(0)
@@ -455,3 +455,19 @@ def test_the_pipeline_never_builds_the_full_basis(monkeypatch):
         result = hf_hat_closed(word, truncated=truncated)
         assert [o["rank"] for o in result.orbits] == [4, 4]
         assert result.stages == ([(148, 2), (387, 3)] if truncated else [(252, 2), (679, 3)])
+
+
+def test_the_empty_genus_three_word_is_three_copies_of_s1xs2():
+    """#3 S1xS2 on the hom route: one orbit of rank 2^3, its degrees the
+    binomial coefficients in four adjacent Maslov degrees."""
+    result = hf_hat_closed(MappingWord(3), final="hom")
+    assert result.orbits == [{"rank": 8, "maslov": {"0": 1, "1": 3, "2": 3, "3": 1},
+                              "modulus": 0}]
+
+
+def test_a_genus_three_twist_ladder_has_one_orbit_per_spin_c_structure():
+    """T1^2 T3^3 T5^2 at genus 3, L(2,1) # L(3,1) # L(2,1), has |H_1| = 12:
+    the checked run finds 12 orbits, each of rank one."""
+    word = MappingWord(3, [("twist", 1, 2), ("twist", 3, 3), ("twist", 5, 2)])
+    result = hf_hat_closed(word, check=True)
+    assert result.total_rank == 12 and [o["rank"] for o in result.orbits] == [1] * 12
