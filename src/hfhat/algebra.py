@@ -14,12 +14,14 @@ from .pmc import PointedMatchedCircle, reverse_pmc, reverse_point, reversed_pair
 
 
 class _Strands:
-    """The strands algebra's view of one circle.
+    """The strands algebra's view of one circle, keyed in ``_tables`` by
+    the circle's ``pairs``, so equal circles built apart share it.
 
     ``diagrams`` interns every valid diagram, identity diagrams included
     (``idempotent``): the key is (moving, horizontals) both as normalised
     and as first spelled by a caller, so a diagram is validated once
-    however often it is named.  ``values`` holds one object per distinct
+    however often it is named, and a product (valid by construction) is
+    not validated at all.  ``values`` holds one object per distinct
     pair set and support tuple, each keyed by itself: diagrams and
     generator idempotents take theirs from it (``pair_set``), so a circle
     keeps at most 2^(2g) pair sets however many diagrams it has.
@@ -43,10 +45,17 @@ _ids = count()
 
 
 def _strands(pmc: PointedMatchedCircle) -> _Strands:
-    table = _tables.get(pmc)
+    table = _tables.get(pmc.pairs)
     if table is None:
-        table = _tables[pmc] = _Strands()
+        table = _tables[pmc.pairs] = _Strands()
     return table
+
+
+def diagrams(pmc: PointedMatchedCircle) -> dict:
+    """The circle's interned diagrams by (moving, horizontals) tuples, as
+    normalised or as first spelled: a lookup that hits needs no
+    ``StrandsGenerator`` call."""
+    return _strands(pmc).diagrams
 
 
 def pair_set(pmc: PointedMatchedCircle, pairs) -> frozenset:
@@ -107,12 +116,17 @@ class StrandsGenerator:
             raise ValueError("duplicate horizontal pair")
         if hset & set(start_pairs) or hset & set(end_pairs):
             raise ValueError("horizontal pair collides with a moving endpoint")
+        self._fill(pmc, moving, horizontals)
 
+    def _fill(self, pmc, moving, horizontals) -> None:
+        """The derived fields of a valid diagram on its normalised key."""
+        starts = [s for s, _ in moving]
+        hset = set(horizontals)
         self.pmc = pmc
         self.moving = moving
         self.horizontals = horizontals
-        self.left_pairs = pair_set(pmc, hset.union(start_pairs))
-        self.right_pairs = pair_set(pmc, hset.union(end_pairs))
+        self.left_pairs = pair_set(pmc, hset.union(map(pmc.pair_of, starts)))
+        self.right_pairs = pair_set(pmc, hset.union(pmc.pair_of(e) for _, e in moving))
         self.weight = len(moving) + len(horizontals) - pmc.genus
 
         supp = [0] * max(pmc.n_points - 1, 0)
@@ -170,6 +184,17 @@ class StrandsGenerator:
         return "\n".join(rows)
 
 
+def _interned_product(pmc: PointedMatchedCircle, moving: tuple, horizontals: tuple):
+    """The interned diagram on the normalised key of a surviving product,
+    filled in without validation: a product of valid diagrams is valid."""
+    table = _strands(pmc).diagrams
+    out = table.get((moving, horizontals))
+    if out is None:
+        out = table[moving, horizontals] = object.__new__(StrandsGenerator)
+        out._fill(pmc, moving, horizontals)
+    return out
+
+
 def idempotent(pmc: PointedMatchedCircle, pairs) -> StrandsGenerator:
     """The interned identity diagram of the idempotent on ``pairs``."""
     return StrandsGenerator(pmc, (), tuple(sorted(pairs)))
@@ -178,6 +203,13 @@ def idempotent(pmc: PointedMatchedCircle, pairs) -> StrandsGenerator:
 _mul_cache: dict = {}
 _diff_cache: dict = {}
 _EMPTY: frozenset = frozenset()  # every vanishing differential
+
+
+def cached_products() -> dict:
+    """The product cache, ``a.id << 32 | b.id`` -> ``multiply_basic(a, b)``,
+    for loops that read many products: a missing key is a pair not yet
+    multiplied."""
+    return _mul_cache
 
 
 def multiply_basic(a: StrandsGenerator, b: StrandsGenerator) -> StrandsGenerator | None:
@@ -227,9 +259,9 @@ def _multiply_basic_uncached(a, b):
         if cross_lower and cross_upper:
             return None
 
-    moving = sorted((s, e) for s, _, e in composite if s != e)
-    horizontals = [h for h in a.horizontals if h in b.horizontals]
-    return StrandsGenerator(a.pmc, moving, horizontals)
+    moving = tuple(sorted((s, e) for s, _, e in composite if s != e))
+    horizontals = tuple(h for h in a.horizontals if h in b.horizontals)
+    return _interned_product(a.pmc, moving, horizontals)
 
 
 def _inv_of_strands(strands) -> int:
@@ -247,10 +279,11 @@ def differential_basic(a: StrandsGenerator) -> frozenset:
     The double-crossing test runs on the resolved diagram before any
     mate-less horizontal is dropped, so crossings with the doomed
     horizontal still count against the resolution.  Every vanishing
-    differential is the one shared empty frozenset.
+    differential is the one shared empty frozenset.  Cached by ``a.id``.
     """
-    if a in _diff_cache:
-        return _diff_cache[a]
+    result = _diff_cache.get(a.id)
+    if result is not None:
+        return result
     pmc = a.pmc
     out: set = set()
     moving = list(a.moving)
@@ -278,7 +311,7 @@ def differential_basic(a: StrandsGenerator) -> frozenset:
                     continue
                 new_h = [x for x in a.horizontals if x != h]
                 out ^= {StrandsGenerator(pmc, new_moving, new_h)}
-    result = _diff_cache[a] = frozenset(out) or _EMPTY
+    result = _diff_cache[a.id] = frozenset(out) or _EMPTY
     return result
 
 

@@ -462,10 +462,11 @@ def propagate_gradings(structure):
     is graded once, from whichever end the walk reaches first: seen again
     from its other end it would give the identity (a tree arrow) or the
     same loop (any other).  Reps and loops are carried as (j2, chain)
-    pairs by the closed forms of the module docstring.
+    pairs by the closed forms of the module docstring, each rep with its
+    boundary D(chain), so that t(g, r) is one dot product g . Dr.
     """
     sizes = structure.factor_sizes()
-    blocks: dict = {}  # (factor, element) -> its block, checked against the factor once
+    blocks = [{} for _ in sizes]  # per factor: diagram id -> its block, checked once
 
     def lambda_gr(coef):
         """lambda * gr_coefficient(coef) as (j2, chain): lambda is central."""
@@ -473,11 +474,11 @@ def propagate_gradings(structure):
             raise ValueError("coefficient does not match the factor sizes")
         j2, chain = 2, ()
         for i, a in enumerate(coef):
-            block = blocks.get((i, a))
+            block = blocks[i].get(a.id)
             if block is None:
                 if len(a.supp) != sizes[i]:
                     raise ValueError("coefficient does not match the factor sizes")
-                block = blocks[i, a] = (0, *a.supp) if i else a.supp
+                block = blocks[i][a.id] = (0, *a.supp) if i else a.supp
             j2 += a.iota2
             chain += block
         return j2, chain
@@ -486,18 +487,19 @@ def propagate_gradings(structure):
     n_arrows = 0
     for x in structure.generators:
         for y, coefs in structure.delta.get(x, {}).items():
-            for coef in sorted(coefs, key=_coef_key):
+            for coef in sorted(coefs, key=_coef_key) if len(coefs) > 1 else coefs:
                 adjacency[x].append((y, coef, True, n_arrows))
                 adjacency[y].append((x, coef, False, n_arrows))
                 n_arrows += 1
 
-    reps: dict = {}
+    one = (0,) * chain_length(sizes)
+    reps: dict = {}  # generator -> (j2, chain, D(chain))
     relations: dict = {}  # (j2, chain) pairs in first-seen order
     graded = [False] * n_arrows
     for start in structure.generators:
         if start in reps:
             continue
-        reps[start] = (0, (0,) * chain_length(sizes))
+        reps[start] = (0, one, one)
         stack = [start]
         while stack:
             x = stack.pop()
@@ -507,20 +509,24 @@ def propagate_gradings(structure):
                 graded[arrow] = True
                 jg, cg = lambda_gr(coef)
                 if y not in reps:
-                    jx, rx = reps[x]
+                    jx, rx, dx = reps[x]
+                    t = sum(map(mul, cg, dx))
                     if forward:
-                        reps[y] = (jx - jg - _twist2(cg, rx), tuple(map(sub, rx, cg)))
+                        ry = tuple(map(sub, rx, cg))
+                        reps[y] = (jx - jg - t, ry, _boundary(ry))
                     else:
-                        reps[y] = (jx + jg + _twist2(cg, rx), tuple(map(add, rx, cg)))
+                        ry = tuple(map(add, rx, cg))
+                        reps[y] = (jx + jg + t, ry, _boundary(ry))
                     stack.append(y)
                 else:
-                    (ja, a), (jb, b) = (reps[x], reps[y]) if forward else (reps[y], reps[x])
-                    m = tuple(map(sub, cg, a))
-                    j2 = jb - ja + jg - _twist2(a, cg) + _twist2(m, b)
-                    chain = tuple(map(add, m, b))
+                    # jb - ja + jg - t(a, g) + t(g - a, b), with t(a, g) = -g . Da
+                    (ja, a, da), (jb, b, db) = (reps[x], reps[y]) if forward else (reps[y], reps[x])
+                    j2 = (jb - ja + jg + sum(map(mul, cg, map(add, da, db)))
+                          - sum(map(mul, a, db)))
+                    chain = tuple(map(add, map(sub, cg, a), b))
                     if j2 or any(chain):
                         relations[j2, chain] = None
-    return Gradings(sizes, {x: GradingElement(*r) for x, r in reps.items()},
+    return Gradings(sizes, {x: GradingElement(j2, r) for x, (j2, r, _) in reps.items()},
                     [GradingElement(*r) for r in relations])
 
 

@@ -15,13 +15,7 @@ from typing import NamedTuple
 
 from . import algebra as alg
 from .algebra import StrandsGenerator
-from .homalg import (
-    AlgebraFactor,
-    StructureError,
-    TypeDStructure,
-    coef_differential,
-    coef_multiply,
-)
+from .homalg import AlgebraFactor, StructureError, TypeDStructure
 from .pmc import (
     ArcSlide,
     Chord,
@@ -89,35 +83,54 @@ class SlideContext:
         self.c_span_target = _carry(self.c_span, self.forward)
         # pair translation: pairs of Z to pairs of -Z'
         self.pair_to_rev = {p: self.rpm_tgt[q] for p, q in enumerate(slide.pair_map)}
-        self._partners: dict = {}  # left idempotent -> partners, filled on use
+        # the right idempotents (pairs of -Z') near-complementary to each
+        # left one (pairs of Z), on bit masks (bit p for pair p): its
+        # complement (X type), and when it holds c but not b, the complement
+        # less b plus c (Y type)
+        n, b, c = src.n_pairs, 1 << slide.b_pair, 1 << slide.c_pair
+        to_rev = [1 << self.pair_to_rev[p] for p in range(n)]
+        self.partner_masks: list[list[int]] = []
+        for left in range(1 << n):
+            rest = (1 << n) - 1 & ~left
+            found = [rest, rest & ~b | c] if left & c and rest & b else [rest]
+            self.partner_masks.append([sum(bit for p, bit in enumerate(to_rev) if r >> p & 1)
+                                       for r in found])
+        self._masks: dict = {}  # pair set -> its bit mask, filled on use
+        # each circle's interned diagrams, read before any construction
+        self.known_l, self.known_r = alg.diagrams(src), alg.diagrams(self.rev_tgt)
         # common-gap layout for restricted supports
         self.src_gap = self._gap_map(slide.b1, self.sigma)
         self.tgt_gap = self._gap_map(slide.b1_new, self.sigma_p)
+        self.span_gaps = {self.src_gap[i] for i in range(self.c_span.start, self.c_span.end)}
+        self.span_gaps.discard(None)
 
     def _gap_map(self, removed: int, sigma: Chord) -> dict:
         """interval index (1-based) -> common-gap index, with the sliding
-        interval mapped to None (it is dropped from restricted supports)."""
+        interval mapped to None (it is dropped from restricted supports).
+        The sliding interval is one of the two at the removed foot, so the
+        other intervals keep their order and no two share a gap."""
         return {i: None if i == sigma.start else i - 1 - (removed <= i) for i in range(1, self.n)}
 
+    # A restricted support is the support summed onto the common gaps: by
+    # the gap map's layout, the support with the sliding interval dropped.
+
     def restricted_left(self, a: StrandsGenerator) -> tuple[int, ...]:
-        return _restricted(a.supp, self.src_gap)
+        k = self.sigma.start
+        return a.supp[:k - 1] + a.supp[k:]
 
     def restricted_right(self, a_o: StrandsGenerator) -> tuple[int, ...]:
-        return _restricted(a_o.supp[::-1], self.tgt_gap)  # in target-circle coordinates
+        rs, k = a_o.supp[::-1], self.sigma_p.start  # in target-circle coordinates
+        return rs[:k - 1] + rs[k:]
 
     def partners(self, left: frozenset) -> list[frozenset]:
-        """The right idempotents (pairs of -Z') near-complementary to
-        ``left``: its complement (X type), and when ``left`` holds c but
-        not b, the complement less b plus c (Y type)."""
-        try:
-            return self._partners[left]
-        except KeyError:
-            pass
-        rest = frozenset(range(self.src.n_pairs)) - left
-        b, c = self.slide.b_pair, self.slide.c_pair
-        found = [rest, rest - {b} | {c}] if c in left and b in rest else [rest]
-        out = self._partners[left] = [alg.pair_set(self.rev_tgt, (self.pair_to_rev[p] for p in r))
-                                      for r in found]
+        """The right idempotents near-complementary to ``left``, X type first."""
+        table = _subsets(self.rev_tgt.n_pairs)
+        return [alg.pair_set(self.rev_tgt, table[r][1]) for r in self.partner_masks[self.mask(left)]]
+
+    def mask(self, pairs: frozenset) -> int:
+        out = self._masks.get(pairs)
+        if out is None:
+            out = self._masks[pairs] = sum(1 << p for p in pairs)
         return out
 
 
@@ -125,16 +138,6 @@ def _carry(chord: Chord, points: dict) -> Chord:
     """The chord with both ends moved to the other circle by ``points``."""
     a, b = points[chord.start], points[chord.end]
     return Chord(min(a, b), max(a, b))
-
-
-def _restricted(supp: tuple[int, ...], gap: dict) -> tuple[int, ...]:
-    """The support summed onto the common gaps, the sliding interval dropped."""
-    out = [0] * (len(supp) - 1)
-    for i, mult in enumerate(supp, start=1):
-        g = gap[i]
-        if g is not None and mult:
-            out[g] += mult
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +201,10 @@ def _sides(ctx: SlideContext) -> list[_Side]:
     """The source side, then the target side."""
     slide = ctx.slide
     out = []
+    chords = all_chords(ctx.src)  # the target has as many points
     for pmc, foot, sigma, c_foot, span, points in (
             (ctx.src, slide.b1, ctx.sigma, slide.c1, ctx.c_span, ctx.forward),
             (ctx.tgt, slide.b1_new, ctx.sigma_p, ctx.c2_target, ctx.c_span_target, ctx.back)):
-        chords = all_chords(pmc)
         restricted = [c for c in chords if foot not in (c.start, c.end)
                       and pmc.pair_of(c.start) != pmc.pair_of(c.end)]
         out.append(_Side(sigma, c_foot, span, points, chords, restricted))
@@ -303,38 +306,58 @@ def _moving_configs(ctx: SlideContext):
     return configs
 
 
+_subset_tables: dict = {}
+
+
+def _subsets(n_pairs: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Every set of pairs out of ``n_pairs``, bit mask -> (rank, sorted
+    pairs), listed by rank: by size and then in ``combinations`` order, so
+    the subsets of one set come in the order ``combinations`` gives them
+    over its own sorted pairs."""
+    out = _subset_tables.get(n_pairs)
+    if out is None:
+        ordered = [pairs for size in range(n_pairs + 1)
+                   for pairs in combinations(range(n_pairs), size)]
+        out = _subset_tables[n_pairs] = {sum(1 << p for p in pairs): (rank, pairs)
+                                         for rank, pairs in enumerate(ordered)}
+    return out
+
+
 def _complete(ctx: SlideContext, src_chords, tgt_chords):
     """All horizontal completions with near-complementary ends, by left
-    completion and then right completion."""
+    completion and then right completion, on pair-set bit masks."""
     src, rev = ctx.src, ctx.rev_tgt
-    moving_l = [(c.start, c.end) for c in src_chords]
-    moving_r = [(reverse_point(ctx.tgt, c.end), reverse_point(ctx.tgt, c.start))
-                for c in tgt_chords]
+    known_l, known_r = ctx.known_l, ctx.known_r
+    top = ctx.tgt.n_points + 1  # reverse_point(tgt, p) is top - p
+    moving_l = tuple(sorted((c.start, c.end) for c in src_chords))
+    moving_r = tuple(sorted((top - c.end, top - c.start) for c in tgt_chords))
     try:
-        bare_l = StrandsGenerator(src, moving_l, ())
-        bare_r = StrandsGenerator(rev, moving_r, ())
+        bare_l = known_l.get((moving_l, ())) or StrandsGenerator(src, moving_l, ())
+        bare_r = known_r.get((moving_r, ())) or StrandsGenerator(rev, moving_r, ())
     except ValueError:
         return
     if ctx.restricted_left(bare_l) != ctx.restricted_right(bare_r):
         return
-    free_l = [h for h in range(src.n_pairs)
-              if h not in bare_l.left_pairs and h not in bare_l.right_pairs]
+    mask, partners = ctx.mask, ctx.partner_masks
+    l_in, l_out = mask(bare_l.left_pairs), mask(bare_l.right_pairs)
+    r_in, r_out = mask(bare_r.left_pairs), mask(bare_r.right_pairs)
+    taken = l_in | l_out
+    table = _subsets(src.n_pairs)
     # a right completion is fixed by its left idempotent, one of the left
     # completion's partners; its horizontals avoid bare_r's pairs
-    for size_l in range(len(free_l) + 1):
-        for hl in combinations(free_l, size_l):
-            pairs = frozenset(hl)
-            ends = ctx.partners(bare_l.right_pairs | pairs)
-            found = []
-            for right in ctx.partners(bare_l.left_pairs | pairs):
-                hr = right - bare_r.left_pairs
-                if (bare_r.left_pairs <= right and not hr & bare_r.right_pairs
-                        and bare_r.right_pairs | hr in ends):
-                    found.append((len(hr), tuple(sorted(hr))))
-            if found:
-                aL = StrandsGenerator(src, moving_l, hl)
-                for _, hr in sorted(found):
-                    yield aL, StrandsGenerator(rev, moving_r, hr)
+    for hl, (_, hl_pairs) in table.items():
+        if hl & taken:
+            continue
+        ends = partners[l_out | hl]
+        found = [table[hr] for right in partners[l_in | hl]
+                 if not r_in & ~right and not (hr := right & ~r_in) & r_out and r_out | hr in ends]
+        if not found:
+            continue
+        aL = known_l.get((moving_l, hl_pairs)) or StrandsGenerator(src, moving_l, hl_pairs)
+        if len(found) > 1:
+            found.sort()
+        for _, hr_pairs in found:
+            yield aL, known_r.get((moving_r, hr_pairs)) or StrandsGenerator(rev, moving_r, hr_pairs)
 
 
 def _is_indeterminate(ctx: SlideContext, kind: str, aL) -> bool:
@@ -342,9 +365,7 @@ def _is_indeterminate(ctx: SlideContext, kind: str, aL) -> bool:
         return False
     if kind in ("7", "8"):
         return True
-    span = ctx.c_span
-    span_gaps = {ctx.src_gap[i] for i in range(span.start, span.end)}
-    span_gaps.discard(None)
+    span_gaps = ctx.span_gaps
     rl = ctx.restricted_left(aL)
     covered = {g for g, m in enumerate(rl) if m}
     if kind == "3":
@@ -364,15 +385,17 @@ def enumerate_near_chords(slide: ArcSlide | SlideContext) -> list[NearChord]:
     reach raises, naming the slide and both kinds.  Given the slide's
     context, it uses that one instead of building another."""
     ctx = slide if isinstance(slide, SlideContext) else SlideContext(slide)
-    seen: dict = {}
+    seen: dict = {}  # left.id << 32 | right.id -> the near-chord
     for kind, src_chords, tgt_chords in _moving_configs(ctx):
         for aL, aR in _complete(ctx, src_chords, tgt_chords):
-            first = seen.get((aL, aR))
+            key = aL.id << 32 | aR.id
+            first = seen.get(key)
             if first is not None:
                 raise StructureError(f"near-chord ({aL},{aR}) of {ctx.slide!r} is reached "
                                      f"as kind {first.kind} and as kind {kind}")
-            seen[aL, aR] = NearChord(aL, aR, kind, _is_indeterminate(ctx, kind, aL))
-    return sorted(seen.values(), key=lambda nc: (nc.left.sort_key(), nc.right.sort_key()))
+            seen[key] = NearChord(aL, aR, kind, _is_indeterminate(ctx, kind, aL))
+    return sorted(seen.values(), key=lambda nc: (nc.left.moving, nc.left.horizontals,
+                                                 nc.right.moving, nc.right.horizontals))
 
 
 # ---------------------------------------------------------------------------
@@ -431,46 +454,76 @@ def arcslide_dd_on(ctx: SlideContext, chords) -> TypeDStructure:
     return out
 
 
+_MISSING = object()  # a product not yet in the cache
+
+
 def _slide_terms(ctx, factors, chords):
     """The differential terms of a slide: the one solution of its
     structural equation dA + A*A = 0, which is d^2 = 0 of the bimodule.
 
     The determinate near-chords and the basic choice (the sigma-extended
     indeterminates that cover the sliding interval on the source side) are
-    the base B, each labelled (); the other indeterminates are the unknowns
-    X_i, labelled (i,).  One pass expands d(B + sum X) + (B + sum X)^2:
-    the terms of dc, and of each product c1*c2 that survives (c1 ends where
-    c2 starts), are toggled into the bucket named by the union of their
-    labels.  Bucket () is the constant dB + B*B; bucket (i,) is X_i's row,
-    X_i*X_i included, as x_i^2 = x_i over F2; bucket (i, j) is the cross
-    term X_i*X_j + X_j*X_i, which must come out empty.  A coefficient's
-    idempotents fix its generator pair, so terms are keyed by coefficient.
-    An under-slide has no unknowns, so its constant must be empty.
+    the base B, labelled 0; the other indeterminates are the unknowns X_i,
+    labelled i + 1.  One pass expands d(B + sum X) + (B + sum X)^2: the
+    terms of dc, and of each product c1*c2 that survives (c1 ends where c2
+    starts), are toggled into the bucket named by the union of their
+    labels.  Bucket 0 is the constant dB + B*B; bucket i + 1 is X_i's row,
+    X_i*X_i included, as x_i^2 = x_i over F2; the cross bucket (i, j) is
+    X_i*X_j + X_j*X_i, which must come out empty.  A coefficient's
+    idempotents fix its generator pair, so a term is keyed by its entries'
+    ids, ``left.id << 32 | right.id``.  Products are read from the product
+    cache, ``multiply_basic`` making those it lacks; over truncated factors
+    a product or differential term that truncation drops is dropped.  An
+    under-slide has no unknowns, so its constant must be empty.
     """
     determinate = [nc for nc in chords if not nc.indeterminate]
     chosen3 = [nc for nc in chords
                if nc.indeterminate and nc.kind == "3" and nc.left.supp[ctx.sigma.start - 1]]
     unknowns = [nc for nc in chords if nc.indeterminate and nc.kind != "3"]
-    labelled = [((nc.left, nc.right), ()) for nc in determinate + chosen3]
-    labelled += [((nc.left, nc.right), (i,)) for i, nc in enumerate(unknowns)]
-    starting: dict = {}
-    for c, label in labelled:
-        starting.setdefault((c[0].left_pairs, c[1].left_pairs), []).append((c, label))
+    labelled = [(nc.left, nc.right, 0) for nc in determinate + chosen3]
+    labelled += [(nc.left, nc.right, i) for i, nc in enumerate(unknowns, start=1)]
+    starting: dict = {}  # the left idempotents -> (left.id, right.id, left, right, label)
+    for a, b, label in labelled:
+        starting.setdefault((a.left_pairs, b.left_pairs), []).append((a.id, b.id, a, b, label))
 
-    buckets: dict = {}  # label -> the terms toggled into it an odd number of times
-    for c1, l1 in labelled:
-        # the terms of dc are distinct, so one update toggles each
-        buckets.setdefault(l1, set()).symmetric_difference_update(coef_differential(factors, c1))
-        for c2, l2 in starting.get((c1[0].right_pairs, c1[1].right_pairs), ()):
-            term = coef_multiply(factors, c1, c2)
-            if term is not None:
-                label = l1 if l1 == l2 else l1 + l2 if l1 < l2 else l2 + l1  # sorted union
-                buckets.setdefault(label, set()).symmetric_difference_update((term,))
-    if any(len(label) == 2 and terms for label, terms in buckets.items()):
+    trunc_l, trunc_r = (f.truncated for f in factors)
+    get, multiply, differential = alg.cached_products().get, alg.multiply_basic, alg.differential_basic
+    buckets = [set() for _ in range(len(unknowns) + 1)]  # by label: terms toggled an odd number of times
+    cross: dict = {}  # two unknowns' labels, in order -> their cross bucket
+    for a1, b1, l1 in labelled:
+        mine = buckets[l1]
+        ka, kb = a1.id << 32, b1.id << 32
+        # the terms of dc are distinct, so toggling each toggles them all
+        mine.symmetric_difference_update([t.id << 32 | b1.id for t in differential(a1)
+                                          if t.kept or not trunc_l])
+        mine.symmetric_difference_update([ka | t.id for t in differential(b1)
+                                          if t.kept or not trunc_r])
+        for ida, idb, a2, b2, l2 in starting.get((a1.right_pairs, b1.right_pairs), ()):
+            pa = get(ka | ida, _MISSING)
+            if pa is _MISSING:
+                pa = multiply(a1, a2)
+            if pa is None or trunc_l and not pa.kept:
+                continue
+            pb = get(kb | idb, _MISSING)
+            if pb is _MISSING:
+                pb = multiply(b1, b2)
+            if pb is None or trunc_r and not pb.kept:
+                continue
+            if l1 == l2 or not l2:
+                terms = mine
+            elif not l1:
+                terms = buckets[l2]
+            else:
+                terms = cross.setdefault((l1, l2) if l1 < l2 else (l2, l1), set())
+            term = pa.id << 32 | pb.id
+            if term in terms:
+                terms.remove(term)
+            else:
+                terms.add(term)
+    if any(cross.values()):
         raise StructureError(
             f"structural equation of {ctx.slide!r} has a nonzero cross term")
-    rows = [buckets.get((i,), set()) for i in range(len(unknowns))]
-    values = _solve_f2(rows, buckets.get((), set()), ctx.slide)
+    values = _solve_f2(buckets[1:], buckets[0], ctx.slide)
     return determinate + chosen3 + [nc for nc, bit in zip(unknowns, values) if bit]
 
 

@@ -4,8 +4,8 @@ from itertools import combinations, product
 import pytest
 
 import hfhat.algebra as alg
-from hfhat.algebra import StrandsGenerator, idempotent
-from hfhat.pmc import Chord, antipodal_pmc, reverse_pmc, split_pmc
+from hfhat.algebra import StrandsGenerator, chordset_element, idempotent
+from hfhat.pmc import Chord, all_chords, antipodal_pmc, reverse_pmc, split_pmc
 from hfhat.slides import dd_identity
 
 from algebra_sums import all_idempotents, full_basis, multiply
@@ -292,6 +292,29 @@ def test_invalid_diagrams_raise_and_are_not_stored(monkeypatch):
     for _ in range(3):
         StrandsGenerator(Z1, *fresh)
     assert len(built) == misses  # a valid diagram is validated once
+
+
+def test_products_are_interned_unvalidated_as_the_validated_build(monkeypatch):
+    """A product made afresh is filled in without validation; it is the
+    diagram a validated build of its strands gives, field by field."""
+    fields = ("moving", "horizontals", "left_pairs", "right_pairs", "supp", "inv", "iota2",
+              "weight", "kept")
+    for pmc in (Z2, A2):
+        monkeypatch.setattr(alg, "_tables", {})
+        monkeypatch.setattr(alg, "_mul_cache", {})
+        built = _count_builds(monkeypatch)
+        factors = [a for chord in all_chords(pmc) for a in chordset_element(pmc, [chord])]
+        validated, known = len(built), set(alg.diagrams(pmc).values())
+        products = {alg.multiply_basic(a, b) for a in factors for b in factors} - {None}
+        fresh = products - known
+        assert len(fresh) > 100 and len(built) == validated  # none validated
+        made = {(p.moving, p.horizontals): [getattr(p, f) for f in fields] for p in fresh}
+        monkeypatch.setattr(alg, "_tables", {})
+        for key, values in made.items():
+            again = StrandsGenerator(pmc, *key)
+            assert [getattr(again, f) for f in fields] == values
+            assert hash(again) == hash((pmc, *key))
+        assert len(built) == validated + len(made)  # each validated now
 
 
 def test_ids_name_diagrams_across_circles():

@@ -46,13 +46,23 @@ def test_the_unused_import_scan_sees_a_stray_import():
 
 def _private_imports(source: str) -> list[str]:
     """The underscore-prefixed names a module imports from a module of the
-    package, by a relative import or by the package's name."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
+    package, by a relative import or by the package's name, and those it
+    reads off a package module it imports whole (``from . import algebra
+    as alg`` then ``alg._cache``)."""
+    out, modules = [], set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").partition(".")[0] == "hfhat"):
             out += [f"{alias.name} (line {node.lineno})"
                     for alias in node.names if alias.name.startswith("_")]
+            if node.level and node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            out.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
     return out
 
 
@@ -67,3 +77,5 @@ def test_the_private_import_scan_sees_a_private_name():
               "from os import _exit\nfrom . import _cache, pmc\n")
     assert _private_imports(source) == ["_boundary (line 1)", "_strands (line 2)",
                                         "_cache (line 4)"]
+    reads = "from . import algebra as alg\nx = alg._mul_cache, alg.block, alg.__name__\n"
+    assert _private_imports(reads) == ["alg._mul_cache (line 2)"]

@@ -287,26 +287,71 @@ def test_over_slide_without_a_lambda_free_solution_raises(monkeypatch):
         assert repr(slide) in str(err.value)
 
 
+class _KeepsNothing(dict):
+    """A product cache that stores nothing, so every product the
+    structural equation reads is a ``multiply_basic`` call."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _route_products(monkeypatch, product):
+    """Send every basic product through ``product(a, b)``, uncached: the
+    equation reads the product cache and calls ``multiply_basic`` on a
+    miss, left entries first and right entries only if the left product
+    survives, as ``homalg.coef_multiply`` does."""
+    monkeypatch.setattr(alg, "_mul_cache", _KeepsNothing())
+    monkeypatch.setattr(alg, "multiply_basic", product)
+
+
+def _entry_pairs(chords):
+    """How often each ordered pair of basic entries, left with left or
+    right with right, is multiplied over the composable pairs of chords."""
+    pairs = Counter()
+    for c1 in chords:
+        for c2 in chords:
+            if (c1.left.right_pairs, c1.right.right_pairs) == (c2.left.left_pairs,
+                                                                c2.right.left_pairs):
+                pairs.update([(c1.left, c2.left), (c1.right, c2.right)])
+    return pairs
+
+
+def _lone_pairs(chords, unknowns, both_ways):
+    """Pairs (x, y) of distinct unknowns, x ending where y starts (and y
+    where x starts if ``both_ways``), whose entry pairs each occur in one
+    composable pair of chords only, so forcing them forces x*y alone."""
+    once = _entry_pairs(chords)
+
+    def lone(c1, c2):
+        return (once[c1[0], c2[0]] == 1 and once[c1[1], c2[1]] == 1
+                and c1[0].right_pairs == c2[0].left_pairs
+                and c1[1].right_pairs == c2[1].left_pairs)
+
+    return [(x, y) for x in unknowns for y in unknowns
+            if x != y and lone(x, y) and (not both_ways or lone(y, x))]
+
+
 def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
-    import hfhat.homalg as homalg
-    import hfhat.slides as slides
     from hfhat.homalg import StructureError
     from hfhat.slides import _arcslide_dd_uncached
 
     slide = ArcSlide(Z2, 1, 2)
     assert slide.kind == "over"
-    unknowns = {(nc.left, nc.right) for nc in enumerate_near_chords(slide)
-                if nc.indeterminate and nc.kind != "3"}
-    coef_multiply = homalg.coef_multiply
+    chords = enumerate_near_chords(slide)
+    unknowns = [(nc.left, nc.right) for nc in chords if nc.indeterminate and nc.kind != "3"]
+    x, y = _lone_pairs(chords, unknowns, both_ways=False)[0]
+    multiply = alg.multiply_basic
     forced = []
 
-    def one_cross_term(factors, c1, c2):
-        if not forced and c1 in unknowns and c2 in unknowns and c1 != c2:
-            forced.append((c1, c2))
-            return c1  # any nonzero term
-        return coef_multiply(factors, c1, c2)
+    def one_cross_term(a, b):  # x*y becomes x, any nonzero term
+        if (a, b) == (x[0], y[0]):
+            forced.append((x, y))
+            return x[0]
+        if (a, b) == (x[1], y[1]):
+            return x[1]
+        return multiply(a, b)
 
-    monkeypatch.setattr(slides, "coef_multiply", one_cross_term)
+    _route_products(monkeypatch, one_cross_term)
     with pytest.raises(StructureError, match="nonzero cross term") as err:
         _arcslide_dd_uncached(slide)
     assert repr(slide) in str(err.value)
@@ -314,8 +359,6 @@ def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
 
 
 def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
-    import hfhat.homalg as homalg
-    import hfhat.slides as slides
     from hfhat.homalg import AlgebraFactor
     from hfhat.slides import SlideContext, _slide_terms
 
@@ -325,26 +368,24 @@ def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
     chords = enumerate_near_chords(slide)
     expected = _slide_terms(ctx, factors, chords)
     unknowns = [(nc.left, nc.right) for nc in chords if nc.indeterminate and nc.kind != "3"]
-
-    def starts(c):
-        return (c[0].left_pairs, c[1].left_pairs)
-
-    def ends(c):
-        return (c[0].right_pairs, c[1].right_pairs)
-
     # a pair composable both ways, so both x*y and y*x enter the equation
-    pair = next({x, y} for x in unknowns for y in unknowns
-                if x != y and ends(x) == starts(y) and ends(y) == starts(x))
-    coef_multiply = homalg.coef_multiply
+    pair = _lone_pairs(chords, unknowns, both_ways=True)[0]
+    term = min(pair, key=repr)  # the same nonzero term both ways
+    forced_entries = {}
+    for c1, c2 in (pair, pair[::-1]):
+        forced_entries[c1[0], c2[0]] = term[0]
+        forced_entries[c1[1], c2[1]] = term[1]
+    multiply = alg.multiply_basic
     forced = []
 
-    def cancelling(factors, c1, c2):
-        if {c1, c2} == pair and c1 != c2:
-            forced.append((c1, c2))
-            return min(pair, key=repr)  # the same nonzero term both ways
-        return coef_multiply(factors, c1, c2)
+    def cancelling(a, b):
+        if (a, b) in forced_entries:
+            if any((a, b) == (c1[0], c2[0]) for c1, c2 in (pair, pair[::-1])):
+                forced.append((a, b))
+            return forced_entries[a, b]
+        return multiply(a, b)
 
-    monkeypatch.setattr(slides, "coef_multiply", cancelling)
+    _route_products(monkeypatch, cancelling)
     assert _slide_terms(ctx, factors, chords) == expected
     assert len(forced) == 2
 
@@ -501,7 +542,6 @@ def _bimodule_rows(module):
 @pytest.mark.parametrize("name, slide", ORACLE_SLIDES,
                          ids=[f"{name}-{s.b1}-{s.c1}" for name, s in ORACLE_SLIDES])
 def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch):
-    import hfhat.homalg as homalg
     import hfhat.slides as slides
 
     ctx = SlideContext(slide)
@@ -512,17 +552,16 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
     dis = dischords(slide)
     built = slides._arcslide_dd_uncached(slide)
 
-    # the equation multiplies exactly the composable pairs the oracle does
+    # the equation multiplies exactly the composable pairs the oracle does:
+    # with nothing cached, the same entry products, as often
     multiplied = []
+    multiply = alg.multiply_basic
 
-    def recording_multiply(factors, c1, c2):
-        multiplied.append((c1, c2))
-        return coef_multiply(factors, c1, c2)
+    def recording_multiply(a, b):
+        multiplied.append((a, b))
+        return multiply(a, b)
 
-    coef_multiply = homalg.coef_multiply
-    # the indexed equation multiplies through slides, the oracle through homalg
-    monkeypatch.setattr(slides, "coef_multiply", recording_multiply)
-    monkeypatch.setattr(homalg, "coef_multiply", recording_multiply)
+    _route_products(monkeypatch, recording_multiply)
     source_side = partial(over_slide_terms_all_pairs, basic_choice_side="source")
     if slide.kind == "over":
         terms = slides._slide_terms(ctx, built.factors, chords)
@@ -537,6 +576,21 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
     assert _chord_rows(enumerate_near_chords(slide)) == _chord_rows(chords)
     assert dischords(slide) == dis
     assert _bimodule_rows(slides._arcslide_dd_uncached(slide)) == _bimodule_rows(built)
+
+
+def test_truncated_slide_terms_match_the_all_pairs_oracle():
+    # over the truncated algebras the equation drops every product and
+    # differential term that truncation drops, as coef_multiply and
+    # coef_differential do for the oracle
+    from hfhat.homalg import AlgebraFactor
+    from hfhat.slides import _slide_terms
+
+    source_side = partial(over_slide_terms_all_pairs, basic_choice_side="source")
+    for _, slide in ORACLE_SLIDES:
+        ctx = SlideContext(slide)
+        factors = (AlgebraFactor(slide.source, True), AlgebraFactor(ctx.rev_tgt, True))
+        chords = [nc for nc in enumerate_near_chords(ctx) if nc.left.kept and nc.right.kept]
+        assert _slide_terms(ctx, factors, chords) == source_side(ctx, factors, chords)
 
 
 # ---------------------------------------------------------------------------
