@@ -125,7 +125,8 @@ class SlideContext:
     def partners(self, left: frozenset) -> list[frozenset]:
         """The right idempotents near-complementary to ``left``, X type first."""
         table = _subsets(self.rev_tgt.n_pairs)
-        return [alg.pair_set(self.rev_tgt, table[r][1]) for r in self.partner_masks[self.mask(left)]]
+        return [alg.pair_set(self.rev_tgt, table[right][1])
+                for right in self.partner_masks[self.mask(left)]]
 
     def mask(self, pairs: frozenset) -> int:
         out = self._masks.get(pairs)
@@ -487,8 +488,10 @@ def _slide_terms(ctx, factors, chords):
         starting.setdefault((a.left_pairs, b.left_pairs), []).append((a.id, b.id, a, b, label))
 
     trunc_l, trunc_r = (f.truncated for f in factors)
-    get, multiply, differential = alg.cached_products().get, alg.multiply_basic, alg.differential_basic
-    buckets = [set() for _ in range(len(unknowns) + 1)]  # by label: terms toggled an odd number of times
+    get, multiply = alg.cached_products().get, alg.multiply_basic
+    differential = alg.differential_basic
+    # by label: the terms toggled into it an odd number of times
+    buckets = [set() for _ in range(len(unknowns) + 1)]
     cross: dict = {}  # two unknowns' labels, in order -> their cross bucket
     for a1, b1, l1 in labelled:
         mine = buckets[l1]
