@@ -221,7 +221,7 @@ def multiply_basic(a: StrandsGenerator, b: StrandsGenerator) -> StrandsGenerator
         return _mul_cache[key]
     except KeyError:
         pass
-    if a.pmc != b.pmc:
+    if a.pmc.pairs != b.pmc.pairs:  # the circles' equality, as a tuple compare
         raise ValueError("cannot multiply generators over different circles")
     result = _mul_cache[key] = _multiply_basic_uncached(a, b)
     return result

@@ -18,7 +18,7 @@ from .manifolds import (
     self_gluing_word,
 )
 from .pmc import ArcSlide, InvalidCircleError, InvalidSlideError, PointedMatchedCircle
-from .slides import SlideContext, arcslide_dd, arcslide_dd_on, dd_identity, enumerate_near_chords
+from .slides import SlideContext, arcslide_dd_on, dd_identity, enumerate_near_chords
 
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
@@ -111,13 +111,12 @@ def _dump_structure(args, module) -> int:
 
 def cmd_ddslide(args) -> int:
     slide = ArcSlide(_load_pmc(args.pmc), args.b1, args.c1)
-    if args.output == "json":
-        return _dump_structure(args, arcslide_dd(slide))
     ctx = SlideContext(slide)
     near = enumerate_near_chords(ctx)
     module = arcslide_dd_on(ctx, near)
-    print(f"{slide.kind}-slide of {args.b1} over {args.c1}; {len(near)} near-chords "
-          f"({sum(1 for n in near if n.indeterminate)} indeterminate)")
+    if args.output == "text":
+        print(f"{slide.kind}-slide of {args.b1} over {args.c1}; {len(near)} near-chords "
+              f"({sum(1 for n in near if n.indeterminate)} indeterminate)")
     return _dump_structure(args, module)
 
 

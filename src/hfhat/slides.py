@@ -67,28 +67,29 @@ class SlideContext:
 
     def __init__(self, slide: ArcSlide):
         self.slide = slide
-        src = slide.source
-        tgt = slide.target
-        self.src = src
-        self.tgt = tgt
-        self.rev_tgt, self.rpm_tgt = alg.reversal(tgt)  # pairs of Z' -> pairs of -Z'
-        self.n = src.n_points
+        src = self.src = slide.source
+        tgt = self.tgt = slide.target
+        self.rev_tgt, rpm = alg.reversal(tgt)  # pairs of Z' -> pairs of -Z'
         # source point -> target point, the sliding foot b1 to the new foot b1'
-        self.forward = {**slide.point_map, slide.b1: slide.b1_new}
-        self.back = {q: p for p, q in self.forward.items()}
+        forward = {**slide.point_map, slide.b1: slide.b1_new}
         self.sigma = Chord(min(slide.b1, slide.c1), max(slide.b1, slide.c1))
-        c2p = self.c2_target = slide.point_map[slide.c2]
-        self.sigma_p = Chord(min(slide.b1_new, c2p), max(slide.b1_new, c2p))
         self.c_span = Chord(min(slide.c1, slide.c2), max(slide.c1, slide.c2))
-        self.c_span_target = _carry(self.c_span, self.forward)
-        # pair translation: pairs of Z to pairs of -Z'
-        self.pair_to_rev = {p: self.rpm_tgt[q] for p, q in enumerate(slide.pair_map)}
+        c2p = slide.point_map[slide.c2]
+        chords = all_chords(src)  # the target has as many points
+        self.sides = tuple(  # the source side, then the target side
+            _Side(sigma, c_foot, span, points, chords,
+                  [c for c in chords if foot not in (c.start, c.end)
+                   and pmc.pair_of(c.start) != pmc.pair_of(c.end)])
+            for pmc, foot, sigma, c_foot, span, points in (
+                (src, slide.b1, self.sigma, slide.c1, self.c_span, forward),
+                (tgt, slide.b1_new, Chord(min(slide.b1_new, c2p), max(slide.b1_new, c2p)), c2p,
+                 _carry(self.c_span, forward), {q: p for p, q in forward.items()})))
         # the right idempotents (pairs of -Z') near-complementary to each
         # left one (pairs of Z), on bit masks (bit p for pair p): its
         # complement (X type), and when it holds c but not b, the complement
         # less b plus c (Y type)
         n, b, c = src.n_pairs, 1 << slide.b_pair, 1 << slide.c_pair
-        to_rev = [1 << self.pair_to_rev[p] for p in range(n)]
+        to_rev = [1 << rpm[q] for q in slide.pair_map]  # pairs of Z -> pairs of -Z'
         self.partner_masks: list[list[int]] = []
         for left in range(1 << n):
             rest = (1 << n) - 1 & ~left
@@ -98,28 +99,21 @@ class SlideContext:
         self._masks: dict = {}  # pair set -> its bit mask, filled on use
         # each circle's interned diagrams, read before any construction
         self.known_l, self.known_r = alg.diagrams(src), alg.diagrams(self.rev_tgt)
-        # common-gap layout for restricted supports
-        self.src_gap = self._gap_map(slide.b1, self.sigma)
-        self.tgt_gap = self._gap_map(slide.b1_new, self.sigma_p)
-        self.span_gaps = {self.src_gap[i] for i in range(self.c_span.start, self.c_span.end)}
-        self.span_gaps.discard(None)
+        # the C-span's intervals as common gaps from 0: interval i is gap
+        # i - 1, less one from the foot b1 on; the sliding interval has none
+        self.span_gaps = {i - 1 - (slide.b1 <= i) for i in range(self.c_span.start, self.c_span.end)
+                          if i != self.sigma.start}
 
-    def _gap_map(self, removed: int, sigma: Chord) -> dict:
-        """interval index (1-based) -> common-gap index, with the sliding
-        interval mapped to None (it is dropped from restricted supports).
-        The sliding interval is one of the two at the removed foot, so the
-        other intervals keep their order and no two share a gap."""
-        return {i: None if i == sigma.start else i - 1 - (removed <= i) for i in range(1, self.n)}
-
-    # A restricted support is the support summed onto the common gaps: by
-    # the gap map's layout, the support with the sliding interval dropped.
+    # A restricted support is the support summed onto the common gaps: the
+    # sliding interval is one of the two at the moving foot, so dropping it
+    # keeps the other intervals in order, no two sharing a gap.
 
     def restricted_left(self, a: StrandsGenerator) -> tuple[int, ...]:
         k = self.sigma.start
         return a.supp[:k - 1] + a.supp[k:]
 
     def restricted_right(self, a_o: StrandsGenerator) -> tuple[int, ...]:
-        rs, k = a_o.supp[::-1], self.sigma_p.start  # in target-circle coordinates
+        rs, k = a_o.supp[::-1], self.sides[1].sigma.start  # in target-circle coordinates
         return rs[:k - 1] + rs[k:]
 
     def partners(self, left: frozenset) -> list[frozenset]:
@@ -198,20 +192,6 @@ class _Side(NamedTuple):
     restricted: list[Chord]  # chords avoiding the moving foot, ends unmatched
 
 
-def _sides(ctx: SlideContext) -> list[_Side]:
-    """The source side, then the target side."""
-    slide = ctx.slide
-    out = []
-    chords = all_chords(ctx.src)  # the target has as many points
-    for pmc, foot, sigma, c_foot, span, points in (
-            (ctx.src, slide.b1, ctx.sigma, slide.c1, ctx.c_span, ctx.forward),
-            (ctx.tgt, slide.b1_new, ctx.sigma_p, ctx.c2_target, ctx.c_span_target, ctx.back)):
-        restricted = [c for c in chords if foot not in (c.start, c.end)
-                      and pmc.pair_of(c.start) != pmc.pair_of(c.end)]
-        out.append(_Side(sigma, c_foot, span, points, chords, restricted))
-    return out
-
-
 def _moving_configs(ctx: SlideContext):
     """(kind, source moving set, target moving set) for every near-chord
     shape, type by type and the source side first; target chords are in
@@ -219,7 +199,7 @@ def _moving_configs(ctx: SlideContext):
     ``me`` and swapped into place for the target."""
     slide = ctx.slide
     over = slide.kind == "over"
-    src, tgt = _sides(ctx)
+    src, tgt = ctx.sides
     configs: list[tuple[str, list, list]] = []
 
     def add(kind, me, mine, theirs):
@@ -444,7 +424,7 @@ def arcslide_dd_on(ctx: SlideContext, chords) -> TypeDStructure:
         out.add_generator((tuple(sorted(left)), tuple(sorted(right))), (left, right))
 
     key_of = {idem: key for key, idem in out.idem.items()}
-    for nc in _slide_terms(ctx, out.factors, chords):
+    for nc in _slide_terms(ctx, chords):
         src_key = key_of[nc.left.left_pairs, nc.right.left_pairs]
         tgt_key = key_of[nc.left.right_pairs, nc.right.right_pairs]
         out.add_arrow(src_key, tgt_key, (nc.left, nc.right))
@@ -458,7 +438,7 @@ def arcslide_dd_on(ctx: SlideContext, chords) -> TypeDStructure:
 _MISSING = object()  # a product not yet in the cache
 
 
-def _slide_terms(ctx, factors, chords):
+def _slide_terms(ctx, chords):
     """The differential terms of a slide: the one solution of its
     structural equation dA + A*A = 0, which is d^2 = 0 of the bimodule.
 
@@ -473,9 +453,8 @@ def _slide_terms(ctx, factors, chords):
     X_i*X_j + X_j*X_i, which must come out empty.  A coefficient's
     idempotents fix its generator pair, so a term is keyed by its entries'
     ids, ``left.id << 32 | right.id``.  Products are read from the product
-    cache, ``multiply_basic`` making those it lacks; over truncated factors
-    a product or differential term that truncation drops is dropped.  An
-    under-slide has no unknowns, so its constant must be empty.
+    cache, ``multiply_basic`` making those it lacks.  An under-slide has no
+    unknowns, so its constant must be empty.
     """
     determinate = [nc for nc in chords if not nc.indeterminate]
     chosen3 = [nc for nc in chords
@@ -487,7 +466,6 @@ def _slide_terms(ctx, factors, chords):
     for a, b, label in labelled:
         starting.setdefault((a.left_pairs, b.left_pairs), []).append((a.id, b.id, a, b, label))
 
-    trunc_l, trunc_r = (f.truncated for f in factors)
     get, multiply = alg.cached_products().get, alg.multiply_basic
     differential = alg.differential_basic
     # by label: the terms toggled into it an odd number of times
@@ -497,20 +475,18 @@ def _slide_terms(ctx, factors, chords):
         mine = buckets[l1]
         ka, kb = a1.id << 32, b1.id << 32
         # the terms of dc are distinct, so toggling each toggles them all
-        mine.symmetric_difference_update([t.id << 32 | b1.id for t in differential(a1)
-                                          if t.kept or not trunc_l])
-        mine.symmetric_difference_update([ka | t.id for t in differential(b1)
-                                          if t.kept or not trunc_r])
+        mine.symmetric_difference_update([t.id << 32 | b1.id for t in differential(a1)])
+        mine.symmetric_difference_update([ka | t.id for t in differential(b1)])
         for ida, idb, a2, b2, l2 in starting.get((a1.right_pairs, b1.right_pairs), ()):
             pa = get(ka | ida, _MISSING)
             if pa is _MISSING:
                 pa = multiply(a1, a2)
-            if pa is None or trunc_l and not pa.kept:
+            if pa is None:
                 continue
             pb = get(kb | idb, _MISSING)
             if pb is _MISSING:
                 pb = multiply(b1, b2)
-            if pb is None or trunc_r and not pb.kept:
+            if pb is None:
                 continue
             if l1 == l2 or not l2:
                 terms = mine

@@ -27,7 +27,7 @@ def idem_type(ctx: SlideContext, left: frozenset, right_rev: frozenset) -> str |
 def dischords(slide: ArcSlide) -> list[tuple[StrandsGenerator, StrandsGenerator]]:
     """Elements with the C-span on both sides and one strand per side."""
     ctx = SlideContext(slide)
-    return list(_complete(ctx, [ctx.c_span], [ctx.c_span_target]))
+    return list(_complete(ctx, [ctx.c_span], [ctx.sides[1].span]))
 
 
 def near_diagonal_pairs(slide: ArcSlide):
@@ -66,7 +66,7 @@ def near_diagonal_grading(slide: ArcSlide, aL: StrandsGenerator, aR: StrandsGene
         return supp[idx - 1] if 1 <= idx <= len(supp) else 0
 
     b1, c1 = slide.b1, slide.c1
-    b1p, c2p = slide.b1_new, ctx.c2_target
+    b1p, c2p = slide.b1_new, ctx.sides[1].c_foot
     if slide.kind == "under":  # b1 = c1 - 1, b1' = c2' + 1
         n_sp, n_s, n_sm = mult(supp_l, c1), mult(supp_l, b1), mult(supp_l, b1 - 1)
         n_tp, n_t, n_tm = mult(supp_r, b1p), mult(supp_r, c2p), mult(supp_r, c2p - 1)

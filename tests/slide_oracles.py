@@ -1,10 +1,11 @@
 """Test-side builds of arc-slide bimodules under choices the library fixes.
 
-``slides.arcslide_dd`` builds over the full algebras with the source-side
-basic choice.  These helpers rebuild a slide bimodule with the other basic
-choice, through an all-pairs oracle of the over-slide equation, and
-directly over the truncated algebras, so the tests can compare both with
-the library's bimodule.
+``slides.arcslide_dd`` solves the slide equation over the full algebras
+only, with the source-side basic choice; a truncated slide bimodule is its
+projection, ``homalg.truncate``.  These helpers rebuild a slide bimodule
+through an all-pairs oracle of the over-slide equation, with either basic
+choice and over the full or the truncated algebras, so the tests can
+compare each with the library's bimodule or its projection.
 """
 
 from __future__ import annotations

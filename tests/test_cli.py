@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -333,19 +334,42 @@ def test_dd_slide_counts_the_near_chords_of_a_genus_two_over_slide(genus2_file, 
     assert first == "over-slide of 5 over 4; 134 near-chords (20 indeterminate)"
 
 
-def test_dd_slide_enumerates_near_chords_only_for_its_text_line(genus2_file, monkeypatch, capsys):
-    calls, enumerate_near_chords = [], cli.enumerate_near_chords
+def _dd_slide_dumps(circle_file, b1, c1, capsys, *flags):
+    """The text dump's header and its (from, to, coefficients) lines, then
+    the JSON dump's arrows in the same form; the text dump's count line
+    must name the JSON dump's generators and coefficients."""
+    argv = [*flags, "dd-slide", circle_file, str(b1), str(c1)]
+    assert main(argv) == 0
+    header, count, *lines = capsys.readouterr().out.splitlines()
+    text = []
+    for line in lines:
+        ends, coefficients = line.strip().split("  ", 1)
+        text.append((*ends.split(" -> "), ast.literal_eval(coefficients)))
+    assert main(["--output", "json", *argv]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    arrows = [(e["from"], e["to"], e["coefficients"]) for e in payload["arrows"]]
+    n_arrows = sum(len(coefficients) for *_, coefficients in arrows)
+    assert count == f"{len(payload['generators'])} generators, {n_arrows} arrows"
+    return header, text, arrows
 
-    def counted(slide):
-        calls.append(slide)
-        return enumerate_near_chords(slide)
 
-    monkeypatch.setattr(cli, "enumerate_near_chords", counted)
-    assert main(["--output", "json", "dd-slide", genus2_file, "5", "4"]) == 0
-    assert json.loads(capsys.readouterr().out)["arrows"] and not calls
-    assert main(["dd-slide", genus2_file, "5", "4"]) == 0
-    first = capsys.readouterr().out.splitlines()[0]
-    assert first == "over-slide of 5 over 4; 134 near-chords (20 indeterminate)" and len(calls) == 1
+def test_dd_slide_text_and_json_dumps_list_the_same_arrows(genus2_file, capsys):
+    # one build serves both dumps: the JSON dump lists the text dump's
+    # arrows, and only the text dump has the near-chord header
+    header, text, arrows = _dd_slide_dumps(genus2_file, 5, 4, capsys)
+    assert header == "over-slide of 5 over 4; 134 near-chords (20 indeterminate)"
+    assert text == arrows and sum(len(c) for *_, c in arrows) == 122
+
+
+@pytest.mark.parametrize("b1, c1, kind", [(2, 3, "over"), (3, 2, "under")])
+@pytest.mark.parametrize("flags", [[], ["--truncated"]], ids=["plain", "truncated"])
+def test_dd_slide_dumps_agree_on_the_antipodal_genus_two_circle(b1, c1, kind, flags, tmp_path,
+                                                                  capsys):
+    path = tmp_path / "antipodal.json"
+    path.write_text(json.dumps(antipodal_pmc(2).to_json()))
+    header, text, arrows = _dd_slide_dumps(str(path), b1, c1, capsys, *flags)
+    assert header.startswith(f"{kind}-slide of {b1} over {c1}; ")
+    assert text == arrows and arrows
 
 
 def test_dd_slide_text_dump_enumerates_near_chords_once(genus2_file, monkeypatch, capsys):

@@ -359,14 +359,12 @@ def test_a_nonzero_cross_term_of_the_over_slide_equation_raises(monkeypatch):
 
 
 def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
-    from hfhat.homalg import AlgebraFactor
     from hfhat.slides import SlideContext, _slide_terms
 
     slide = ArcSlide(Z2, 1, 2)
     ctx = SlideContext(slide)
-    factors = (AlgebraFactor(slide.source), AlgebraFactor(ctx.rev_tgt))
     chords = enumerate_near_chords(slide)
-    expected = _slide_terms(ctx, factors, chords)
+    expected = _slide_terms(ctx, chords)
     unknowns = [(nc.left, nc.right) for nc in chords if nc.indeterminate and nc.kind != "3"]
     # a pair composable both ways, so both x*y and y*x enter the equation
     pair = _lone_pairs(chords, unknowns, both_ways=True)[0]
@@ -386,7 +384,7 @@ def test_cross_terms_of_the_over_slide_equation_cancel_in_pairs(monkeypatch):
         return multiply(a, b)
 
     _route_products(monkeypatch, cancelling)
-    assert _slide_terms(ctx, factors, chords) == expected
+    assert _slide_terms(ctx, chords) == expected
     assert len(forced) == 2
 
 
@@ -458,17 +456,17 @@ def _arrow_set(module):
 def test_truncated_slide_bimodules_are_projections_of_the_full_ones():
     # the kept part of each full slide bimodule against the bimodule built
     # over the truncated algebras: kept near-chords, the over-slide equation
-    # solved there, gradings propagated over its own arrows.  Reps and
-    # relation lists may differ element by element, so cosets are compared.
-    from hfhat.slides import _slide_terms
-
+    # solved there by the all-pairs oracle, gradings propagated over its own
+    # arrows.  Reps and relation lists may differ element by element, so
+    # cosets are compared.
+    source_side = partial(over_slide_terms_all_pairs, basic_choice_side="source")
     genus3_over = [s for s in all_arcslides(split_pmc(3)) if s.kind == "over"]
     catalogue = [s for c in _reachable_circles(Z2) for s in all_arcslides(c)]
     families = [list(all_arcslides(Z1)), catalogue, list(all_arcslides(A2)), genus3_over]
     assert [len(f) for f in families] == [6, 294, 14, 10]
     for slide in (s for family in families for s in family):
         got = truncate(arcslide_dd(slide))
-        want = slide_bimodule(slide, _slide_terms, truncated=True)
+        want = slide_bimodule(slide, source_side, truncated=True)
         assert (got.factors, got.generators, got.idem) == (want.factors, want.generators, want.idem)
         assert _arrow_set(got) == _arrow_set(want)
         mine, theirs = got.gradings, want.gradings
@@ -564,7 +562,7 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
     _route_products(monkeypatch, recording_multiply)
     source_side = partial(over_slide_terms_all_pairs, basic_choice_side="source")
     if slide.kind == "over":
-        terms = slides._slide_terms(ctx, built.factors, chords)
+        terms = slides._slide_terms(ctx, chords)
         indexed_products = Counter(multiplied)
         multiplied.clear()
         assert source_side(ctx, built.factors, chords) == terms
@@ -572,16 +570,18 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
     monkeypatch.undo()
 
     monkeypatch.setattr(slides, "_complete", _complete_all_pairs)
-    monkeypatch.setattr(slides, "_slide_terms", source_side)
+    monkeypatch.setattr(slides, "_slide_terms",
+                        lambda ctx, chords: source_side(ctx, built.factors, chords))
     assert _chord_rows(enumerate_near_chords(slide)) == _chord_rows(chords)
     assert dischords(slide) == dis
     assert _bimodule_rows(slides._arcslide_dd_uncached(slide)) == _bimodule_rows(built)
 
 
 def test_truncated_slide_terms_match_the_all_pairs_oracle():
-    # over the truncated algebras the equation drops every product and
-    # differential term that truncation drops, as coef_multiply and
-    # coef_differential do for the oracle
+    # the library solves over the full algebras only; the kept terms of its
+    # solution, in order, are the oracle's solution over the truncated
+    # algebras, where coef_multiply and coef_differential drop every term
+    # that truncation drops
     from hfhat.homalg import AlgebraFactor
     from hfhat.slides import _slide_terms
 
@@ -589,8 +589,10 @@ def test_truncated_slide_terms_match_the_all_pairs_oracle():
     for _, slide in ORACLE_SLIDES:
         ctx = SlideContext(slide)
         factors = (AlgebraFactor(slide.source, True), AlgebraFactor(ctx.rev_tgt, True))
-        chords = [nc for nc in enumerate_near_chords(ctx) if nc.left.kept and nc.right.kept]
-        assert _slide_terms(ctx, factors, chords) == source_side(ctx, factors, chords)
+        chords = enumerate_near_chords(ctx)
+        kept = [nc for nc in chords if nc.left.kept and nc.right.kept]
+        assert ([nc for nc in _slide_terms(ctx, chords) if nc.left.kept and nc.right.kept]
+                == source_side(ctx, factors, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +651,8 @@ def _hand_built_self_gluing(pmc, truncated):
 def _hand_built_pair_to_rev(ctx):
     """Pairs of Z to pairs of -Z', inverted from the map back to Z."""
     slide = ctx.slide
-    return {slide.pair_map.index(p): ctx.rpm_tgt[p] for p in range(ctx.tgt.n_pairs)}
+    rpm = alg.reversal(ctx.tgt)[1]
+    return {slide.pair_map.index(p): rpm[p] for p in range(ctx.tgt.n_pairs)}
 
 
 def _hand_built_slide_generators(ctx):
@@ -729,7 +732,6 @@ def test_idempotent_rules_match_the_hand_built_oracles(rule, pmc, truncated):
                for s in combinations(range(pmc.n_pairs), size)]
     for slide in all_arcslides(pmc):
         ctx = SlideContext(slide)
-        assert ctx.pair_to_rev == _hand_built_pair_to_rev(ctx)
         assert slide_generators(ctx) == _hand_built_slide_generators(ctx)
         for left in subsets:
             for right in subsets:
@@ -771,17 +773,20 @@ def _chord_back(ctx, c, fat=False):
     return Chord(min(a, b), max(a, b))
 
 
-def _gap_map_by_count(n, removed, sigma):
-    points = [p for p in range(1, n + 1) if p != removed]
-    return {i: None if i == sigma.start else sum(1 for p in points if p <= i) - 1
-            for i in range(1, n)}
+def _span_gaps_by_count(ctx):
+    """The common gaps of the C-span's intervals but the sliding one: the
+    source points but b1 up to the interval's start, less one."""
+    points = [p for p in range(1, ctx.src.n_points + 1) if p != ctx.slide.b1]
+    return {sum(1 for p in points if p <= i) - 1 for i in range(ctx.c_span.start, ctx.c_span.end)
+            if i != ctx.sigma.start}
 
 
 def _moving_configs_side_by_side(ctx):
     from hfhat.slides import _join_interval, _pieces
 
     slide = ctx.slide
-    sigma, sigma_p = ctx.sigma, ctx.sigma_p
+    c2p = _point(ctx, slide.c2)
+    sigma, sigma_p = ctx.sigma, Chord(min(slide.b1_new, c2p), max(slide.b1_new, c2p))
     over = slide.kind == "over"
     chords_src, chords_tgt = all_chords(ctx.src), all_chords(ctx.tgt)
     restricted = [c for c in chords_src if slide.b1 not in (c.start, c.end)
@@ -804,7 +809,7 @@ def _moving_configs_side_by_side(ctx):
         if slide.b1_new in (xi_t.start, xi_t.end):
             continue
         if xi_t.end == sigma_p.start or xi_t.start == sigma_p.end:
-            if ctx.c2_target in (xi_t.start, xi_t.end):
+            if c2p in (xi_t.start, xi_t.end):
                 configs.append(("3", [_chord_back(ctx, xi_t)], _join_interval(xi_t, sigma_p)))
 
     for xi in chords_src:
@@ -871,7 +876,7 @@ def _moving_configs_side_by_side(ctx):
         configs.append(("6", _pieces(xs, sigma), join))
 
     if over:
-        span, span_t = ctx.c_span, ctx.c_span_target
+        span, span_t = ctx.c_span, _chord(ctx, ctx.c_span)
         for w in range(span.start + 1, span.end):
             configs.append(("7", [Chord(span.start, w), Chord(w, span.end)], [span_t]))
         for w in range(span_t.start + 1, span_t.end):
@@ -898,8 +903,7 @@ def test_near_chords_per_side_match_the_side_by_side_shapes(monkeypatch):
     slides_seen = [s for pmc in circles for s in all_arcslides(pmc)]
     for slide in slides_seen:
         ctx = SlideContext(slide)
-        assert ctx.src_gap == _gap_map_by_count(ctx.n, slide.b1, ctx.sigma)
-        assert ctx.tgt_gap == _gap_map_by_count(ctx.n, slide.b1_new, ctx.sigma_p)
+        assert ctx.span_gaps == _span_gaps_by_count(ctx)
     per_side = [_chord_rows(enumerate_near_chords(s)) for s in slides_seen]
     monkeypatch.setattr(slides, "_moving_configs", _moving_configs_side_by_side)
     assert [_chord_rows(enumerate_near_chords(s)) for s in slides_seen] == per_side
@@ -926,7 +930,7 @@ def test_a_near_chord_reached_twice_raises_naming_the_slide_and_both_kinds(monke
 def _support_jump_points(ctx, restricted):
     """Source points where the restricted support multiplicity jumps, by a
     scan over every source point but b1."""
-    points = [p for p in range(1, ctx.n + 1) if p != ctx.slide.b1]
+    points = [p for p in range(1, ctx.src.n_points + 1) if p != ctx.slide.b1]
     jumps = set()
     for k, p in enumerate(points):
         below = restricted[k - 1] if k > 0 else 0
@@ -944,8 +948,7 @@ def test_kind_four_flags_match_the_support_jump_scan():
     flags = Counter()
     for slide in catalogue + genus3_over:
         ctx = SlideContext(slide)
-        span = ctx.c_span
-        span_gaps = {ctx.src_gap[i] for i in range(span.start, span.end)} - {None}
+        span_gaps = _span_gaps_by_count(ctx)
         for nc in enumerate_near_chords(ctx):
             if nc.kind != "4":
                 continue
