@@ -18,13 +18,13 @@ class _Strands:
     the circle's ``pairs``, so equal circles built apart share it.
 
     ``diagrams`` interns every valid diagram, identity diagrams included
-    (``idempotent``): the key is (moving, horizontals) both as normalised
-    and as first spelled by a caller, so a diagram is validated once
-    however often it is named, and a product (valid by construction) is
-    not validated at all.  ``values`` holds one object per distinct
-    pair set and support tuple, each keyed by itself: diagrams and
-    generator idempotents take theirs from it (``pair_set``), so a circle
-    keeps at most 2^(2g) pair sets however many diagrams it has.
+    (``idempotent``), under its normalised (moving, horizontals) key only,
+    so a diagram is validated once however often it is named, and a
+    product (valid by construction) is not validated at all.  ``values``
+    holds one object per distinct pair set and support tuple, each keyed by
+    itself: diagrams and generator idempotents take theirs from it
+    (``pair_set``), so a circle keeps at most 2^(2g) pair sets however many
+    diagrams it has.
     ``blocks`` holds one ``Block`` per (left pairs, right pairs,
     truncated), each made on first use; together they are the circle's
     basis.  The reversed circle is filled in on first use.
@@ -52,9 +52,8 @@ def _strands(pmc: PointedMatchedCircle) -> _Strands:
 
 
 def diagrams(pmc: PointedMatchedCircle) -> dict:
-    """The circle's interned diagrams by (moving, horizontals) tuples, as
-    normalised or as first spelled: a lookup that hits needs no
-    ``StrandsGenerator`` call."""
+    """The circle's interned diagrams by normalised (moving, horizontals)
+    tuples: a lookup that hits needs no ``StrandsGenerator`` call."""
     return _strands(pmc).diagrams
 
 
@@ -82,21 +81,12 @@ class StrandsGenerator:
 
     def __new__(cls, pmc: PointedMatchedCircle, moving, horizontals):
         diagrams = _strands(pmc).diagrams
-        moving, horizontals = tuple(moving), tuple(horizontals)
-        try:
-            return diagrams[moving, horizontals]
-        except KeyError:
-            spelled = (moving, horizontals)
-        except TypeError:  # strands spelled as lists: no key
-            spelled = None
         key = (tuple(sorted(tuple(m) for m in moving)), tuple(sorted(horizontals)))
         self = diagrams.get(key)
         if self is None:
             self = super().__new__(cls)
-            self._build(pmc, *key)
+            self._build(pmc, *key)  # a ValueError leaves no entry
             diagrams[key] = self
-        if spelled is not None:
-            diagrams[spelled] = self
         return self
 
     def _build(self, pmc, moving, horizontals) -> None:
@@ -293,8 +283,6 @@ def differential_basic(a: StrandsGenerator) -> frozenset:
         s2, e2 = moving[j]
         if (s1 < s2) == (e1 < e2):
             continue
-        if s2 < s1:
-            (s1, e1), (s2, e2) = (s2, e2), (s1, e1)
         new_moving = [m for k, m in enumerate(moving) if k not in (i, j)]
         new_moving += [(s1, e2), (s2, e1)]
         if _inv_of_strands(new_moving + h_strands) == a.inv - 1:

@@ -269,17 +269,17 @@ class RelationLattice:
 
 class ProductReps(Mapping):
     """Representatives held as products of factor elements, each multiplied
-    out when it is first read and cut to its chain from index ``start`` on.
+    out on every read and cut to its chain from index ``start`` on.
 
     A Mor stage has a rep for every generator, but ``cancel`` keeps few of
-    them, so only the reps that are read are built.  A product's chain is
-    the sum of its factors' chains, so a rep's chain is known unbuilt.
+    them and reads each survivor's once, so only the reps that are read are
+    built.  A product's chain is the sum of its factors' chains, so a rep's
+    chain is known unbuilt.
     """
 
     def __init__(self, products: dict, start: int = 0):
         self.products = products  # key -> its factor elements, multiplied left to right
         self.start = start
-        self._built: dict = {}
 
     @staticmethod
     def of(reps: Mapping) -> "ProductReps":
@@ -289,10 +289,7 @@ class ProductReps(Mapping):
         return ProductReps({x: (g,) for x, g in reps.items()})
 
     def __getitem__(self, x) -> GradingElement:
-        rep = self._built.get(x)
-        if rep is None:
-            rep = self._built[x] = self._build(self.products[x])
-        return rep
+        return self._build(self.products[x])
 
     def _build(self, factors) -> GradingElement:
         g = reduce(mul, factors)
@@ -359,7 +356,7 @@ class Gradings:
 
         Every generator's residue is checked, from the chain sum of its
         rep's factors; its reduced rep is one more factor on its product,
-        multiplied out when first read.
+        multiplied out when read.
         """
         lattice = self.lattice
         length, cut = chain_length(self.sizes), chain_length(self.sizes[:count])
@@ -466,7 +463,6 @@ def propagate_gradings(structure):
     boundary D(chain), so that t(g, r) is one dot product g . Dr.
     """
     sizes = structure.factor_sizes()
-    blocks = [{} for _ in sizes]  # per factor: diagram id -> its block, checked once
 
     def lambda_gr(coef):
         """lambda * gr_coefficient(coef) as (j2, chain): lambda is central."""
@@ -474,13 +470,10 @@ def propagate_gradings(structure):
             raise ValueError("coefficient does not match the factor sizes")
         j2, chain = 2, ()
         for i, a in enumerate(coef):
-            block = blocks[i].get(a.id)
-            if block is None:
-                if len(a.supp) != sizes[i]:
-                    raise ValueError("coefficient does not match the factor sizes")
-                block = blocks[i][a.id] = (0, *a.supp) if i else a.supp
+            if len(a.supp) != sizes[i]:
+                raise ValueError("coefficient does not match the factor sizes")
             j2 += a.iota2
-            chain += block
+            chain += (0, *a.supp) if i else a.supp
         return j2, chain
 
     adjacency: dict = {x: [] for x in structure.generators}

@@ -293,9 +293,9 @@ def _mor_plan(M: TypeDStructure, keep) -> tuple:
     built on M's first such pairing and kept in ``M.plans``, so it goes
     with M; M must not change once paired.
 
-    Delta entries of one coefficient are the plan's one frozenset of it
-    (``single``), shared by every stage; entries are replaced, never
-    changed, so sharing is safe.
+    Delta entries of one coefficient are the plan's frozensets of it, one
+    per part and one per unit, shared by every stage; entries are
+    replaced, never changed, so sharing is safe.
     """
     plan = M.plans.get(keep)
     if plan is not None:
@@ -306,11 +306,6 @@ def _mor_plan(M: TypeDStructure, keep) -> tuple:
     factors = tuple(AlgebraFactor(rev, M.factors[i].truncated)
                     for (rev, _), i in zip(reversals, kept))
     grading = MorPlan(M.gradings, consumed, kept)
-    singles: dict = {}  # coefficient -> its one-element frozenset
-
-    def single(coef) -> frozenset:
-        return singles.setdefault(coef, frozenset((coef,)))
-
     number = {x: i for i, x in enumerate(M.generators)}
     left = [tuple(M.idem[x][i] for i in consumed) for x in M.generators]
     idem = [tuple(alg.pair_set(rev, (rpm[p] for p in M.idem[x][i]))
@@ -327,9 +322,9 @@ def _mor_plan(M: TypeDStructure, keep) -> tuple:
                 e_c = tuple(e[i] for i in consumed)
                 k = tuple(alg.opposite_basic(e[i]) for i in kept)
                 _check_idempotents(k, idem[number[x1]], idem[number[x0]])
-                parts.append((e_c, single(k), grading.core(x0, x1, e_c, k), {}))
+                parts.append((e_c, frozenset((k,)), grading.core(x0, x1, e_c, k), {}))
             incoming[number[x1]].append((number[x0], parts))
-    units = [single(identity_coef(factors, i)) for i in idem]
+    units = [frozenset((identity_coef(factors, i),)) for i in idem]
     plan = M.plans[keep] = (left, factors, idem, units, incoming, grading)
     return plan
 
@@ -426,15 +421,11 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
     stage = MorGrading(plan, N.gradings)
     names = stage.names
     ys = N.generators
-    blocks: dict = {}  # (x's consumed idempotents, y's) -> their CoefBlock
     first, block_of = [], []  # [x][y]: the number of the first triple of (x, y), its block
     for x, lx in zip(M.generators, left):
         starts, row_blocks = [], []
         for y in ys:
-            key = (lx, N.idem[y])
-            blk = blocks.get(key)
-            if blk is None:
-                blk = blocks[key] = coef_block(N.factors, *key)
+            blk = coef_block(N.factors, lx, N.idem[y])
             starts.append(len(names))
             row_blocks.append(blk)
             names.extend([(x, coef, y) for coef in blk.coefs])
@@ -496,7 +487,7 @@ def _mor_gradings(out: TypeDStructure, stage: MorGrading) -> None:
     layout.  A stage then eliminates the consumed blocks, leaving exactly
     its factor's block; a final pairing keeps them, since there the
     residues are its spin-c structures.  Every generator's residue is
-    checked, but its rep is built only when it is first read, so a stage
+    checked, but its rep is built only when it is read, so a stage
     builds the reps of the generators that ``cancel`` keeps.
     """
     grad = stage.gradings()

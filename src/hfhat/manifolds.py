@@ -91,13 +91,10 @@ def cfd_self_gluing(pmc: PointedMatchedCircle) -> TypeDStructure:
             for aL, aR in coefs:
                 out.add_arrow(key_of[g], key_of[g2], (_fuse_pair(big, aL, aR, shift=n),))
 
-    # chords symmetric about the junction between the halves
+    # chords symmetric about the junction between the halves: s runs over
+    # 1..n and t over n+1..2n, and no pair of a connected sum crosses it
     for radius in range(n):
         s, t = n - radius, n + radius + 1
-        if s < 1 or t > big.n_points:
-            continue
-        if big.pair_of(s) == big.pair_of(t):
-            continue
         for a in alg.completions(big, [(s, t)]):
             src = tuple(sorted(a.left_pairs))
             tgt = tuple(sorted(a.right_pairs))
@@ -391,7 +388,9 @@ def hf_hat_closed(word: MappingWord, truncated: bool = False, final: str = "hom"
     homology; the identity model is the larger complex.  A word that does
     not return to the split circle raises ``WordError``.  With ``check``,
     the rank must be at least |H_1| and, when H_1 is finite, there must be
-    one orbit per spin-c structure, |H_1| in all.
+    one orbit per spin-c structure, |H_1| in all.  Each orbit's rank must
+    be odd when H_1 is finite and even when it is not: the Euler
+    characteristic of HF-hat in one spin-c structure is then +-1 or 0.
     """
     genus = word.genus
     slides = word.expand()
@@ -417,6 +416,11 @@ def hf_hat_closed(word: MappingWord, truncated: bool = False, final: str = "hom"
         if result.total_rank < order or (order and len(result.orbits) != order):
             raise StructureError(f"word {word.steps}: {len(result.orbits)} orbit(s) of total "
                                  f"rank {result.total_rank}, but |H_1| = {order}")
+        for i, orbit in enumerate(result.orbits):
+            if orbit["rank"] % 2 != bool(order):
+                raise StructureError(f"word {word.steps}: orbit {i} has rank {orbit['rank']}, "
+                                     f"but |H_1| = {order} makes every orbit's rank "
+                                     f"{'odd' if order else 'even'}")
     return result
 
 

@@ -10,7 +10,6 @@ choice.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
 from . import algebra as alg
@@ -96,7 +95,13 @@ class SlideContext:
             found = [rest, rest & ~b | c] if left & c and rest & b else [rest]
             self.partner_masks.append([sum(bit for p, bit in enumerate(to_rev) if r >> p & 1)
                                        for r in found])
-        self._masks: dict = {}  # pair set -> its bit mask, filled on use
+        # the circle's pair sets, both ways: pair set -> bit mask, and bit
+        # mask -> (rank in ``alg.idempotents`` order, sorted pairs), listed
+        # by rank, so the subsets of one set come in ``combinations`` order
+        ids = alg.idempotents(src)
+        self.masks = {pairs: sum(1 << p for p in pairs) for pairs in ids}
+        self.subsets = {self.masks[pairs]: (rank, tuple(sorted(pairs)))
+                        for rank, pairs in enumerate(ids)}
         # each circle's interned diagrams, read before any construction
         self.known_l, self.known_r = alg.diagrams(src), alg.diagrams(self.rev_tgt)
         # the C-span's intervals as common gaps from 0: interval i is gap
@@ -118,15 +123,8 @@ class SlideContext:
 
     def partners(self, left: frozenset) -> list[frozenset]:
         """The right idempotents near-complementary to ``left``, X type first."""
-        table = _subsets(self.rev_tgt.n_pairs)
-        return [alg.pair_set(self.rev_tgt, table[right][1])
-                for right in self.partner_masks[self.mask(left)]]
-
-    def mask(self, pairs: frozenset) -> int:
-        out = self._masks.get(pairs)
-        if out is None:
-            out = self._masks[pairs] = sum(1 << p for p in pairs)
-        return out
+        return [alg.pair_set(self.rev_tgt, self.subsets[right][1])
+                for right in self.partner_masks[self.masks[left]]]
 
 
 def _carry(chord: Chord, points: dict) -> Chord:
@@ -287,27 +285,10 @@ def _moving_configs(ctx: SlideContext):
     return configs
 
 
-_subset_tables: dict = {}
-
-
-def _subsets(n_pairs: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Every set of pairs out of ``n_pairs``, bit mask -> (rank, sorted
-    pairs), listed by rank: by size and then in ``combinations`` order, so
-    the subsets of one set come in the order ``combinations`` gives them
-    over its own sorted pairs."""
-    out = _subset_tables.get(n_pairs)
-    if out is None:
-        ordered = [pairs for size in range(n_pairs + 1)
-                   for pairs in combinations(range(n_pairs), size)]
-        out = _subset_tables[n_pairs] = {sum(1 << p for p in pairs): (rank, pairs)
-                                         for rank, pairs in enumerate(ordered)}
-    return out
-
-
 def _complete(ctx: SlideContext, src_chords, tgt_chords):
     """All horizontal completions with near-complementary ends, by left
     completion and then right completion, on pair-set bit masks."""
-    src, rev = ctx.src, ctx.rev_tgt
+    src, rev, table = ctx.src, ctx.rev_tgt, ctx.subsets
     known_l, known_r = ctx.known_l, ctx.known_r
     top = ctx.tgt.n_points + 1  # reverse_point(tgt, p) is top - p
     moving_l = tuple(sorted((c.start, c.end) for c in src_chords))
@@ -319,11 +300,10 @@ def _complete(ctx: SlideContext, src_chords, tgt_chords):
         return
     if ctx.restricted_left(bare_l) != ctx.restricted_right(bare_r):
         return
-    mask, partners = ctx.mask, ctx.partner_masks
-    l_in, l_out = mask(bare_l.left_pairs), mask(bare_l.right_pairs)
-    r_in, r_out = mask(bare_r.left_pairs), mask(bare_r.right_pairs)
+    masks, partners = ctx.masks, ctx.partner_masks
+    l_in, l_out = masks[bare_l.left_pairs], masks[bare_l.right_pairs]
+    r_in, r_out = masks[bare_r.left_pairs], masks[bare_r.right_pairs]
     taken = l_in | l_out
-    table = _subsets(src.n_pairs)
     # a right completion is fixed by its left idempotent, one of the left
     # completion's partners; its horizontals avoid bare_r's pairs
     for hl, (_, hl_pairs) in table.items():

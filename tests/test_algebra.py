@@ -5,8 +5,9 @@ import pytest
 
 import hfhat.algebra as alg
 from hfhat.algebra import StrandsGenerator, chordset_element, idempotent
-from hfhat.pmc import Chord, all_chords, antipodal_pmc, reverse_pmc, split_pmc
-from hfhat.slides import dd_identity
+from hfhat.manifolds import poincare_sphere
+from hfhat.pmc import Chord, all_arcslides, all_chords, antipodal_pmc, reverse_pmc, split_pmc
+from hfhat.slides import arcslide_dd, dd_identity
 
 from algebra_sums import all_idempotents, full_basis, multiply
 from shared_values import assert_one_object_per_value
@@ -292,6 +293,23 @@ def test_invalid_diagrams_raise_and_are_not_stored(monkeypatch):
     for _ in range(3):
         StrandsGenerator(Z1, *fresh)
     assert len(built) == misses  # a valid diagram is validated once
+
+
+def test_each_diagram_is_interned_under_its_normalised_key_only():
+    """After the Poincare run and every split genus-2 slide, each circle's
+    table holds every diagram once, under its own (moving, horizontals);
+    a call that raises adds no key."""
+    poincare_sphere()
+    for slide in all_arcslides(Z2):
+        arcslide_dd(slide)
+    for table in alg._tables.values():
+        assert all(key == (d.moving, d.horizontals) for key, d in table.diagrams.items())
+    diagrams = alg.diagrams(Z2)
+    size = len(diagrams)
+    for moving, horizontals in [([(3, 1)], ()), ([[1, 5], [3, 6]], []), ([(1, 2)], [0])]:
+        with pytest.raises(ValueError):
+            StrandsGenerator(Z2, moving, horizontals)
+        assert len(diagrams) == size
 
 
 def test_products_are_interned_unvalidated_as_the_validated_build(monkeypatch):

@@ -161,6 +161,25 @@ def test_hf_hat_check_exits_internal_when_the_orbits_miss_the_order_of_h1(
         in capsys.readouterr().err
 
 
+def test_hf_hat_check_exits_internal_when_an_orbit_has_the_wrong_rank_parity(
+        tmp_path, monkeypatch, capsys):
+    # L(1,1) is S^3: one spin-c structure, so its one orbit has odd rank;
+    # plant rank 2 there
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps({"genus": 1, "steps": [{"dehn_twist": {"pair": 1, "power": 1}}]}))
+    split = manifolds.spinc_maslov
+
+    def planted(complex_):
+        return [{**orbit, "rank": 2} for orbit in split(complex_)]
+
+    monkeypatch.setattr(manifolds, "spinc_maslov", planted)
+    assert main(["hf-hat", str(path)]) == 0  # unchecked, nothing is compared
+    capsys.readouterr()
+    assert main(["hf-hat", str(path), "--check"]) == EXIT_INTERNAL
+    assert ("word [('twist', 1, 1)]: orbit 0 has rank 2, but |H_1| = 1 makes every orbit's "
+            "rank odd") in capsys.readouterr().err
+
+
 def test_a_degree_that_cannot_be_read_exits_internal(monkeypatch, capsys):
     # S1 x S2 has one orbit of two survivors; moving one by half a lambda
     # leaves it in the orbit with no integer degree from the orbit's base
