@@ -74,8 +74,6 @@ def cmd_hfhat(args) -> int:
             word = self_gluing_word()
         elif args.preset in ("s1xs2-g1", "s1xs2-g2"):
             word = MappingWord(genus=int(args.preset[-1]))
-        elif args.preset:
-            raise WordError(f"unknown preset {args.preset!r}")
         elif not args.word:
             raise WordError("either a word file or --preset is required")
         else:

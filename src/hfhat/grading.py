@@ -596,8 +596,8 @@ class MorPlan:
     """What the grading of Mor(M, N) takes from M alone: the layout (M's
     ``consumed`` blocks, which are N's, then the ``kept`` factor's block
     reversed, if any), M's reps and relations on it, the cores of M's
-    arrows with the table numbering their chains, and a memo of
-    coefficient gradings, the one part that grows once the plan is built.
+    arrows, and a memo of coefficient gradings, the one part that grows
+    once the plan is built.
     """
 
     def __init__(self, m: Gradings, consumed: list, kept: list):
@@ -619,7 +619,6 @@ class MorPlan:
         self.x_inv = {x: transport(g).inverse() for x, g in m.reps.items()}
         self.relations = [transport(r) for r in m.relations]
         self.coefs: dict = {}  # consumed coefficient -> its grading on the layout
-        self.chain_ids = {(0,) * self.length: 0}  # chain -> its id; 0 is IDENTITY_LOOP's
 
     def padded(self, g: GradingElement) -> GradingElement:
         """An element of N on the layout: the kept block, if any, is 0."""
@@ -641,14 +640,13 @@ class MorPlan:
         return [2 * sum(map(mul, self.coef(a).chain[:cut], d_h)) for a in coefs]
 
     def core(self, x0, x, e_c, k) -> tuple:
-        """(j2, chain index, boundary of the chain[:cut]) of the core
+        """(j2, chain, boundary of the chain[:cut]) of the core
         h = gr(e_c)^-1 X0^-1 (lambda gr(k))^-1 X of an arrow x0 -> x of M
         with consumed part e_c and kept part k: the arrow loop of k from X
         to X0 gr(e_c)."""
         lam_k = _lambda_gr(k, self.kept_sizes, self.length)  # k = () in a final pairing
         j2, chain = arrow_loop(self.x_inv[x], self.x_inv[x0] * self.coef(e_c), lam_k)
-        chain_id = self.chain_ids.setdefault(chain, len(self.chain_ids))
-        return (j2, chain_id, _boundary(chain)[:self.cut])
+        return (j2, chain, _boundary(chain)[:self.cut])
 
 
 class MorGrading:
@@ -656,42 +654,36 @@ class MorGrading:
     ``names[i]`` = (x, a, y), the i-th triple built, with the rep
     X gr(a) gr(y), X the transported gr(x)^-1.  Each arrow's loop is read
     from the factor arrow that produced it (the Mor loops of the module
-    docstring) and keyed (j2, chain index), chains numbered in
-    ``chain_ids``, which extends the plan's.  ``tally`` counts a loop +1
-    for every coefficient the complex gains and -1 for every one it
-    toggles away, so the loops with a positive count are exactly the loops
-    of the complex's arrows.
+    docstring) as (j2, chain).  ``tally`` counts a loop +1 for every
+    coefficient the complex gains and -1 for every one it toggles away, so
+    the loops with a positive count are exactly the loops of the complex's
+    arrows.
     """
-
-    IDENTITY_LOOP = (0, 0)  # the key of a coefficient-differential arrow's loop
 
     def __init__(self, plan: MorPlan, n: Gradings):
         self.plan = plan
         self.y_rep = {y: plan.padded(g) for y, g in n.reps.items()}
         self.relations = plan.relations + [plan.padded(r) for r in n.relations]
-        self.chain_ids = dict(plan.chain_ids)
         self.tally, self.names = Counter(), []  # names: appended by the builder
 
     def n_loop(self, y, y2, e) -> tuple:
-        """The key of N's loop gr(y2)^-1 (lambda gr(e))^-1 gr(y)."""
+        """N's loop gr(y2)^-1 (lambda gr(e))^-1 gr(y)."""
         a = self.plan.coef(e)
-        j2, chain = arrow_loop(self.y_rep[y], self.y_rep[y2], GradingElement(a.j2 + 2, a.chain))
-        return (j2, self.chain_ids.setdefault(chain, len(self.chain_ids)))
+        return arrow_loop(self.y_rep[y], self.y_rep[y2], GradingElement(a.j2 + 2, a.chain))
 
     def m_loop_part(self, core, y) -> tuple:
         """The part of the loop g^-1 h g of an M-arrow with core h into
-        (x, a, y) that y decides, g = gr(a) gr(y): (j2, chain index) with
+        (x, a, y) that y decides, g = gr(a) gr(y): (j2, chain) with
         j2 = j_h - 2 gr(y) . Dh on the consumed blocks, where g lives.
-        The loop's key is (j2 - s, chain index) for s the coefficient part
-        of a from ``MorPlan.coef_shifts``."""
+        The loop is (j2 - s, chain) for s the coefficient part of a from
+        ``MorPlan.coef_shifts``."""
         j2, chain, d_h = core
         return (j2 - 2 * sum(map(mul, self.y_rep[y].chain[:self.plan.cut], d_h)), chain)
 
     def loops(self) -> list:
         """The distinct loops (j2, chain) with a positive count, in
         first-seen order."""
-        chains = list(self.chain_ids)
-        return [(j2, chains[c]) for (j2, c), n in self.tally.items() if n > 0]
+        return [loop for loop, n in self.tally.items() if n > 0]
 
     def gradings(self) -> Gradings:
         """The grading set of the generators 0, 1, ... named by ``names``

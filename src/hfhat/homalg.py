@@ -1,17 +1,19 @@
 """Type D structures over products of strands algebras.
 
-A structure holds generators with one idempotent per algebra factor and a
-sparse delta whose coefficients are tuples of basic strands generators, one
-per factor.  An F2 chain complex is the degenerate case with no factors.
-This module builds, pairs (morphism complexes, tensor products) and
-reduces (arrow cancellation) structures; ``grading`` lays out and grades
-what they produce (``MorGrading``, ``join_gradings``).
+A structure names one pointed matched circle per algebra factor and holds
+generators with one idempotent per factor and a sparse delta whose
+coefficients are tuples of basic strands generators, one per factor.  One
+``truncated`` flag says whether all its factors are the truncated
+algebras, as ``truncate`` makes them.  An F2 chain complex is the
+degenerate case with no factors.  This module builds, pairs (morphism
+complexes, tensor products) and reduces (arrow cancellation) structures;
+``grading`` lays out and grades what they produce (``MorGrading``,
+``join_gradings``).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
@@ -25,59 +27,49 @@ from .grading import (
     loop_defects,
     propagate_gradings,
 )
-from .pmc import PointedMatchedCircle
 
 
-@dataclass(frozen=True)
-class AlgebraFactor:
-    pmc: PointedMatchedCircle
-    truncated: bool = False
-
-    @property
-    def size(self) -> int:
-        return max(self.pmc.n_points - 1, 0)
-
-
-def coef_multiply(factors, c1, c2):
-    """Componentwise product of basic coefficient tuples; None if it dies."""
+def coef_multiply(truncated: bool, c1, c2):
+    """Componentwise product of basic coefficient tuples; None if it dies,
+    or if ``truncated`` and some entry is dropped."""
     out = []
-    for f, a, b in zip(factors, c1, c2):
+    for a, b in zip(c1, c2):
         p = alg.multiply_basic(a, b)
-        if p is None:
-            return None
-        if f.truncated and not p.kept:
+        if p is None or (truncated and not p.kept):
             return None
         out.append(p)
     return tuple(out)
 
 
-def coef_differential(factors, c):
-    """Leibniz differential of a coefficient tuple, one tuple per term.
+def coef_differential(truncated: bool, c):
+    """Leibniz differential of a coefficient tuple, one tuple per term;
+    if ``truncated``, without the terms that truncation drops.
 
     Terms from different factors differ in the factor they change, so
     none cancel and they come out factor by factor.
     """
     for i, a in enumerate(c):
         for term in alg.differential_basic(a):
-            if term.kept or not factors[i].truncated:
+            if term.kept or not truncated:
                 yield c[:i] + (term,) + c[i + 1:]
 
 
-def identity_coef(factors, idem) -> tuple:
-    """The identity coefficient of an idempotent, one per factor.
+def identity_coef(circles, idem) -> tuple:
+    """The identity coefficient of an idempotent, one per factor circle.
 
     It is the only idempotent coefficient an arrow out of a generator with
     that idempotent can carry: an idempotent diagram is fixed by its pairs.
     """
-    return tuple(alg.idempotent(f.pmc, s) for f, s in zip(factors, idem))
+    return tuple(alg.idempotent(pmc, s) for pmc, s in zip(circles, idem))
 
 
 class TypeDStructure:
     """Finitely generated type D structure with algebra-valued delta."""
 
-    def __init__(self, factors, name: str = ""):
-        self.factors = tuple(factors)
+    def __init__(self, factors, name: str = "", truncated: bool = False):
+        self.factors = tuple(factors)  # one circle per algebra factor
         self.name = name
+        self.truncated = truncated
         self.generators: list = []
         self.idem: dict = {}
         self.delta: dict = {}
@@ -106,7 +98,7 @@ class TypeDStructure:
     # -- bookkeeping -------------------------------------------------------
 
     def factor_sizes(self) -> tuple[int, ...]:
-        return tuple(f.size for f in self.factors)
+        return tuple(max(pmc.n_points - 1, 0) for pmc in self.factors)
 
     def arrow_count(self) -> int:
         return sum(len(v) for row in self.delta.values() for v in row.values())
@@ -115,7 +107,7 @@ class TypeDStructure:
         return sorted(self.generators, key=repr)
 
     def copy(self) -> "TypeDStructure":
-        out = TypeDStructure(self.factors, self.name)
+        out = TypeDStructure(self.factors, self.name, self.truncated)
         out.generators = list(self.generators)
         out.idem = dict(self.idem)
         out.delta = {x: dict(row) for x, row in self.delta.items()}
@@ -127,7 +119,7 @@ class TypeDStructure:
         keeping their order.  The pipeline never calls this; tests and
         perfbench's trace still do."""
         order = {g: i for i, g in enumerate(self.sorted_generators())}
-        out = TypeDStructure(self.factors, self.name)
+        out = TypeDStructure(self.factors, self.name, self.truncated)
         for g in self.generators:
             out.add_generator(order[g], self.idem[g])
         for x, row in self.delta.items():
@@ -144,11 +136,11 @@ class TypeDStructure:
         odd: dict = {}  # (src, tgt, term) seen an odd number of times, first-seen order
         for x in self.generators:
             for y, coefs in self.delta[x].items():
-                terms = [(y, term) for c in coefs for term in coef_differential(self.factors, c)]
+                terms = [(y, term) for c in coefs for term in coef_differential(self.truncated, c)]
                 for z, coefs2 in self.delta[y].items():
                     for c in coefs:
                         for e in coefs2:
-                            p = coef_multiply(self.factors, c, e)
+                            p = coef_multiply(self.truncated, c, e)
                             if p is not None:
                                 terms.append((z, p))
                 for z, term in terms:
@@ -210,7 +202,7 @@ def truncate(M: TypeDStructure) -> TypeDStructure:
     is an arrow of M, so M's grading set grades the image; d^2 = 0 is
     checked on it.
     """
-    out = TypeDStructure([AlgebraFactor(f.pmc, True) for f in M.factors], M.name)
+    out = TypeDStructure(M.factors, M.name, truncated=True)
     out.generators = list(M.generators)
     out.idem = dict(M.idem)
     for x, row in M.delta.items():
@@ -228,9 +220,11 @@ def truncate(M: TypeDStructure) -> TypeDStructure:
 
 def tensor(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
     """M x N over the union of their factor lists, graded by joining the
-    two grading sets; both structures must be graded."""
+    two grading sets; both structures must be graded and truncated alike."""
     _require_gradings(M, N)
-    out = TypeDStructure(M.factors + N.factors, name=f"({M.name})x({N.name})")
+    if M.truncated != N.truncated:
+        raise ValueError("tensor product needs both structures truncated alike")
+    out = TypeDStructure(M.factors + N.factors, f"({M.name})x({N.name})", M.truncated)
     for u in M.generators:
         for v in N.generators:
             out.add_generator((u, v), M.idem[u] + N.idem[v])
@@ -266,8 +260,8 @@ def mor_complex(M: TypeDStructure, N: TypeDStructure) -> TypeDStructure:
     differential combines the coefficient differential with composition
     against the deltas on both sides.
     """
-    if M.factors != N.factors:
-        raise ValueError("morphism complex needs both structures over the same factors")
+    if M.factors != N.factors or M.truncated != N.truncated:
+        raise ValueError("morphism complex needs both structures over the same algebras")
     return _mor(M, N, None)
 
 
@@ -283,7 +277,7 @@ def mor_against_bimodule(B: TypeDStructure, N: TypeDStructure, seam: int) -> Typ
     """
     if len(B.factors) != 2 or len(N.factors) != 1:
         raise ValueError("need a two-factor source and a one-factor target")
-    if B.factors[seam] != N.factors[0]:
+    if B.factors[seam] != N.factors[0] or B.truncated != N.truncated:
         raise ValueError("seam factor does not match the target algebra")
     return _mor(B, N, 1 - seam)
 
@@ -302,9 +296,8 @@ def _mor_plan(M: TypeDStructure, keep) -> tuple:
         return plan
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(M.factors)) if i != keep]
-    reversals = [alg.reversal(M.factors[i].pmc) for i in kept]
-    factors = tuple(AlgebraFactor(rev, M.factors[i].truncated)
-                    for (rev, _), i in zip(reversals, kept))
+    reversals = [alg.reversal(M.factors[i]) for i in kept]
+    factors = tuple(rev for rev, _ in reversals)
     grading = MorPlan(M.gradings, consumed, kept)
     number = {x: i for i, x in enumerate(M.generators)}
     left = [tuple(M.idem[x][i] for i in consumed) for x in M.generators]
@@ -391,9 +384,10 @@ class CoefBlock:
 _coef_blocks: dict = {}  # factor blocks -> their CoefBlock
 
 
-def coef_block(factors, left, right) -> CoefBlock:
-    """The one ``CoefBlock`` of ``factors`` from ``left`` to ``right``."""
-    blocks = tuple(alg.block(f.pmc, i, j, f.truncated) for f, i, j in zip(factors, left, right))
+def coef_block(circles, truncated: bool, left, right) -> CoefBlock:
+    """The one ``CoefBlock`` of the algebras of ``circles``, truncated or
+    not, from ``left`` to ``right``."""
+    blocks = tuple(alg.block(pmc, i, j, truncated) for pmc, i, j in zip(circles, left, right))
     out = _coef_blocks.get(blocks)
     if out is None:
         out = _coef_blocks[blocks] = CoefBlock(blocks)
@@ -412,12 +406,11 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
     a left action over its reversed circle, its coefficients carried
     through the orientation-reversing map.  Both sides must be graded.
     M's plan holds what depends on M alone.  Each arrow's loop is tallied
-    under the key that ``MorGrading`` gives the factor arrow that produced
-    it.
+    as ``MorGrading`` reads it off the factor arrow that produced it.
     """
     _require_gradings(M, N)
     left, factors, idem, units, incoming, plan = _mor_plan(M, keep)
-    out = TypeDStructure(factors, name=f"Mor({M.name},{N.name})")
+    out = TypeDStructure(factors, f"Mor({M.name},{N.name})", M.truncated)
     stage = MorGrading(plan, N.gradings)
     names = stage.names
     ys = N.generators
@@ -425,7 +418,7 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
     for x, lx in zip(M.generators, left):
         starts, row_blocks = [], []
         for y in ys:
-            blk = coef_block(N.factors, lx, N.idem[y])
+            blk = coef_block(N.factors, N.truncated, lx, N.idem[y])
             starts.append(len(names))
             row_blocks.append(blk)
             names.extend([(x, coef, y) for coef in blk.coefs])
@@ -474,7 +467,7 @@ def _mor(M: TypeDStructure, N: TypeDStructure, keep) -> TypeDStructure:
                     if p >= 0:
                         added = _toggle(row, there + p, kept_part)
                         tally[j2 - shifts[pos], chain] += 1 if added else -1
-    tally[stage.IDENTITY_LOOP] += differential_arrows
+    tally[0, (0,) * plan.length] += differential_arrows  # each one's loop is trivial
     _mor_gradings(out, stage)
     return out
 
@@ -508,7 +501,7 @@ def _mor_gradings(out: TypeDStructure, stage: MorGrading) -> None:
 # Reduction by cancelling idempotent-coefficient arrows
 
 
-def _coef_inverse(factors, entry, ident):
+def _coef_inverse(truncated: bool, entry, ident):
     """(ident + rest)^-1 = sum of powers of rest; rest is nilpotent."""
     rest = entry - {ident}
     total = {ident}
@@ -518,7 +511,7 @@ def _coef_inverse(factors, entry, ident):
         nxt: set = set()
         for c1 in power:
             for c2 in rest:
-                p = coef_multiply(factors, c1, c2)
+                p = coef_multiply(truncated, c1, c2)
                 if p is not None:
                     nxt ^= {p}
         power = frozenset(nxt)
@@ -604,18 +597,18 @@ def cancel(M: TypeDStructure, retract: dict | None = None) -> TypeDStructure:
                 g[b].discard(x)
         if cost:  # else no arrow enters y or none leaves x but x -> y
             (ident,) = identity[x]
-            inv = _coef_inverse(out.factors, delta[x][y], ident)
+            inv = _coef_inverse(out.truncated, delta[x][y], ident)
             outgoing = [(z, coefs) for z, coefs in delta[x].items() if z not in (x, y)]
             entering = [(w, delta[w][y]) for w in back[y] if w not in (x, y)]
             for w, wcoefs in entering:
                 for z, zcoefs in outgoing:
                     for cw in wcoefs:
                         for ci in inv:
-                            left = coef_multiply(out.factors, cw, ci)
+                            left = coef_multiply(out.truncated, cw, ci)
                             if left is None:
                                 continue
                             for cz in zcoefs:
-                                p = coef_multiply(out.factors, left, cz)
+                                p = coef_multiply(out.truncated, left, cz)
                                 if p is None:
                                     continue
                                 if _toggle(delta[w], z, frozenset((p,))):

@@ -16,7 +16,6 @@ from . import algebra as alg
 from .algebra import StrandsGenerator
 from .grading import arrow_defects, xi_word
 from .homalg import (
-    AlgebraFactor,
     StructureError,
     TypeDStructure,
     cancel,
@@ -54,7 +53,7 @@ def cfd_zero_framed_handlebody_reversed(genus: int) -> TypeDStructure:
 def _handlebody(genus: int, foot: int, name: str) -> TypeDStructure:
     """Handle i occupies pair(4i + foot) and loops along the chord from it."""
     pmc = split_pmc(genus)
-    out = TypeDStructure((AlgebraFactor(pmc),), name=name)
+    out = TypeDStructure((pmc,), name=name)
     idem = frozenset(pmc.pair_of(4 * i + foot) for i in range(genus))
     out.add_generator("x", (idem,))
     for i in range(genus):
@@ -79,7 +78,7 @@ def cfd_self_gluing(pmc: PointedMatchedCircle) -> TypeDStructure:
     big = self_gluing_circle(pmc)
     n = pmc.n_points
     ddid = dd_identity(reverse_pmc(pmc))
-    out = TypeDStructure((AlgebraFactor(big),), name=f"Hsg(g={pmc.genus})")
+    out = TypeDStructure((big,), name=f"Hsg(g={pmc.genus})")
 
     key_of = {}
     for g in ddid.generators:
@@ -123,8 +122,7 @@ def dd_elementary_cobordism(pmc: PointedMatchedCircle) -> TypeDStructure:
     torus = split_pmc(1)
     big = connected_sum(pmc, torus)
     n = pmc.n_points
-    out = TypeDStructure((AlgebraFactor(big), ddid.factors[1]),
-                         name=f"Cob(g{pmc.genus}->g{pmc.genus + 1})")
+    out = TypeDStructure((big, ddid.factors[1]), name=f"Cob(g{pmc.genus}->g{pmc.genus + 1})")
 
     # the torus block carries the reversed-handlebody framing so that the
     # orientation reversal at the next pairing lands on the zero-framed one
@@ -288,8 +286,8 @@ def apply_slides(module: TypeDStructure, slides, stats: list | None = None,
             if slide:
                 bim, seam = arcslide_dd(step), 0
             else:
-                bim, seam = dd_elementary_cobordism(reverse_pmc(current.factors[0].pmc)), 1
-            if module.factors[0].truncated:
+                bim, seam = dd_elementary_cobordism(reverse_pmc(current.factors[0])), 1
+            if module.truncated:
                 if bim not in projected:
                     projected[bim] = truncate(bim)
                 bim = projected[bim]

@@ -250,9 +250,6 @@ class ArcSlide:
     def __repr__(self) -> str:
         return f"ArcSlide({self.source!r}, b1={self.b1}, c1={self.c1})"
 
-    def to_json(self) -> dict:
-        return {"b1": self.b1, "c1": self.c1}
-
 
 def all_arcslides(pmc: PointedMatchedCircle) -> Iterator[ArcSlide]:
     """Every legal slide on the circle; 2 per unmatched adjacent point pair."""

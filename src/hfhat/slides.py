@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import algebra as alg
 from .algebra import StrandsGenerator
-from .homalg import AlgebraFactor, StructureError, TypeDStructure
+from .homalg import StructureError, TypeDStructure
 from .pmc import (
     ArcSlide,
     Chord,
@@ -31,7 +31,7 @@ def dd_identity(pmc: PointedMatchedCircle) -> TypeDStructure:
     """The identity bimodule: complementary idempotent pairs, with one
     differential term for every chord and every horizontal completion."""
     rev, rpm = alg.reversal(pmc)
-    out = TypeDStructure((AlgebraFactor(pmc), AlgebraFactor(rev)), name=f"DDid(g={pmc.genus})")
+    out = TypeDStructure((pmc, rev), name=f"DDid(g={pmc.genus})")
     for left in alg.idempotents(pmc):
         right = [rpm[p] for p in range(pmc.n_pairs) if p not in left]
         out.add_generator(tuple(sorted(left)), (left, alg.pair_set(rev, right)))
@@ -398,8 +398,7 @@ def _arcslide_dd_uncached(slide: ArcSlide) -> TypeDStructure:
 def arcslide_dd_on(ctx: SlideContext, chords) -> TypeDStructure:
     """The slide's bimodule on its near-chords ``chords``, uncached."""
     slide = ctx.slide
-    out = TypeDStructure((AlgebraFactor(slide.source), AlgebraFactor(ctx.rev_tgt)),
-                         name=f"DD(slide {slide.b1} over {slide.c1})")
+    out = TypeDStructure((slide.source, ctx.rev_tgt), name=f"DD(slide {slide.b1} over {slide.c1})")
     for left, right in slide_generators(ctx):
         out.add_generator((tuple(sorted(left)), tuple(sorted(right))), (left, right))
 

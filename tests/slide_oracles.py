@@ -10,26 +10,26 @@ compare each with the library's bimodule or its projection.
 
 from __future__ import annotations
 
-from hfhat.homalg import AlgebraFactor, TypeDStructure
+from hfhat.homalg import TypeDStructure
 from hfhat.slides import SlideContext, enumerate_near_chords, slide_generators
 
 
 def slide_bimodule(slide, terms, truncated=False):
     """The bimodule of ``slide`` with its over-slide terms chosen by
-    ``terms(ctx, factors, chords)``.  Over truncated factors only the
+    ``terms(ctx, truncated, chords)``.  If ``truncated``, only the
     near-chords whose two entries are kept enter, and the equation is
     solved over the truncated algebras; d^2 = 0 is checked and the
     gradings are propagated over the result."""
     ctx = SlideContext(slide)
-    factors = (AlgebraFactor(slide.source, truncated), AlgebraFactor(ctx.rev_tgt, truncated))
-    out = TypeDStructure(factors, name=f"DD(slide {slide.b1} over {slide.c1})")
+    out = TypeDStructure((slide.source, ctx.rev_tgt), f"DD(slide {slide.b1} over {slide.c1})",
+                         truncated)
     for left, right in slide_generators(ctx):
         out.add_generator((tuple(sorted(left)), tuple(sorted(right))), (left, right))
     chords = enumerate_near_chords(slide)
     if truncated:
         chords = [nc for nc in chords if nc.left.kept and nc.right.kept]
     if slide.kind == "over":
-        chords = terms(ctx, factors, chords)
+        chords = terms(ctx, truncated, chords)
     key_of = {idem: key for key, idem in out.idem.items()}
     for nc in chords:
         out.add_arrow(key_of[nc.left.left_pairs, nc.right.left_pairs],
@@ -39,7 +39,7 @@ def slide_bimodule(slide, terms, truncated=False):
     return out
 
 
-def over_slide_terms_all_pairs(ctx, factors, chords, basic_choice_side):
+def over_slide_terms_all_pairs(ctx, truncated, chords, basic_choice_side):
     """The over-slide equation with every product tried, composable or not,
     and every solution enumerated; there must be exactly one.  The basic
     choice takes the sigma-extended indeterminates that cover the sliding
@@ -62,14 +62,14 @@ def over_slide_terms_all_pairs(ctx, factors, chords, basic_choice_side):
     def mul(c1, c2):
         if c1[0].right_pairs != c2[0].left_pairs or c1[1].right_pairs != c2[1].left_pairs:
             return None
-        return coef_multiply(factors, c1, c2)
+        return coef_multiply(truncated, c1, c2)
 
     def toggle(acc, term):
         acc[term] = acc.get(term, 0) ^ 1
 
     const: dict = {}
     for c in base:
-        for term in coef_differential(factors, c):
+        for term in coef_differential(truncated, c):
             toggle(const, term)
     for c1 in base:
         for c2 in base:
@@ -80,7 +80,7 @@ def over_slide_terms_all_pairs(ctx, factors, chords, basic_choice_side):
     for nc in unknowns:
         x = (nc.left, nc.right)
         row: dict = {}
-        for term in coef_differential(factors, x):
+        for term in coef_differential(truncated, x):
             toggle(row, term)
         for c in base:
             for p in (mul(c, x), mul(x, c)):

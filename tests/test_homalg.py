@@ -16,7 +16,6 @@ from hfhat.algebra import StrandsGenerator, idempotent
 from hfhat.cli import main
 from hfhat.grading import Gradings, RelationLattice, arrow_defects, loop_defects
 from hfhat.homalg import (
-    AlgebraFactor,
     StructureError,
     TypeDStructure,
     _coef_inverse,
@@ -101,12 +100,12 @@ def _d_squared_frozensets(structure):
     for x in structure.generators:
         for y, coefs in structure.delta[x].items():
             for c in coefs:
-                for term in coef_differential(structure.factors, c):
+                for term in coef_differential(structure.truncated, c):
                     acc[(x, y)] = acc.get((x, y), frozenset()) ^ {term}
             for z, coefs2 in structure.delta[y].items():
                 for c in coefs:
                     for e in coefs2:
-                        p = coef_multiply(structure.factors, c, e)
+                        p = coef_multiply(structure.truncated, c, e)
                         if p is not None:
                             acc[(x, z)] = acc.get((x, z), frozenset()) ^ {p}
     return {k: v for k, v in acc.items() if v}
@@ -130,7 +129,7 @@ def test_d_squared_matches_the_frozenset_accumulator():
 def test_idempotent_compatibility():
     # add_arrow refuses a coefficient whose idempotents disagree with its ends
     rho1 = StrandsGenerator(Z1, [(1, 2)], ())  # from pair 0 to pair 1
-    N = TypeDStructure((AlgebraFactor(Z1),))
+    N = TypeDStructure((Z1,))
     N.add_generator("u", (frozenset({0}),))
     N.add_generator("v", (frozenset({1}),))
     N.add_arrow("u", "v", (rho1,))
@@ -154,7 +153,7 @@ def test_homology_of_acyclic_complex():
 
 def test_cancel_idempotent_arrow_pair():
     pmc = Z1
-    M = TypeDStructure((AlgebraFactor(pmc),))
+    M = TypeDStructure((pmc,))
     idem = frozenset({0})
     M.add_generator("x", (idem,))
     M.add_generator("y", (idem,))
@@ -275,6 +274,49 @@ def test_tensor_structure():
     assert T.arrow_count() == 2
 
 
+def test_pairings_need_both_sides_truncated_alike():
+    # a structure carries one truncation flag for all its factors, and a
+    # pairing of a full structure with a truncated one is refused
+    h = cfd_zero_framed_handlebody(1)
+    hr = cfd_zero_framed_handlebody_reversed(1)
+    slide = arcslide_dd(ArcSlide(Z1, 2, 1))
+    assert truncate(h).truncated and not h.truncated
+    for full, cut in ((h, truncate(h)), (truncate(h), h)):
+        with pytest.raises(ValueError, match="same algebras"):
+            mor_complex(full, cut)
+    for bim, module in ((truncate(slide), h), (slide, truncate(h))):
+        with pytest.raises(ValueError, match="seam factor"):
+            mor_against_bimodule(bim, module, seam=0)
+    for left, right in ((truncate(h), hr), (h, truncate(hr))):
+        with pytest.raises(ValueError, match="truncated alike"):
+            tensor(left, right)
+    assert tensor(truncate(h), truncate(hr)).truncated
+
+
+def test_coef_inverse_sums_every_surviving_power():
+    # on the genus-1 block of idempotent {0, 1}, a b is the one nonzero
+    # product of a and b, and it has local multiplicity 2: the inverse of
+    # iota + a + b holds it as a second power over the full algebra, and
+    # truncation drops it
+    a = StrandsGenerator(Z1, [(1, 2), (2, 3)], ())
+    b = StrandsGenerator(Z1, [(2, 3), (3, 4)], ())
+    ab = StrandsGenerator(Z1, [(1, 3), (2, 4)], ())
+    ident = (idempotent(Z1, [0, 1]),)
+    entry = frozenset({ident, (a,), (b,)})
+    first = {ident, (a,), (b,)}
+    for truncated, want in ((False, first | {(ab,)}), (True, first)):
+        inverse = _coef_inverse(truncated, entry, ident)
+        assert inverse == want
+        for left, right in ((entry, inverse), (inverse, entry)):
+            product_terms = set()
+            for c1 in left:
+                for c2 in right:
+                    p = coef_multiply(truncated, c1, c2)
+                    if p is not None:
+                        product_terms ^= {p}
+            assert product_terms == {ident}
+
+
 def test_mor_preserves_homology_through_cancellation():
     h2 = cfd_zero_framed_handlebody(2)
     s = ArcSlide(Z2, 2, 1)
@@ -377,18 +419,18 @@ def _pool_scan_cancel(M):
         if best is None:
             break
         x, y, ident = best
-        inv = _coef_inverse(out.factors, delta[x][y], ident)
+        inv = _coef_inverse(out.truncated, delta[x][y], ident)
         outgoing = [(z, coefs) for z, coefs in delta[x].items() if z not in (x, y)]
         entering = [(w, delta[w][y]) for w in back[y] if w not in (x, y)]
         for w, wcoefs in entering:
             for z, zcoefs in outgoing:
                 for cw in wcoefs:
                     for ci in inv:
-                        left = coef_multiply(out.factors, cw, ci)
+                        left = coef_multiply(out.truncated, cw, ci)
                         if left is None:
                             continue
                         for cz in zcoefs:
-                            p = coef_multiply(out.factors, left, cz)
+                            p = coef_multiply(out.truncated, left, cz)
                             if p is None:
                                 continue
                             entry = delta[w].setdefault(z, frozenset()) ^ {p}
@@ -481,25 +523,25 @@ def test_cancel_matches_pool_scan_on_pipeline_stages():
 # the oracle for the single builder behind mor_complex and mor_against_bimodule.
 
 
-def _old_coef_differential(factors, c):
+def _old_coef_differential(truncated, c):
     out = set()
     for i, a in enumerate(c):
         for term in alg.differential_basic(a):
-            if factors[i].truncated and any(m > 1 for m in term.supp):
+            if truncated and any(m > 1 for m in term.supp):
                 continue
             out ^= {c[:i] + (term,) + c[i + 1:]}
     return out
 
 
 def _old_mor_complex(M, N):
-    out = TypeDStructure((), name=f"Mor({M.name},{N.name})")
-    factors = M.factors
+    truncated = M.truncated
+    out = TypeDStructure((), f"Mor({M.name},{N.name})", truncated)
     per_pair = {}
     for x in M.generators:
         for y in N.generators:
             choices = [
-                alg.block(f.pmc, M.idem[x][i], N.idem[y][i], f.truncated).basics
-                for i, f in enumerate(factors)
+                alg.block(pmc, M.idem[x][i], N.idem[y][i], truncated).basics
+                for i, pmc in enumerate(M.factors)
             ]
             per_pair[(x, y)] = list(product(*choices))
             for coef in per_pair[(x, y)]:
@@ -508,11 +550,11 @@ def _old_mor_complex(M, N):
         for y in N.generators:
             for coef in per_pair[(x, y)]:
                 src = (x, coef, y)
-                for term in _old_coef_differential(factors, coef):
+                for term in _old_coef_differential(truncated, coef):
                     out.add_arrow(src, (x, term, y), ())
                 for y2, coefs in N.delta[y].items():
                     for e in coefs:
-                        p = coef_multiply(factors, coef, e)
+                        p = coef_multiply(truncated, coef, e)
                         if p is not None:
                             out.add_arrow(src, (x, p, y2), ())
                 for x0 in M.generators:
@@ -520,7 +562,7 @@ def _old_mor_complex(M, N):
                         if x1 != x:
                             continue
                         for e in coefs:
-                            p = coef_multiply(factors, e, coef)
+                            p = coef_multiply(truncated, e, coef)
                             if p is not None:
                                 out.add_arrow(src, (x0, p, y), ())
     _old_mor_gradings(out, M, N, spectator=None)
@@ -529,13 +571,10 @@ def _old_mor_complex(M, N):
 
 def _old_mor_against_bimodule(B, N, seam):
     keep = 1 - seam
-    keep_pmc = B.factors[keep].pmc
+    keep_pmc = B.factors[keep]
     rpm = reversed_pair_map(keep_pmc)
-    out = TypeDStructure(
-        (AlgebraFactor(reverse_pmc(keep_pmc), B.factors[keep].truncated),),
-        name=f"Mor({B.name},{N.name})",
-    )
-    factor = B.factors[seam]
+    out = TypeDStructure((reverse_pmc(keep_pmc),), f"Mor({B.name},{N.name})", B.truncated)
+    factor, truncated = B.factors[seam], B.truncated
 
     def translate(pairs):
         return frozenset(rpm[p] for p in pairs)
@@ -543,8 +582,7 @@ def _old_mor_against_bimodule(B, N, seam):
     per_pair = {}
     for b in B.generators:
         for u in N.generators:
-            per_pair[(b, u)] = alg.block(factor.pmc, B.idem[b][seam], N.idem[u][0],
-                                         factor.truncated).basics
+            per_pair[(b, u)] = alg.block(factor, B.idem[b][seam], N.idem[u][0], truncated).basics
             for a in per_pair[(b, u)]:
                 out.add_generator((b, a, u), (translate(B.idem[b][keep]),))
 
@@ -557,21 +595,21 @@ def _old_mor_against_bimodule(B, N, seam):
         for u in N.generators:
             for a in per_pair[(b, u)]:
                 src = (b, a, u)
-                ident = (idempotent(out.factors[0].pmc, sorted(out.idem[src][0])),)
+                ident = (idempotent(out.factors[0], sorted(out.idem[src][0])),)
                 for term in alg.differential_basic(a):
-                    if factor.truncated and any(m > 1 for m in term.supp):
+                    if truncated and any(m > 1 for m in term.supp):
                         continue
                     out.add_arrow(src, (b, term, u), ident)
                 for u2, coefs in N.delta[u].items():
                     for e in coefs:
                         p = alg.multiply_basic(a, e[0])
-                        if p is None or (factor.truncated and any(m > 1 for m in p.supp)):
+                        if p is None or (truncated and any(m > 1 for m in p.supp)):
                             continue
                         out.add_arrow(src, (b, p, u2), ident)
                 for b0, coefs in incoming.get(b, []):
                     for e in coefs:
                         p = alg.multiply_basic(e[seam], a)
-                        if p is None or (factor.truncated and any(m > 1 for m in p.supp)):
+                        if p is None or (truncated and any(m > 1 for m in p.supp)):
                             continue
                         out.add_arrow(src, (b0, p, u), (alg.opposite_basic(e[keep]),))
     _old_mor_gradings(out, B, N, spectator=keep)
@@ -658,7 +696,7 @@ def _eliminate_inputs(monkeypatch):
 def _numbered(S):
     """S with each generator renamed to its position in ``S.generators``."""
     number = {g: i for i, g in enumerate(S.generators)}
-    out = TypeDStructure(S.factors, S.name)
+    out = TypeDStructure(S.factors, S.name, S.truncated)
     for g in S.generators:
         out.add_generator(number[g], S.idem[g])
     for x, row in S.delta.items():
@@ -684,7 +722,7 @@ def _assert_same_mor(new, graded, names, old, wrap, ordered_rows):
 
     assert names == [key(g) for g in old.generators]
     old = _numbered(old)
-    assert new.factors == old.factors
+    assert (new.factors, new.truncated) == (old.factors, old.truncated)
     assert new.generators == old.generators
     assert new.idem == old.idem
     assert new.delta == old.delta
@@ -921,18 +959,18 @@ def _coefficient_scan_cancel(M):
         ident = ident_of(x, y)
         if ident is None or cost != (len(back[y]) - 1) * (len(delta[x]) - 1):
             continue
-        inv = _coef_inverse(out.factors, delta[x][y], ident)
+        inv = _coef_inverse(out.truncated, delta[x][y], ident)
         outgoing = [(z, coefs) for z, coefs in delta[x].items() if z not in (x, y)]
         entering = [(w, delta[w][y]) for w in back[y] if w not in (x, y)]
         for w, wcoefs in entering:
             for z, zcoefs in outgoing:
                 for cw in wcoefs:
                     for ci in inv:
-                        left = coef_multiply(out.factors, cw, ci)
+                        left = coef_multiply(out.truncated, cw, ci)
                         if left is None:
                             continue
                         for cz in zcoefs:
-                            p = coef_multiply(out.factors, left, cz)
+                            p = coef_multiply(out.truncated, left, cz)
                             if p is None:
                                 continue
                             entry = delta[w].setdefault(z, frozenset()) ^ {p}
@@ -1037,7 +1075,7 @@ def test_arrow_loops_split_exactly_at_every_separator():
 
         for n_factors in range(len(sizes) + 1):
             pmcs = [circles[s] for s in sizes[len(sizes) - n_factors:]]
-            S = TypeDStructure([AlgebraFactor(pmc) for pmc in pmcs])
+            S = TypeDStructure(pmcs)
             for g in range(5):
                 S.add_generator(g, [{pmc.pair_of(1)} for pmc in pmcs])
             for _ in range(12):
@@ -1106,13 +1144,13 @@ def test_block_basics_match_a_full_basis_scan():
                              if not truncated or all(m <= 1 for m in a.supp)])
 
 
-def _assert_block_maps(factors, block, left_es, right_es):
+def _assert_block_maps(circles, truncated, block, left_es, right_es):
     """A ``CoefBlock``'s differential and maps by the coefficients in
     ``left_es`` and ``right_es`` against ``coef_differential`` and
     ``coef_multiply``, position by position."""
     coefs = block.coefs
     for i, coef in enumerate(coefs):
-        assert [coefs[t] for t in block.d[i]] == list(coef_differential(factors, coef))
+        assert [coefs[t] for t in block.d[i]] == list(coef_differential(truncated, coef))
     lefts = tuple(b.left for b in block.blocks)
     rights = tuple(b.right for b in block.blocks)
 
@@ -1124,11 +1162,11 @@ def _assert_block_maps(factors, block, left_es, right_es):
                 assert target.coefs[p] == want
 
     for e in left_es:
-        check(block.left_by(e), [coef_multiply(factors, e, c) for c in coefs],
-              homalg.coef_block(factors, tuple(a.left_pairs for a in e), rights))
+        check(block.left_by(e), [coef_multiply(truncated, e, c) for c in coefs],
+              homalg.coef_block(circles, truncated, tuple(a.left_pairs for a in e), rights))
     for e in right_es:
-        check(block.right_by(e), [coef_multiply(factors, c, e) for c in coefs],
-              homalg.coef_block(factors, lefts, tuple(a.right_pairs for a in e)))
+        check(block.right_by(e), [coef_multiply(truncated, c, e) for c in coefs],
+              homalg.coef_block(circles, truncated, lefts, tuple(a.right_pairs for a in e)))
 
 
 @pytest.mark.parametrize("genus", [1, 2])
@@ -1139,12 +1177,11 @@ def test_block_differentials_and_products_match_the_coefficient_functions(genus)
     ids = [i.left_pairs for i in all_idempotents(pmc)]
     basis = full_basis(pmc)
     for truncated in (False, True):
-        factors = (AlgebraFactor(pmc, truncated),)
         for left in ids:
             for right in ids:
-                block = homalg.coef_block(factors, (left,), (right,))
+                block = homalg.coef_block((pmc,), truncated, (left,), (right,))
                 assert block.coefs == [(a,) for a in alg.block(pmc, left, right, truncated).basics]
-                _assert_block_maps(factors, block,
+                _assert_block_maps((pmc,), truncated, block,
                                    [(e,) for e in basis if e.right_pairs == left],
                                    [(e,) for e in basis if e.left_pairs == right])
 
@@ -1161,7 +1198,7 @@ def test_a_two_factor_block_is_the_product_of_its_factor_blocks():
         M = over(dd_identity(Z2))
         N = tensor(over(cfd_zero_framed_handlebody(2)),
                    over(cfd_zero_framed_handlebody_reversed(2)))
-        assert M.factors == N.factors and len(M.factors) == 2
+        assert M.factors == N.factors and len(M.factors) == 2 and M.truncated == N.truncated
         into = {}
         for x0 in M.generators:
             for x1, coefs in M.delta[x0].items():
@@ -1169,12 +1206,12 @@ def test_a_two_factor_block_is_the_product_of_its_factor_blocks():
         differentiated = set()  # factors whose basics have differential terms
         for x in M.generators:
             for y in N.generators:
-                block = homalg.coef_block(M.factors, M.idem[x], N.idem[y])
+                block = homalg.coef_block(M.factors, truncated, M.idem[x], N.idem[y])
                 assert block.coefs == list(product(*(
-                    alg.block(f.pmc, i, j, f.truncated).basics
-                    for f, i, j in zip(M.factors, M.idem[x], N.idem[y]))))
+                    alg.block(pmc, i, j, truncated).basics
+                    for pmc, i, j in zip(M.factors, M.idem[x], N.idem[y]))))
                 differentiated.update(k for k, b in enumerate(block.blocks) if any(b.d))
-                _assert_block_maps(M.factors, block, into.get(x, []),
+                _assert_block_maps(M.factors, truncated, block, into.get(x, []),
                                    [e for coefs in N.delta[y].values() for e in coefs])
         assert differentiated == {0, 1}
 
@@ -1435,11 +1472,8 @@ def _tuple_keyed_mor(M, N, keep):
     returns it and its keys by number."""
     kept = [] if keep is None else [keep]
     consumed = [i for i in range(len(M.factors)) if i != keep]
-    reversals = [alg.reversal(M.factors[i].pmc) for i in kept]
-    out = TypeDStructure(
-        [AlgebraFactor(rev, M.factors[i].truncated) for (rev, _), i in zip(reversals, kept)],
-        name=f"Mor({M.name},{N.name})",
-    )
+    reversals = [alg.reversal(M.factors[i]) for i in kept]
+    out = TypeDStructure([rev for rev, _ in reversals], f"Mor({M.name},{N.name})", M.truncated)
     plan = grading.MorPlan(M.gradings, consumed, kept)
     incoming = {}
     for x0 in M.generators:
@@ -1452,14 +1486,14 @@ def _tuple_keyed_mor(M, N, keep):
             incoming.setdefault(x1, []).append((x0, parts))
     stage = grading.MorGrading(plan, N.gradings)
     tally = stage.tally
+    trivial = (0, (0,) * plan.length)  # the loop of a coefficient-differential arrow
     per_pair, ident = {}, {}
     for x in M.generators:
         idem = tuple(alg.pair_set(rev, (rpm[p] for p in M.idem[x][i]))
                      for (rev, rpm), i in zip(reversals, kept))
         ident[x] = homalg.identity_coef(out.factors, idem)
         for y in N.generators:
-            choices = [alg.block(N.factors[k].pmc, M.idem[x][i], N.idem[y][k],
-                                 N.factors[k].truncated).basics
+            choices = [alg.block(N.factors[k], M.idem[x][i], N.idem[y][k], N.truncated).basics
                        for k, i in enumerate(consumed)]
             per_pair[x, y] = list(product(*choices))
             for coef in per_pair[x, y]:
@@ -1472,17 +1506,17 @@ def _tuple_keyed_mor(M, N, keep):
         for y in N.generators:
             for coef in per_pair[x, y]:
                 src = (x, coef, y)
-                for term in coef_differential(N.factors, coef):
+                for term in coef_differential(N.truncated, coef):
                     added = out.add_arrow(src, (x, term, y), ident[x])
-                    tally[stage.IDENTITY_LOOP] += 1 if added else -1
+                    tally[trivial] += 1 if added else -1
                 for y2, e, loop in outgoing[y]:
-                    p = coef_multiply(N.factors, coef, e)
+                    p = coef_multiply(N.truncated, coef, e)
                     if p is not None:
                         tally[loop] += 1 if out.add_arrow(src, (x, p, y2), ident[x]) else -1
                 g = _conjugator(stage, coef, y) if into else ()
                 for x0, parts in into:
                     for e, kept_part, core in parts:
-                        p = coef_multiply(N.factors, e, coef)
+                        p = coef_multiply(N.truncated, e, coef)
                         if p is not None:
                             added = out.add_arrow(src, (x0, p, y), kept_part)
                             tally[_m_loop(core, g)] += 1 if added else -1
@@ -1494,7 +1528,7 @@ def _tuple_keyed_mor(M, N, keep):
 
 def _assert_same_stage(new, old):
     """The same structure, generator order, row order, reps and relations."""
-    assert new.factors == old.factors and new.name == old.name
+    assert (new.factors, new.truncated, new.name) == (old.factors, old.truncated, old.name)
     assert new.generators == old.generators
     assert list(new.idem.items()) == list(old.idem.items())
     assert list(new.delta) == list(old.delta)

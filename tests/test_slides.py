@@ -103,11 +103,9 @@ def test_dischord_gradings():
 
 
 def test_near_diagonal_grading_additive_under_products():
-    from hfhat.homalg import coef_multiply, AlgebraFactor
+    from hfhat.homalg import coef_multiply
 
     slide = ArcSlide(Z2, 3, 2)
-    ctx = SlideContext(slide)
-    factors = (AlgebraFactor(Z2), AlgebraFactor(ctx.rev_tgt))
     pairs = list(near_diagonal_pairs(slide))
     by_left = {}
     for aL, aR in pairs:
@@ -115,7 +113,7 @@ def test_near_diagonal_grading_additive_under_products():
     checked = 0
     for aL, aR in pairs:
         for bL, bR in by_left.get((aL.right_pairs, aR.right_pairs), ()):
-            prod = coef_multiply(factors, (aL, aR), (bL, bR))
+            prod = coef_multiply(False, (aL, aR), (bL, bR))
             if prod is None:
                 continue
             checked += 1
@@ -189,7 +187,7 @@ def test_catalogue_bimodules_share_pair_sets_supports_and_products(monkeypatch):
     diagrams, idempotents = [], []
     for dd in modules:
         for x in dd.generators:
-            idempotents += zip((f.pmc for f in dd.factors), dd.idem[x])
+            idempotents += zip(dd.factors, dd.idem[x])
             diagrams += [a for coefs in dd.delta[x].values() for c in coefs for a in c]
     assert_one_object_per_value(diagrams, idempotents)
     assert multiplied and len(alg._mul_cache) == len(multiplied)
@@ -214,7 +212,7 @@ def test_stability_under_stabilized_slide():
     # same bimodule after restricting to a fixed idempotent on the new
     # summand and killing everything whose support touches it
     from hfhat.algebra import StrandsGenerator
-    from hfhat.homalg import AlgebraFactor, TypeDStructure
+    from hfhat.homalg import TypeDStructure
 
     small = ArcSlide(Z1, 2, 1)
     big = ArcSlide(Z2, 2, 1)
@@ -241,7 +239,7 @@ def test_stability_under_stabilized_slide():
         horiz = [rev_small.pair_of(rev_big.pairs[h][0] - 4) for h in inner]
         return StrandsGenerator(rev_small, moving, sorted(horiz))
 
-    induced = TypeDStructure((AlgebraFactor(Z1), AlgebraFactor(rev_small)))
+    induced = TypeDStructure((Z1, rev_small))
     keep = {}
     for g in dd_big.generators:
         left, right = dd_big.idem[g]
@@ -467,7 +465,8 @@ def test_truncated_slide_bimodules_are_projections_of_the_full_ones():
     for slide in (s for family in families for s in family):
         got = truncate(arcslide_dd(slide))
         want = slide_bimodule(slide, source_side, truncated=True)
-        assert (got.factors, got.generators, got.idem) == (want.factors, want.generators, want.idem)
+        assert ((got.factors, got.truncated, got.generators, got.idem)
+                == (want.factors, want.truncated, want.generators, want.idem))
         assert _arrow_set(got) == _arrow_set(want)
         mine, theirs = got.gradings, want.gradings
         assert mine.lattice.lambda_torsion2 == theirs.lattice.lambda_torsion2
@@ -565,13 +564,13 @@ def test_indexed_slide_paths_match_the_all_pairs_oracle(name, slide, monkeypatch
         terms = slides._slide_terms(ctx, chords)
         indexed_products = Counter(multiplied)
         multiplied.clear()
-        assert source_side(ctx, built.factors, chords) == terms
+        assert source_side(ctx, False, chords) == terms
         assert indexed_products == Counter(multiplied)
     monkeypatch.undo()
 
     monkeypatch.setattr(slides, "_complete", _complete_all_pairs)
     monkeypatch.setattr(slides, "_slide_terms",
-                        lambda ctx, chords: source_side(ctx, built.factors, chords))
+                        lambda ctx, chords: source_side(ctx, False, chords))
     assert _chord_rows(enumerate_near_chords(slide)) == _chord_rows(chords)
     assert dischords(slide) == dis
     assert _bimodule_rows(slides._arcslide_dd_uncached(slide)) == _bimodule_rows(built)
@@ -582,17 +581,15 @@ def test_truncated_slide_terms_match_the_all_pairs_oracle():
     # solution, in order, are the oracle's solution over the truncated
     # algebras, where coef_multiply and coef_differential drop every term
     # that truncation drops
-    from hfhat.homalg import AlgebraFactor
     from hfhat.slides import _slide_terms
 
     source_side = partial(over_slide_terms_all_pairs, basic_choice_side="source")
     for _, slide in ORACLE_SLIDES:
         ctx = SlideContext(slide)
-        factors = (AlgebraFactor(slide.source, True), AlgebraFactor(ctx.rev_tgt, True))
         chords = enumerate_near_chords(ctx)
         kept = [nc for nc in chords if nc.left.kept and nc.right.kept]
         assert ([nc for nc in _slide_terms(ctx, chords) if nc.left.kept and nc.right.kept]
-                == source_side(ctx, factors, kept))
+                == source_side(ctx, True, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +601,7 @@ def _hand_built_self_gluing(pmc, truncated):
     from itertools import combinations
 
     from hfhat.algebra import StrandsGenerator
-    from hfhat.homalg import AlgebraFactor, TypeDStructure
+    from hfhat.homalg import TypeDStructure
     from hfhat.manifolds import _fuse_pair, self_gluing_circle
     from hfhat.pmc import Chord, reverse_point, reversed_pair_map
     from hfhat.slides import matched_chord_terms
@@ -615,7 +612,7 @@ def _hand_built_self_gluing(pmc, truncated):
     rev = reverse_pmc(pmc)
     big = self_gluing_circle(pmc)
     n = pmc.n_points
-    out = TypeDStructure((AlgebraFactor(big, truncated),), name=f"Hsg(g={pmc.genus})")
+    out = TypeDStructure((big,), f"Hsg(g={pmc.genus})", truncated)
     keys = {}
     for size in range(pmc.n_pairs + 1):
         for left in combinations(range(pmc.n_pairs), size):
@@ -720,7 +717,8 @@ def test_idempotent_rules_match_the_hand_built_oracles(rule, pmc, truncated):
     if rule == "self-gluing":
         new = cfd_self_gluing(pmc)
         new, old = truncate(new) if truncated else new, _hand_built_self_gluing(pmc, truncated)
-        assert (new.name, new.factors, new.generators) == (old.name, old.factors, old.generators)
+        assert ((new.name, new.factors, new.truncated, new.generators)
+                == (old.name, old.factors, old.truncated, old.generators))
         assert new.idem == old.idem
         for x in old.generators:
             assert list(new.delta[x].items()) == list(old.delta[x].items())
