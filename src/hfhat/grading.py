@@ -178,9 +178,6 @@ def gr_coefficient(coef: tuple[StrandsGenerator, ...], sizes: tuple[int, ...]) -
 class RelationLattice:
     """The subgroup generated by a list of grading elements.
 
-    Supports orbit membership for the homological part and the achievable
-    set of lambda powers, which is j0 + n*Z for a torsion modulus n.
-
     A row operation is the group product h * b^k in the closed form of the
     module docstring, on a working row [0, *chain, 0, j2]: the chain padded
     with one 0 at each end (column col at index col + 1), then j2.
@@ -191,9 +188,16 @@ class RelationLattice:
     as the relations.  A relation that reduces to the zero chain is a pure
     lambda power read from its own j2; together with the commutators of the
     basis, 2*t(a, b), these generate every lambda power in the subgroup,
-    and their gcd is the torsion modulus.  Any two subgroup elements with
-    the same chain differ by such a lambda power, so a degree taken modulo
-    the torsion does not depend on which basis the reduction chose.
+    and their gcd is the torsion modulus.
+
+    ``reduced`` brings each pivot coordinate, in pivot order, into the range
+    of floor division by its pivot; a basis row vanishes before its pivot,
+    so later steps keep earlier ones in range.  Two reduced chains that
+    differ by a lattice chain are equal, as the first nonzero basis
+    coefficient of the difference would move a pivot coordinate out of its
+    range.  So a lambda orbit reduces to one chain, a canonical name for
+    it, and the j2 left differs within the orbit by a lambda power of the
+    subgroup: not at all at torsion 0, by a multiple of it otherwise.
     """
 
     def __init__(self, relations: list[GradingElement], sizes: tuple[int, ...]):
@@ -243,28 +247,23 @@ class RelationLattice:
             out.append(GradingElement(self.lambda_torsion2, (0,) * self.length))
         return out
 
-    def reduce(self, g: GradingElement):
-        """j2 of g * h for some subgroup element h cancelling g's chain, or
-        None if g's chain is not in the lattice.  It is defined modulo the
-        lambda torsion."""
+    def reduced(self, g: GradingElement, cut: int | None = None) -> GradingElement:
+        """g times the subgroup element that brings each pivot coordinate
+        up to column ``cut`` (all of them by default) into the range of
+        floor division by its pivot."""
         row = [0, *g.chain, 0, g.j2]
         for col, b, supp in self._basis:
+            if cut is not None and col > cut:
+                break
             if row[col]:
-                q, r = divmod(row[col], b.chain[col - 1])
-                if r:
-                    return None
-                _row_op(row, supp, b.j2, -q)
-        if any(row[:-1]):
-            return None
-        return row[-1]
+                _row_op(row, supp, b.j2, -(row[col] // b.chain[col - 1]))
+        return GradingElement(row[-1], tuple(row[1:-2]))
 
     def contains(self, g: GradingElement) -> bool:
-        """Whether g lies in the subgroup: its chain reduces away and the j2
-        left over is a lambda power of the subgroup, a multiple of the
-        torsion."""
-        j2 = self.reduce(g)
-        tor = self.lambda_torsion2
-        return j2 is not None and (j2 % tor == 0 if tor else j2 == 0)
+        """Whether g lies in the subgroup: it reduces to the zero chain, with
+        a lambda power of the subgroup left over, a multiple of the torsion."""
+        r, tor = self.reduced(g), self.lambda_torsion2
+        return not any(r.chain) and (r.j2 % tor == 0 if tor else r.j2 == 0)
 
 
 class ProductReps(Mapping):
@@ -344,14 +343,14 @@ class Gradings:
     def eliminate(self, count: int) -> "Gradings":
         """The same grading set over the blocks after the first ``count``.
 
-        The lattice's basis rows that pivot in those blocks reduce each rep
-        there, by floor division, to a residue.  Generators with one
-        residue lie in one orbit of the kept blocks' group, which commutes
-        with the eliminated blocks (the separator split), so the kept parts
-        of the reduced reps, over the basis rows that vanish on the
-        eliminated blocks and the lambda torsion, grade the same set.  A
-        reduction depends on the rep's eliminated part alone and is worked
-        out once per part, as a subgroup element multiplying the rep.
+        ``lattice.reduced(g, cut)`` reduces each rep on those blocks to a
+        residue.  Generators with one residue lie in one orbit of the kept
+        blocks' group, which commutes with the eliminated blocks (the
+        separator split), so the kept parts of the reduced reps, over the
+        lattice's generators that vanish on the eliminated blocks, grade
+        the same set.  A reduction depends on the rep's eliminated part
+        alone and is worked out once per part, as a subgroup element
+        multiplying the rep.
         ``eliminate(0)`` shortens the relations to the lattice's generators.
 
         Every generator's residue is checked, from the chain sum of its
@@ -361,7 +360,6 @@ class Gradings:
         lattice = self.lattice
         length, cut = chain_length(self.sizes), chain_length(self.sizes[:count])
         start = cut + 1 if count else 0
-        pivots = [(col, b, supp) for col, b, supp in lattice._basis if col <= cut]
         multipliers: dict = {}  # eliminated part -> the subgroup element reducing it
         products = {}
         for x, factors in ProductReps.of(self.reps).products.items():
@@ -370,24 +368,17 @@ class Gradings:
                 head = tuple(map(add, head, f.chain[:cut]))
             h = multipliers.get(head)
             if h is None:
-                padded = head + (0,) * (length - cut)
-                row = [0, *padded, 0, 0]
-                for col, b, supp in pivots:
-                    if row[col]:
-                        _row_op(row, supp, b.j2, -(row[col] // b.chain[col - 1]))
-                residue = tuple(row[1:cut + 1])
+                padded = GradingElement(0, head + (0,) * (length - cut))
+                r = lattice.reduced(padded, cut)
                 if not multipliers:
-                    first = (x, residue)
-                elif residue != first[1]:
+                    first = (x, r.chain[:cut])
+                elif r.chain[:cut] != first[1]:
                     raise StructureError(f"generators {first[0]!r} and {x!r} reduce to different "
                                          f"residues on the first {count} block(s)")
-                h = multipliers[head] = (GradingElement(0, padded).inverse()
-                                         * GradingElement(row[-1], tuple(row[1:-2])))
+                h = multipliers[head] = padded.inverse() * r
             products[x] = factors if h.is_identity else (*factors, h)
-        relations = [GradingElement(b.j2, b.chain[start:])
-                     for col, b, _ in lattice._basis if col > cut]
-        if lattice.lambda_torsion2:
-            relations.append(GradingElement(lattice.lambda_torsion2, (0,) * (length - start)))
+        relations = [GradingElement(r.j2, r.chain[start:])
+                     for r in lattice.generators() if not any(r.chain[:cut])]
         return Gradings(self.sizes[count:], ProductReps(products, start), relations)
 
     def has_pure_lambda_relation(self) -> bool:

@@ -342,10 +342,10 @@ class ClosedResult:
 def spinc_maslov(complex_: TypeDStructure) -> list[dict]:
     """Split a reduced complex into lambda orbits with relative degrees.
 
-    Each generator, in the reduced complex's order, joins the first orbit
-    whose base it shares a lambda orbit with; the one lattice reduction
-    per base tried also reads its degree.  A degree that is not an
-    integer raises.
+    Each generator's rep reduces once, by ``RelationLattice.reduced``: the
+    reduced chain keys its lambda orbit, and the j2 left less that of the
+    orbit's first generator is its doubled degree, modulo the torsion.  A
+    degree that is not an integer raises.
     """
     reduced = cancel(complex_)
     name = complex_.name or "complex"
@@ -353,22 +353,18 @@ def spinc_maslov(complex_: TypeDStructure) -> list[dict]:
         raise StructureError(f"{name} is ungraded; no spin-c split")
     reps, lattice = reduced.gradings.reps, reduced.gradings.lattice
     tor = lattice.lambda_torsion2
-    orbits: list = []  # (inverse of the base's rep, degrees from the base)
+    orbits: dict = {}  # reduced chain -> (j2 of the first generator's reduction, degrees)
     for g in reduced.generators:
-        for base_inv, degrees in orbits:
-            diff2 = lattice.reduce(base_inv * reps[g])
-            if diff2 is not None:
-                break
-        else:
-            base_inv, degrees, diff2 = reps[g].inverse(), [], 0
-            orbits.append((base_inv, degrees))
+        r = lattice.reduced(reps[g])
+        base, degrees = orbits.setdefault(r.chain, (r.j2, []))
+        diff2 = r.j2 - base
         if diff2 % 2 or tor % 2:
             raise StructureError(f"{name}: the degree of {g!r} in its lambda orbit cannot be "
                                  f"read (doubled difference {diff2}, torsion {tor})")
         degrees.append(diff2 // 2)
     modulus = tor // 2
     out = []
-    for _, degrees in orbits:
+    for _, degrees in orbits.values():
         floor = min(degrees)
         hist = Counter(str(d % modulus if modulus else d - floor) for d in degrees)
         out.append({"rank": len(degrees), "maslov": dict(hist), "modulus": modulus})

@@ -6,13 +6,23 @@ a full-length ``GradingElement`` product.  The sparse forms in the package
 must give the same elements, in the same order.  ``arrow_loops`` is the
 package's loop formula one element per arrow, and ``place`` and
 ``dedupe_relations`` are the helpers the oracles share.
+``pairwise_spinc_maslov`` is the spin-c split as it stood before orbits
+were keyed by their reduced chain.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
-from hfhat.grading import GradingElement, _arrow_loop_parts, chain_length, gr_coefficient
+from hfhat.grading import (
+    GradingElement,
+    StructureError,
+    _arrow_loop_parts,
+    chain_length,
+    gr_coefficient,
+)
+from hfhat.homalg import cancel
 
 
 def place(g: GradingElement, length: int, offset: int) -> GradingElement:
@@ -105,6 +115,39 @@ class ProductLattice:
                 return None
             return ((diff2 // 2) % (tor // 2) if tor != 2 else 0, tor)
         return (diff2 // 2, 0)
+
+
+def pairwise_spinc_maslov(complex_):
+    """``spinc_maslov`` by a pairwise orbit search: each generator, in the
+    reduced complex's order, joins the first orbit whose base it shares a
+    lambda orbit with, by an exact-division reduction of base^-1 g
+    against the product lattice."""
+    reduced = cancel(complex_)
+    name = complex_.name or "complex"
+    reps = reduced.gradings.reps
+    lattice = ProductLattice(reduced.gradings.relations, reduced.gradings.sizes)
+    tor = lattice.lambda_torsion2
+    orbits = []  # (inverse of the base's rep, degrees from the base)
+    for g in reduced.generators:
+        for base_inv, degrees in orbits:
+            diff2 = lattice.reduce(base_inv * reps[g])
+            if diff2 is not None:
+                break
+        else:
+            base_inv, degrees, diff2 = reps[g].inverse(), [], 0
+            orbits.append((base_inv, degrees))
+        if diff2 % 2 or tor % 2:
+            raise StructureError(f"{name}: the degree of {g!r} in its lambda orbit cannot be "
+                                 f"read (doubled difference {diff2}, torsion {tor})")
+        degrees.append(diff2 // 2)
+    modulus = tor // 2
+    out = []
+    for _, degrees in orbits:
+        floor = min(degrees)
+        hist = Counter(str(d % modulus if modulus else d - floor) for d in degrees)
+        out.append({"rank": len(degrees), "maslov": dict(hist), "modulus": modulus})
+    out.sort(key=lambda o: (-o["rank"], sorted(o["maslov"].items())))
+    return out
 
 
 def matrix_product(a, b):

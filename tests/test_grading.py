@@ -299,7 +299,33 @@ def test_lattice_matches_combination_reference():
         assert lat.lambda_torsion2 == product.lambda_torsion2 == ref.lambda_torsion2
         for g in _random_queries(sizes, base, rels, pmcs, rng):
             assert lat.contains(to_flat(g)) == ref.contains(g)
-            assert lat.reduce(to_flat(g)) == product.reduce(to_flat(g))
+            r = lat.reduced(to_flat(g))
+            assert (None if any(r.chain) else r.j2) == product.reduce(to_flat(g))
+
+
+def test_reduced_chains_name_the_orbits():
+    """Two queries reduce to one chain exactly when g^-1 h lies in the
+    lattice up to a lambda power, and their reduced j2 then differ by that
+    power: exactly at torsion 0, modulo the torsion otherwise."""
+    rng = random.Random(9)
+    same = apart = 0
+    for trial in range(120):
+        pmcs = CIRCLE_STACKS[trial % len(CIRCLE_STACKS)]
+        sizes, base, rels = _random_relations(pmcs, rng)
+        flat = [to_flat(r) for r in rels]
+        lat, ref = RelationLattice(flat, sizes), ProductLattice(flat, sizes)
+        tor = lat.lambda_torsion2
+        queries = [to_flat(g) for g in _random_queries(sizes, base, rels, pmcs, rng)]
+        reduced = [lat.reduced(g) for g in queries]
+        for (g, rg), (h, rh) in product(list(zip(queries, reduced)), repeat=2):
+            diff2 = ref.reduce(g.inverse() * h)
+            assert (rg.chain == rh.chain) == (diff2 is not None)
+            if diff2 is None:
+                apart += 1
+            else:
+                same += 1
+                assert (rh.j2 - rg.j2 - diff2) % tor == 0 if tor else rh.j2 - rg.j2 == diff2
+    assert same > 0 and apart > 0
 
 
 def test_eliminating_no_block_answers_the_same_queries():

@@ -783,8 +783,12 @@ def test_mor_builder_matches_the_two_earlier_builders(monkeypatch):
 
 
 class _CheckedLattice(RelationLattice):
-    """A relation lattice that checks its basis, torsion and every
-    reduction against the product-based lattice over the same relations."""
+    """A relation lattice that checks its basis, torsion and every full
+    reduction against the product-based lattice over the same relations:
+    g reduces to the zero chain exactly when the product lattice cancels
+    its chain, and then to the same j2.  ``checked`` counts those checks."""
+
+    checked = 0
 
     def __init__(self, relations, sizes):
         super().__init__(relations, sizes)
@@ -792,9 +796,11 @@ class _CheckedLattice(RelationLattice):
         assert self.generators() == self.product.generators()
         assert self.lambda_torsion2 == self.product.lambda_torsion2
 
-    def reduce(self, g):
-        got = super().reduce(g)
-        assert got == self.product.reduce(g)
+    def reduced(self, g, cut=None):
+        got = super().reduced(g, cut)
+        if cut is None:
+            assert (None if any(got.chain) else got.j2) == self.product.reduce(g)
+            type(self).checked += 1
         return got
 
 
@@ -814,6 +820,7 @@ def test_arrow_loops_and_lattices_match_the_product_path(preset, truncated, monk
         return defects
 
     monkeypatch.setattr(grading, "RelationLattice", _CheckedLattice)
+    monkeypatch.setattr(_CheckedLattice, "checked", 0)
     mor_stages = _route_mor_defects(monkeypatch, compared_defects)
     monkeypatch.setattr(manifolds, "arrow_defects", compared_defects)
     argv = ["--truncated"] * truncated + ["--output", "json", "hf-hat", "--preset", preset, "--check"]
@@ -822,6 +829,7 @@ def test_arrow_loops_and_lattices_match_the_product_path(preset, truncated, monk
     assert result["orbits"]
     # each Mor complex once, and each reduced stage once under check mode
     assert len(checked) == len(mor_stages) + len(result["stages"])
+    assert _CheckedLattice.checked > 0
 
 
 def _route_mor_defects(monkeypatch, compare):

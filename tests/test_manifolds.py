@@ -30,6 +30,7 @@ from hfhat.pmc import ArcSlide, all_arcslides, connected_sum, reverse_pmc, split
 from hfhat.slides import arcslide_dd
 
 from module_checks import homology_rank, modules_isomorphic, rotated
+from product_grading import pairwise_spinc_maslov
 
 Z1 = split_pmc(1)
 Z2 = split_pmc(2)
@@ -459,15 +460,48 @@ def test_the_pipeline_never_builds_the_full_basis(monkeypatch):
 
 def test_the_empty_genus_three_word_is_three_copies_of_s1xs2():
     """#3 S1xS2 on the hom route: one orbit of rank 2^3, its degrees the
-    binomial coefficients in four adjacent Maslov degrees."""
+    binomial coefficients in four adjacent Maslov degrees.  #4 S1xS2,
+    plain and truncated under the checked run, has rank 2^4 in five."""
     result = hf_hat_closed(MappingWord(3), final="hom")
     assert result.orbits == [{"rank": 8, "maslov": {"0": 1, "1": 3, "2": 3, "3": 1},
                               "modulus": 0}]
+    for truncated in (False, True):
+        result = hf_hat_closed(MappingWord(4), truncated=truncated, final="hom", check=True)
+        assert result.orbits == [{"rank": 16, "maslov": {"0": 1, "1": 4, "2": 6, "3": 4, "4": 1},
+                                  "modulus": 0}]
 
 
-def test_a_genus_three_twist_ladder_has_one_orbit_per_spin_c_structure():
+def _against_the_pairwise_search(monkeypatch) -> list:
+    """Check every spin-c split against the pairwise orbit search, key order
+    included, as the CLI prints it.  Returns the splits checked."""
+    split, checked = manifolds.spinc_maslov, []
+
+    def compared(complex_):
+        got = split(complex_)
+        assert json.dumps(got) == json.dumps(pairwise_spinc_maslov(complex_))
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(manifolds, "spinc_maslov", compared)
+    return checked
+
+
+def test_orbits_keyed_by_reduced_chain_match_the_pairwise_search(monkeypatch):
+    """L(p,1) for p up to 5 under both final pairings, and T1^2 T3^3."""
+    checked = _against_the_pairwise_search(monkeypatch)
+    for p in range(1, 6):
+        for final in ("hom", "identity"):
+            hf_hat_closed(MappingWord(1, [("twist", 1, p)]), final=final)
+    hf_hat_closed(MappingWord(2, [("twist", 1, 2), ("twist", 3, 3)]))
+    assert [len(orbits) for orbits in checked] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+
+
+def test_a_genus_three_twist_ladder_has_one_orbit_per_spin_c_structure(monkeypatch):
     """T1^2 T3^3 T5^2 at genus 3, L(2,1) # L(3,1) # L(2,1), has |H_1| = 12:
-    the checked run finds 12 orbits, each of rank one."""
+    the checked run finds 12 orbits, each of rank one, as the pairwise
+    orbit search does."""
+    checked = _against_the_pairwise_search(monkeypatch)
     word = MappingWord(3, [("twist", 1, 2), ("twist", 3, 3), ("twist", 5, 2)])
     result = hf_hat_closed(word, check=True)
     assert result.total_rank == 12 and [o["rank"] for o in result.orbits] == [1] * 12
+    assert checked == [result.orbits]
